@@ -34,7 +34,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -46,19 +46,7 @@ from .types import SolverConfig
 
 DEFAULT_PSNR_GRID = (math.inf, 40.0, 30.0, 20.0, 15.0, 10.0)
 
-_CONFIG_FIELDS = (
-    "lambda1",
-    "lambda2",
-    "mu0",
-    "mu_max",
-    "gamma0",
-    "eta_z",
-    "eta_j",
-    "eps1",
-    "eps2",
-    "max_iter",
-    "diag_zero",
-)
+_CONFIG_FIELDS = tuple(f.name for f in fields(SolverConfig))
 
 
 def derive_seed(master_seed, *coords):
@@ -84,6 +72,9 @@ def _method_config(entry):
     name = entry.get("name")
     if name is None:
         raise ValueError("each method entry needs a 'name'")
+    unknown = sorted(set(entry) - {"name", *_CONFIG_FIELDS})
+    if unknown:
+        raise ValueError(f"method {name!r} has unknown keys {unknown}")
     kwargs = {k: entry[k] for k in _CONFIG_FIELDS if k in entry}
     return name, SolverConfig(**kwargs)
 

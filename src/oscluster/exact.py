@@ -21,13 +21,14 @@ import numpy as np
 
 from .prox import group_shrink_columns, ridge_error_update, soft_threshold, soft_threshold_zero_diag
 from .types import (
-    DivergenceError,
     SolveDiagnostics,
     SolverConfig,
     apply_difference_adjoint,
     as_data_matrix,
-    build_difference_operator,
+    check_finite,
     column_differences,
+    difference_norm_squared,
+    frobenius_distance,
     operator_norm_squared,
 )
 
@@ -58,33 +59,96 @@ def initial_exact_state(d, n, mu0):
     )
 
 
-def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero):
+class ExactWorkspace:
+    """Buffers shared by the sweeps of one solve on a D x N data matrix.
+
+    A sweep writes its iterate into whichever of two buffer sets does not
+    hold its input, so an iterate survives the next sweep and is
+    overwritten by the one after.  The workspace keeps products of the
+    iterate it last produced: X Z - X, the fit residual X Z - X + E, Z R and
+    the coupling residual J - Z R, plus that sweep's step dZ and dZ R.  A
+    sweep that starts from any other iterate recomputes them from its state.
+    """
+
+    def __init__(self, d, n):
+        self.z = (np.empty((n, n)), np.empty((n, n)))
+        self.e = (np.empty((d, n)), np.empty((d, n)))
+        self.j = (np.empty((n, n - 1)), np.empty((n, n - 1)))
+        self.y1 = (np.empty((d, n)), np.empty((d, n)))
+        self.y2 = (np.empty((n, n - 1)), np.empty((n, n - 1)))
+        self.dz = np.empty((n, n))  # dZ of the last sweep
+        self.zr = np.empty((n, n - 1))  # Z R of the iterate in ``_of``
+        self.dzr = np.empty((n, n - 1))  # dZ R of the last sweep
+        self.xz_x = np.empty((d, n))  # X Z - X
+        self.fit = np.empty((d, n))  # X Z - X + E
+        self.coupling = np.empty((n, n - 1))  # J - Z R
+        self.dn = np.empty((d, n))
+        self.nm = np.empty((n, n - 1))
+        self.nn = np.empty((n, n))
+        # Holds an N x N product in a sweep and a D x N difference after it.
+        self.scratch = np.empty(max(d, n) * n)
+        self._of = None
+
+    def sync(self, x, state):
+        """Make the kept products belong to ``state``, recomputing them if needed."""
+        of = (x, state.z, state.e, state.j)
+        if self._of is None or any(a is not b for a, b in zip(self._of, of)):
+            np.subtract(np.matmul(x, state.z, out=self.xz_x), x, out=self.xz_x)
+            np.add(self.xz_x, state.e, out=self.fit)
+            np.subtract(state.j, column_differences(state.z, out=self.zr), out=self.coupling)
+            self._of = of
+
+
+def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace=None):
     """One parallel sweep: Z, E and J all read only the k-th iterate.
 
     Re-running this on the same state reproduces the output bitwise; no
-    block observes another block's fresh value.
+    block observes another block's fresh value.  A ``workspace`` (see
+    ExactWorkspace) lets successive sweeps share buffers and the products
+    one sweep leaves for the next; without one the sweep allocates its own.
     """
-    z, e, j, y1, y2, mu = state.z, state.e, state.j, state.y1, state.y2, state.mu
+    ws = workspace if workspace is not None else ExactWorkspace(*x.shape)
+    ws.sync(x, state)
+    z, y1, y2, mu = state.z, state.y1, state.y2, state.mu
+    n = z.shape[0]
     sigma_z = mu * eta_z
     sigma_j = mu * eta_j
+    slot = 1 if z is ws.z[0] else 0
+    z_new, e_new, j_new = ws.z[slot], ws.e[slot], ws.j[slot]
+    y1_new, y2_new = ws.y1[slot], ws.y2[slot]
 
-    xz = x @ z
-    grad = x.T @ (y1 + mu * (xz - x + e)) - apply_difference_adjoint(
-        y2 + mu * (j - column_differences(z))
-    )
-    v = z - grad / sigma_z
+    # grad = X^T (Y1 + mu (X Z - X + E)) - (Y2 + mu (J - Z R)) R^T
+    a = np.multiply(ws.fit, mu, out=ws.dn)
+    a += y1
+    grad = np.matmul(x.T, a, out=ws.nn)
+    b = np.multiply(ws.coupling, mu, out=ws.nm)
+    b += y2
+    grad -= apply_difference_adjoint(b, out=ws.scratch[: n * n].reshape(n, n))
+    grad /= sigma_z
+    v = np.subtract(z, grad, out=grad)
     if diag_zero:
-        z_new = soft_threshold_zero_diag(v, lam1 / sigma_z)
+        soft_threshold_zero_diag(v, lam1 / sigma_z, out=z_new)
     else:
-        z_new = soft_threshold(v, lam1 / sigma_z)
+        soft_threshold(v, lam1 / sigma_z, out=z_new)
 
-    e_new = ridge_error_update(xz - x, y1, mu)
+    ridge_error_update(ws.xz_x, y1, mu, out=e_new)
 
-    u = column_differences(z) - y2 / sigma_j
-    j_new = group_shrink_columns(u, lam2 / sigma_j)
+    u = np.divide(y2, sigma_j, out=ws.nm)
+    np.subtract(ws.zr, u, out=u)
+    group_shrink_columns(u, lam2 / sigma_j, out=j_new)
 
-    y1_new = y1 + mu * (x @ z_new - x + e_new)
-    y2_new = y2 + mu * (j_new - column_differences(z_new))
+    # Products of the new iterate, each computed once.
+    column_differences(z_new, out=ws.zr)
+    column_differences(np.subtract(z_new, z, out=ws.dz), out=ws.dzr)
+    np.subtract(np.matmul(x, z_new, out=ws.xz_x), x, out=ws.xz_x)
+    np.add(ws.xz_x, e_new, out=ws.fit)
+    np.subtract(j_new, ws.zr, out=ws.coupling)
+    ws._of = (x, z_new, e_new, j_new)
+
+    np.multiply(ws.fit, mu, out=y1_new)
+    y1_new += y1
+    np.multiply(ws.coupling, mu, out=y2_new)
+    y2_new += y2
     return ExactState(z_new, e_new, j_new, y1_new, y2_new, mu, state.iteration + 1)
 
 
@@ -101,7 +165,7 @@ def solve_exact(x, config=None, initial_state=None):
     x = as_data_matrix(x)
     d, n = x.shape
     l_z = operator_norm_squared(x)
-    r_norm2 = operator_norm_squared(build_difference_operator(n))
+    r_norm2 = difference_norm_squared(n)
     if config.eta_z is None:
         # Three primal blocks move in parallel off the same multiplier, so
         # the proximal weight needs the block count as headroom; the bare
@@ -133,30 +197,27 @@ def solve_exact(x, config=None, initial_state=None):
         eta_z=eta_z, eta_j=eta_j, l_z=l_z, rho=rho, mu_schedule=config.mu_schedule
     )
 
+    workspace = ExactWorkspace(d, n)
     converged = False
     for _ in range(config.max_iter):
         mu = state.mu
-        new = exact_iteration(x, state, config.lambda1, config.lambda2, eta_z, eta_j, config.diag_zero)
-        finite = all(
-            np.all(np.isfinite(a)) for a in (new.z, new.e, new.j, new.y1, new.y2)
+        new = exact_iteration(
+            x, state, config.lambda1, config.lambda2, eta_z, eta_j, config.diag_zero,
+            workspace=workspace,
         )
-        if not finite:
-            raise DivergenceError(f"solver state became non-finite at iteration {new.iteration}")
+        steps = (
+            float(np.linalg.norm(workspace.dz)),
+            frobenius_distance(new.e, state.e, workspace.scratch),
+            frobenius_distance(new.j, state.j, workspace.scratch),
+            float(np.linalg.norm(workspace.dzr)),
+        )
+        # The steps are finite only where both iterates' Z, E and J are.
+        quick = sum(steps) + float(np.sum(new.y1)) + float(np.sum(new.y2))
+        check_finite(quick, (new.z, new.e, new.j, new.y1, new.y2), new.iteration)
 
-        fit_residual = float(np.linalg.norm(x @ new.z - x + new.e)) / x_fro
-        coupling_residual = float(np.linalg.norm(new.j - column_differences(new.z))) / x_fro
-        dz = new.z - state.z
-        change = (
-            mu
-            * np.sqrt(rho)
-            / x_fro
-            * max(
-                float(np.linalg.norm(dz)),
-                float(np.linalg.norm(new.e - state.e)),
-                float(np.linalg.norm(new.j - state.j)),
-                float(np.linalg.norm(column_differences(dz))),
-            )
-        )
+        fit_residual = float(np.linalg.norm(workspace.fit)) / x_fro
+        coupling_residual = float(np.linalg.norm(workspace.coupling)) / x_fro
+        change = mu * float(np.sqrt(rho)) / x_fro * max(steps)
         converged = (
             fit_residual < config.eps1
             and coupling_residual < config.eps1
@@ -178,7 +239,7 @@ def solve_exact(x, config=None, initial_state=None):
 
     diag.iterations = state.iteration
     diag.converged = converged
-    zr = column_differences(state.z)
+    zr = workspace.zr  # Z R of the final iterate
     diag.objective_value = (
         0.5 * float(np.sum(state.e**2))
         + config.lambda1 * float(np.sum(np.abs(state.z)))

@@ -5,53 +5,67 @@ from __future__ import annotations
 import numpy as np
 
 
-def soft_threshold(v, tau):
+def soft_threshold(v, tau, out=None):
     """Entrywise shrinkage: sign(v) * max(|v| - tau, 0).
 
     Proximal operator of ``tau * ||.||_1``.  ``tau`` may be a scalar or an
     array broadcastable against ``v`` (one threshold per column, say).
+    ``out``, if given, receives the result and must not overlap ``v``;
+    otherwise the result is the only array allocated.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau < 0):
         raise ValueError("threshold tau must be nonnegative")
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(v.shape, tau.shape))
+    np.abs(v, out=out)
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    # max(|v| - tau, 0) is zero wherever v is, so copying the sign of v
+    # gives exactly sign(v) * max(|v| - tau, 0).
+    return np.copysign(out, v, out=out)
 
 
-def soft_threshold_zero_diag(v, tau):
+def soft_threshold_zero_diag(v, tau, out=None):
     """Entrywise shrinkage on a square matrix with the diagonal forced to zero."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValueError(f"zero-diagonal shrinkage needs a square matrix, got {v.shape}")
-    out = soft_threshold(v, tau)
+    out = soft_threshold(v, tau, out=out)
     np.fill_diagonal(out, 0.0)
     return out
 
 
-def group_shrink_columns(u, kappa):
+def group_shrink_columns(u, kappa, out=None):
     """Columnwise shrinkage: scale each column toward zero by kappa in norm.
 
     Proximal operator of ``kappa * sum_i ||u_i||_2`` over columns u_i.
     A column with norm at or below kappa maps to zero; otherwise it is
-    scaled by ``(||u_i|| - kappa) / ||u_i||``.
+    scaled by ``(||u_i|| - kappa) / ||u_i||``.  ``out``, if given, receives
+    the result and must not overlap ``u``.
     """
     if kappa < 0:
         raise ValueError("shrinkage weight kappa must be nonnegative")
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ValueError(f"column shrinkage needs a 2-D array, got shape {u.shape}")
-    norms = np.linalg.norm(u, axis=0)
+    # The squares go through ``out`` before it takes the result; the sum
+    # is the one np.linalg.norm(u, axis=0) takes.
+    out = np.multiply(u, u, out=out)
+    norms = np.sqrt(np.add.reduce(out, axis=0))
     safe = np.where(norms > 0, norms, 1.0)
     scale = np.where(norms > kappa, (norms - kappa) / safe, 0.0)
-    return u * scale
+    return np.multiply(u, scale, out=out)
 
 
-def ridge_error_update(residual, y1, mu):
+def ridge_error_update(residual, y1, mu, out=None):
     """Closed-form error block of the augmented Lagrangian.
 
     Minimizes ``0.5*||E||_F^2 + <Y1, S + E> + (mu/2)*||S + E||_F^2`` over E
     for S = residual, giving ``E = -(mu*S + Y1) / (1 + mu)``.  As mu grows
     the minimizer approaches ``-S``, closing the constraint ``S + E = 0``.
+    ``out``, if given, receives the result.
     """
     residual = np.asarray(residual, dtype=float)
     y1 = np.asarray(y1, dtype=float)
@@ -59,4 +73,7 @@ def ridge_error_update(residual, y1, mu):
         raise ValueError(f"shape mismatch: residual {residual.shape} vs y1 {y1.shape}")
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    return -(mu * residual + y1) / (1.0 + mu)
+    out = np.multiply(residual, mu, out=out)
+    out += y1
+    out /= -(1.0 + mu)
+    return out

@@ -20,13 +20,14 @@ import numpy as np
 
 from .prox import group_shrink_columns, soft_threshold, soft_threshold_zero_diag
 from .types import (
-    DivergenceError,
     SolveDiagnostics,
     SolverConfig,
     apply_difference_adjoint,
     as_data_matrix,
-    build_difference_operator,
+    check_finite,
     column_differences,
+    difference_norm_squared,
+    frobenius_distance,
     operator_norm_squared,
 )
 
@@ -53,34 +54,94 @@ def initial_relaxed_state(d, n, mu0):
     )
 
 
-def relaxed_iteration(x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12"):
+class RelaxedWorkspace:
+    """Buffers shared by the sweeps of one solve on a D x N data matrix.
+
+    A sweep writes its iterate into whichever of two buffer sets does not
+    hold its input, so an iterate survives the next sweep and is
+    overwritten by the one after.  The workspace also keeps products of the
+    iterate it last produced: the constraint residual J - Z R, and, once
+    asked for, the fit step X^T (X - X Z).  A sweep that starts from any
+    other iterate recomputes them from its state.
+    """
+
+    def __init__(self, d, n):
+        self.z = (np.empty((n, n)), np.empty((n, n)))
+        self.j = (np.empty((n, n - 1)), np.empty((n, n - 1)))
+        self.y = (np.empty((n, n - 1)), np.empty((n, n - 1)))
+        self.zr = np.empty((n, n - 1))
+        self.residual = np.empty((n, n - 1))  # J - Z R of the iterate in ``_of``
+        self.nm = np.empty((n, n - 1))
+        self.dn = np.empty((d, n))
+        self.fit = np.empty((n, n))  # X^T (X - X Z) of the iterate in ``_fit_of``
+        self.scratch = np.empty(n * n)
+        self._of = None
+        self._fit_of = None
+
+    def sync(self, state):
+        """Make ``residual`` belong to ``state``, recomputing it if needed."""
+        if self._of is None or self._of[0] is not state.z or self._of[1] is not state.j:
+            np.subtract(state.j, column_differences(state.z, out=self.zr), out=self.residual)
+            self._of = (state.z, state.j)
+
+    def fit_step(self, x, z):
+        """X^T (X - X Z), computed once per iterate."""
+        if self._fit_of is None or self._fit_of[0] is not x or self._fit_of[1] is not z:
+            np.matmul(x, z, out=self.dn)
+            np.subtract(x, self.dn, out=self.dn)
+            np.matmul(x.T, self.dn, out=self.fit)
+            self._fit_of = (x, z)
+        return self.fit
+
+
+def relaxed_iteration(
+    x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12", *, workspace=None
+):
     """One sweep: Z from the k-th blocks, then J from the fresh Z, then Y.
 
     ``lam1`` may be a scalar or a length-N vector of per-column weights.
     ``j_prox`` selects the penalty on J: ``"l12"`` shrinks whole columns,
-    ``"l1"`` shrinks entries.
+    ``"l1"`` shrinks entries.  A ``workspace`` (see RelaxedWorkspace) lets
+    successive sweeps share buffers and the products one sweep leaves for
+    the next; without one the sweep allocates its own.
     """
-    z, j, y, mu = state.z, state.j, state.y, state.mu
-    sigma_z = mu * eta_z
-    sigma_j = mu * eta_j
-
-    y_tilde = y + mu * (j - column_differences(z))
-    v = z + (x.T @ (x - x @ z) + apply_difference_adjoint(y_tilde)) / (sigma_z + l_z)
-    threshold = lam1 / (sigma_z + l_z)
-    if diag_zero:
-        z_new = soft_threshold_zero_diag(v, threshold)
-    else:
-        z_new = soft_threshold(v, threshold)
-
-    u = column_differences(z_new) - y / sigma_j
-    if j_prox == "l12":
-        j_new = group_shrink_columns(u, lam2 / sigma_j)
-    elif j_prox == "l1":
-        j_new = soft_threshold(u, lam2 / sigma_j)
-    else:
+    if j_prox not in ("l12", "l1"):
         raise ValueError(f"unknown j_prox {j_prox!r}")
+    ws = workspace if workspace is not None else RelaxedWorkspace(*x.shape)
+    ws.sync(state)
+    z, y, mu = state.z, state.y, state.mu
+    step = mu * eta_z + l_z
+    sigma_j = mu * eta_j
+    slot = 1 if z is ws.z[0] else 0
+    z_new, j_new, y_new = ws.z[slot], ws.j[slot], ws.y[slot]
 
-    y_new = y + mu * (j_new - column_differences(z_new))
+    # V = Z + (X^T (X - X Z) + (Y + mu (J - Z R)) R^T) / (sigma_z + l_z),
+    # built in place over the fit step, which is then no longer kept.
+    v = ws.fit_step(x, z)
+    ws._fit_of = None
+    y_tilde = np.multiply(ws.residual, mu, out=ws.nm)
+    y_tilde += y
+    v += apply_difference_adjoint(y_tilde, out=ws.scratch.reshape(v.shape))
+    v /= step
+    v += z
+    threshold = lam1 / step
+    if diag_zero:
+        soft_threshold_zero_diag(v, threshold, out=z_new)
+    else:
+        soft_threshold(v, threshold, out=z_new)
+
+    zr = column_differences(z_new, out=ws.zr)
+    u = np.divide(y, sigma_j, out=ws.nm)
+    np.subtract(zr, u, out=u)
+    if j_prox == "l12":
+        group_shrink_columns(u, lam2 / sigma_j, out=j_new)
+    else:
+        soft_threshold(u, lam2 / sigma_j, out=j_new)
+
+    residual = np.subtract(j_new, zr, out=ws.residual)
+    ws._of = (z_new, j_new)
+    np.multiply(residual, mu, out=y_new)
+    y_new += y
     return RelaxedState(z_new, j_new, y_new, mu, state.iteration + 1)
 
 
@@ -126,13 +187,13 @@ def _resolve_eta(config, l_z, r_norm2):
     return eta_z
 
 
-def _stationarity_gap(x, z, lam1, diag_zero):
+def _stationarity_gap(fit_step, z, lam1, diag_zero):
     """Largest KKT violation of the per-column lasso at Z (diagonal excluded
-    when it is constrained to zero)."""
-    grad = x.T @ (x @ z - x)
+    when it is constrained to zero); ``fit_step`` is X^T (X - X Z), the
+    negated gradient of the fit."""
     lam = np.broadcast_to(np.asarray(lam1, dtype=float), (z.shape[0],))
-    on_support = np.abs(grad + np.sign(z) * lam[None, :])
-    off_support = np.maximum(np.abs(grad) - lam[None, :], 0.0)
+    on_support = np.abs(fit_step - np.sign(z) * lam[None, :])
+    off_support = np.maximum(np.abs(fit_step) - lam[None, :], 0.0)
     gap = np.where(z != 0.0, on_support, off_support)
     if diag_zero:
         np.fill_diagonal(gap, 0.0)
@@ -174,7 +235,7 @@ def _solve_core(
     x = as_data_matrix(x)
     d, n = x.shape
     l_z = operator_norm_squared(x)
-    r_norm2 = operator_norm_squared(build_difference_operator(n))
+    r_norm2 = difference_norm_squared(n)
     eta_z = _resolve_eta(config, l_z, r_norm2)
     eta_j = float(config.eta_j)
     additive_step = l_z / (eta_z - r_norm2)
@@ -193,23 +254,26 @@ def _solve_core(
     if lyapunov_reference is not None:
         diag.lyapunov_history = []
 
+    workspace = RelaxedWorkspace(d, n)
     converged = False
     for _ in range(config.max_iter):
         mu = state.mu
-        new = relaxed_iteration(x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox)
-        if not (
-            np.all(np.isfinite(new.z)) and np.all(np.isfinite(new.j)) and np.all(np.isfinite(new.y))
-        ):
-            raise DivergenceError(f"solver state became non-finite at iteration {new.iteration}")
-
-        feasibility = float(np.linalg.norm(new.j - column_differences(new.z)))
-        change = mu * max(
-            float(np.linalg.norm(new.z - state.z)), float(np.linalg.norm(new.j - state.j))
+        new = relaxed_iteration(
+            x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox, workspace=workspace
         )
+        dz = frobenius_distance(new.z, state.z, workspace.scratch)
+        dj = frobenius_distance(new.j, state.j, workspace.scratch)
+        # The distances are finite only where both iterates' Z and J are.
+        check_finite(dz + dj + float(np.sum(new.y)), (new.z, new.j, new.y), new.iteration)
+
+        feasibility = float(np.linalg.norm(workspace.residual))
+        change = mu * max(dz, dj)
         if stationarity_tol is None:
             converged = feasibility < config.eps1 and change < config.eps2
         else:
-            converged = _stationarity_gap(x, new.z, lam1, diag_zero) <= stationarity_tol
+            # The next sweep starts from the same fit step.
+            fit_step = workspace.fit_step(x, new.z)
+            converged = _stationarity_gap(fit_step, new.z, lam1, diag_zero) <= stationarity_tol
 
         if freeze_mu:
             mu_next = mu

@@ -229,3 +229,125 @@ def never_improved_by_perturbation(objective, argmin, rng, trials=100, radius=1e
         if objective(argmin + direction) < base - slack:
             return False
     return True
+
+
+def _shrink_entries(v, tau):
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+def _shrink_columns(u, kappa):
+    norms = np.sqrt(np.sum(u * u, axis=0))
+    return u * np.where(norms > kappa, 1.0 - kappa / np.where(norms > 0, norms, 1.0), 0.0)
+
+
+def reference_relaxed_sweep(x, z, j, y, mu, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12"):
+    """One sequential sweep written straight from its update formulas.
+
+    Every product is taken afresh from the given blocks, and Z R is a dense
+    product with the difference operator, so nothing is carried from an
+    earlier sweep.  Returns ``(z, j, y)``.
+    """
+    r = difference_matrix(z.shape[0])
+    step = mu * eta_z + l_z
+    v = z + (x.T @ (x - x @ z) + (y + mu * (j - z @ r)) @ r.T) / step
+    z_new = _shrink_entries(v, lam1 / step)
+    if diag_zero:
+        np.fill_diagonal(z_new, 0.0)
+    u = z_new @ r - y / (mu * eta_j)
+    kappa = lam2 / (mu * eta_j)
+    j_new = _shrink_columns(u, kappa) if j_prox == "l12" else _shrink_entries(u, kappa)
+    y_new = y + mu * (j_new - z_new @ r)
+    return z_new, j_new, y_new
+
+
+def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag_zero):
+    """One parallel sweep of the exact-constraint solver from its update
+    formulas, with dense products and nothing carried between sweeps.
+    Returns ``(z, e, j, y1, y2)``."""
+    r = difference_matrix(z.shape[0])
+    sigma_z = mu * eta_z
+    sigma_j = mu * eta_j
+    grad = x.T @ (y1 + mu * (x @ z - x + e)) - (y2 + mu * (j - z @ r)) @ r.T
+    z_new = _shrink_entries(z - grad / sigma_z, lam1 / sigma_z)
+    if diag_zero:
+        np.fill_diagonal(z_new, 0.0)
+    e_new = -(mu * (x @ z - x) + y1) / (1.0 + mu)
+    j_new = _shrink_columns(z @ r - y2 / sigma_j, lam2 / sigma_j)
+    y1_new = y1 + mu * (x @ z_new - x + e_new)
+    y2_new = y2 + mu * (j_new - z_new @ r)
+    return z_new, e_new, j_new, y1_new, y2_new
+
+
+def difference_matrix(n):
+    """Dense N x (N-1) forward differences, built entry by entry."""
+    r = np.zeros((n, n - 1))
+    for i in range(n - 1):
+        r[i, i] = -1.0
+        r[i + 1, i] = 1.0
+    return r
+
+
+def _next_mu(config, mu, change):
+    gamma = config.gamma0 if change < config.eps2 else 1.0
+    return min(config.mu_max, gamma * mu)
+
+
+def reference_relaxed_solve(x, config, l_z, eta_z, blocks):
+    """The sequential solver's multiplicative-penalty loop around
+    reference_relaxed_sweep, from ``blocks = (z, j, y)``.
+
+    ``l_z`` and ``eta_z`` are taken as given, so the comparison isolates
+    the sweeps.  Returns ``(z, sweeps, feasibility, change, mu)`` histories.
+    """
+    r = difference_matrix(x.shape[1])
+    z, j, y = blocks
+    mu = config.mu0
+    feasibility, changes, mus = [], [], []
+    for sweep in range(1, config.max_iter + 1):
+        z_new, j_new, y_new = reference_relaxed_sweep(
+            x, z, j, y, mu, config.lambda1, config.lambda2, l_z, eta_z, config.eta_j,
+            config.diag_zero,
+        )
+        feas = float(np.linalg.norm(j_new - z_new @ r))
+        change = mu * max(float(np.linalg.norm(z_new - z)), float(np.linalg.norm(j_new - j)))
+        feasibility.append(feas)
+        changes.append(change)
+        mus.append(mu)
+        z, j, y = z_new, j_new, y_new
+        if feas < config.eps1 and change < config.eps2:
+            break
+        mu = _next_mu(config, mu, change)
+    return z, sweep, feasibility, changes, mus
+
+
+def reference_exact_solve(x, config, eta_z, blocks):
+    """The exact-constraint solver's multiplicative-penalty loop around
+    reference_exact_sweep, from ``blocks = (z, e, j, y1, y2)``; returns the
+    same tuple as reference_relaxed_solve."""
+    r = difference_matrix(x.shape[1])
+    x_fro = float(np.linalg.norm(x))
+    z, e, j, y1, y2 = blocks
+    mu = config.mu0
+    feasibility, changes, mus = [], [], []
+    for sweep in range(1, config.max_iter + 1):
+        z_new, e_new, j_new, y1_new, y2_new = reference_exact_sweep(
+            x, z, e, j, y1, y2, mu, config.lambda1, config.lambda2, eta_z, config.eta_j,
+            config.diag_zero,
+        )
+        fit = float(np.linalg.norm(x @ z_new - x + e_new)) / x_fro
+        coupling = float(np.linalg.norm(j_new - z_new @ r)) / x_fro
+        step = max(
+            float(np.linalg.norm(z_new - z)),
+            float(np.linalg.norm(e_new - e)),
+            float(np.linalg.norm(j_new - j)),
+            float(np.linalg.norm((z_new - z) @ r)),
+        )
+        change = mu * np.sqrt(eta_z) / x_fro * step
+        feasibility.append(max(fit, coupling))
+        changes.append(change)
+        mus.append(mu)
+        z, e, j, y1, y2 = z_new, e_new, j_new, y1_new, y2_new
+        if fit < config.eps1 and coupling < config.eps1 and change < config.eps2:
+            break
+        mu = _next_mu(config, mu, change)
+    return z, sweep, feasibility, changes, mus

@@ -83,6 +83,19 @@ class TestCluster:
         sidecar = json.loads((table_dataset.parent / "seq.diagnostics.json").read_text())
         assert sidecar == report
 
+    def test_exact_with_more_rows_than_columns(self, tmp_path, capsys):
+        data = tmp_path / "tall.csv"
+        assert main(["generate", "--out", str(data), "--points", "10"]) == 0
+        capsys.readouterr()
+        truth = tmp_path / "tall.labels.json"
+        code = main(
+            ["cluster", str(data), "--method", "osc-exact", "--k", "5", "--truth", str(truth)]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True
+        assert report["sce"] == 0.0
+
     def test_estimated_k(self, table_dataset, capsys):
         code = main(["cluster", str(table_dataset)])
         assert code == 0

@@ -12,6 +12,7 @@ from oscluster import (
     column_differences,
     operator_norm_squared,
 )
+from oscluster.types import difference_norm_squared, frobenius_distance
 
 
 class TestDifferenceOperator:
@@ -47,6 +48,29 @@ class TestDifferenceOperator:
         assert np.allclose(column_differences(z), z @ r, atol=1e-14)
         m = rng.standard_normal((5, 8))
         assert np.allclose(apply_difference_adjoint(m), m @ r.T, atol=1e-14)
+
+
+class TestDifferenceNormSquared:
+    @pytest.mark.parametrize("n", [*range(2, 65), 1600])
+    def test_closed_form_matches_svd(self, n):
+        want = np.linalg.norm(build_difference_operator(n), 2) ** 2
+        assert difference_norm_squared(n) == pytest.approx(want, rel=1e-12)
+
+    def test_too_small(self):
+        with pytest.raises(ValueError):
+            difference_norm_squared(1)
+
+
+class TestFrobeniusDistance:
+    def test_matches_norm_of_difference(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 7, 3))
+        scratch = np.empty(30)
+        assert frobenius_distance(a, b, scratch) == np.linalg.norm(a - b)
+
+    def test_scratch_too_small(self):
+        with pytest.raises(ValueError, match="scratch"):
+            frobenius_distance(np.ones((4, 3)), np.zeros((4, 3)), np.empty(9))
 
 
 class TestOperatorNormSquared:
