@@ -27,17 +27,9 @@ def ssc_solve(x, lam, config=None, return_diagnostics=False):
     if np.any(lam <= 0):
         raise ValueError("lasso weights must be positive")
     config = config if config is not None else SolverConfig(max_iter=5000)
-    config = replace(config, lambda2=0.0, diag_zero=True)
-    state, diag = _solve_core(
-        x,
-        lam,
-        0.0,
-        config,
-        j_prox="l12",
-        diag_zero=True,
-        freeze_mu=True,
-        stationarity_tol=1e-6,
-    )
+    # gamma0 = 1 under the multiplicative schedule holds mu at mu0.
+    config = replace(config, lambda2=0.0, diag_zero=True, gamma0=1.0, mu_schedule="multiplicative")
+    state, diag = _solve_core(x, lam, config, stationarity_tol=1e-6)
     if return_diagnostics:
         return state.z, diag
     return state.z
@@ -52,9 +44,7 @@ def spatsc_solve(x, lambda1, lambda2, config=None, return_diagnostics=False):
         raise ValueError("penalty weights must be nonnegative")
     config = config if config is not None else SolverConfig()
     config = replace(config, lambda1=lambda1, lambda2=lambda2, diag_zero=True)
-    state, diag = _solve_core(
-        x, lambda1, lambda2, config, j_prox="l1", diag_zero=True
-    )
+    state, diag = _solve_core(x, lambda1, config, j_prox="l1")
     if return_diagnostics:
         return state.z, diag
     return state.z

@@ -72,7 +72,7 @@ def _add_cluster_parser(sub):
     p.add_argument("--no-normalize", action="store_true", help="skip unit-norm column scaling")
     p.add_argument("--seed", type=int, default=0, help="clustering restart seed")
     p.add_argument("--truth", default=None, help="true label file; adds SCE to the report")
-    p.add_argument("--labels-out", default=None, help="default <data>.labels.json")
+    p.add_argument("--labels-out", default=None, help="default <data>.predicted.json")
     p.add_argument("--diagnostics-out", default=None, help="default <data>.diagnostics.json")
 
 
@@ -113,6 +113,10 @@ def cmd_generate(args):
 
 
 def cmd_cluster(args):
+    labels_path = args.labels_out or _sidecar(args.data, ".predicted.json")
+    if args.truth and os.path.realpath(labels_path) == os.path.realpath(args.truth):
+        print(f"error: labels output {labels_path} would overwrite --truth", file=sys.stderr)
+        return EXIT_USAGE
     x = load_matrix(args.data)
     config = SolverConfig(
         lambda1=args.lambda1,
@@ -125,7 +129,6 @@ def cmd_cluster(args):
         max_iter=args.max_iter,
         diag_zero=args.diag_zero,
     )
-    labels_path = args.labels_out or _sidecar(args.data, ".labels.json")
     diagnostics_path = args.diagnostics_out or _sidecar(args.data, ".diagnostics.json")
     report = {"method": args.method, "data": str(args.data)}
     try:

@@ -10,15 +10,17 @@ the objective.  All three primal blocks are updated in parallel from the
 previous iterate; the multipliers then move with the fresh blocks.  The
 proximal weight eta_z must exceed ||X||^2 + ||R||^2, and the default adds
 a factor for the number of parallel blocks on top of that floor, which is
-what keeps the joint update contractive in practice.
+what keeps the joint update contractive in practice.  The sweep loop and
+the penalty schedule are shared with the other solvers in ``admm.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import admm
 from .prox import group_shrink_columns, ridge_error_update, soft_threshold, soft_threshold_zero_diag
 from .types import (
     SolveDiagnostics,
@@ -158,87 +160,51 @@ def solve_exact(x, config=None, initial_state=None):
     Convergence requires all three residual tests at once, each normalized
     by ||X||_F: the fit residual ||X Z - X + E||, the coupling residual
     ||J - Z R||, and the scaled iterate change
-    ``mu * sqrt(rho) * max(||dZ||, ||dE||, ||dJ||, ||dZ R||) / ||X||_F``
-    with rho = eta_z.
+    ``mu * sqrt(eta_z) * max(||dZ||, ||dE||, ||dJ||, ||dZ R||) / ||X||_F``.
     """
     config = config if config is not None else SolverConfig()
     x = as_data_matrix(x)
     d, n = x.shape
     l_z = operator_norm_squared(x)
     r_norm2 = difference_norm_squared(n)
-    if config.eta_z is None:
-        # Three primal blocks move in parallel off the same multiplier, so
-        # the proximal weight needs the block count as headroom; the bare
-        # spectral bound is stable only for sequential sweeps.
-        eta_z = 3.06 * (l_z + r_norm2)
-    else:
-        eta_z = float(config.eta_z)
-        if eta_z <= l_z + r_norm2:
-            raise ValueError(
-                f"eta_z must exceed ||X||^2 + ||R||^2 = {l_z + r_norm2:.6g}, got {eta_z}"
-            )
+    # Three primal blocks move in parallel off the same multiplier, so the
+    # proximal weight needs the block count as headroom; the bare spectral
+    # bound is stable only for sequential sweeps.
+    floor = l_z + r_norm2
+    eta_z = admm.resolve_eta(config, 3.06 * floor, floor, "||X||^2 + ||R||^2")
     eta_j = float(config.eta_j)
-    rho = eta_z
-    additive_step = l_z / (eta_z - r_norm2)
     x_fro = float(np.linalg.norm(x))
-
-    state = initial_state if initial_state is not None else initial_exact_state(d, n, config.mu0)
-    shapes_ok = (
-        state.z.shape == (n, n)
-        and state.e.shape == (d, n)
-        and state.j.shape == (n, n - 1)
-        and state.y1.shape == (d, n)
-        and state.y2.shape == (n, n - 1)
-    )
-    if not shapes_ok:
-        raise ValueError("initial state shapes do not match the data matrix")
-
-    diag = SolveDiagnostics(
-        eta_z=eta_z, eta_j=eta_j, l_z=l_z, rho=rho, mu_schedule=config.mu_schedule
-    )
-
+    state = admm.start_state(initial_state, initial_exact_state(d, n, config.mu0))
+    diag = SolveDiagnostics(eta_z=eta_z, eta_j=eta_j, l_z=l_z, mu_schedule=config.mu_schedule)
     workspace = ExactWorkspace(d, n)
-    converged = False
-    for _ in range(config.max_iter):
-        mu = state.mu
-        new = exact_iteration(
+
+    def sweep(state):
+        return exact_iteration(
             x, state, config.lambda1, config.lambda2, eta_z, eta_j, config.diag_zero,
             workspace=workspace,
         )
+
+    def measure(old, new):
         steps = (
             float(np.linalg.norm(workspace.dz)),
-            frobenius_distance(new.e, state.e, workspace.scratch),
-            frobenius_distance(new.j, state.j, workspace.scratch),
+            frobenius_distance(new.e, old.e, workspace.scratch),
+            frobenius_distance(new.j, old.j, workspace.scratch),
             float(np.linalg.norm(workspace.dzr)),
         )
         # The steps are finite only where both iterates' Z, E and J are.
         quick = sum(steps) + float(np.sum(new.y1)) + float(np.sum(new.y2))
         check_finite(quick, (new.z, new.e, new.j, new.y1, new.y2), new.iteration)
-
         fit_residual = float(np.linalg.norm(workspace.fit)) / x_fro
         coupling_residual = float(np.linalg.norm(workspace.coupling)) / x_fro
-        change = mu * float(np.sqrt(rho)) / x_fro * max(steps)
+        change = old.mu * float(np.sqrt(eta_z)) / x_fro * max(steps)
         converged = (
             fit_residual < config.eps1
             and coupling_residual < config.eps1
             and change < config.eps2
         )
+        return max(fit_residual, coupling_residual), change, converged
 
-        if config.mu_schedule == "additive":
-            mu_next = min(config.mu_max, mu + additive_step)
-        else:
-            gamma = config.gamma0 if change < config.eps2 else 1.0
-            mu_next = min(config.mu_max, gamma * mu)
-        state = replace(new, mu=mu_next)
-
-        diag.feasibility_history.append(max(fit_residual, coupling_residual))
-        diag.change_history.append(change)
-        diag.mu_history.append(mu)
-        if converged:
-            break
-
-    diag.iterations = state.iteration
-    diag.converged = converged
+    state = admm.run(config, state, sweep, measure, l_z / (eta_z - r_norm2), diag)
     zr = workspace.zr  # Z R of the final iterate
     diag.objective_value = (
         0.5 * float(np.sum(state.e**2))

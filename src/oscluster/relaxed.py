@@ -9,15 +9,17 @@ where R is the forward-difference operator, so the group penalty pushes
 neighbouring columns of Z toward each other and the coefficient matrix
 becomes nearly block-constant along the sample order.  The two blocks are
 updated in sequence with linearized proximal steps and an adaptive
-penalty mu.
+penalty mu.  The sweep loop and the penalty schedule are shared with the
+other solvers in ``admm.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import admm
 from .prox import group_shrink_columns, soft_threshold, soft_threshold_zero_diag
 from .types import (
     SolveDiagnostics,
@@ -173,20 +175,6 @@ def lyapunov_s(state, reference, eta_z, eta_j, l_z):
     return value
 
 
-def _resolve_eta(config, l_z, r_norm2):
-    """Default eta_z keeps the descent condition satisfiable: above ||R||^2
-    with headroom proportional to l_z / mu0."""
-    if config.eta_z is None:
-        eta_z = r_norm2 + l_z / config.mu0 + 1e-3
-    else:
-        eta_z = float(config.eta_z)
-        if eta_z <= r_norm2:
-            raise ValueError(
-                f"eta_z must exceed the squared spectral norm of R ({r_norm2:.6g}), got {eta_z}"
-            )
-    return eta_z
-
-
 def _stationarity_gap(fit_step, z, lam1, diag_zero):
     """Largest KKT violation of the per-column lasso at Z (diagonal excluded
     when it is constrained to zero); ``fit_step`` is X^T (X - X Z), the
@@ -213,15 +201,7 @@ def _objective(x, z, lam1, lam2, j_prox):
 
 
 def _solve_core(
-    x,
-    lam1,
-    lam2,
-    config,
-    j_prox="l12",
-    diag_zero=False,
-    initial_state=None,
-    freeze_mu=False,
-    stationarity_tol=None,
+    x, lam1, config, j_prox="l12", initial_state=None, stationarity_tol=None,
     lyapunov_reference=None,
 ):
     """Shared driver behind the sequential solver and its variants.
@@ -234,66 +214,45 @@ def _solve_core(
     """
     x = as_data_matrix(x)
     d, n = x.shape
+    lam2, diag_zero = config.lambda2, config.diag_zero
     l_z = operator_norm_squared(x)
     r_norm2 = difference_norm_squared(n)
-    eta_z = _resolve_eta(config, l_z, r_norm2)
-    eta_j = float(config.eta_j)
-    additive_step = l_z / (eta_z - r_norm2)
-
-    state = initial_state if initial_state is not None else initial_relaxed_state(d, n, config.mu0)
-    if state.z.shape != (n, n) or state.j.shape != (n, n - 1) or state.y.shape != (n, n - 1):
-        raise ValueError("initial state shapes do not match the data matrix")
-
-    diag = SolveDiagnostics(
-        eta_z=eta_z,
-        eta_j=eta_j,
-        l_z=l_z,
-        rho=eta_z,
-        mu_schedule="multiplicative" if freeze_mu else config.mu_schedule,
+    # The default keeps the descent condition satisfiable: above ||R||^2
+    # with headroom proportional to l_z / mu0.
+    eta_z = admm.resolve_eta(
+        config, r_norm2 + l_z / config.mu0 + 1e-3, r_norm2, "the squared spectral norm of R"
     )
-    if lyapunov_reference is not None:
-        diag.lyapunov_history = []
-
+    eta_j = float(config.eta_j)
+    state = admm.start_state(initial_state, initial_relaxed_state(d, n, config.mu0))
+    diag = SolveDiagnostics(eta_z=eta_z, eta_j=eta_j, l_z=l_z, mu_schedule=config.mu_schedule)
     workspace = RelaxedWorkspace(d, n)
-    converged = False
-    for _ in range(config.max_iter):
-        mu = state.mu
-        new = relaxed_iteration(
+
+    def sweep(state):
+        return relaxed_iteration(
             x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox, workspace=workspace
         )
-        dz = frobenius_distance(new.z, state.z, workspace.scratch)
-        dj = frobenius_distance(new.j, state.j, workspace.scratch)
+
+    def measure(old, new):
+        dz = frobenius_distance(new.z, old.z, workspace.scratch)
+        dj = frobenius_distance(new.j, old.j, workspace.scratch)
         # The distances are finite only where both iterates' Z and J are.
         check_finite(dz + dj + float(np.sum(new.y)), (new.z, new.j, new.y), new.iteration)
-
         feasibility = float(np.linalg.norm(workspace.residual))
-        change = mu * max(dz, dj)
+        change = old.mu * max(dz, dj)
         if stationarity_tol is None:
             converged = feasibility < config.eps1 and change < config.eps2
         else:
             # The next sweep starts from the same fit step.
             fit_step = workspace.fit_step(x, new.z)
             converged = _stationarity_gap(fit_step, new.z, lam1, diag_zero) <= stationarity_tol
+        return feasibility, change, converged
 
-        if freeze_mu:
-            mu_next = mu
-        elif config.mu_schedule == "additive":
-            mu_next = min(config.mu_max, mu + additive_step)
-        else:
-            gamma = config.gamma0 if change < config.eps2 else 1.0
-            mu_next = min(config.mu_max, gamma * mu)
-        state = replace(new, mu=mu_next)
+    monitor = None
+    if lyapunov_reference is not None:
+        def monitor(state):
+            return lyapunov_s(state, lyapunov_reference, eta_z, eta_j, l_z)
 
-        diag.feasibility_history.append(feasibility)
-        diag.change_history.append(change)
-        diag.mu_history.append(mu)
-        if lyapunov_reference is not None:
-            diag.lyapunov_history.append(lyapunov_s(state, lyapunov_reference, eta_z, eta_j, l_z))
-        if converged:
-            break
-
-    diag.iterations = state.iteration
-    diag.converged = converged
+    state = admm.run(config, state, sweep, measure, l_z / (eta_z - r_norm2), diag, monitor)
     diag.objective_value = _objective(x, state.z, lam1, lam2, j_prox)
     return state, diag
 
@@ -307,25 +266,10 @@ def solve_relaxed(x, config=None, initial_state=None):
     ``initial_state`` allows warm starts.
     """
     config = config if config is not None else SolverConfig()
-    state, diag = _solve_core(
-        x,
-        config.lambda1,
-        config.lambda2,
-        config,
-        j_prox="l12",
-        diag_zero=config.diag_zero,
-        initial_state=initial_state,
-    )
+    state, diag = _solve_core(x, config.lambda1, config, initial_state=initial_state)
     if config.monitor_lyapunov:
         reference = (state.z, state.j, state.y)
         state, diag = _solve_core(
-            x,
-            config.lambda1,
-            config.lambda2,
-            config,
-            j_prox="l12",
-            diag_zero=config.diag_zero,
-            initial_state=initial_state,
-            lyapunov_reference=reference,
+            x, config.lambda1, config, initial_state=initial_state, lyapunov_reference=reference
         )
     return state.z, diag

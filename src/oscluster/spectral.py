@@ -125,13 +125,13 @@ def ncut_cluster(w, k, seed=0, restarts=20, normalized=True):
     embedding rows to unit length, and k-means clusters them.  Returns an
     integer label per sample.
     """
-    w = _check_affinity(w)
-    n = w.shape[0]
+    # The Laplacians validate the affinity.
+    lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
+    n = lap.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k == 1:
         return np.zeros(n, dtype=int)
-    lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
     _, vecs = np.linalg.eigh(lap)
     embedding = vecs[:, :k]
     row_norms = np.linalg.norm(embedding, axis=1)

@@ -147,35 +147,16 @@ def check_finite(quick, arrays, iteration):
         raise DivergenceError(f"solver state became non-finite at iteration {iteration}")
 
 
-def operator_norm_squared(m, rel_tol=1e-10, max_iter=1000):
-    """Squared spectral norm (largest squared singular value) of a matrix.
-
-    Power iteration on the smaller Gram matrix with a residual certificate;
-    falls back to a dense SVD when the certificate is not met within
-    ``max_iter`` sweeps.  Accurate to ``rel_tol`` relative error.
-    """
+def operator_norm_squared(m):
+    """Squared spectral norm (largest squared singular value) of a matrix:
+    the top eigenvalue of the smaller of its two Gram matrices."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"operator norm needs a nonempty 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("operator norm input contains non-finite entries")
     gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-    n = gram.shape[0]
-    # Skewed start vector so exact orthogonality to the top eigenspace is
-    # not achievable by symmetry alone.
-    v = 1.0 + np.arange(n) / max(n, 1)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        lam = float(v @ w)
-        if np.linalg.norm(w - lam * v) <= rel_tol * max(lam, np.finfo(float).tiny):
-            return lam
-        v = w / norm_w
-    return float(np.linalg.norm(m, 2) ** 2)
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 @dataclass(frozen=True)
@@ -249,5 +230,4 @@ class SolveDiagnostics:
     eta_z: float = float("nan")
     eta_j: float = float("nan")
     l_z: float = float("nan")
-    rho: float = float("nan")
     mu_schedule: str = "multiplicative"

@@ -73,6 +73,14 @@ class TestSparseSelfExpression:
         assert diag.converged
         assert z.shape == (7, 7)
 
+    def test_penalty_held_under_any_schedule(self):
+        x = unit_columns(np.random.default_rng(6), 6, 7)
+        cfg = SolverConfig(mu_schedule="additive", gamma0=1.5, max_iter=50)
+        _, diag = ssc_solve(x, 0.2, cfg, return_diagnostics=True)
+        assert len(diag.mu_history) > 1
+        assert all(mu == cfg.mu0 for mu in diag.mu_history)
+        assert diag.mu_schedule == "multiplicative"
+
 
 class TestEntrywiseSmoothedVariant:
     def test_no_smoothing_matches_sparse_solver(self):

@@ -137,6 +137,44 @@ class TestCluster:
         capsys.readouterr()
         assert labels_out.exists() and diag_out.exists()
 
+    def test_default_labels_path_keeps_truth(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        truth = tmp_path / "s.labels.json"
+        assert main(["generate", "--out", str(data), "--subspaces", "2", "--points", "10"]) == 0
+        capsys.readouterr()
+        before = truth.read_bytes()
+        reports = []
+        for _ in range(2):
+            assert main(["cluster", str(data), "--k", "2", "--truth", str(truth)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[0]["labels_out"] == str(tmp_path / "s.predicted.json")
+        assert reports[0]["sce"] == reports[1]["sce"]
+        assert truth.read_bytes() == before
+
+    @pytest.mark.parametrize("via_subdir", [False, True])
+    def test_labels_path_equal_to_truth_refused(self, tmp_path, capsys, monkeypatch, via_subdir):
+        data = tmp_path / "s.csv"
+        truth = tmp_path / "s.labels.json"
+        assert main(["generate", "--out", str(data), "--subspaces", "2", "--points", "10"]) == 0
+        capsys.readouterr()
+        before = truth.read_bytes()
+        labels_out = truth
+        if via_subdir:
+            (tmp_path / "sub").mkdir()
+            labels_out = tmp_path / "sub" / ".." / "s.labels.json"
+
+        def solve(*args, **kwargs):
+            raise AssertionError("solved despite the clash")
+
+        monkeypatch.setattr("oscluster.cli.cluster_sequential", solve)
+        code = main(
+            ["cluster", str(data), "--truth", str(truth), "--labels-out", str(labels_out)]
+        )
+        assert code == 2
+        assert "--truth" in capsys.readouterr().err
+        assert truth.read_bytes() == before
+        assert not (tmp_path / "s.diagnostics.json").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["cluster", str(tmp_path / "absent.csv")]) == 2
         assert "error" in capsys.readouterr().err

@@ -103,7 +103,6 @@ class TestDiagnostics:
         mu = np.asarray(d.mu_history)
         assert np.all(np.diff(mu) >= 0)
         assert mu[-1] <= 1e10
-        assert d.rho == d.eta_z
 
     def test_converged_runs_satisfy_both_residuals(self, clean_sweep):
         ok = sum(1 for rec in clean_sweep if rec["diag_exact"].converged)
@@ -124,4 +123,10 @@ class TestDiagnostics:
         x = unit_columns(np.random.default_rng(9), 4, 5)
         bad = initial_exact_state(4, 6, 1.0)
         with pytest.raises(ValueError):
+            solve_exact(x, SolverConfig(), initial_state=bad)
+
+    def test_initial_multiplier_shape_checked(self):
+        x = unit_columns(np.random.default_rng(9), 4, 5)
+        bad = dataclasses.replace(initial_exact_state(4, 5, 1.0), y1=np.ones((4, 6)))
+        with pytest.raises(ValueError, match="initial state"):
             solve_exact(x, SolverConfig(), initial_state=bad)

@@ -75,7 +75,6 @@ class TestConvergenceSweep:
         assert all(np.isfinite(v) for v in d.feasibility_history)
         assert all(v >= 0 for v in d.change_history)
         assert d.eta_z > operator_norm_squared(build_difference_operator(100))
-        assert d.rho == d.eta_z
         assert d.objective_value > 0
 
 
@@ -147,6 +146,12 @@ class TestWarmStart:
         x = unit_columns(np.random.default_rng(1), 4, 5)
         bad = initial_relaxed_state(4, 7, 1.0)
         with pytest.raises(ValueError):
+            solve_relaxed(x, SolverConfig(), initial_state=bad)
+
+    def test_initial_multiplier_shape_checked(self):
+        x = unit_columns(np.random.default_rng(1), 4, 5)
+        bad = dataclasses.replace(initial_relaxed_state(4, 5, 1.0), y=np.ones((5, 5)))
+        with pytest.raises(ValueError, match="initial state"):
             solve_relaxed(x, SolverConfig(), initial_state=bad)
 
 

@@ -97,6 +97,23 @@ class TestNcut:
         with pytest.raises(ValueError):
             ncut_cluster(w, 0)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.ones((3, 4)),
+            np.ones(4),
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.array([[1.0, 2.0], [0.0, 1.0]]),
+            -np.ones((2, 2)),
+        ],
+        ids=["rectangular", "one-d", "non-finite", "asymmetric", "negative"],
+    )
+    def test_rejects_malformed_affinity(self, w, normalized, k):
+        with pytest.raises(ValueError):
+            ncut_cluster(w, k, normalized=normalized)
+
     def test_rotated_basis_sequences_are_recovered(self, clean_sweep):
         exact_hits = sum(1 for rec in clean_sweep if rec["sce_relaxed"] == 0.0)
         assert exact_hits >= 18
