@@ -37,6 +37,20 @@ def _sidecar(path, suffix):
     return stem + suffix
 
 
+def _path_collision(paths):
+    """Message naming the first two of ``{role: path}`` (None entries
+    skipped) that resolve to the same file, or None when all differ."""
+    seen = {}
+    for role, path in paths.items():
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            return f"{role} {path} is the same file as {seen[real]}"
+        seen[real] = f"{role} {path}"
+    return None
+
+
 def _add_generate_parser(sub):
     p = sub.add_parser("generate", help="write a synthetic ordered dataset")
     p.add_argument("--out", default="synthetic.csv", help="output matrix (.csv or .json)")
@@ -84,6 +98,11 @@ def _add_bench_parser(sub):
 
 
 def cmd_generate(args):
+    labels_path = args.labels_out or _sidecar(args.out, ".labels.json")
+    collision = _path_collision({"--out": args.out, "--labels-out": labels_path})
+    if collision:
+        print(f"error: {collision}", file=sys.stderr)
+        return EXIT_USAGE
     spec = SyntheticSpec(
         num_subspaces=args.subspaces,
         points_per_subspace=args.points,
@@ -100,7 +119,6 @@ def cmd_generate(args):
         x, labels = generate_synthetic(spec)
     if args.psnr is not None:
         x = add_noise_psnr(x, args.psnr, seed=args.seed)
-    labels_path = args.labels_out or _sidecar(args.out, ".labels.json")
     save_matrix(args.out, x)
     save_int_array(labels_path, labels)
     report = dataclasses.asdict(spec)
@@ -114,8 +132,17 @@ def cmd_generate(args):
 
 def cmd_cluster(args):
     labels_path = args.labels_out or _sidecar(args.data, ".predicted.json")
-    if args.truth and os.path.realpath(labels_path) == os.path.realpath(args.truth):
-        print(f"error: labels output {labels_path} would overwrite --truth", file=sys.stderr)
+    diagnostics_path = args.diagnostics_out or _sidecar(args.data, ".diagnostics.json")
+    collision = _path_collision(
+        {
+            "data": args.data,
+            "--truth": args.truth,
+            "labels output": labels_path,
+            "diagnostics output": diagnostics_path,
+        }
+    )
+    if collision:
+        print(f"error: {collision}", file=sys.stderr)
         return EXIT_USAGE
     x = load_matrix(args.data)
     config = SolverConfig(
@@ -129,7 +156,6 @@ def cmd_cluster(args):
         max_iter=args.max_iter,
         diag_zero=args.diag_zero,
     )
-    diagnostics_path = args.diagnostics_out or _sidecar(args.data, ".diagnostics.json")
     report = {"method": args.method, "data": str(args.data)}
     try:
         result = cluster_sequential(

@@ -224,7 +224,7 @@ def _solve_core(
     )
     eta_j = float(config.eta_j)
     state = admm.start_state(initial_state, initial_relaxed_state(d, n, config.mu0))
-    diag = SolveDiagnostics(eta_z=eta_z, eta_j=eta_j, l_z=l_z, mu_schedule=config.mu_schedule)
+    diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z, mu_schedule=config.mu_schedule)
     workspace = RelaxedWorkspace(d, n)
 
     def sweep(state):

@@ -4,10 +4,15 @@ boundary detection on ordered coefficient matrices."""
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .types import as_coefficient_matrix, column_differences
 
 _ZERO_DEGREE_EPS = 1e-12
+# Embedding rows shorter than this are roundoff around an exact zero (an
+# isolated node under the normalized Laplacian).  They stay zero instead of
+# being scaled up to an arbitrary unit direction.
+_ZERO_ROW_NORM = 1e-10
 
 
 def build_affinity(z):
@@ -124,6 +129,12 @@ def ncut_cluster(w, k, seed=0, restarts=20, normalized=True):
     of the (normalized, by default) graph Laplacian, normalizes the
     embedding rows to unit length, and k-means clusters them.  Returns an
     integer label per sample.
+
+    Only those k eigenvectors are computed (LAPACK's index-subset
+    symmetric solver), not the full N x N eigenbasis.  The embedding is
+    well defined only when eigenvalues k and k+1 differ: with a tie there,
+    any basis of the tied eigenspace is an equally valid answer, and the
+    labels may depend on which one the solver returns.
     """
     # The Laplacians validate the affinity.
     lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
@@ -132,11 +143,17 @@ def ncut_cluster(w, k, seed=0, restarts=20, normalized=True):
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k == 1:
         return np.zeros(n, dtype=int)
-    _, vecs = np.linalg.eigh(lap)
-    embedding = vecs[:, :k]
+    # The Laplacian is finite: its affinity has been checked.
+    _, embedding = scipy.linalg.eigh(lap, subset_by_index=[0, k - 1], check_finite=False)
     row_norms = np.linalg.norm(embedding, axis=1)
-    embedding = embedding / np.where(row_norms > 0, row_norms, 1.0)[:, None]
+    embedding = embedding / np.where(row_norms > _ZERO_ROW_NORM, row_norms, np.inf)[:, None]
     return kmeans(embedding, k, seed=seed, restarts=restarts)
+
+
+def _singular_values(w):
+    # W is symmetric, so its singular values are its |eigenvalues|; one
+    # eigvalsh is about 3x cheaper than an SVD.  Descending order.
+    return np.sort(np.abs(np.linalg.eigvalsh(w)))[::-1]
 
 
 def estimate_k_sv_threshold(w, tau):
@@ -144,8 +161,7 @@ def estimate_k_sv_threshold(w, tau):
     w = _check_affinity(w)
     if tau <= 0:
         raise ValueError(f"threshold tau must be positive, got {tau}")
-    s = np.linalg.svd(w, compute_uv=False)
-    return int(np.sum(s > tau))
+    return int(np.sum(_singular_values(w) > tau))
 
 
 def estimate_k_eigengap(w, singular_values=False):
@@ -159,9 +175,9 @@ def estimate_k_eigengap(w, singular_values=False):
     if w.shape[0] < 2:
         raise ValueError("gap estimation needs at least a 2x2 affinity")
     if singular_values:
-        spectrum = np.linalg.svd(w, compute_uv=False)
+        spectrum = _singular_values(w)
     else:
-        spectrum = np.sort(np.linalg.eigvalsh(w))[::-1]
+        spectrum = np.linalg.eigvalsh(w)[::-1]
     gaps = spectrum[:-1] - spectrum[1:]
     return int(np.argmax(gaps)) + 1
 

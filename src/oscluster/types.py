@@ -228,6 +228,5 @@ class SolveDiagnostics:
     mu_history: list = field(default_factory=list)
     lyapunov_history: list | None = None
     eta_z: float = float("nan")
-    eta_j: float = float("nan")
     l_z: float = float("nan")
     mu_schedule: str = "multiplicative"

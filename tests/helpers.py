@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+from oscluster import kmeans, normalized_laplacian, unnormalized_laplacian
+from oscluster.spectral import _ZERO_ROW_NORM
+
 
 def grid_prox_l1(v, tau, step=1e-3):
     """Per-element grid argmin of tau*|z| + 0.5*(z - v)^2.
@@ -155,6 +158,21 @@ def lasso_cd_matrix(x, lam, tol=1e-10):
     for i in range(n):
         z[:, i] = lasso_cd(x, x[:, i], lam, exclude=i, tol=tol)
     return z
+
+
+def ncut_full_eigh(w, k, seed=0, normalized=True):
+    """Spectral clustering as ncut_cluster, but embedding with the first k
+    columns of a full ``np.linalg.eigh`` of the Laplacian."""
+    lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
+    n = lap.shape[0]
+    if k == 1:
+        return np.zeros(n, dtype=int)
+    _, vecs = np.linalg.eigh(lap)
+    embedding = vecs[:, :k]
+    for i, row in enumerate(embedding):
+        norm = np.linalg.norm(row)
+        embedding[i] = row / norm if norm > _ZERO_ROW_NORM else 0.0
+    return kmeans(embedding, k, seed=seed)
 
 
 def brute_force_sce(predicted, truth):

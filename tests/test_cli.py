@@ -62,6 +62,14 @@ class TestGenerate:
         out = tmp_path / "x.csv"
         assert main(["generate", "--out", str(out), "--subspaces", "0"]) == 2
 
+    def test_labels_path_equal_to_out_refused(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"keep me")
+        assert main(["generate", "--out", str(out), "--labels-out", str(out)]) == 2
+        assert "--labels-out" in capsys.readouterr().err
+        assert out.read_bytes() == b"keep me"
+        assert not (tmp_path / "x.labels.json").exists()
+
 
 class TestCluster:
     def test_end_to_end_with_truth(self, table_dataset, capsys):
@@ -174,6 +182,43 @@ class TestCluster:
         assert "--truth" in capsys.readouterr().err
         assert truth.read_bytes() == before
         assert not (tmp_path / "s.diagnostics.json").exists()
+
+    @pytest.mark.parametrize(
+        "clash",
+        [
+            ("--diagnostics-out", "truth"),
+            ("--labels-out", "data"),
+            ("--diagnostics-out", "data"),
+            ("--labels-out", "diagnostics"),
+            ("--truth", "data"),
+        ],
+        ids=lambda c: f"{c[0]}={c[1]}",
+    )
+    def test_any_two_paths_equal_refused(self, tmp_path, capsys, monkeypatch, clash):
+        data = tmp_path / "s.csv"
+        truth = tmp_path / "s.labels.json"
+        assert main(["generate", "--out", str(data), "--subspaces", "2", "--points", "10"]) == 0
+        capsys.readouterr()
+        paths = {
+            "data": data,
+            "truth": truth,
+            "diagnostics": tmp_path / "s.report.json",
+        }
+        before = {role: path.read_bytes() for role, path in paths.items() if path.exists()}
+
+        def solve(*args, **kwargs):
+            raise AssertionError("solved despite the clash")
+
+        monkeypatch.setattr("oscluster.cli.cluster_sequential", solve)
+        option, target = clash
+        argv = ["cluster", str(data), "--diagnostics-out", str(paths["diagnostics"])]
+        if option != "--truth":
+            argv += ["--truth", str(truth)]
+        argv += [option, str(paths[target])]
+        assert main(argv) == 2
+        assert "same file" in capsys.readouterr().err
+        assert {role: path.read_bytes() for role, path in paths.items() if path.exists()} == before
+        assert not (tmp_path / "s.predicted.json").exists()
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["cluster", str(tmp_path / "absent.csv")]) == 2

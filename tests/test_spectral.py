@@ -13,6 +13,30 @@ from oscluster import (
     sce,
     unnormalized_laplacian,
 )
+from oscluster.spectral import _singular_values
+
+from helpers import ncut_full_eigh
+
+
+def _noisy_blocks(k, seed, isolated=0, noise=0.3):
+    """Permuted affinity of k dense blocks (sizes 8..7+k) plus within-block
+    noise and ``isolated`` zero-degree nodes."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for size in range(8, 8 + k):
+        e = noise * np.abs(rng.standard_normal((size, size)))
+        blocks.append(1.0 + e + e.T)
+    w = block_diag(*blocks, np.zeros((isolated, isolated)))
+    perm = rng.permutation(w.shape[0])
+    return w[np.ix_(perm, perm)]
+
+
+def _assert_gap_after(w, k, normalized):
+    # Only eigenvalues k and k+1 apart make the k-dimensional embedding
+    # (and so the labels) independent of the eigensolver.
+    lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
+    vals = np.linalg.eigvalsh(lap)
+    assert vals[k] - vals[k - 1] > 0.05
 
 
 class TestAffinity:
@@ -114,6 +138,42 @@ class TestNcut:
         with pytest.raises(ValueError):
             ncut_cluster(w, k, normalized=normalized)
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partial_eigensolve_matches_full(self, k, normalized, seed):
+        w = _noisy_blocks(k, seed)
+        _assert_gap_after(w, k, normalized)
+        want = ncut_full_eigh(w, k, seed=seed, normalized=normalized)
+        assert np.array_equal(ncut_cluster(w, k, seed=seed, normalized=normalized), want)
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_partial_eigensolve_with_isolated_nodes(self, normalized):
+        # Three blocks and three zero-degree nodes: the normalized Laplacian
+        # has 0 three times, then 1 for each guarded isolated node; the
+        # unnormalized one has 0 six times (one per component).
+        # Under the normalized Laplacian an isolated node's embedding row
+        # is zero up to roundoff; k-means distance ties at those rows can
+        # break either way, so the partitions are compared, not label ids.
+        w = _noisy_blocks(3, seed=4, isolated=3)
+        k = 3 if normalized else 6
+        _assert_gap_after(w, k, normalized)
+        want = ncut_full_eigh(w, k, seed=0, normalized=normalized)
+        labels = ncut_cluster(w, k, normalized=normalized)
+        assert sce(labels, want) == 0.0
+        if normalized:
+            isolated = w.sum(axis=1) == 0
+            assert len(set(labels[isolated])) == 1
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_partial_eigensolve_k_equals_n(self, normalized):
+        w = _noisy_blocks(2, seed=5)
+        n = w.shape[0]
+        want = ncut_full_eigh(w, n, seed=0, normalized=normalized)
+        labels = ncut_cluster(w, n, normalized=normalized)
+        assert np.array_equal(labels, want)
+        assert sorted(labels) == list(range(n))
+
     def test_rotated_basis_sequences_are_recovered(self, clean_sweep):
         exact_hits = sum(1 for rec in clean_sweep if rec["sce_relaxed"] == 0.0)
         assert exact_hits >= 18
@@ -155,6 +215,15 @@ class TestCountEstimation:
     def test_sv_threshold_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             estimate_k_sv_threshold(np.eye(3), 0.0)
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_singular_values_match_svd(self, rng, n):
+        w = np.abs(rng.standard_normal((n, n)))
+        w = w + w.T
+        want = np.linalg.svd(w, compute_uv=False)
+        got = _singular_values(w)
+        assert np.all(got[:-1] >= got[1:])
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * want[0])
 
     def test_eigengap_two_dominant(self):
         w = np.diag([10.0, 9.5, 0.1, 0.05])
