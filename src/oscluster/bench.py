@@ -200,7 +200,13 @@ def run_timing_sweep(cfg):
 
 def run_bench(raw_config, out_dir, workers=1):
     """Execute the sweep; writes raw.csv, summary.csv and (optionally)
-    timing.csv under ``out_dir``.  Returns the written paths."""
+    timing.csv under ``out_dir``.  Returns the written paths.
+
+    ``workers`` cells run at once in worker processes; 1 runs them in this
+    process.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cfg = parse_bench_config(raw_config)
     os.makedirs(out_dir, exist_ok=True)
     library_matrix = load_matrix(cfg["library"]) if cfg["library"] else None

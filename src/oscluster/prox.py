@@ -8,23 +8,21 @@ import numpy as np
 def soft_threshold(v, tau, out=None):
     """Entrywise shrinkage: sign(v) * max(|v| - tau, 0).
 
-    Proximal operator of ``tau * ||.||_1``.  ``tau`` may be a scalar or an
-    array broadcastable against ``v`` (one threshold per column, say).
-    ``out``, if given, receives the result and must not overlap ``v``;
-    otherwise the result is the only array allocated.
+    Proximal operator of ``tau * ||.||_1``, taken in two passes as
+    ``v - clip(v, -tau, tau)``, which equals the formula above except that
+    every entry with |v| <= tau is +0.0 (never -0.0).  ``tau`` may be a
+    scalar or an array broadcastable against ``v`` (one threshold per
+    column, say).  ``out``, if given, receives the result and must not
+    overlap ``v``; otherwise the result is the only array allocated.
     """
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
+    if (tau < 0).any():
         raise ValueError("threshold tau must be nonnegative")
     v = np.asarray(v, dtype=float)
     if out is None:
         out = np.empty(np.broadcast_shapes(v.shape, tau.shape))
-    np.abs(v, out=out)
-    out -= tau
-    np.maximum(out, 0.0, out=out)
-    # max(|v| - tau, 0) is zero wherever v is, so copying the sign of v
-    # gives exactly sign(v) * max(|v| - tau, 0).
-    return np.copysign(out, v, out=out)
+    np.clip(v, -tau, tau, out=out)
+    return np.subtract(v, out, out=out)
 
 
 def soft_threshold_zero_diag(v, tau, out=None):

@@ -65,6 +65,12 @@ class RelaxedWorkspace:
     iterate it last produced: the constraint residual J - Z R, and, once
     asked for, the fit step X^T (X - X Z).  A sweep that starts from any
     other iterate recomputes them from its state.
+
+    The shape fixes how the fit step is taken.  With N <= 2D it is
+    G - G Z, where the Gram matrix G = X^T X is formed once per data
+    matrix: one N x N x N product a sweep instead of two D x N x N
+    products, never more flops.  With N > 2D the two products are cheaper
+    and are kept.
     """
 
     def __init__(self, d, n):
@@ -74,11 +80,14 @@ class RelaxedWorkspace:
         self.zr = np.empty((n, n - 1))
         self.residual = np.empty((n, n - 1))  # J - Z R of the iterate in ``_of``
         self.nm = np.empty((n, n - 1))
-        self.dn = np.empty((d, n))
+        use_gram = n <= 2 * d
+        self.gram = np.empty((n, n)) if use_gram else None  # X^T X of ``_gram_of``
+        self.dn = None if use_gram else np.empty((d, n))
         self.fit = np.empty((n, n))  # X^T (X - X Z) of the iterate in ``_fit_of``
         self.scratch = np.empty(n * n)
         self._of = None
         self._fit_of = None
+        self._gram_of = None
 
     def sync(self, state):
         """Make ``residual`` belong to ``state``, recomputing it if needed."""
@@ -87,11 +96,19 @@ class RelaxedWorkspace:
             self._of = (state.z, state.j)
 
     def fit_step(self, x, z):
-        """X^T (X - X Z), computed once per iterate."""
+        """X^T (X - X Z), computed once per iterate: as G - G Z from the
+        cached Gram matrix when N <= 2D, else from X Z."""
         if self._fit_of is None or self._fit_of[0] is not x or self._fit_of[1] is not z:
-            np.matmul(x, z, out=self.dn)
-            np.subtract(x, self.dn, out=self.dn)
-            np.matmul(x.T, self.dn, out=self.fit)
+            if self.gram is None:
+                np.matmul(x, z, out=self.dn)
+                np.subtract(x, self.dn, out=self.dn)
+                np.matmul(x.T, self.dn, out=self.fit)
+            else:
+                if self._gram_of is not x:
+                    np.matmul(x.T, x, out=self.gram)
+                    self._gram_of = x
+                np.matmul(self.gram, z, out=self.fit)
+                np.subtract(self.gram, self.fit, out=self.fit)
             self._fit_of = (x, z)
         return self.fit
 
@@ -236,7 +253,7 @@ def _solve_core(
         dz = frobenius_distance(new.z, old.z, workspace.scratch)
         dj = frobenius_distance(new.j, old.j, workspace.scratch)
         # The distances are finite only where both iterates' Z and J are.
-        check_finite(dz + dj + float(np.sum(new.y)), (new.z, new.j, new.y), new.iteration)
+        check_finite(dz + dj + float(np.vdot(new.y, new.y)), (new.z, new.j, new.y), new.iteration)
         feasibility = float(np.linalg.norm(workspace.residual))
         change = old.mu * max(dz, dj)
         if stationarity_tol is None:

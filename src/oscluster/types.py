@@ -10,6 +10,7 @@ optimization, never a storage contract.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,6 +170,8 @@ class SolverConfig:
     ``"multiplicative"`` rule scales mu by ``gamma0`` whenever the scaled
     iterate change falls under ``eps2``, while ``"additive"`` adds a fixed
     increment every sweep (the mode used for descent-monitor analysis).
+    Every number must be finite and ``max_iter`` an int; anything else
+    raises ``ValueError``.
     """
 
     lambda1: float = 0.1
@@ -186,6 +189,15 @@ class SolverConfig:
     mu_schedule: str = "multiplicative"
 
     def __post_init__(self):
+        float_fields = (
+            "lambda1", "lambda2", "mu0", "mu_max", "gamma0", "eta_z", "eta_j", "eps1", "eps2",
+        )
+        for name in float_fields:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
         if self.lambda1 < 0:
             raise ValueError(f"lambda1 must be nonnegative, got {self.lambda1}")
         if self.lambda2 < 0:

@@ -1,6 +1,6 @@
 import pytest
 
-from oscluster.bench import parse_bench_config
+from oscluster.bench import parse_bench_config, run_bench
 
 
 def config_with(method):
@@ -21,3 +21,11 @@ def test_method_entry_accepts_every_solver_field():
 def test_method_entry_rejects_unknown_keys():
     with pytest.raises(ValueError, match="lamda1"):
         config_with({"name": "osc-relaxed", "lamda1": 0.2})
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
+    out_dir = tmp_path / "results"
+    with pytest.raises(ValueError, match="workers"):
+        run_bench({"methods": ["ssc"]}, out_dir, workers=workers)
+    assert not out_dir.exists()

@@ -220,6 +220,20 @@ class TestCluster:
         assert {role: path.read_bytes() for role, path in paths.items() if path.exists()} == before
         assert not (tmp_path / "s.predicted.json").exists()
 
+    def test_non_finite_tolerance_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "s.csv"
+        assert main(["generate", "--out", str(data), "--subspaces", "2", "--points", "10"]) == 0
+        capsys.readouterr()
+
+        def solve(*args, **kwargs):
+            raise AssertionError("solved with a NaN tolerance")
+
+        monkeypatch.setattr("oscluster.cli.cluster_sequential", solve)
+        assert main(["cluster", str(data), "--k", "2", "--eps1", "nan"]) == 2
+        assert "eps1" in capsys.readouterr().err
+        assert not (tmp_path / "s.predicted.json").exists()
+        assert not (tmp_path / "s.diagnostics.json").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["cluster", str(tmp_path / "absent.csv")]) == 2
         assert "error" in capsys.readouterr().err
@@ -321,6 +335,15 @@ class TestBench:
         cfg.write_text(json.dumps({"methods": []}))
         assert main(["bench", str(cfg)]) == 2
         assert "bench config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_fewer_than_one_worker_is_usage_error(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps(TINY_BENCH))
+        out_dir = tmp_path / "results"
+        assert main(["bench", str(cfg), "--out-dir", str(out_dir), "--workers", workers]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bench.json"

@@ -51,6 +51,21 @@ class TestSoftThreshold:
             lambda z: prox_objective_l1(z, v, tau), zstar, rng
         )
 
+    @pytest.mark.parametrize("per_column", [False, True], ids=["scalar", "per-column"])
+    def test_equals_sign_formula_with_positive_zeros(self, rng, per_column):
+        v = rng.standard_normal((9, 7))
+        tau = rng.uniform(0.0, 1.0, size=7) if per_column else np.float64(0.6)
+        # Entries on the threshold, at both zeros, and far outside it.
+        v[0] = tau
+        v[1] = -tau
+        v[2, :3] = (0.0, -0.0, 1e300)
+        want = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+        inside = np.abs(v) <= tau
+        assert inside.sum() >= 16
+        for got in (soft_threshold(v, tau), soft_threshold(v, tau, out=np.empty_like(v))):
+            assert np.array_equal(got, want)
+            assert not np.any(np.signbit(got[inside]))
+
 
 class TestGroupShrinkColumns:
     def test_long_column_shrinks_toward_zero(self):

@@ -23,9 +23,10 @@ from oscluster import (
     relaxed_iteration,
     solve_exact,
     solve_relaxed,
+    ssc_solve,
 )
 from oscluster.exact import ExactWorkspace
-from oscluster.relaxed import RelaxedWorkspace
+from oscluster.relaxed import RelaxedWorkspace, _stationarity_gap
 
 from helpers import (
     reference_exact_solve,
@@ -43,34 +44,42 @@ def assert_close(got, want, tol=1e-12):
     assert np.max(np.abs(got - want)) <= tol * scale
 
 
-@pytest.fixture(scope="module")
-def warm():
-    """Unit-norm data and a nonzero warm start for every block."""
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((D, N))
+def warm_start(d, n, seed=11):
+    """Unit-norm D x N data and a nonzero warm start for every block."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, n))
     x /= np.linalg.norm(x, axis=0, keepdims=True)
     blocks = {
-        "z": 0.05 * rng.standard_normal((N, N)),
-        "j": 0.05 * rng.standard_normal((N, N - 1)),
-        "e": 0.05 * rng.standard_normal((D, N)),
-        "y": rng.standard_normal((N, N - 1)),
-        "y1": rng.standard_normal((D, N)),
+        "z": 0.05 * rng.standard_normal((n, n)),
+        "j": 0.05 * rng.standard_normal((n, n - 1)),
+        "e": 0.05 * rng.standard_normal((d, n)),
+        "y": rng.standard_normal((n, n - 1)),
+        "y1": rng.standard_normal((d, n)),
     }
     return x, blocks
+
+
+@pytest.fixture(scope="module")
+def warm():
+    return warm_start(D, N)
+
+
+# The relaxed fit step is G - G Z with G = X^T X when N <= 2D, and
+# X^T (X - X Z) otherwise: shapes on both sides of the switch and at it.
+SWITCH_SHAPES = [(20, 30), (15, 30), (10, 30)]
+SWITCH_IDS = ["gram", "gram-at-switch", "two-products"]
 
 
 def mu_at(sweep):
     return 1.1**sweep
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["workspace", "fresh"])
-@pytest.mark.parametrize("j_prox, diag_zero", [("l12", False), ("l1", True)])
-def test_relaxed_sweeps_match_reference(warm, shared, j_prox, diag_zero):
-    x, b = warm
+def check_chained_relaxed_sweeps(x, b, shared, j_prox, diag_zero):
+    d, n = x.shape
     lam1, lam2, l_z, eta_z, eta_j = 0.1, 0.5, 3.0, 6.0, 1.02
-    state = dataclasses.replace(initial_relaxed_state(D, N, 1.0), z=b["z"], j=b["j"], y=b["y"])
+    state = dataclasses.replace(initial_relaxed_state(d, n, 1.0), z=b["z"], j=b["j"], y=b["y"])
     want = (b["z"], b["j"], b["y"])
-    workspace = RelaxedWorkspace(D, N) if shared else None
+    workspace = RelaxedWorkspace(d, n) if shared else None
     for sweep in range(SWEEPS):
         state = dataclasses.replace(state, mu=mu_at(sweep))
         state = relaxed_iteration(
@@ -83,6 +92,36 @@ def test_relaxed_sweeps_match_reference(warm, shared, j_prox, diag_zero):
             assert_close(got, expected)
     assert state.iteration == SWEEPS
     assert np.count_nonzero(state.z) > 0
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["workspace", "fresh"])
+@pytest.mark.parametrize("j_prox, diag_zero", [("l12", False), ("l1", True)])
+def test_relaxed_sweeps_match_reference(warm, shared, j_prox, diag_zero):
+    check_chained_relaxed_sweeps(*warm, shared, j_prox, diag_zero)
+
+
+@pytest.mark.parametrize("d, n", SWITCH_SHAPES, ids=SWITCH_IDS)
+@pytest.mark.parametrize("shared", [True, False], ids=["workspace", "fresh"])
+@pytest.mark.parametrize("j_prox, diag_zero", [("l12", False), ("l1", True)])
+def test_relaxed_sweeps_match_reference_around_gram_switch(d, n, shared, j_prox, diag_zero):
+    assert (RelaxedWorkspace(d, n).gram is not None) == (n <= 2 * d)
+    check_chained_relaxed_sweeps(*warm_start(d, n), shared, j_prox, diag_zero)
+
+
+@pytest.mark.parametrize("d, n", SWITCH_SHAPES, ids=SWITCH_IDS)
+def test_ssc_matches_reference_around_gram_switch(d, n):
+    # ssc's stopping test takes the fit step of every new iterate, and the
+    # next sweep builds its Z step over that same buffer.
+    x, _ = warm_start(d, n)
+    lam = 0.05
+    z, diag = ssc_solve(x, lam, config=SolverConfig(max_iter=SWEEPS), return_diagnostics=True)
+    want = (np.zeros((n, n)), np.zeros((n, n - 1)), np.ones((n, n - 1)))
+    for _ in range(diag.iterations):
+        want = reference_relaxed_sweep(x, *want, 1.0, lam, 0.0, diag.l_z, diag.eta_z, 1.02, True)
+    assert_close(z, want[0])
+    assert np.count_nonzero(z) > 0
+    gap = _stationarity_gap(x.T @ (x - x @ z), z, lam, True)
+    assert diag.converged == (gap <= 1e-6)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["workspace", "fresh"])
@@ -113,6 +152,21 @@ def test_workspace_recomputes_for_a_state_it_did_not_produce(warm):
     relaxed_iteration(x, start, *args, workspace=workspace)
     again = relaxed_iteration(x, start, *args, workspace=workspace)
     fresh = relaxed_iteration(x, start, *args)
+    for got, want in zip((again.z, again.j, again.y), (fresh.z, fresh.j, fresh.y)):
+        assert np.array_equal(got, want)
+
+
+def test_workspace_recomputes_for_other_data(warm):
+    # The cached Gram matrix belongs to one data matrix.
+    x, b = warm
+    other = warm_start(D, N, seed=12)[0]
+    args = (0.1, 0.5, 3.0, 6.0, 1.02, False)
+    start = dataclasses.replace(initial_relaxed_state(D, N, 1.0), z=b["z"], j=b["j"], y=b["y"])
+    workspace = RelaxedWorkspace(D, N)
+    assert workspace.gram is not None
+    relaxed_iteration(x, start, *args, workspace=workspace)
+    again = relaxed_iteration(other, start, *args, workspace=workspace)
+    fresh = relaxed_iteration(other, start, *args)
     for got, want in zip((again.z, again.j, again.y), (fresh.z, fresh.j, fresh.y)):
         assert np.array_equal(got, want)
 

@@ -159,6 +159,20 @@ class TestSolverConfig:
             {"eps2": -1e-4},
             {"max_iter": 0},
             {"mu_schedule": "bogus"},
+            # Non-finite numbers, which the range checks above let through.
+            {"eps1": float("nan")},
+            {"eps2": float("nan")},
+            {"gamma0": float("nan")},
+            {"lambda1": float("nan")},
+            {"mu0": float("nan")},
+            {"eta_z": float("nan")},
+            {"eta_j": float("nan")},
+            {"lambda2": float("inf")},
+            {"mu_max": float("inf")},
+            {"eta_z": float("inf")},
+            {"max_iter": 2.5},
+            {"max_iter": 100.0},
+            {"max_iter": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
