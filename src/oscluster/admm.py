@@ -8,7 +8,7 @@ which they pass to ``run`` as closures.
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -39,11 +39,10 @@ def run(config, state, sweep, measure, additive_step, diag, monitor=None):
     """Sweep from ``state`` until ``measure`` reports convergence or
     ``config.max_iter`` sweeps have run; returns the last state.
 
-    ``sweep(state)`` gives the next iterate at the same mu, as a new state
-    object, ``measure(old, new)`` its ``(feasibility, change, converged)``.
-    Mu then grows by ``additive_step`` (additive schedule) or by ``gamma0``
-    once ``change`` is under ``eps2``, up to ``mu_max``; the new mu is set
-    on that new object.  ``monitor(state)`` goes to
+    ``sweep(state)`` gives the next iterate at the same mu, ``measure(old,
+    new)`` its ``(feasibility, change, converged)``.  Mu then grows by
+    ``additive_step`` (additive schedule) or by ``gamma0`` once ``change``
+    is under ``eps2``, up to ``mu_max``.  ``monitor(state)`` goes to
     ``diag.lyapunov_history``.
     """
     if monitor is not None:
@@ -58,8 +57,7 @@ def run(config, state, sweep, measure, additive_step, diag, monitor=None):
         else:
             gamma = config.gamma0 if change < config.eps2 else 1.0
             mu_next = min(config.mu_max, gamma * mu)
-        state = new
-        state.mu = mu_next
+        state = replace(new, mu=mu_next)
         diag.feasibility_history.append(feasibility)
         diag.change_history.append(change)
         diag.mu_history.append(mu)

@@ -23,10 +23,8 @@ def ssc_solve(x, lam, config=None, return_diagnostics=False):
     """
     x = as_data_matrix(x)
     n = x.shape[1]
-    # A scalar weight stays scalar: shrinkage by one threshold is the
-    # faster path.
-    lam = np.asarray(lam, dtype=float)
-    if np.any(np.broadcast_to(lam, (n,)) <= 0):
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,)).copy()
+    if np.any(lam <= 0):
         raise ValueError("lasso weights must be positive")
     config = config if config is not None else SolverConfig(max_iter=5000)
     # gamma0 = 1 under the multiplicative schedule holds mu at mu0.

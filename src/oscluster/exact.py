@@ -192,7 +192,7 @@ def solve_exact(x, config=None, initial_state=None):
             float(np.linalg.norm(workspace.dzr)),
         )
         # The steps are finite only where both iterates' Z, E and J are.
-        quick = sum(steps) + float(np.vdot(new.y1, new.y1)) + float(np.vdot(new.y2, new.y2))
+        quick = sum(steps) + float(np.sum(new.y1)) + float(np.sum(new.y2))
         check_finite(quick, (new.z, new.e, new.j, new.y1, new.y2), new.iteration)
         fit_residual = float(np.linalg.norm(workspace.fit)) / x_fro
         coupling_residual = float(np.linalg.norm(workspace.coupling)) / x_fro

@@ -66,23 +66,22 @@ class RelaxedWorkspace:
     asked for, the fit step X^T (X - X Z).  A sweep that starts from any
     other iterate recomputes them from its state.
 
-    The shape fixes how the fit step is taken.  With N <= 2D it is
-    G - G Z, where the Gram matrix G = X^T X is formed once per data
-    matrix: one N x N x N product a sweep instead of two D x N x N
-    products, never more flops.  With N > 2D the two products are cheaper
-    and are kept.
+    The fit step is taken as G - G Z, where the Gram matrix G = X^T X is
+    formed once per data matrix and kept: one N x N x N product a sweep
+    (2 N^3 flops) instead of X^T (X - X Z), two D x N x N products
+    (4 D N^2 flops).  That halves the sweep's matmul work at N = D and
+    equals it at N = 2D; only a workspace that is reused across sweeps
+    amortises G, and for N > 2D the Gram form costs more flops.
     """
 
-    def __init__(self, d, n):
+    def __init__(self, n):
         self.z = (np.empty((n, n)), np.empty((n, n)))
         self.j = (np.empty((n, n - 1)), np.empty((n, n - 1)))
         self.y = (np.empty((n, n - 1)), np.empty((n, n - 1)))
         self.zr = np.empty((n, n - 1))
         self.residual = np.empty((n, n - 1))  # J - Z R of the iterate in ``_of``
         self.nm = np.empty((n, n - 1))
-        use_gram = n <= 2 * d
-        self.gram = np.empty((n, n)) if use_gram else None  # X^T X of ``_gram_of``
-        self.dn = None if use_gram else np.empty((d, n))
+        self.gram = np.empty((n, n))  # X^T X of ``_gram_of``
         self.fit = np.empty((n, n))  # X^T (X - X Z) of the iterate in ``_fit_of``
         self.scratch = np.empty(n * n)
         self._of = None
@@ -96,19 +95,13 @@ class RelaxedWorkspace:
             self._of = (state.z, state.j)
 
     def fit_step(self, x, z):
-        """X^T (X - X Z), computed once per iterate: as G - G Z from the
-        cached Gram matrix when N <= 2D, else from X Z."""
+        """X^T (X - X Z) as G - G Z, computed once per iterate."""
         if self._fit_of is None or self._fit_of[0] is not x or self._fit_of[1] is not z:
-            if self.gram is None:
-                np.matmul(x, z, out=self.dn)
-                np.subtract(x, self.dn, out=self.dn)
-                np.matmul(x.T, self.dn, out=self.fit)
-            else:
-                if self._gram_of is not x:
-                    np.matmul(x.T, x, out=self.gram)
-                    self._gram_of = x
-                np.matmul(self.gram, z, out=self.fit)
-                np.subtract(self.gram, self.fit, out=self.fit)
+            if self._gram_of is not x:
+                np.matmul(x.T, x, out=self.gram)
+                self._gram_of = x
+            np.matmul(self.gram, z, out=self.fit)
+            np.subtract(self.gram, self.fit, out=self.fit)
             self._fit_of = (x, z)
         return self.fit
 
@@ -122,11 +115,12 @@ def relaxed_iteration(
     ``j_prox`` selects the penalty on J: ``"l12"`` shrinks whole columns,
     ``"l1"`` shrinks entries.  A ``workspace`` (see RelaxedWorkspace) lets
     successive sweeps share buffers and the products one sweep leaves for
-    the next; without one the sweep allocates its own.
+    the next; without one the sweep allocates its own and also forms the
+    Gram matrix X^T X, which a workspace forms once for all its sweeps.
     """
     if j_prox not in ("l12", "l1"):
         raise ValueError(f"unknown j_prox {j_prox!r}")
-    ws = workspace if workspace is not None else RelaxedWorkspace(*x.shape)
+    ws = workspace if workspace is not None else RelaxedWorkspace(x.shape[1])
     ws.sync(state)
     z, y, mu = state.z, state.y, state.mu
     step = mu * eta_z + l_z
@@ -242,7 +236,7 @@ def _solve_core(
     eta_j = float(config.eta_j)
     state = admm.start_state(initial_state, initial_relaxed_state(d, n, config.mu0))
     diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z, mu_schedule=config.mu_schedule)
-    workspace = RelaxedWorkspace(d, n)
+    workspace = RelaxedWorkspace(n)
 
     def sweep(state):
         return relaxed_iteration(
@@ -253,7 +247,7 @@ def _solve_core(
         dz = frobenius_distance(new.z, old.z, workspace.scratch)
         dj = frobenius_distance(new.j, old.j, workspace.scratch)
         # The distances are finite only where both iterates' Z and J are.
-        check_finite(dz + dj + float(np.vdot(new.y, new.y)), (new.z, new.j, new.y), new.iteration)
+        check_finite(dz + dj + float(np.sum(new.y)), (new.z, new.j, new.y), new.iteration)
         feasibility = float(np.linalg.norm(workspace.residual))
         change = old.mu * max(dz, dj)
         if stationarity_tol is None:
