@@ -42,7 +42,7 @@ from .datagen import SyntheticSpec, add_noise_psnr, generate_semisynthetic, gene
 from .matio import load_matrix
 from .metrics import sce
 from .pipeline import cluster_sequential
-from .types import SolverConfig
+from .types import SolverConfig, is_int
 
 DEFAULT_PSNR_GRID = (math.inf, 40.0, 30.0, 20.0, 15.0, 10.0)
 
@@ -69,9 +69,9 @@ def _parse_psnr(value):
 
 
 def _method_config(entry):
-    name = entry.get("name")
+    name = entry.get("name") if isinstance(entry, dict) else None
     if name is None:
-        raise ValueError("each method entry needs a 'name'")
+        raise ValueError(f"each method entry must be an object with a 'name', got {entry!r}")
     unknown = sorted(set(entry) - {"name", *_CONFIG_FIELDS})
     if unknown:
         raise ValueError(f"method {name!r} has unknown keys {unknown}")
@@ -100,6 +100,8 @@ def parse_bench_config(raw):
     }
     if cfg["repeats"] < 1:
         raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
+    if cfg["k"] is not None and not (is_int(cfg["k"]) and cfg["k"] >= 1):
+        raise ValueError(f"k must be null or a positive int, got {cfg['k']!r}")
     return cfg
 
 

@@ -18,6 +18,8 @@ import os
 
 import numpy as np
 
+from .types import is_int
+
 
 def save_matrix_csv(path, m):
     m = np.atleast_2d(np.asarray(m, dtype=float))
@@ -44,6 +46,9 @@ def load_matrix_json(path):
         rows, cols, data = payload["rows"], payload["cols"], payload["data"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"{path}: expected keys rows/cols/data") from exc
+    for name, value in (("rows", rows), ("cols", cols)):
+        if not is_int(value) or value < 0:
+            raise ValueError(f"{path}: {name} must be a non-negative int, got {value!r}")
     m = np.asarray(data, dtype=float)
     if m.size != rows * cols:
         raise ValueError(f"{path}: data length {m.size} != rows*cols {rows * cols}")

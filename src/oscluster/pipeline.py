@@ -19,6 +19,7 @@ from .exact import solve_exact
 from .relaxed import solve_relaxed
 from .spectral import (
     build_affinity,
+    check_cluster_count,
     estimate_k_eigengap,
     estimate_k_sv_threshold,
     ncut_cluster,
@@ -96,6 +97,9 @@ def cluster_sequential(
     the clustering, not any file handling around it.
     """
     x = as_data_matrix(x)
+    if k is not None:
+        # Before the solve, which a bad k would only waste.
+        check_cluster_count(k, x.shape[1])
     config = config if config is not None else SolverConfig()
     start = time.perf_counter()
     data = normalize_columns(x) if normalize else x

@@ -56,6 +56,28 @@ def initial_relaxed_state(d, n, mu0):
     )
 
 
+def _gram_factor(x):
+    """An N x r factor B with B B^T = X^T X to rounding, or None when the
+    Gram form G - G Z is the cheaper fit step (2 r >= N).
+
+    r counts the eigenvalues of the smaller Gram matrix (X X^T if D <= N,
+    else X^T X) above lambda_max * max(D, N) * eps, the rounding level of
+    forming G itself.  The eigenvectors are computed only when B is
+    returned: X^T U_r, or V_r sqrt(lambda_r) when D > N.
+    """
+    d, n = x.shape
+    small = x @ x.T if d <= n else x.T @ x
+    eigenvalues = np.linalg.eigvalsh(small)
+    rank = int(np.count_nonzero(eigenvalues > eigenvalues[-1] * max(d, n) * np.finfo(float).eps))
+    if 2 * rank >= n:
+        return None
+    eigenvalues, vectors = np.linalg.eigh(small)
+    top = slice(small.shape[0] - rank, None)
+    if d <= n:
+        return x.T @ vectors[:, top]
+    return vectors[:, top] * np.sqrt(eigenvalues[top])
+
+
 class RelaxedWorkspace:
     """Buffers shared by the sweeps of one solve on a D x N data matrix.
 
@@ -66,12 +88,21 @@ class RelaxedWorkspace:
     asked for, the fit step X^T (X - X Z).  A sweep that starts from any
     other iterate recomputes them from its state.
 
-    The fit step is taken as G - G Z, where the Gram matrix G = X^T X is
-    formed once per data matrix and kept: one N x N x N product a sweep
-    (2 N^3 flops) instead of X^T (X - X Z), two D x N x N products
-    (4 D N^2 flops).  That halves the sweep's matmul work at N = D and
-    equals it at N = 2D; only a workspace that is reused across sweeps
-    amortises G, and for N > 2D the Gram form costs more flops.
+    The fit step takes one of two forms, chosen once per data matrix by
+    ``_gram_factor`` from the numerical rank r of X: the count of
+    eigenvalues of the smaller Gram matrix above lambda_max * max(D, N) *
+    eps, the rounding level of forming G itself, so not a tuning knob.
+
+    * 2 r < N: B (B^T - B^T Z) with the N x r factor B of G = X^T X,
+      4 r N^2 flops a sweep.  Data drawn from a few low-dimensional
+      subspaces has r far below N (20 of 200 on five 4-dimensional ones).
+    * otherwise: G - G Z, one N x N x N product (2 N^3 flops) instead of
+      X^T (X - X Z), two D x N x N products (4 D N^2 flops).
+
+    Either way the workspace forms its operator once per data matrix: one
+    eigenvalue solve of the smaller Gram matrix, plus its eigenvectors on
+    the factored path, or G on the Gram path.  Only a workspace that is
+    reused across sweeps amortises that.
     """
 
     def __init__(self, n):
@@ -81,7 +112,8 @@ class RelaxedWorkspace:
         self.zr = np.empty((n, n - 1))
         self.residual = np.empty((n, n - 1))  # J - Z R of the iterate in ``_of``
         self.nm = np.empty((n, n - 1))
-        self.gram = np.empty((n, n))  # X^T X of ``_gram_of``
+        self.gram = np.empty((n, n))  # X^T X of ``_gram_of`` on the Gram path
+        self.factor = None  # B, B^T and an r x N buffer of ``_gram_of`` on the factored path
         self.fit = np.empty((n, n))  # X^T (X - X Z) of the iterate in ``_fit_of``
         self.scratch = np.empty(n * n)
         self._of = None
@@ -95,13 +127,26 @@ class RelaxedWorkspace:
             self._of = (state.z, state.j)
 
     def fit_step(self, x, z):
-        """X^T (X - X Z) as G - G Z, computed once per iterate."""
+        """X^T (X - X Z) in the form the rank of X picks, computed once per
+        iterate."""
         if self._fit_of is None or self._fit_of[0] is not x or self._fit_of[1] is not z:
             if self._gram_of is not x:
-                np.matmul(x.T, x, out=self.gram)
+                b = _gram_factor(x)
+                if b is None:
+                    self.factor = None
+                    np.matmul(x.T, x, out=self.gram)
+                else:
+                    bt = np.ascontiguousarray(b.T)
+                    self.factor = (b, bt, np.empty_like(bt))
                 self._gram_of = x
-            np.matmul(self.gram, z, out=self.fit)
-            np.subtract(self.gram, self.fit, out=self.fit)
+            if self.factor is None:
+                np.matmul(self.gram, z, out=self.fit)
+                np.subtract(self.gram, self.fit, out=self.fit)
+            else:
+                b, bt, projected = self.factor
+                np.matmul(bt, z, out=projected)
+                np.subtract(bt, projected, out=projected)
+                np.matmul(b, projected, out=self.fit)
             self._fit_of = (x, z)
         return self.fit
 
@@ -115,8 +160,13 @@ def relaxed_iteration(
     ``j_prox`` selects the penalty on J: ``"l12"`` shrinks whole columns,
     ``"l1"`` shrinks entries.  A ``workspace`` (see RelaxedWorkspace) lets
     successive sweeps share buffers and the products one sweep leaves for
-    the next; without one the sweep allocates its own and also forms the
-    Gram matrix X^T X, which a workspace forms once for all its sweeps.
+    the next.  The fit step X^T (X - X Z) is B (B^T - B^T Z), with the
+    N x r factor B of X^T X, when twice the numerical rank r of X is below
+    N, and G - G Z with G = X^T X otherwise (see ``_gram_factor``).  A
+    workspace forms B or G once for all its sweeps; without one the sweep
+    allocates its own buffers and pays that every call: an eigenvalue
+    solve of the smaller Gram matrix (min(D, N) square), plus its
+    eigenvectors or G.
     """
     if j_prox not in ("l12", "l1"):
         raise ValueError(f"unknown j_prox {j_prox!r}")

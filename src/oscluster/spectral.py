@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .types import as_coefficient_matrix, column_differences
+from .types import as_coefficient_matrix, column_differences, is_int
 
 _ZERO_DEGREE_EPS = 1e-12
 # Embedding rows shorter than this are roundoff around an exact zero (an
@@ -98,6 +98,12 @@ def _lloyd(points, centers, max_iter=300):
     return labels, float(d2.sum())
 
 
+def check_cluster_count(k, n):
+    """Raise ValueError unless ``k`` is an int (not a bool) in [1, n]."""
+    if not is_int(k) or not 1 <= k <= n:
+        raise ValueError(f"k must be an int in [1, {n}], got {k!r}")
+
+
 def kmeans(points, k, seed=0, restarts=20):
     """Best-of-``restarts`` k-means with D^2 seeding.
 
@@ -108,8 +114,7 @@ def kmeans(points, k, seed=0, restarts=20):
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"need a nonempty 2-D point array, got shape {points.shape}")
     n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    check_cluster_count(k, n)
     if k == 1:
         return np.zeros(n, dtype=int)
     best_labels, best_inertia = None, np.inf
@@ -139,8 +144,7 @@ def ncut_cluster(w, k, seed=0, restarts=20, normalized=True):
     # The Laplacians validate the affinity.
     lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
     n = lap.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    check_cluster_count(k, n)
     if k == 1:
         return np.zeros(n, dtype=int)
     # The Laplacian is finite: its affinity has been checked.

@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def is_int(value):
+    """True for a Python or numpy integer; a bool does not count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class DivergenceError(RuntimeError):
     """Raised when a solver iterate leaves the finite domain (NaN or Inf)."""
 
@@ -196,7 +201,7 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+        if not is_int(self.max_iter):
             raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
         if self.lambda1 < 0:
             raise ValueError(f"lambda1 must be nonnegative, got {self.lambda1}")

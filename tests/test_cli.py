@@ -234,6 +234,14 @@ class TestCluster:
         assert not (tmp_path / "s.predicted.json").exists()
         assert not (tmp_path / "s.diagnostics.json").exists()
 
+    @pytest.mark.parametrize("rows, cols", [(2.5, 2), (True, 5), ("2", "2"), (-1, -5)])
+    def test_non_integer_json_shape_is_usage_error(self, tmp_path, capsys, rows, cols):
+        data = tmp_path / "s.json"
+        data.write_text(json.dumps({"rows": rows, "cols": cols, "data": [1, 2, 3, 4, 5]}))
+        assert main(["cluster", str(data), "--k", "2"]) == 2
+        assert "must be a non-negative int" in capsys.readouterr().err
+        assert not (tmp_path / "s.predicted.json").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["cluster", str(tmp_path / "absent.csv")]) == 2
         assert "error" in capsys.readouterr().err
@@ -343,6 +351,15 @@ class TestBench:
         out_dir = tmp_path / "results"
         assert main(["bench", str(cfg), "--out-dir", str(out_dir), "--workers", workers]) == 2
         assert "workers" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("k", ["5", 2.5, 2.0, True, 0])
+    def test_bad_k_is_usage_error(self, tmp_path, capsys, k):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({**TINY_BENCH, "k": k}))
+        out_dir = tmp_path / "results"
+        assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert "k must be null or a positive int" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):

@@ -52,6 +52,25 @@ def test_json_rejects_wrong_length(tmp_path):
         load_matrix(p)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, data",
+    [
+        (2.5, 2, [1, 2, 3, 4, 5]),
+        (2.0, 2, [1, 2, 3, 4]),
+        ("2", 2, [1, 2, 3, 4]),
+        (True, 4, [1, 2, 3, 4]),
+        (4, False, []),
+        (-2, -2, [1, 2, 3, 4]),
+        (None, 2, [1, 2]),
+    ],
+)
+def test_json_rejects_non_integer_shape(tmp_path, rows, cols, data):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"rows": rows, "cols": cols, "data": data}))
+    with pytest.raises(ValueError, match="must be a non-negative int"):
+        load_matrix(p)
+
+
 def test_unknown_suffix(tmp_path):
     with pytest.raises(ValueError):
         save_matrix(tmp_path / "m.npy", np.ones((2, 2)))

@@ -84,6 +84,21 @@ class TestClusterSequential:
         else:
             assert result.diagnostics is not None
 
+    @pytest.mark.parametrize("k", [2.5, 5.0, "3", True, 0, 13])
+    def test_bad_k_refused_before_solving(self, rng, monkeypatch, k):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved with a bad k")
+
+        monkeypatch.setattr("oscluster.pipeline.solve_coefficients", solve)
+        with pytest.raises(ValueError, match="k must be an int"):
+            cluster_sequential(rng.standard_normal((4, 12)), method="ssc", k=k)
+
+    def test_numpy_integer_k_accepted(self, rng):
+        x = rng.standard_normal((5, 8))
+        result = cluster_sequential(x, method="lrr-sim", k=np.int64(2))
+        assert result.k == 2
+        assert set(result.labels) <= {0, 1}
+
     def test_unknown_method(self, rng):
         x = rng.standard_normal((4, 6))
         with pytest.raises(ValueError):

@@ -121,6 +121,15 @@ class TestNcut:
         with pytest.raises(ValueError):
             ncut_cluster(w, 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", True, None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be an int"):
+            ncut_cluster(np.ones((4, 4)), k)
+
+    def test_numpy_integer_k_accepted(self):
+        w = block_diag(np.ones((3, 3)), np.ones((3, 3)))
+        assert np.array_equal(ncut_cluster(w, np.int64(2), seed=0), ncut_cluster(w, 2, seed=0))
+
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscluster import (
     DivergenceError,
@@ -26,7 +28,7 @@ from oscluster import (
     ssc_solve,
 )
 from oscluster.exact import ExactWorkspace
-from oscluster.relaxed import RelaxedWorkspace, _stationarity_gap
+from oscluster.relaxed import RelaxedWorkspace, _gram_factor, _stationarity_gap
 
 from helpers import (
     reference_exact_solve,
@@ -44,10 +46,18 @@ def assert_close(got, want, tol=1e-12):
     assert np.max(np.abs(got - want)) <= tol * scale
 
 
-def warm_start(d, n, seed=11):
-    """Unit-norm D x N data and a nonzero warm start for every block."""
+def low_rank(rng, d, n, rank):
+    """A D x N matrix of the given rank (full rank when ``rank`` is None)."""
+    if rank is None:
+        return rng.standard_normal((d, n))
+    return rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+
+
+def warm_start(d, n, seed=11, rank=None):
+    """Unit-norm D x N data of the given rank and a nonzero warm start for
+    every block."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((d, n))
+    x = low_rank(rng, d, n, rank)
     x /= np.linalg.norm(x, axis=0, keepdims=True)
     blocks = {
         "z": 0.05 * rng.standard_normal((n, n)),
@@ -64,11 +74,13 @@ def warm():
     return warm_start(D, N)
 
 
-# The relaxed fit step G - G Z (G = X^T X) costs fewer flops than
-# X^T (X - X Z) for N < 2D, as many at N = 2D and more for N > 2D; it must
-# give the same sweeps at every shape.
-SHAPES = [(20, 30), (15, 30), (10, 30)]
-SHAPE_IDS = ["n<2d", "n=2d", "n>2d"]
+# (D, N, rank of X; None for full rank).  The relaxed fit step is
+# B (B^T - B^T Z), with the N x r factor B of G = X^T X, when twice the
+# rank r of X is below N, and G - G Z otherwise: the full-rank shapes with
+# N <= 2D take the Gram form, N > 2D (r = D) and the rank-4 shape the
+# factored one.  Every form must give the same sweeps as X^T (X - X Z).
+SHAPES = [(20, 30, None), (15, 30, None), (10, 30, None), (20, 30, 4)]
+SHAPE_IDS = ["n<2d", "n=2d", "n>2d", "rank4"]
 
 
 def mu_at(sweep):
@@ -101,18 +113,18 @@ def test_relaxed_sweeps_match_reference(warm, shared, j_prox, diag_zero):
     check_chained_relaxed_sweeps(*warm, shared, j_prox, diag_zero)
 
 
-@pytest.mark.parametrize("d, n", SHAPES, ids=SHAPE_IDS)
+@pytest.mark.parametrize("d, n, rank", SHAPES, ids=SHAPE_IDS)
 @pytest.mark.parametrize("shared", [True, False], ids=["workspace", "fresh"])
 @pytest.mark.parametrize("j_prox, diag_zero", [("l12", False), ("l1", True)])
-def test_relaxed_sweeps_match_reference_across_shapes(d, n, shared, j_prox, diag_zero):
-    check_chained_relaxed_sweeps(*warm_start(d, n), shared, j_prox, diag_zero)
+def test_relaxed_sweeps_match_reference_across_shapes(d, n, rank, shared, j_prox, diag_zero):
+    check_chained_relaxed_sweeps(*warm_start(d, n, rank=rank), shared, j_prox, diag_zero)
 
 
-@pytest.mark.parametrize("d, n", SHAPES, ids=SHAPE_IDS)
-def test_ssc_matches_reference_across_shapes(d, n):
+@pytest.mark.parametrize("d, n, rank", SHAPES, ids=SHAPE_IDS)
+def test_ssc_matches_reference_across_shapes(d, n, rank):
     # ssc's stopping test takes the fit step of every new iterate, and the
     # next sweep builds its Z step over that same buffer.
-    x, _ = warm_start(d, n)
+    x, _ = warm_start(d, n, rank=rank)
     lam = 0.05
     z, diag = ssc_solve(x, lam, config=SolverConfig(max_iter=SWEEPS), return_diagnostics=True)
     want = (np.zeros((n, n)), np.zeros((n, n - 1)), np.ones((n, n - 1)))
@@ -168,6 +180,80 @@ def test_workspace_recomputes_for_other_data(warm):
     fresh = relaxed_iteration(other, start, *args)
     for got, want in zip((again.z, again.j, again.y), (fresh.z, fresh.j, fresh.y)):
         assert np.array_equal(got, want)
+
+
+def check_fit_step(x, z, factored):
+    """The workspace's fit step against G - G Z taken densely, to 1e-12 of
+    the size of G Z, so at any scale of X."""
+    workspace = RelaxedWorkspace(x.shape[1])
+    got = workspace.fit_step(x, z)
+    assert (workspace.factor is not None) == factored
+    gram = x.T @ x
+    scale = np.max(np.abs(gram)) * max(1.0, np.max(np.sum(np.abs(z), axis=0)))
+    assert np.max(np.abs(got - (gram - gram @ z))) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize(
+    "d, n, rank, factored",
+    [
+        (30, 30, 6, True),  # square, rank 6
+        (10, 40, None, True),  # N > 2D: r = D
+        (40, 12, 3, True),  # D > N: the factor comes from X^T X
+        (1, 9, None, True),  # D = 1
+        (8, 16, None, False),  # 2 r = N: the Gram form
+        (20, 12, None, False),  # full rank with D > N
+    ],
+    ids=["square-rank6", "n>2d", "d>n-rank3", "d=1", "2r=n", "d>n"],
+)
+def test_fit_step_matches_dense_gram_form(d, n, rank, factored):
+    rng = np.random.default_rng(d * n)
+    x = low_rank(rng, d, n, rank)
+    check_fit_step(x, rng.standard_normal((n, n)), factored)
+
+
+def test_fit_step_of_zero_data_is_zero():
+    workspace = RelaxedWorkspace(6)
+    z = np.random.default_rng(0).standard_normal((6, 6))
+    assert np.array_equal(workspace.fit_step(np.zeros((4, 6)), z), np.zeros((6, 6)))
+    assert workspace.factor[0].shape == (6, 0)
+
+
+def test_gram_factor_rank_is_the_numerical_rank():
+    rng = np.random.default_rng(3)
+    for rank in range(6):
+        x = low_rank(rng, 12, 20, rank)
+        assert _gram_factor(x).shape == (20, rank)
+    # Half of N or more: no factor.
+    assert _gram_factor(low_rank(rng, 12, 20, 10)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    n=st.integers(3, 14),
+    rank=st.integers(0, 6),
+    log_scale=st.integers(-4, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factored_fit_step_matches_gram_form(d, n, rank, log_scale, seed):
+    # Any X whose rank r has 2 r < N takes the factored form, at any scale.
+    rank = min(rank, d, (n - 1) // 2)
+    rng = np.random.default_rng(seed)
+    x = 10.0**log_scale * low_rank(rng, d, n, rank)
+    check_fit_step(x, rng.standard_normal((n, n)), factored=True)
+
+
+@pytest.mark.parametrize("ranks", [(3, 5, None, 3), (None, 2)], ids=["3-5-full-3", "full-2"])
+def test_workspace_rebuilds_its_fit_operator_for_other_data(ranks):
+    # One workspace fed data matrices of other ranks, factored and not,
+    # matches a fresh workspace on each.
+    n = 16
+    rng = np.random.default_rng(4)
+    z = rng.standard_normal((n, n))
+    workspace = RelaxedWorkspace(n)
+    for rank in ranks:
+        x = low_rank(rng, 12, n, rank)
+        assert np.array_equal(workspace.fit_step(x, z), RelaxedWorkspace(n).fit_step(x, z))
 
 
 @pytest.fixture(scope="module")
