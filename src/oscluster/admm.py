@@ -1,9 +1,9 @@
 """The linearized-ADMM loop the solvers share.
 
-The sequential solver, its SpatSC and SSC variants and the exact-constraint
-solver are one linearized ADMM with an adaptive penalty mu (LADMAP, Lin,
-Liu & Su, NIPS 2011).  They differ only in their sweep and stopping test,
-which they pass to ``run`` as closures.
+The sequential solver, its SpatSC variant and the exact-constraint solver
+are one linearized ADMM with an adaptive penalty mu (LADMAP, Lin, Liu & Su,
+NIPS 2011).  They differ only in their sweep and stopping test, which they
+pass to ``run`` as closures.
 """
 
 from __future__ import annotations

@@ -14,9 +14,7 @@ A JSON config drives the run:
       "generator": {"num_subspaces": 5, "points_per_subspace": 20,
                     "ambient_dim": 100, "subspace_dim": 4},
       "library": null,
-      "normalize": true,
-      "timing": {"points_per_subspace": [10, 20, 30, 40], "repeats": 10,
-                 "method": "osc-relaxed"}
+      "normalize": true
     }
 
 ``psnr_db`` entries of ``null`` (or ``"inf"``) mean the clean matrix; the
@@ -32,7 +30,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
@@ -41,12 +38,13 @@ import numpy as np
 from .datagen import SyntheticSpec, add_noise_psnr, generate_semisynthetic, generate_synthetic
 from .matio import load_matrix
 from .metrics import sce
-from .pipeline import cluster_sequential
+from .pipeline import K_ESTIMATORS, METHODS, cluster_sequential
 from .types import SolverConfig, is_int
 
 DEFAULT_PSNR_GRID = (math.inf, 40.0, 30.0, 20.0, 15.0, 10.0)
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(SolverConfig))
+_GENERATOR_FIELDS = tuple(f.name for f in fields(SyntheticSpec))
 
 
 def derive_seed(master_seed, *coords):
@@ -68,15 +66,24 @@ def _parse_psnr(value):
     return value
 
 
+def _object_with_keys(value, allowed, what):
+    """``value`` if it is a JSON object whose keys all lie in ``allowed``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {value!r}")
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}")
+    return value
+
+
 def _method_config(entry):
     name = entry.get("name") if isinstance(entry, dict) else None
     if name is None:
         raise ValueError(f"each method entry must be an object with a 'name', got {entry!r}")
-    unknown = sorted(set(entry) - {"name", *_CONFIG_FIELDS})
-    if unknown:
-        raise ValueError(f"method {name!r} has unknown keys {unknown}")
-    kwargs = {k: entry[k] for k in _CONFIG_FIELDS if k in entry}
-    return name, SolverConfig(**kwargs)
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r} (choose from {METHODS})")
+    _object_with_keys(entry, ("name", *_CONFIG_FIELDS), f"method {name!r}")
+    return name, SolverConfig(**{k: entry[k] for k in _CONFIG_FIELDS if k in entry})
 
 
 def parse_bench_config(raw):
@@ -85,23 +92,30 @@ def parse_bench_config(raw):
         raise ValueError("bench config must be a JSON object")
     if not raw.get("methods"):
         raise ValueError("bench config needs a nonempty 'methods' list")
+    for key, default in (("master_seed", 0), ("repeats", 20)):
+        if not is_int(raw.get(key, default)):
+            raise ValueError(f"{key} must be an int, got {raw[key]!r}")
     cfg = {
-        "master_seed": int(raw.get("master_seed", 0)),
-        "repeats": int(raw.get("repeats", 20)),
+        "master_seed": raw.get("master_seed", 0),
+        "repeats": raw.get("repeats", 20),
         "psnr_db": [_parse_psnr(v) for v in raw.get("psnr_db", DEFAULT_PSNR_GRID)],
         "methods": [_method_config(m) for m in raw["methods"]],
-        "generator": SyntheticSpec(**raw.get("generator", {})),
+        "generator": SyntheticSpec(
+            **_object_with_keys(raw.get("generator", {}), _GENERATOR_FIELDS, "'generator'")
+        ),
         "library": raw.get("library"),
         "k": raw.get("k"),
         "k_method": raw.get("k_method", "eigengap"),
         "sv_tau": raw.get("sv_tau"),
         "normalize": bool(raw.get("normalize", True)),
-        "timing": raw.get("timing"),
     }
+    _object_with_keys(raw, cfg, "bench config")
     if cfg["repeats"] < 1:
         raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
     if cfg["k"] is not None and not (is_int(cfg["k"]) and cfg["k"] >= 1):
         raise ValueError(f"k must be null or a positive int, got {cfg['k']!r}")
+    if cfg["k_method"] not in K_ESTIMATORS:
+        raise ValueError(f"unknown k_method {cfg['k_method']!r} (choose from {K_ESTIMATORS})")
     return cfg
 
 
@@ -173,36 +187,9 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def run_timing_sweep(cfg):
-    """Wall time per solve and per iteration as the sample count grows."""
-    timing = cfg["timing"]
-    points = [int(v) for v in timing.get("points_per_subspace", (10, 20, 30, 40))]
-    repeats = int(timing.get("repeats", 10))
-    method = timing.get("method", "osc-relaxed")
-    name, config = _method_config({"name": method, **{k: timing[k] for k in _CONFIG_FIELDS if k in timing}})
-    rows = []
-    for m in points:
-        spec = replace(cfg["generator"], points_per_subspace=m)
-        walls, iters = [], []
-        for rep in range(repeats):
-            run_spec = replace(spec, seed=derive_seed(cfg["master_seed"], 3, m, rep))
-            x, _ = generate_synthetic(run_spec)
-            result = cluster_sequential(
-                x, method=name, config=config, k=spec.num_subspaces,
-                seed=derive_seed(cfg["master_seed"], 4, m, rep), normalize=cfg["normalize"],
-            )
-            walls.append(result.wall_ms)
-            iters.append(result.diagnostics.iterations if result.diagnostics else 1)
-        n_total = m * spec.num_subspaces
-        mean_wall = float(np.mean(walls))
-        mean_iters = float(np.mean(iters))
-        rows.append((name, n_total, repeats, mean_wall, mean_iters, mean_wall / mean_iters))
-    return rows
-
-
 def run_bench(raw_config, out_dir, workers=1):
-    """Execute the sweep; writes raw.csv, summary.csv and (optionally)
-    timing.csv under ``out_dir``.  Returns the written paths.
+    """Execute the sweep; writes raw.csv and summary.csv under ``out_dir``.
+    Returns the written paths.
 
     ``workers`` cells run at once in worker processes; 1 runs them in this
     process.
@@ -260,13 +247,4 @@ def run_bench(raw_config, out_dir, workers=1):
         summary_rows,
     )
 
-    paths = {"raw": raw_path, "summary": summary_path}
-    if cfg["timing"]:
-        timing_path = os.path.join(out_dir, "timing.csv")
-        _write_csv(
-            timing_path,
-            ["method", "n_samples", "repeats", "mean_wall_ms", "mean_iterations", "ms_per_iteration"],
-            run_timing_sweep(cfg),
-        )
-        paths["timing"] = timing_path
-    return paths
+    return {"raw": raw_path, "summary": summary_path}

@@ -175,7 +175,7 @@ def solve_exact(x, config=None, initial_state=None):
     eta_j = float(config.eta_j)
     x_fro = float(np.linalg.norm(x))
     state = admm.start_state(initial_state, initial_exact_state(d, n, config.mu0))
-    diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z, mu_schedule=config.mu_schedule)
+    diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z)
     workspace = ExactWorkspace(d, n)
 
     def sweep(state):

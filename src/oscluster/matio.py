@@ -87,6 +87,6 @@ def save_int_array(path, values):
 def load_int_array(path):
     with open(path) as fh:
         values = json.load(fh)
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    if not isinstance(values, list) or not all(is_int(v) for v in values):
         raise ValueError(f"{path}: expected a JSON array of integers")
     return np.asarray(values, dtype=int)

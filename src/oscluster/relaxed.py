@@ -83,10 +83,9 @@ class RelaxedWorkspace:
 
     A sweep writes its iterate into whichever of two buffer sets does not
     hold its input, so an iterate survives the next sweep and is
-    overwritten by the one after.  The workspace also keeps products of the
-    iterate it last produced: the constraint residual J - Z R, and, once
-    asked for, the fit step X^T (X - X Z).  A sweep that starts from any
-    other iterate recomputes them from its state.
+    overwritten by the one after.  The workspace also keeps the constraint
+    residual J - Z R of the iterate it last produced; a sweep that starts
+    from any other iterate recomputes it from its state.
 
     The fit step takes one of two forms, chosen once per data matrix by
     ``_gram_factor`` from the numerical rank r of X: the count of
@@ -114,10 +113,9 @@ class RelaxedWorkspace:
         self.nm = np.empty((n, n - 1))
         self.gram = np.empty((n, n))  # X^T X of ``_gram_of`` on the Gram path
         self.factor = None  # B, B^T and an r x N buffer of ``_gram_of`` on the factored path
-        self.fit = np.empty((n, n))  # X^T (X - X Z) of the iterate in ``_fit_of``
+        self.fit = np.empty((n, n))  # the fit step, unless written to ``out``
         self.scratch = np.empty(n * n)
         self._of = None
-        self._fit_of = None
         self._gram_of = None
 
     def sync(self, state):
@@ -126,29 +124,28 @@ class RelaxedWorkspace:
             np.subtract(state.j, column_differences(state.z, out=self.zr), out=self.residual)
             self._of = (state.z, state.j)
 
-    def fit_step(self, x, z):
-        """X^T (X - X Z) in the form the rank of X picks, computed once per
-        iterate."""
-        if self._fit_of is None or self._fit_of[0] is not x or self._fit_of[1] is not z:
-            if self._gram_of is not x:
-                b = _gram_factor(x)
-                if b is None:
-                    self.factor = None
-                    np.matmul(x.T, x, out=self.gram)
-                else:
-                    bt = np.ascontiguousarray(b.T)
-                    self.factor = (b, bt, np.empty_like(bt))
-                self._gram_of = x
-            if self.factor is None:
-                np.matmul(self.gram, z, out=self.fit)
-                np.subtract(self.gram, self.fit, out=self.fit)
+    def fit_step(self, x, z, out=None):
+        """X^T (X - X Z) in the form the rank of X picks, written to ``out``
+        (default: the workspace's own ``fit`` buffer)."""
+        out = self.fit if out is None else out
+        if self._gram_of is not x:
+            b = _gram_factor(x)
+            if b is None:
+                self.factor = None
+                np.matmul(x.T, x, out=self.gram)
             else:
-                b, bt, projected = self.factor
-                np.matmul(bt, z, out=projected)
-                np.subtract(bt, projected, out=projected)
-                np.matmul(b, projected, out=self.fit)
-            self._fit_of = (x, z)
-        return self.fit
+                bt = np.ascontiguousarray(b.T)
+                self.factor = (b, bt, np.empty_like(bt))
+            self._gram_of = x
+        if self.factor is None:
+            np.matmul(self.gram, z, out=out)
+            np.subtract(self.gram, out, out=out)
+        else:
+            b, bt, projected = self.factor
+            np.matmul(bt, z, out=projected)
+            np.subtract(bt, projected, out=projected)
+            np.matmul(b, projected, out=out)
+        return out
 
 
 def relaxed_iteration(
@@ -156,7 +153,6 @@ def relaxed_iteration(
 ):
     """One sweep: Z from the k-th blocks, then J from the fresh Z, then Y.
 
-    ``lam1`` may be a scalar or a length-N vector of per-column weights.
     ``j_prox`` selects the penalty on J: ``"l12"`` shrinks whole columns,
     ``"l1"`` shrinks entries.  A ``workspace`` (see RelaxedWorkspace) lets
     successive sweeps share buffers and the products one sweep leaves for
@@ -179,9 +175,8 @@ def relaxed_iteration(
     z_new, j_new, y_new = ws.z[slot], ws.j[slot], ws.y[slot]
 
     # V = Z + (X^T (X - X Z) + (Y + mu (J - Z R)) R^T) / (sigma_z + l_z),
-    # built in place over the fit step, which is then no longer kept.
+    # built in place over the fit step.
     v = ws.fit_step(x, z)
-    ws._fit_of = None
     y_tilde = np.multiply(ws.residual, mu, out=ws.nm)
     y_tilde += y
     v += apply_difference_adjoint(y_tilde, out=ws.scratch.reshape(v.shape))
@@ -236,23 +231,9 @@ def lyapunov_s(state, reference, eta_z, eta_j, l_z):
     return value
 
 
-def _stationarity_gap(fit_step, z, lam1, diag_zero):
-    """Largest KKT violation of the per-column lasso at Z (diagonal excluded
-    when it is constrained to zero); ``fit_step`` is X^T (X - X Z), the
-    negated gradient of the fit."""
-    lam = np.broadcast_to(np.asarray(lam1, dtype=float), (z.shape[0],))
-    on_support = np.abs(fit_step - np.sign(z) * lam[None, :])
-    off_support = np.maximum(np.abs(fit_step) - lam[None, :], 0.0)
-    gap = np.where(z != 0.0, on_support, off_support)
-    if diag_zero:
-        np.fill_diagonal(gap, 0.0)
-    return float(gap.max())
-
-
 def _objective(x, z, lam1, lam2, j_prox):
     fit = 0.5 * float(np.sum((x - x @ z) ** 2))
-    lam = np.broadcast_to(np.asarray(lam1, dtype=float), (z.shape[0],))
-    l1 = float(np.sum(np.abs(z) * lam[None, :]))
+    l1 = lam1 * float(np.sum(np.abs(z)))
     zr = column_differences(z)
     if j_prox == "l12":
         smooth = float(np.sum(np.linalg.norm(zr, axis=0)))
@@ -261,21 +242,17 @@ def _objective(x, z, lam1, lam2, j_prox):
     return fit + l1 + lam2 * smooth
 
 
-def _solve_core(
-    x, lam1, config, j_prox="l12", initial_state=None, stationarity_tol=None,
-    lyapunov_reference=None,
-):
-    """Shared driver behind the sequential solver and its variants.
+def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=None):
+    """Shared driver behind the sequential solver and its SpatSC variant.
 
     Stops when the constraint residual ||J - Z R||_F falls under eps1 and
-    the scaled change mu * max(||dZ||_F, ||dJ||_F) falls under eps2; with
-    ``stationarity_tol`` set it stops on the lasso KKT gap instead.  When
+    the scaled change mu * max(||dZ||_F, ||dJ||_F) falls under eps2.  When
     ``lyapunov_reference`` is given, the descent monitor is evaluated
     against it after every sweep.
     """
     x = as_data_matrix(x)
     d, n = x.shape
-    lam2, diag_zero = config.lambda2, config.diag_zero
+    lam1, lam2, diag_zero = config.lambda1, config.lambda2, config.diag_zero
     l_z = operator_norm_squared(x)
     r_norm2 = difference_norm_squared(n)
     # The default keeps the descent condition satisfiable: above ||R||^2
@@ -285,7 +262,7 @@ def _solve_core(
     )
     eta_j = float(config.eta_j)
     state = admm.start_state(initial_state, initial_relaxed_state(d, n, config.mu0))
-    diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z, mu_schedule=config.mu_schedule)
+    diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z)
     workspace = RelaxedWorkspace(n)
 
     def sweep(state):
@@ -300,13 +277,7 @@ def _solve_core(
         check_finite(dz + dj + float(np.sum(new.y)), (new.z, new.j, new.y), new.iteration)
         feasibility = float(np.linalg.norm(workspace.residual))
         change = old.mu * max(dz, dj)
-        if stationarity_tol is None:
-            converged = feasibility < config.eps1 and change < config.eps2
-        else:
-            # The next sweep starts from the same fit step.
-            fit_step = workspace.fit_step(x, new.z)
-            converged = _stationarity_gap(fit_step, new.z, lam1, diag_zero) <= stationarity_tol
-        return feasibility, change, converged
+        return feasibility, change, feasibility < config.eps1 and change < config.eps2
 
     monitor = None
     if lyapunov_reference is not None:
@@ -327,10 +298,10 @@ def solve_relaxed(x, config=None, initial_state=None):
     ``initial_state`` allows warm starts.
     """
     config = config if config is not None else SolverConfig()
-    state, diag = _solve_core(x, config.lambda1, config, initial_state=initial_state)
+    state, diag = _solve_core(x, config, initial_state=initial_state)
     if config.monitor_lyapunov:
         reference = (state.z, state.j, state.y)
         state, diag = _solve_core(
-            x, config.lambda1, config, initial_state=initial_state, lyapunov_reference=reference
+            x, config, initial_state=initial_state, lyapunov_reference=reference
         )
     return state.z, diag

@@ -232,9 +232,11 @@ class SolveDiagnostics:
     All histories have one entry per completed iteration.  For the
     sequential solver ``feasibility_history`` holds the raw constraint
     residual; for the exact-constraint solver it holds the larger of the
-    two normalized residuals.  ``change_history`` holds the scaled iterate
-    change that gates both the stopping test and the penalty growth.
-    ``lyapunov_history`` is filled only when descent monitoring is on.
+    two normalized residuals; for ``ssc_solve`` the lasso KKT gap, its only
+    history.  ``change_history`` holds the scaled iterate change that gates
+    both the stopping test and the penalty growth.  ``lyapunov_history`` is
+    filled only when descent monitoring is on.  ``l_z`` is ||X||^2;
+    ``eta_z`` stays NaN for ``ssc_solve``, which has no proximal weight.
     """
 
     iterations: int = 0
@@ -246,4 +248,3 @@ class SolveDiagnostics:
     lyapunov_history: list | None = None
     eta_z: float = float("nan")
     l_z: float = float("nan")
-    mu_schedule: str = "multiplicative"

@@ -151,12 +151,14 @@ def lasso_cd(dictionary, target, lam, exclude=None, tol=1e-10, max_sweeps=100000
 
 
 def lasso_cd_matrix(x, lam, tol=1e-10):
-    """Self-expressive lasso with zero diagonal, column by column."""
+    """Self-expressive lasso with zero diagonal, column by column; ``lam``
+    is a scalar or one weight per column."""
     x = np.asarray(x, dtype=float)
     n = x.shape[1]
+    lam_cols = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
     z = np.zeros((n, n))
     for i in range(n):
-        z[:, i] = lasso_cd(x, x[:, i], lam, exclude=i, tol=tol)
+        z[:, i] = lasso_cd(x, x[:, i], lam_cols[i], exclude=i, tol=tol)
     return z
 
 
@@ -369,3 +371,22 @@ def reference_exact_solve(x, config, eta_z, blocks):
             break
         mu = _next_mu(config, mu, change)
     return z, sweep, feasibility, changes, mus
+
+
+def reference_fista_lasso(x, lam, l_z, sweeps):
+    """``sweeps`` steps of FISTA with gradient restart on the zero-diagonal
+    self-expressive lasso, from Z = 0, written straight from the update
+    formulas: each gradient X^T (X Z - X) is taken afresh at the
+    extrapolated point.  ``l_z`` is the step's Lipschitz constant."""
+    n = x.shape[1]
+    z = w = np.zeros((n, n))
+    t = 1.0
+    for _ in range(sweeps):
+        z_new = _shrink_entries(w + x.T @ (x - x @ w) / l_z, np.asarray(lam) / l_z)
+        np.fill_diagonal(z_new, 0.0)
+        if np.sum((w - z_new) * (z_new - z)) > 0:
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        w = z_new + (t - 1.0) / t_new * (z_new - z)
+        z, t = z_new, t_new
+    return z

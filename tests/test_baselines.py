@@ -1,8 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from oscluster import SolverConfig, sim_closed_form, spatsc_solve, ssc_solve
+from oscluster import (
+    SolverConfig,
+    SyntheticSpec,
+    generate_synthetic,
+    normalize_columns,
+    sim_closed_form,
+    spatsc_solve,
+    ssc_solve,
+)
 
+from conftest import SSC_PARAMS
 from helpers import lasso_cd_matrix
 
 TIGHT = SolverConfig(eps1=1e-6, eps2=1e-6, max_iter=20000)
@@ -73,13 +84,31 @@ class TestSparseSelfExpression:
         assert diag.converged
         assert z.shape == (7, 7)
 
-    def test_penalty_held_under_any_schedule(self):
-        x = unit_columns(np.random.default_rng(6), 6, 7)
-        cfg = SolverConfig(mu_schedule="additive", gamma0=1.5, max_iter=50)
-        _, diag = ssc_solve(x, 0.2, cfg, return_diagnostics=True)
-        assert len(diag.mu_history) > 1
-        assert all(mu == cfg.mu0 for mu in diag.mu_history)
-        assert diag.mu_schedule == "multiplicative"
+    def test_converges_on_clean_protocol(self):
+        x, _ = generate_synthetic(SyntheticSpec(seed=0))
+        _, diag = ssc_solve(normalize_columns(x), 0.2, SSC_PARAMS, return_diagnostics=True)
+        assert diag.converged
+        assert diag.iterations <= SSC_PARAMS.max_iter
+        assert diag.feasibility_history[-1] <= 1e-6
+
+    @pytest.mark.parametrize("zero_columns", [slice(None), [2]], ids=["all", "one"])
+    def test_zero_columns(self, zero_columns):
+        x = unit_columns(np.random.default_rng(7), 5, 6)
+        x[:, zero_columns] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, diag = ssc_solve(x, 0.1, return_diagnostics=True)
+        assert np.all(np.isfinite(z))
+        assert np.all(np.diag(z) == 0.0)
+        assert diag.converged
+        # A zero sample neither uses nor is used by the others.
+        assert np.all(z[:, zero_columns] == 0.0) and np.all(z[zero_columns, :] == 0.0)
+
+    def test_all_zero_data_needs_no_sweep(self):
+        _, diag = ssc_solve(np.zeros((3, 4)), 0.1, return_diagnostics=True)
+        assert diag.l_z == 0.0
+        assert diag.iterations == 0 and diag.feasibility_history == []
+        assert diag.objective_value == 0.0
 
 
 class TestEntrywiseSmoothedVariant:

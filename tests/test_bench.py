@@ -50,3 +50,44 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
     with pytest.raises(ValueError, match="workers"):
         run_bench({"methods": ["ssc"]}, out_dir, workers=workers)
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"repets": 5}, "unknown keys"),
+        ({"timing": {"repeats": 1}}, "unknown keys"),
+        ({"methods": [{"name": "kmeans"}]}, "unknown method"),
+        ({"k_method": "elbow"}, "unknown k_method"),
+        ({"generator": "synthetic"}, "'generator' must be an object"),
+        ({"generator": {"num_subspace": 3}}, "'generator' has unknown keys"),
+        ({"master_seed": 1.7}, "master_seed must be an int"),
+        ({"master_seed": "1"}, "master_seed must be an int"),
+        ({"repeats": 1.7}, "repeats must be an int"),
+        ({"repeats": True}, "repeats must be an int"),
+    ],
+    ids=[
+        "unknown-key", "timing", "method", "k-method", "generator-str", "generator-key",
+        "seed-float", "seed-str", "repeats-float", "repeats-bool",
+    ],
+)
+def test_malformed_config_rejected_before_the_run(tmp_path, change, message):
+    raw = {"methods": [{"name": "ssc"}], **change}
+    with pytest.raises(ValueError, match=message):
+        parse_bench_config(raw)
+    out_dir = tmp_path / "results"
+    with pytest.raises(ValueError, match=message):
+        run_bench(raw, out_dir)
+    assert not out_dir.exists()
+
+
+def test_every_known_key_accepted():
+    cfg = parse_bench_config(
+        {
+            "master_seed": 3, "repeats": 2, "psnr_db": [None], "methods": [{"name": "lrr-sim"}],
+            "generator": {"num_subspaces": 2, "seed": 9}, "library": None, "k": 2,
+            "k_method": "sv-threshold", "sv_tau": 0.1, "normalize": False,
+        }
+    )
+    assert (cfg["master_seed"], cfg["repeats"], cfg["k_method"]) == (3, 2, "sv-threshold")
+    assert cfg["generator"].num_subspaces == 2

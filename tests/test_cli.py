@@ -242,6 +242,16 @@ class TestCluster:
         assert "must be a non-negative int" in capsys.readouterr().err
         assert not (tmp_path / "s.predicted.json").exists()
 
+    def test_boolean_truth_labels_are_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "s.csv"
+        assert main(["generate", "--out", str(data), "--subspaces", "2", "--points", "2"]) == 0
+        capsys.readouterr()
+        truth = tmp_path / "truth.json"
+        truth.write_text("[true, false, 1, 0]")
+        assert main(["cluster", str(data), "--k", "2", "--truth", str(truth)]) == 2
+        assert "expected a JSON array of integers" in capsys.readouterr().err
+        assert not (tmp_path / "s.predicted.json").exists()
+
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["cluster", str(tmp_path / "absent.csv")]) == 2
         assert "error" in capsys.readouterr().err
@@ -279,7 +289,6 @@ TINY_BENCH = {
         "ambient_dim": 10,
         "subspace_dim": 2,
     },
-    "timing": {"points_per_subspace": [4, 6], "repeats": 1, "method": "ssc", "lambda1": 0.2},
 }
 
 
@@ -318,17 +327,9 @@ class TestBench:
             assert int(srow[2]) == len(cells)
             assert float(srow[6]) == pytest.approx(np.mean(cells), abs=1e-6)
 
-        timing = read_csv(paths["timing"])
-        assert timing[0] == [
-            "method", "n_samples", "repeats", "mean_wall_ms", "mean_iterations", "ms_per_iteration",
-        ]
-        assert [row[1] for row in timing[1:]] == ["8", "12"]
-
     def test_parallel_run_is_identical_except_timing(self, tmp_path, capsys):
         cfg = tmp_path / "bench.json"
-        spec = dict(TINY_BENCH)
-        spec.pop("timing")
-        cfg.write_text(json.dumps(spec))
+        cfg.write_text(json.dumps(TINY_BENCH))
         main(["bench", str(cfg), "--out-dir", str(tmp_path / "serial")])
         main(["bench", str(cfg), "--out-dir", str(tmp_path / "parallel"), "--workers", "2"])
         capsys.readouterr()
@@ -360,6 +361,31 @@ class TestBench:
         out_dir = tmp_path / "results"
         assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
         assert "k must be null or a positive int" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"repets": 5}, "unknown keys"),
+            ({"timing": {"repeats": 1}}, "unknown keys"),
+            ({"methods": [{"name": "kmeans"}]}, "unknown method"),
+            ({"k_method": "elbow"}, "unknown k_method"),
+            ({"generator": [2, 5]}, "'generator' must be an object"),
+            ({"generator": {"num_subspace": 3}}, "'generator' has unknown keys"),
+            ({"master_seed": 1.7}, "master_seed must be an int"),
+            ({"repeats": 1.7}, "repeats must be an int"),
+        ],
+        ids=[
+            "unknown-key", "timing", "method", "k-method", "generator-list", "generator-key",
+            "seed-float", "repeats-float",
+        ],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, change, message):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({**TINY_BENCH, **change}))
+        out_dir = tmp_path / "results"
+        assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oscluster import load_matrix, save_matrix
+from oscluster import load_int_array, load_matrix, save_matrix
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -104,3 +104,17 @@ def test_csv_rejects_non_numeric(tmp_path):
     p.write_text("1,foo\n2,3\n")
     with pytest.raises(ValueError):
         load_matrix(p)
+
+
+@pytest.mark.parametrize("text", ["[true, false, 2]", "[0, 1, false]", "[1.0, 2]", '["1"]', "{}"])
+def test_int_array_rejects_non_integers(tmp_path, text):
+    p = tmp_path / "labels.json"
+    p.write_text(text)
+    with pytest.raises(ValueError, match="expected a JSON array of integers"):
+        load_int_array(p)
+
+
+def test_int_array_loads_integers(tmp_path):
+    p = tmp_path / "labels.json"
+    p.write_text("[0, 2, 1]")
+    assert load_int_array(p).tolist() == [0, 2, 1]
