@@ -54,11 +54,9 @@ def derive_seed(master_seed, *coords):
 
 
 def _parse_psnr(value):
-    if value is None:
+    if value is None or (isinstance(value, str) and value.lower() in ("inf", "infinity")):
         return math.inf
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
+    if isinstance(value, (str, bool)):
         raise ValueError(f"bad psnr entry {value!r}")
     value = float(value)
     if value <= 0:
@@ -107,9 +105,11 @@ def parse_bench_config(raw):
         "k": raw.get("k"),
         "k_method": raw.get("k_method", "eigengap"),
         "sv_tau": raw.get("sv_tau"),
-        "normalize": bool(raw.get("normalize", True)),
+        "normalize": raw.get("normalize", True),
     }
     _object_with_keys(raw, cfg, "bench config")
+    if not isinstance(cfg["normalize"], bool):
+        raise ValueError(f"normalize must be true or false, got {cfg['normalize']!r}")
     if cfg["repeats"] < 1:
         raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
     if cfg["k"] is not None and not (is_int(cfg["k"]) and cfg["k"] >= 1):

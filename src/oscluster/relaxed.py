@@ -255,10 +255,14 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     lam1, lam2, diag_zero = config.lambda1, config.lambda2, config.diag_zero
     l_z = operator_norm_squared(x)
     r_norm2 = difference_norm_squared(n)
-    # The default keeps the descent condition satisfiable: above ||R||^2
-    # with headroom proportional to l_z / mu0.
+    # With the fit linearized, LADMAP needs only eta_z > ||R||^2: the Z step
+    # mu * eta_z + l_z already pays the fit's Lipschitz constant l_z once, so
+    # the multiplicative default sits 1e-3 above that floor.  The additive
+    # schedule keeps l_z / mu0 of headroom on top, which makes its increment
+    # l_z / (eta_z - ||R||^2) about mu0, the growth the descent monitor needs.
+    headroom = l_z / config.mu0 if config.mu_schedule == "additive" else 0.0
     eta_z = admm.resolve_eta(
-        config, r_norm2 + l_z / config.mu0 + 1e-3, r_norm2, "the squared spectral norm of R"
+        config, r_norm2 + headroom + 1e-3, r_norm2, "the squared spectral norm of R"
     )
     eta_j = float(config.eta_j)
     state = admm.start_state(initial_state, initial_relaxed_state(d, n, config.mu0))

@@ -171,7 +171,12 @@ class SolverConfig:
 
     ``eta_z`` is the proximal weight on the coefficient block; ``None``
     selects a per-solver default that satisfies the solver's convergence
-    condition.  ``mu_schedule`` picks how the penalty grows: the default
+    condition.  For the sequential solver and spatsc that condition is
+    eta_z > ||R||^2: the multiplicative default is ||R||^2 + 1e-3, and the
+    additive default adds l_z / mu0 (l_z = ||X||^2) so that the additive
+    increment l_z / (eta_z - ||R||^2) is about mu0, the growth the descent
+    monitor needs.  The exact solver's default is 3.06 (||X||^2 + ||R||^2)
+    under either schedule.  ``mu_schedule`` picks how the penalty grows: the default
     ``"multiplicative"`` rule scales mu by ``gamma0`` whenever the scaled
     iterate change falls under ``eps2``, while ``"additive"`` adds a fixed
     increment every sweep (the mode used for descent-monitor analysis).

@@ -65,10 +65,12 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         ({"master_seed": "1"}, "master_seed must be an int"),
         ({"repeats": 1.7}, "repeats must be an int"),
         ({"repeats": True}, "repeats must be an int"),
+        ({"normalize": "false"}, "normalize must be true or false"),
+        ({"psnr_db": [None, True]}, "bad psnr entry True"),
     ],
     ids=[
         "unknown-key", "timing", "method", "k-method", "generator-str", "generator-key",
-        "seed-float", "seed-str", "repeats-float", "repeats-bool",
+        "seed-float", "seed-str", "repeats-float", "repeats-bool", "normalize-str", "psnr-bool",
     ],
 )
 def test_malformed_config_rejected_before_the_run(tmp_path, change, message):

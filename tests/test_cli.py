@@ -374,10 +374,12 @@ class TestBench:
             ({"generator": {"num_subspace": 3}}, "'generator' has unknown keys"),
             ({"master_seed": 1.7}, "master_seed must be an int"),
             ({"repeats": 1.7}, "repeats must be an int"),
+            ({"normalize": "false"}, "normalize must be true or false"),
+            ({"psnr_db": [True]}, "bad psnr entry True"),
         ],
         ids=[
             "unknown-key", "timing", "method", "k-method", "generator-list", "generator-key",
-            "seed-float", "repeats-float",
+            "seed-float", "repeats-float", "normalize-str", "psnr-bool",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, change, message):

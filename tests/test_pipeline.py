@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oscluster import (
+    DivergenceError,
     SolverConfig,
     SyntheticSpec,
     cluster_sequential,
@@ -117,3 +122,37 @@ class TestClusterSequential:
     def test_noisy_sweep_stays_accurate(self, noisy_sweep_20db):
         arr = np.asarray(noisy_sweep_20db)
         assert arr.mean() <= 0.10
+
+
+@st.composite
+def edge_inputs(draw):
+    """A small D x N matrix (D 1-7, N 2-11) with some columns zeroed and
+    some copied over others, or all of it zero, and a k, given or None."""
+    d, n = draw(st.integers(1, 7)), draw(st.integers(2, 11))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((d, n))
+    column = st.integers(0, n - 1)
+    x[:, draw(st.lists(column, max_size=n))] = 0.0
+    for source, target in draw(st.lists(st.tuples(column, column), max_size=n)):
+        x[:, target] = x[:, source]
+    x *= draw(st.sampled_from([1.0, 0.0]))
+    return x, draw(st.none() | st.integers(1, n))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(method=st.sampled_from(["osc-relaxed", "spatsc"]), inputs=edge_inputs())
+@example(method="osc-relaxed", inputs=(np.zeros((1, 2)), None))
+@example(method="spatsc", inputs=(np.zeros((3, 5)), 2))
+def test_degenerate_inputs_give_defined_results(method, inputs):
+    # A segmentation either succeeds with finite Z and labels in [0, k), or
+    # says why it cannot with ValueError or DivergenceError; no warning.
+    x, k = inputs
+    config = SolverConfig(lambda1=0.1, lambda2=0.01 if method == "spatsc" else 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            result = cluster_sequential(x, method=method, config=config, k=k)
+        except (ValueError, DivergenceError):
+            return
+    assert np.all(np.isfinite(result.z))
+    assert result.labels.shape == (x.shape[1],)
+    assert np.all((0 <= result.labels) & (result.labels < result.k))

@@ -5,16 +5,26 @@ import pytest
 
 from oscluster import (
     SolverConfig,
+    SyntheticSpec,
     build_difference_operator,
+    generate_synthetic,
     initial_relaxed_state,
     lyapunov_s,
     normalize_columns,
     operator_norm_squared,
     relaxed_iteration,
     solve_relaxed,
+    spatsc_solve,
 )
+from oscluster.types import difference_norm_squared
 
-from helpers import bisect_nonneg_lasso, lasso_cd_matrix
+from conftest import OSC_PARAMS
+from helpers import (
+    assert_default_step_saves_sweeps,
+    bisect_nonneg_lasso,
+    eta_z_with_fit_headroom,
+    lasso_cd_matrix,
+)
 
 
 def unit_columns(rng, d, n):
@@ -153,6 +163,33 @@ class TestWarmStart:
         bad = dataclasses.replace(initial_relaxed_state(4, 5, 1.0), y=np.ones((5, 5)))
         with pytest.raises(ValueError, match="initial state"):
             solve_relaxed(x, SolverConfig(), initial_state=bad)
+
+
+class TestDefaultStep:
+    @pytest.mark.parametrize("solver", ["relaxed", "spatsc"])
+    def test_default_eta_z_per_schedule(self, solver):
+        # Multiplicative: 1e-3 above the floor ||R||^2.  Additive: also
+        # ||X||^2 / mu0, so that its increment ||X||^2 / (eta_z - ||R||^2)
+        # is about mu0; that value stays bitwise what it was.
+        x = unit_columns(np.random.default_rng(5), 4, 7)
+        for schedule, want in [
+            ("multiplicative", difference_norm_squared(7) + 1e-3),
+            ("additive", eta_z_with_fit_headroom(x, 2.0)),
+        ]:
+            config = SolverConfig(mu0=2.0, mu_schedule=schedule, max_iter=3)
+            if solver == "relaxed":
+                _, diag = solve_relaxed(x, config)
+            else:
+                _, diag = spatsc_solve(x, 0.1, 0.01, config=config, return_diagnostics=True)
+            assert diag.eta_z == want
+
+    def test_default_step_saves_sweeps_on_clean_sequence(self):
+        x, _ = generate_synthetic(SyntheticSpec(points_per_subspace=40, seed=0))
+
+        def solve(x, eta_z):
+            return solve_relaxed(x, dataclasses.replace(OSC_PARAMS, eta_z=eta_z))
+
+        assert_default_step_saves_sweeps(solve, normalize_columns(x), OSC_PARAMS.mu0, 5)
 
 
 class TestValidation:
