@@ -55,7 +55,6 @@ from .types import (
     as_coefficient_matrix,
     as_data_matrix,
     as_labels,
-    build_difference_operator,
     column_differences,
     operator_norm_squared,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "as_data_matrix",
     "as_labels",
     "build_affinity",
-    "build_difference_operator",
     "cluster_sequential",
     "column_differences",
     "detect_boundaries_peaks",

@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 
 from .prox import soft_threshold_zero_diag
-from .relaxed import RelaxedWorkspace, _solve_core
-from .types import SolveDiagnostics, SolverConfig, as_data_matrix, operator_norm_squared
+from .relaxed import _solve_core
+from .types import FitOperator, SolveDiagnostics, SolverConfig, as_data_matrix
 
 SSC_TOL = 1e-6  # the lasso KKT gap at which ssc stops
 
@@ -43,13 +43,13 @@ def ssc_solve(x, lam, config=None, return_diagnostics=False):
     if np.any(lam <= 0):
         raise ValueError("lasso weights must be positive")
     max_iter = config.max_iter if config is not None else 5000
-    l_z = operator_norm_squared(x)
+    operator = FitOperator(x)
+    l_z = operator.l_z
     diag = SolveDiagnostics(l_z=l_z)
-    workspace = RelaxedWorkspace(n)
     # Z, the extrapolated point W and the next Z, each with its fit step.
     # The fit step is affine in Z, so W's follows from the other two.
     z, w, z_next = np.zeros((n, n)), np.zeros((n, n)), np.empty((n, n))
-    fit = workspace.fit_step(x, z, out=np.empty((n, n)))
+    fit = operator.fit(z)
     fit_w, fit_next = fit.copy(), np.empty((n, n))
     gap = _stationarity_gap(fit, z, lam)
     t = 1.0
@@ -59,7 +59,7 @@ def ssc_solve(x, lam, config=None, return_diagnostics=False):
         fit_w /= l_z
         fit_w += w
         soft_threshold_zero_diag(fit_w, lam / l_z, out=z_next)
-        workspace.fit_step(x, z_next, out=fit_next)
+        operator.fit(z_next, out=fit_next)
         gap = _stationarity_gap(fit_next, z_next, lam)
         diag.feasibility_history.append(gap)
         diag.iterations += 1

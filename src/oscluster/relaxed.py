@@ -22,6 +22,7 @@ import numpy as np
 from . import admm
 from .prox import group_shrink_columns, soft_threshold, soft_threshold_zero_diag
 from .types import (
+    FitOperator,
     SolveDiagnostics,
     SolverConfig,
     apply_difference_adjoint,
@@ -30,7 +31,7 @@ from .types import (
     column_differences,
     difference_norm_squared,
     frobenius_distance,
-    operator_norm_squared,
+    operator_norm_squared,  # noqa: F401 - a binding the perfbench tracer wraps
 )
 
 
@@ -56,96 +57,35 @@ def initial_relaxed_state(d, n, mu0):
     )
 
 
-def _gram_factor(x):
-    """An N x r factor B with B B^T = X^T X to rounding, or None when the
-    Gram form G - G Z is the cheaper fit step (2 r >= N).
-
-    r counts the eigenvalues of the smaller Gram matrix (X X^T if D <= N,
-    else X^T X) above lambda_max * max(D, N) * eps, the rounding level of
-    forming G itself.  The eigenvectors are computed only when B is
-    returned: X^T U_r, or V_r sqrt(lambda_r) when D > N.
-    """
-    d, n = x.shape
-    small = x @ x.T if d <= n else x.T @ x
-    eigenvalues = np.linalg.eigvalsh(small)
-    rank = int(np.count_nonzero(eigenvalues > eigenvalues[-1] * max(d, n) * np.finfo(float).eps))
-    if 2 * rank >= n:
-        return None
-    eigenvalues, vectors = np.linalg.eigh(small)
-    top = slice(small.shape[0] - rank, None)
-    if d <= n:
-        return x.T @ vectors[:, top]
-    return vectors[:, top] * np.sqrt(eigenvalues[top])
-
-
 class RelaxedWorkspace:
-    """Buffers shared by the sweeps of one solve on a D x N data matrix.
+    """Buffers shared by the sweeps of one solve, on the data matrix of the
+    FitOperator ``operator``.
 
     A sweep writes its iterate into whichever of two buffer sets does not
     hold its input, so an iterate survives the next sweep and is
     overwritten by the one after.  The workspace also keeps the constraint
     residual J - Z R of the iterate it last produced; a sweep that starts
     from any other iterate recomputes it from its state.
-
-    The fit step takes one of two forms, chosen once per data matrix by
-    ``_gram_factor`` from the numerical rank r of X: the count of
-    eigenvalues of the smaller Gram matrix above lambda_max * max(D, N) *
-    eps, the rounding level of forming G itself, so not a tuning knob.
-
-    * 2 r < N: B (B^T - B^T Z) with the N x r factor B of G = X^T X,
-      4 r N^2 flops a sweep.  Data drawn from a few low-dimensional
-      subspaces has r far below N (20 of 200 on five 4-dimensional ones).
-    * otherwise: G - G Z, one N x N x N product (2 N^3 flops) instead of
-      X^T (X - X Z), two D x N x N products (4 D N^2 flops).
-
-    Either way the workspace forms its operator once per data matrix: one
-    eigenvalue solve of the smaller Gram matrix, plus its eigenvectors on
-    the factored path, or G on the Gram path.  Only a workspace that is
-    reused across sweeps amortises that.
     """
 
-    def __init__(self, n):
+    def __init__(self, operator):
+        n = operator.x.shape[1]
+        self.operator = operator
         self.z = (np.empty((n, n)), np.empty((n, n)))
         self.j = (np.empty((n, n - 1)), np.empty((n, n - 1)))
         self.y = (np.empty((n, n - 1)), np.empty((n, n - 1)))
         self.zr = np.empty((n, n - 1))
         self.residual = np.empty((n, n - 1))  # J - Z R of the iterate in ``_of``
         self.nm = np.empty((n, n - 1))
-        self.gram = np.empty((n, n))  # X^T X of ``_gram_of`` on the Gram path
-        self.factor = None  # B, B^T and an r x N buffer of ``_gram_of`` on the factored path
-        self.fit = np.empty((n, n))  # the fit step, unless written to ``out``
+        self.fit = np.empty((n, n))  # the fit step
         self.scratch = np.empty(n * n)
         self._of = None
-        self._gram_of = None
 
     def sync(self, state):
         """Make ``residual`` belong to ``state``, recomputing it if needed."""
         if self._of is None or self._of[0] is not state.z or self._of[1] is not state.j:
             np.subtract(state.j, column_differences(state.z, out=self.zr), out=self.residual)
             self._of = (state.z, state.j)
-
-    def fit_step(self, x, z, out=None):
-        """X^T (X - X Z) in the form the rank of X picks, written to ``out``
-        (default: the workspace's own ``fit`` buffer)."""
-        out = self.fit if out is None else out
-        if self._gram_of is not x:
-            b = _gram_factor(x)
-            if b is None:
-                self.factor = None
-                np.matmul(x.T, x, out=self.gram)
-            else:
-                bt = np.ascontiguousarray(b.T)
-                self.factor = (b, bt, np.empty_like(bt))
-            self._gram_of = x
-        if self.factor is None:
-            np.matmul(self.gram, z, out=out)
-            np.subtract(self.gram, out, out=out)
-        else:
-            b, bt, projected = self.factor
-            np.matmul(bt, z, out=projected)
-            np.subtract(bt, projected, out=projected)
-            np.matmul(b, projected, out=out)
-        return out
 
 
 def relaxed_iteration(
@@ -155,18 +95,17 @@ def relaxed_iteration(
 
     ``j_prox`` selects the penalty on J: ``"l12"`` shrinks whole columns,
     ``"l1"`` shrinks entries.  A ``workspace`` (see RelaxedWorkspace) lets
-    successive sweeps share buffers and the products one sweep leaves for
-    the next.  The fit step X^T (X - X Z) is B (B^T - B^T Z), with the
-    N x r factor B of X^T X, when twice the numerical rank r of X is below
-    N, and G - G Z with G = X^T X otherwise (see ``_gram_factor``).  A
-    workspace forms B or G once for all its sweeps; without one the sweep
-    allocates its own buffers and pays that every call: an eigenvalue
-    solve of the smaller Gram matrix (min(D, N) square), plus its
-    eigenvectors or G.
+    successive sweeps share buffers, the products one sweep leaves for the
+    next and the FitOperator of ``x`` (see ``types.FitOperator``), which
+    must belong to this very ``x``.  Without one the sweep allocates its
+    own buffers and forms that operator every call: an eigenvalue solve of
+    the smaller Gram matrix (min(D, N) square), plus its eigenvectors or G.
     """
     if j_prox not in ("l12", "l1"):
         raise ValueError(f"unknown j_prox {j_prox!r}")
-    ws = workspace if workspace is not None else RelaxedWorkspace(x.shape[1])
+    ws = workspace if workspace is not None else RelaxedWorkspace(FitOperator(x))
+    if ws.operator.x is not x:
+        raise ValueError("the workspace's fit operator belongs to another data matrix")
     ws.sync(state)
     z, y, mu = state.z, state.y, state.mu
     step = mu * eta_z + l_z
@@ -176,7 +115,7 @@ def relaxed_iteration(
 
     # V = Z + (X^T (X - X Z) + (Y + mu (J - Z R)) R^T) / (sigma_z + l_z),
     # built in place over the fit step.
-    v = ws.fit_step(x, z)
+    v = ws.operator.fit(z, out=ws.fit)
     y_tilde = np.multiply(ws.residual, mu, out=ws.nm)
     y_tilde += y
     v += apply_difference_adjoint(y_tilde, out=ws.scratch.reshape(v.shape))
@@ -253,7 +192,8 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     x = as_data_matrix(x)
     d, n = x.shape
     lam1, lam2, diag_zero = config.lambda1, config.lambda2, config.diag_zero
-    l_z = operator_norm_squared(x)
+    fit = FitOperator(x)
+    l_z = fit.l_z
     r_norm2 = difference_norm_squared(n)
     # With the fit linearized, LADMAP needs only eta_z > ||R||^2: the Z step
     # mu * eta_z + l_z already pays the fit's Lipschitz constant l_z once, so
@@ -267,7 +207,7 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     eta_j = float(config.eta_j)
     state = admm.start_state(initial_state, initial_relaxed_state(d, n, config.mu0))
     diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z)
-    workspace = RelaxedWorkspace(n)
+    workspace = RelaxedWorkspace(fit)
 
     def sweep(state):
         return relaxed_iteration(

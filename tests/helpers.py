@@ -275,7 +275,7 @@ def reference_relaxed_sweep(x, z, j, y, mu, lam1, lam2, l_z, eta_z, eta_j, diag_
     product with the difference operator, so nothing is carried from an
     earlier sweep.  Returns ``(z, j, y)``.
     """
-    r = difference_matrix(z.shape[0])
+    r = build_difference_operator(z.shape[0])
     step = mu * eta_z + l_z
     v = z + (x.T @ (x - x @ z) + (y + mu * (j - z @ r)) @ r.T) / step
     z_new = _shrink_entries(v, lam1 / step)
@@ -292,7 +292,7 @@ def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag
     """One parallel sweep of the exact-constraint solver from its update
     formulas, with dense products and nothing carried between sweeps.
     Returns ``(z, e, j, y1, y2)``."""
-    r = difference_matrix(z.shape[0])
+    r = build_difference_operator(z.shape[0])
     sigma_z = mu * eta_z
     sigma_j = mu * eta_j
     grad = x.T @ (y1 + mu * (x @ z - x + e)) - (y2 + mu * (j - z @ r)) @ r.T
@@ -306,12 +306,18 @@ def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag
     return z_new, e_new, j_new, y1_new, y2_new
 
 
-def difference_matrix(n):
-    """Dense N x (N-1) forward differences, built entry by entry."""
+def build_difference_operator(n):
+    """The dense N x (N-1) forward-difference operator R.
+
+    Column i of Z @ R is z_{i+1} - z_i: R[i, i] = -1, R[i+1, i] = +1.  The
+    library never forms R; it applies it column by column.
+    """
+    if n < 2:
+        raise ValueError(f"difference operator needs n >= 2, got {n}")
     r = np.zeros((n, n - 1))
-    for i in range(n - 1):
-        r[i, i] = -1.0
-        r[i + 1, i] = 1.0
+    idx = np.arange(n - 1)
+    r[idx, idx] = -1.0
+    r[idx + 1, idx] = 1.0
     return r
 
 
@@ -327,7 +333,7 @@ def reference_relaxed_solve(x, config, l_z, eta_z, blocks):
     ``l_z`` and ``eta_z`` are taken as given, so the comparison isolates
     the sweeps.  Returns ``(z, sweeps, feasibility, change, mu)`` histories.
     """
-    r = difference_matrix(x.shape[1])
+    r = build_difference_operator(x.shape[1])
     z, j, y = blocks
     mu = config.mu0
     feasibility, changes, mus = [], [], []
@@ -352,7 +358,7 @@ def reference_exact_solve(x, config, eta_z, blocks):
     """The exact-constraint solver's multiplicative-penalty loop around
     reference_exact_sweep, from ``blocks = (z, e, j, y1, y2)``; returns the
     same tuple as reference_relaxed_solve."""
-    r = difference_matrix(x.shape[1])
+    r = build_difference_operator(x.shape[1])
     x_fro = float(np.linalg.norm(x))
     z, e, j, y1, y2 = blocks
     mu = config.mu0

@@ -104,6 +104,16 @@ class TestCluster:
         assert report["converged"] is True
         assert report["sce"] == 0.0
 
+    def test_exact_on_all_zero_data(self, tmp_path, capsys):
+        data = tmp_path / "zero.csv"
+        save_matrix(data, np.zeros((4, 6)))
+        code = main(["cluster", str(data), "--method", "osc-exact", "--k", "2"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["converged"] is True
+        assert report["iterations"] == 0 and report["objective"] == 0.0
+        assert set(load_int_array(report["labels_out"])) <= {0, 1}
+
     def test_estimated_k(self, table_dataset, capsys):
         code = main(["cluster", str(table_dataset)])
         assert code == 0

@@ -6,12 +6,13 @@ import pytest
 from oscluster import (
     DivergenceError,
     SolverConfig,
-    build_difference_operator,
     exact_iteration,
     initial_exact_state,
     operator_norm_squared,
     solve_exact,
 )
+
+from helpers import build_difference_operator
 
 
 def unit_columns(rng, d, n):
@@ -40,6 +41,14 @@ class TestSolutionStructure:
             assert diag.converged
             worst = max(worst, diag.iterations)
         assert worst <= 2000
+
+    def test_all_zero_data_needs_no_sweep(self):
+        # X = 0 is solved by Z = 0, and every residual is normalized by
+        # ||X||_F = 0, so no sweep runs.
+        z, diag = solve_exact(np.zeros((3, 5)), SolverConfig())
+        assert np.array_equal(z, np.zeros((5, 5)))
+        assert diag.converged and diag.iterations == 0 and diag.objective_value == 0.0
+        assert diag.feasibility_history == [] and diag.l_z == 0.0
 
 
 class TestParallelSweep:

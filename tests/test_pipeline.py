@@ -15,7 +15,7 @@ from oscluster import (
     normalize_columns,
     sce,
 )
-from oscluster.pipeline import METHODS
+from oscluster.pipeline import K_ESTIMATORS, METHODS
 
 
 class TestNormalizeColumns:
@@ -138,19 +138,27 @@ def edge_inputs(draw):
     return x, draw(st.none() | st.integers(1, n))
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(method=st.sampled_from(["osc-relaxed", "spatsc"]), inputs=edge_inputs())
-@example(method="osc-relaxed", inputs=(np.zeros((1, 2)), None))
-@example(method="spatsc", inputs=(np.zeros((3, 5)), 2))
-def test_degenerate_inputs_give_defined_results(method, inputs):
-    # A segmentation either succeeds with finite Z and labels in [0, k), or
-    # says why it cannot with ValueError or DivergenceError; no warning.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    method=st.sampled_from(METHODS),
+    k_method=st.sampled_from(K_ESTIMATORS),
+    inputs=edge_inputs(),
+)
+@example(method="osc-relaxed", k_method="eigengap", inputs=(np.zeros((1, 2)), None))
+@example(method="spatsc", k_method="eigengap", inputs=(np.zeros((3, 5)), 2))
+@example(method="osc-exact", k_method="eigengap", inputs=(np.zeros((1, 2)), None))
+def test_degenerate_inputs_give_defined_results(method, k_method, inputs):
+    # A segmentation by any method, with k given or estimated by any
+    # estimator, either succeeds with finite Z and labels in [0, k), or says
+    # why it cannot with ValueError or DivergenceError; no warning.
     x, k = inputs
     config = SolverConfig(lambda1=0.1, lambda2=0.01 if method == "spatsc" else 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
-            result = cluster_sequential(x, method=method, config=config, k=k)
+            result = cluster_sequential(
+                x, method=method, config=config, k=k, k_method=k_method, sv_tau=0.5
+            )
         except (ValueError, DivergenceError):
             return
     assert np.all(np.isfinite(result.z))

@@ -6,7 +6,6 @@ import pytest
 from oscluster import (
     SolverConfig,
     SyntheticSpec,
-    build_difference_operator,
     generate_synthetic,
     initial_relaxed_state,
     lyapunov_s,
@@ -22,6 +21,7 @@ from conftest import OSC_PARAMS
 from helpers import (
     assert_default_step_saves_sweeps,
     bisect_nonneg_lasso,
+    build_difference_operator,
     eta_z_with_fit_headroom,
     lasso_cd_matrix,
 )

@@ -17,6 +17,7 @@ from oscluster import (
     DivergenceError,
     SolverConfig,
     SyntheticSpec,
+    add_noise_psnr,
     exact_iteration,
     generate_synthetic,
     initial_exact_state,
@@ -25,11 +26,13 @@ from oscluster import (
     relaxed_iteration,
     solve_exact,
     solve_relaxed,
+    spatsc_solve,
     ssc_solve,
 )
 from oscluster.baselines import _stationarity_gap
 from oscluster.exact import ExactWorkspace
-from oscluster.relaxed import RelaxedWorkspace, _gram_factor
+from oscluster.relaxed import RelaxedWorkspace
+from oscluster.types import FitOperator, operator_norm_squared
 
 from helpers import (
     lasso_cd_matrix,
@@ -95,7 +98,7 @@ def check_chained_relaxed_sweeps(x, b, shared, j_prox, diag_zero):
     lam1, lam2, l_z, eta_z, eta_j = 0.1, 0.5, 3.0, 6.0, 1.02
     state = dataclasses.replace(initial_relaxed_state(d, n, 1.0), z=b["z"], j=b["j"], y=b["y"])
     want = (b["z"], b["j"], b["y"])
-    workspace = RelaxedWorkspace(n) if shared else None
+    workspace = RelaxedWorkspace(FitOperator(x)) if shared else None
     for sweep in range(SWEEPS):
         state = dataclasses.replace(state, mu=mu_at(sweep))
         state = relaxed_iteration(
@@ -130,7 +133,7 @@ def lasso_objectives(x, z, lam):
 
 @pytest.mark.parametrize("d, n, rank", SHAPES, ids=SHAPE_IDS)
 def test_ssc_matches_reference_across_shapes(d, n, rank):
-    # ssc's FISTA steps run on the workspace's fit step, Gram or factored
+    # ssc's FISTA steps run on the fit operator's step, Gram or factored
     # by shape, and take the extrapolated point's fit step from the last
     # two.  A KKT gap of 1e-6 pins each column's objective to far below
     # 1e-6; it pins Z only as well as the lasso is conditioned.
@@ -187,7 +190,7 @@ def test_workspace_recomputes_for_a_state_it_did_not_produce(warm):
     x, b = warm
     args = (0.1, 0.5, 3.0, 6.0, 1.02, False)
     start = dataclasses.replace(initial_relaxed_state(D, N, 1.0), z=b["z"], j=b["j"], y=b["y"])
-    workspace = RelaxedWorkspace(N)
+    workspace = RelaxedWorkspace(FitOperator(x))
     relaxed_iteration(x, start, *args, workspace=workspace)
     again = relaxed_iteration(x, start, *args, workspace=workspace)
     fresh = relaxed_iteration(x, start, *args)
@@ -195,26 +198,26 @@ def test_workspace_recomputes_for_a_state_it_did_not_produce(warm):
         assert np.array_equal(got, want)
 
 
-def test_workspace_recomputes_for_other_data(warm):
-    # The cached Gram matrix belongs to one data matrix.
+def test_workspace_refuses_other_data(warm):
+    # A workspace's fit operator belongs to one data matrix; an equal copy
+    # of that matrix counts as another.
     x, b = warm
-    other = warm_start(D, N, seed=12)[0]
     args = (0.1, 0.5, 3.0, 6.0, 1.02, False)
     start = dataclasses.replace(initial_relaxed_state(D, N, 1.0), z=b["z"], j=b["j"], y=b["y"])
-    workspace = RelaxedWorkspace(N)
-    relaxed_iteration(x, start, *args, workspace=workspace)
-    again = relaxed_iteration(other, start, *args, workspace=workspace)
-    fresh = relaxed_iteration(other, start, *args)
-    for got, want in zip((again.z, again.j, again.y), (fresh.z, fresh.j, fresh.y)):
-        assert np.array_equal(got, want)
+    workspace = RelaxedWorkspace(FitOperator(x))
+    for other in (warm_start(D, N, seed=12)[0], x.copy()):
+        with pytest.raises(ValueError, match="another data matrix"):
+            relaxed_iteration(other, start, *args, workspace=workspace)
 
 
 def check_fit_step(x, z, factored):
-    """The workspace's fit step against G - G Z taken densely, to 1e-12 of
-    the size of G Z, so at any scale of X."""
-    workspace = RelaxedWorkspace(x.shape[1])
-    got = workspace.fit_step(x, z)
-    assert (workspace.factor is not None) == factored
+    """The operator's fit step against G - G Z taken densely, to 1e-12 of
+    the size of G Z, so at any scale of X; its l_z is bitwise
+    operator_norm_squared's."""
+    fit = FitOperator(x)
+    got = fit.fit(z)
+    assert (fit.factor is not None) == factored
+    assert fit.l_z == operator_norm_squared(x)
     gram = x.T @ x
     scale = np.max(np.abs(gram)) * max(1.0, np.max(np.sum(np.abs(z), axis=0)))
     assert np.max(np.abs(got - (gram - gram @ z))) <= 1e-12 * scale
@@ -239,19 +242,20 @@ def test_fit_step_matches_dense_gram_form(d, n, rank, factored):
 
 
 def test_fit_step_of_zero_data_is_zero():
-    workspace = RelaxedWorkspace(6)
+    fit = FitOperator(np.zeros((4, 6)))
     z = np.random.default_rng(0).standard_normal((6, 6))
-    assert np.array_equal(workspace.fit_step(np.zeros((4, 6)), z), np.zeros((6, 6)))
-    assert workspace.factor[0].shape == (6, 0)
+    assert np.array_equal(fit.fit(z), np.zeros((6, 6)))
+    assert fit.l_z == 0.0 and fit.rank == 0 and fit.factor[0].shape == (6, 0)
 
 
 def test_gram_factor_rank_is_the_numerical_rank():
     rng = np.random.default_rng(3)
     for rank in range(6):
-        x = low_rank(rng, 12, 20, rank)
-        assert _gram_factor(x).shape == (20, rank)
+        fit = FitOperator(low_rank(rng, 12, 20, rank))
+        assert fit.rank == rank and fit.factor[0].shape == (20, rank)
     # Half of N or more: no factor.
-    assert _gram_factor(low_rank(rng, 12, 20, 10)) is None
+    fit = FitOperator(low_rank(rng, 12, 20, 10))
+    assert fit.rank == 10 and fit.factor is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,23 +274,39 @@ def test_factored_fit_step_matches_gram_form(d, n, rank, log_scale, seed):
     check_fit_step(x, rng.standard_normal((n, n)), factored=True)
 
 
-@pytest.mark.parametrize("ranks", [(3, 5, None, 3), (None, 2)], ids=["3-5-full-3", "full-2"])
-def test_workspace_rebuilds_its_fit_operator_for_other_data(ranks):
-    # One workspace fed data matrices of other ranks, factored and not,
-    # matches a fresh workspace on each.
-    n = 16
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal((n, n))
-    workspace = RelaxedWorkspace(n)
-    for rank in ranks:
-        x = low_rank(rng, 12, n, rank)
-        assert np.array_equal(workspace.fit_step(x, z), RelaxedWorkspace(n).fit_step(x, z))
-
-
 @pytest.fixture(scope="module")
 def protocol_x():
     x, _ = generate_synthetic(SyntheticSpec(seed=0))
     return normalize_columns(x)
+
+
+SOLVES = {
+    "relaxed": solve_relaxed,
+    "spatsc": lambda x, config: spatsc_solve(x, 0.1, 0.01, config=config),
+    "ssc": lambda x, config: ssc_solve(x, 0.2, config=config),
+    "exact": solve_exact,
+}
+
+
+@pytest.mark.parametrize("solve", list(SOLVES))
+@pytest.mark.parametrize("rank", [20, 100], ids=["rank20", "full-rank"])
+def test_one_eigenvalue_solve_per_solve(protocol_x, monkeypatch, solve, rank):
+    # l_z and the rank of X come from one eigvalsh of the smaller Gram
+    # matrix; the factored fit step (2 r < N) adds one eigh for its factor.
+    # osc-exact takes only l_z.
+    x = protocol_x
+    if rank == 100:
+        x = normalize_columns(add_noise_psnr(protocol_x, 20.0, seed=1))
+    assert np.linalg.matrix_rank(x) == rank
+    calls = dict.fromkeys(("eigvalsh", "eigh"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    SOLVES[solve](x, SolverConfig(max_iter=5))
+    assert calls == {"eigvalsh": 1, "eigh": int(rank == 20 and solve != "exact")}
 
 
 def assert_same_solve(z, diag, reference):

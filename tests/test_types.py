@@ -8,11 +8,12 @@ from oscluster import (
     as_coefficient_matrix,
     as_data_matrix,
     as_labels,
-    build_difference_operator,
     column_differences,
     operator_norm_squared,
 )
 from oscluster.types import difference_norm_squared, frobenius_distance
+
+from helpers import build_difference_operator
 
 
 class TestDifferenceOperator:
