@@ -15,7 +15,7 @@ from .datagen import (
     generate_semisynthetic,
     generate_synthetic,
 )
-from .exact import ExactState, exact_iteration, initial_exact_state, solve_exact
+from .exact import ExactState, initial_exact_state, solve_exact
 from .matio import (
     load_int_array,
     load_matrix,
@@ -24,19 +24,7 @@ from .matio import (
 )
 from .metrics import psnr, sce
 from .pipeline import ClusterResult, cluster_sequential, estimate_k, normalize_columns
-from .relaxed import (
-    RelaxedState,
-    initial_relaxed_state,
-    lyapunov_s,
-    relaxed_iteration,
-    solve_relaxed,
-)
-from .prox import (
-    group_shrink_columns,
-    ridge_error_update,
-    soft_threshold,
-    soft_threshold_zero_diag,
-)
+from .relaxed import RelaxedState, initial_relaxed_state, solve_relaxed
 from .spectral import (
     build_affinity,
     detect_boundaries_peaks,
@@ -47,17 +35,7 @@ from .spectral import (
     normalized_laplacian,
     unnormalized_laplacian,
 )
-from .types import (
-    DivergenceError,
-    SolveDiagnostics,
-    SolverConfig,
-    apply_difference_adjoint,
-    as_coefficient_matrix,
-    as_data_matrix,
-    as_labels,
-    column_differences,
-    operator_norm_squared,
-)
+from .types import DivergenceError, SolveDiagnostics, SolverConfig
 
 __version__ = "0.1.0"
 
@@ -70,40 +48,27 @@ __all__ = [
     "SolverConfig",
     "SyntheticSpec",
     "add_noise_psnr",
-    "apply_difference_adjoint",
-    "as_coefficient_matrix",
-    "as_data_matrix",
-    "as_labels",
     "build_affinity",
     "cluster_sequential",
-    "column_differences",
     "detect_boundaries_peaks",
     "estimate_k",
     "estimate_k_eigengap",
     "estimate_k_sv_threshold",
-    "exact_iteration",
     "generate_semisynthetic",
     "generate_synthetic",
-    "group_shrink_columns",
     "initial_exact_state",
     "initial_relaxed_state",
     "kmeans",
     "load_int_array",
     "load_matrix",
-    "lyapunov_s",
     "ncut_cluster",
     "normalize_columns",
     "normalized_laplacian",
-    "operator_norm_squared",
     "psnr",
-    "relaxed_iteration",
-    "ridge_error_update",
     "save_int_array",
     "save_matrix",
     "sce",
     "sim_closed_form",
-    "soft_threshold",
-    "soft_threshold_zero_diag",
     "solve_exact",
     "solve_relaxed",
     "spatsc_solve",

@@ -9,8 +9,24 @@ pass to ``run`` as closures.
 from __future__ import annotations
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
+
+
+def buffer_sets(**shapes):
+    """Two sets of sweep output buffers, each with one array per named shape.
+
+    A sweep writes its iterate into ``free_set(sets, z)``, the set that does
+    not hold its input's ``z``, so an iterate survives the next sweep and is
+    overwritten by the one after.
+    """
+    return tuple(SimpleNamespace(**{k: np.empty(s) for k, s in shapes.items()}) for _ in range(2))
+
+
+def free_set(sets, z):
+    """The one of the two ``sets`` whose ``z`` is not ``z``."""
+    return sets[1] if z is sets[0].z else sets[0]
 
 
 def start_state(initial_state, default):

@@ -68,20 +68,21 @@ def _add_generate_parser(sub):
 
 
 def _add_cluster_parser(sub):
+    defaults = SolverConfig()
     p = sub.add_parser("cluster", help="segment an ordered data file")
     p.add_argument("data", help="matrix file (.csv or .json), one sample per column")
     p.add_argument("--method", choices=METHODS, default="osc-relaxed")
     p.add_argument("--k", type=int, default=None, help="cluster count (default: estimate)")
     p.add_argument("--estimate-k", choices=K_ESTIMATORS, default="eigengap")
     p.add_argument("--tau", type=float, default=None, help="threshold for sv-threshold estimation")
-    p.add_argument("--lambda1", type=float, default=0.1)
-    p.add_argument("--lambda2", type=float, default=1.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--mu-max", type=float, default=1e10)
-    p.add_argument("--gamma0", type=float, default=1.1)
-    p.add_argument("--eps1", type=float, default=1e-4)
-    p.add_argument("--eps2", type=float, default=1e-4)
-    p.add_argument("--max-iter", type=int, default=2000)
+    p.add_argument("--lambda1", type=float, default=defaults.lambda1)
+    p.add_argument("--lambda2", type=float, default=defaults.lambda2)
+    p.add_argument("--mu", type=float, default=defaults.mu0)
+    p.add_argument("--mu-max", type=float, default=defaults.mu_max)
+    p.add_argument("--gamma0", type=float, default=defaults.gamma0)
+    p.add_argument("--eps1", type=float, default=defaults.eps1)
+    p.add_argument("--eps2", type=float, default=defaults.eps2)
+    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
     p.add_argument("--diag-zero", action="store_true", help="constrain diag(Z) = 0")
     p.add_argument("--no-normalize", action="store_true", help="skip unit-norm column scaling")
     p.add_argument("--seed", type=int, default=0, help="clustering restart seed")

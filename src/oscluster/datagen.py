@@ -165,13 +165,13 @@ def add_noise_psnr(a, target_psnr_db, seed=0):
 
     The noise draw is rescaled in closed form against its realized energy,
     so the measured PSNR of the output equals ``target_psnr_db`` up to
-    float rounding.  Requires a positive target and a nonconstant ``a``
-    with positive maximum.
+    float rounding.  Requires a positive target (infinity returns ``a``
+    unchanged; NaN is refused) and a nonconstant ``a`` with positive maximum.
     """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         raise ValueError("matrix must be nonempty")
-    if target_psnr_db <= 0:
+    if not target_psnr_db > 0:
         raise ValueError(f"target PSNR must be positive, got {target_psnr_db}")
     if np.all(a == a.flat[0]):
         raise ValueError("matrix must not be constant")

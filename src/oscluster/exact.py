@@ -64,31 +64,22 @@ def initial_exact_state(d, n, mu0):
 class ExactWorkspace:
     """Buffers shared by the sweeps of one solve on a D x N data matrix.
 
-    A sweep writes its iterate into whichever of two buffer sets does not
-    hold its input, so an iterate survives the next sweep and is
-    overwritten by the one after.  The workspace keeps products of the
-    iterate it last produced: X Z - X, the fit residual X Z - X + E, Z R and
-    the coupling residual J - Z R, plus that sweep's step dZ and dZ R.  A
-    sweep that starts from any other iterate recomputes them from its state.
+    Besides two output sets (see ``admm.buffer_sets``) the workspace keeps
+    products of the iterate it last produced: X Z - X, the fit residual
+    X Z - X + E, Z R and the coupling residual J - Z R, plus that sweep's
+    step dZ (in ``nn``) and dZ R.  A sweep that starts from any other
+    iterate recomputes them from its state.
     """
 
     def __init__(self, d, n):
-        self.z = (np.empty((n, n)), np.empty((n, n)))
-        self.e = (np.empty((d, n)), np.empty((d, n)))
-        self.j = (np.empty((n, n - 1)), np.empty((n, n - 1)))
-        self.y1 = (np.empty((d, n)), np.empty((d, n)))
-        self.y2 = (np.empty((n, n - 1)), np.empty((n, n - 1)))
-        self.dz = np.empty((n, n))  # dZ of the last sweep
+        self.sets = admm.buffer_sets(z=(n, n), e=(d, n), j=(n, n - 1), y1=(d, n), y2=(n, n - 1))
         self.zr = np.empty((n, n - 1))  # Z R of the iterate in ``_of``
         self.dzr = np.empty((n, n - 1))  # dZ R of the last sweep
         self.xz_x = np.empty((d, n))  # X Z - X
         self.fit = np.empty((d, n))  # X Z - X + E
         self.coupling = np.empty((n, n - 1))  # J - Z R
-        self.dn = np.empty((d, n))
-        self.nm = np.empty((n, n - 1))
-        self.nn = np.empty((n, n))
-        # Holds an N x N product in a sweep and a D x N difference after it.
-        self.scratch = np.empty(max(d, n) * n)
+        self.nn = np.empty((n, n))  # the gradient step, then dZ of the last sweep
+        self.scratch = np.empty(max(d, n) * n)  # for the step distances of a solve
         self._of = None
 
     def sync(self, x, state):
@@ -112,20 +103,19 @@ def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace=
     ws = workspace if workspace is not None else ExactWorkspace(*x.shape)
     ws.sync(x, state)
     z, y1, y2, mu = state.z, state.y1, state.y2, state.mu
-    n = z.shape[0]
     sigma_z = mu * eta_z
     sigma_j = mu * eta_j
-    slot = 1 if z is ws.z[0] else 0
-    z_new, e_new, j_new = ws.z[slot], ws.e[slot], ws.j[slot]
-    y1_new, y2_new = ws.y1[slot], ws.y2[slot]
+    out = admm.free_set(ws.sets, z)
+    z_new, e_new, j_new, y1_new, y2_new = out.z, out.e, out.j, out.y1, out.y2
 
-    # grad = X^T (Y1 + mu (X Z - X + E)) - (Y2 + mu (J - Z R)) R^T
-    a = np.multiply(ws.fit, mu, out=ws.dn)
+    # grad = X^T (Y1 + mu (X Z - X + E)) - (Y2 + mu (J - Z R)) R^T.  Each
+    # temporary lives in an output slot until that slot takes its block.
+    a = np.multiply(ws.fit, mu, out=y1_new)
     a += y1
     grad = np.matmul(x.T, a, out=ws.nn)
-    b = np.multiply(ws.coupling, mu, out=ws.nm)
+    b = np.multiply(ws.coupling, mu, out=y2_new)
     b += y2
-    grad -= apply_difference_adjoint(b, out=ws.scratch[: n * n].reshape(n, n))
+    grad -= apply_difference_adjoint(b, out=z_new)
     grad /= sigma_z
     v = np.subtract(z, grad, out=grad)
     if diag_zero:
@@ -135,13 +125,13 @@ def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace=
 
     ridge_error_update(ws.xz_x, y1, mu, out=e_new)
 
-    u = np.divide(y2, sigma_j, out=ws.nm)
+    u = np.divide(y2, sigma_j, out=y2_new)
     np.subtract(ws.zr, u, out=u)
     group_shrink_columns(u, lam2 / sigma_j, out=j_new)
 
     # Products of the new iterate, each computed once.
     column_differences(z_new, out=ws.zr)
-    column_differences(np.subtract(z_new, z, out=ws.dz), out=ws.dzr)
+    column_differences(np.subtract(z_new, z, out=ws.nn), out=ws.dzr)
     np.subtract(np.matmul(x, z_new, out=ws.xz_x), x, out=ws.xz_x)
     np.add(ws.xz_x, e_new, out=ws.fit)
     np.subtract(j_new, ws.zr, out=ws.coupling)
@@ -193,7 +183,7 @@ def solve_exact(x, config=None, initial_state=None):
 
     def measure(old, new):
         steps = (
-            float(np.linalg.norm(workspace.dz)),
+            float(np.linalg.norm(workspace.nn)),  # dZ
             frobenius_distance(new.e, old.e, workspace.scratch),
             frobenius_distance(new.j, old.j, workspace.scratch),
             float(np.linalg.norm(workspace.dzr)),

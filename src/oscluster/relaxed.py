@@ -59,26 +59,19 @@ def initial_relaxed_state(d, n, mu0):
 
 class RelaxedWorkspace:
     """Buffers shared by the sweeps of one solve, on the data matrix of the
-    FitOperator ``operator``.
-
-    A sweep writes its iterate into whichever of two buffer sets does not
-    hold its input, so an iterate survives the next sweep and is
-    overwritten by the one after.  The workspace also keeps the constraint
-    residual J - Z R of the iterate it last produced; a sweep that starts
-    from any other iterate recomputes it from its state.
+    FitOperator ``operator``: two output sets (see ``admm.buffer_sets``),
+    Z R, the fit step and the constraint residual J - Z R of the iterate it
+    last produced.  A sweep that starts from any other iterate recomputes
+    that residual from its state.
     """
 
     def __init__(self, operator):
         n = operator.x.shape[1]
         self.operator = operator
-        self.z = (np.empty((n, n)), np.empty((n, n)))
-        self.j = (np.empty((n, n - 1)), np.empty((n, n - 1)))
-        self.y = (np.empty((n, n - 1)), np.empty((n, n - 1)))
+        self.sets = admm.buffer_sets(z=(n, n), j=(n, n - 1), y=(n, n - 1))
         self.zr = np.empty((n, n - 1))
         self.residual = np.empty((n, n - 1))  # J - Z R of the iterate in ``_of``
-        self.nm = np.empty((n, n - 1))
-        self.fit = np.empty((n, n))  # the fit step
-        self.scratch = np.empty(n * n)
+        self.fit = np.empty((n, n))  # the fit step; after a sweep, scratch
         self._of = None
 
     def sync(self, state):
@@ -110,15 +103,16 @@ def relaxed_iteration(
     z, y, mu = state.z, state.y, state.mu
     step = mu * eta_z + l_z
     sigma_j = mu * eta_j
-    slot = 1 if z is ws.z[0] else 0
-    z_new, j_new, y_new = ws.z[slot], ws.j[slot], ws.y[slot]
+    out = admm.free_set(ws.sets, z)
+    z_new, j_new, y_new = out.z, out.j, out.y
 
     # V = Z + (X^T (X - X Z) + (Y + mu (J - Z R)) R^T) / (sigma_z + l_z),
-    # built in place over the fit step.
+    # built in place over the fit step.  Each temporary lives in an output
+    # slot until that slot takes its block.
     v = ws.operator.fit(z, out=ws.fit)
-    y_tilde = np.multiply(ws.residual, mu, out=ws.nm)
+    y_tilde = np.multiply(ws.residual, mu, out=y_new)
     y_tilde += y
-    v += apply_difference_adjoint(y_tilde, out=ws.scratch.reshape(v.shape))
+    v += apply_difference_adjoint(y_tilde, out=z_new)
     v /= step
     v += z
     threshold = lam1 / step
@@ -128,7 +122,7 @@ def relaxed_iteration(
         soft_threshold(v, threshold, out=z_new)
 
     zr = column_differences(z_new, out=ws.zr)
-    u = np.divide(y, sigma_j, out=ws.nm)
+    u = np.divide(y, sigma_j, out=y_new)
     np.subtract(zr, u, out=u)
     if j_prox == "l12":
         group_shrink_columns(u, lam2 / sigma_j, out=j_new)
@@ -215,8 +209,8 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
         )
 
     def measure(old, new):
-        dz = frobenius_distance(new.z, old.z, workspace.scratch)
-        dj = frobenius_distance(new.j, old.j, workspace.scratch)
+        dz = frobenius_distance(new.z, old.z, workspace.fit)
+        dj = frobenius_distance(new.j, old.j, workspace.fit)
         # The distances are finite only where both iterates' Z and J are.
         check_finite(dz + dj + float(np.sum(new.y)), (new.z, new.j, new.y), new.iteration)
         feasibility = float(np.linalg.norm(workspace.residual))

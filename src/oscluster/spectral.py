@@ -104,6 +104,12 @@ def check_cluster_count(k, n):
         raise ValueError(f"k must be an int in [1, {n}], got {k!r}")
 
 
+def check_restarts(restarts):
+    """Raise ValueError unless ``restarts`` is a positive int (not a bool)."""
+    if not is_int(restarts) or restarts < 1:
+        raise ValueError(f"restarts must be a positive int, got {restarts!r}")
+
+
 def kmeans(points, k, seed=0, restarts=20):
     """Best-of-``restarts`` k-means with D^2 seeding.
 
@@ -115,6 +121,7 @@ def kmeans(points, k, seed=0, restarts=20):
         raise ValueError(f"need a nonempty 2-D point array, got shape {points.shape}")
     n = points.shape[0]
     check_cluster_count(k, n)
+    check_restarts(restarts)
     if k == 1:
         return np.zeros(n, dtype=int)
     best_labels, best_inertia = None, np.inf
@@ -141,6 +148,7 @@ def ncut_cluster(w, k, seed=0, restarts=20, normalized=True):
     any basis of the tied eigenspace is an equally valid answer, and the
     labels may depend on which one the solver returns.
     """
+    check_restarts(restarts)
     # The Laplacians validate the affinity.
     lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
     n = lap.shape[0]
@@ -163,8 +171,8 @@ def _singular_values(w):
 def estimate_k_sv_threshold(w, tau):
     """Number of singular values of W above the absolute threshold tau."""
     w = _check_affinity(w)
-    if tau <= 0:
-        raise ValueError(f"threshold tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"threshold tau must be positive and finite, got {tau}")
     return int(np.sum(_singular_values(w) > tau))
 
 

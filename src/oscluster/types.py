@@ -116,13 +116,14 @@ def difference_norm_squared(n):
 
 
 def frobenius_distance(a, b, scratch):
-    """||a - b||_F, with the difference written into the flat buffer ``scratch``.
+    """||a - b||_F, with the difference written into the contiguous buffer
+    ``scratch`` of any shape.
 
     ``scratch`` must hold at least ``a.size`` entries.
     """
     if scratch.size < a.size:
         raise ValueError(f"scratch holds {scratch.size} entries, need {a.size}")
-    diff = np.subtract(a, b, out=scratch[: a.size].reshape(a.shape))
+    diff = np.subtract(a, b, out=scratch.reshape(-1)[: a.size].reshape(a.shape))
     return float(np.linalg.norm(diff))
 
 

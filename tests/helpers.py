@@ -15,11 +15,10 @@ from oscluster import (
     kmeans,
     ncut_cluster,
     normalized_laplacian,
-    operator_norm_squared,
     unnormalized_laplacian,
 )
 from oscluster.spectral import _ZERO_ROW_NORM
-from oscluster.types import difference_norm_squared
+from oscluster.types import difference_norm_squared, operator_norm_squared
 
 
 def grid_prox_l1(v, tau, step=1e-3):

@@ -17,14 +17,12 @@ from oscluster import (
     estimate_k_eigengap,
     estimate_k_sv_threshold,
     generate_synthetic,
-    group_shrink_columns,
     normalize_columns,
-    ridge_error_update,
     sce,
     sim_closed_form,
-    soft_threshold,
     solve_relaxed,
 )
+from oscluster.prox import group_shrink_columns, ridge_error_update, soft_threshold
 
 from conftest import OSC_PARAMS, SWEEP_ELAPSED
 from helpers import (

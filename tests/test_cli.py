@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from oscluster import DivergenceError, load_int_array, load_matrix, save_matrix
+from oscluster import DivergenceError, SolverConfig, load_int_array, load_matrix, save_matrix
 from oscluster.cli import main
 
 
@@ -57,6 +57,12 @@ class TestGenerate:
         report = json.loads(capsys.readouterr().out)
         assert report["psnr_db"] == 20.0
         assert load_matrix(out).shape == (100, 100)
+
+    def test_nan_psnr_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["generate", "--out", str(out), "--psnr", "nan"]) == 2
+        assert "PSNR" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_spec_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -120,6 +126,27 @@ class TestCluster:
         report = json.loads(capsys.readouterr().out)
         assert report["k"] == 5
         assert report["k_was_estimated"] is True
+
+    def test_solver_defaults_are_the_config_defaults(self, table_dataset, monkeypatch):
+        seen = {}
+
+        def solve(x, **kwargs):
+            seen.update(kwargs)
+            raise ValueError("stop before solving")
+
+        monkeypatch.setattr("oscluster.cli.cluster_sequential", solve)
+        assert main(["cluster", str(table_dataset)]) == 2
+        assert seen["config"] == SolverConfig()
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_nonfinite_tau_is_usage_error(self, tmp_path, capsys, tau):
+        data = tmp_path / "s.csv"
+        assert main(["generate", "--out", str(data), "--subspaces", "2", "--points", "10"]) == 0
+        capsys.readouterr()
+        code = main(["cluster", str(data), "--estimate-k", "sv-threshold", "--tau", tau])
+        assert code == 2
+        assert "tau" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.labels.json"]
 
     def test_k_one(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

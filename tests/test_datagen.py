@@ -160,6 +160,15 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise_psnr(x, 0.0)
 
+    def test_rejects_nan_target(self):
+        x = np.ones((3, 3)) + np.eye(3)
+        with pytest.raises(ValueError, match="PSNR"):
+            add_noise_psnr(x, float("nan"))
+
+    def test_infinite_target_returns_the_clean_matrix(self):
+        x = np.ones((3, 3)) + np.eye(3)
+        assert np.array_equal(add_noise_psnr(x, float("inf")), x)
+
     def test_rejects_constant_matrix(self):
         with pytest.raises(ValueError):
             add_noise_psnr(np.ones((3, 3)), 20.0)

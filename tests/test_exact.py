@@ -6,11 +6,11 @@ import pytest
 from oscluster import (
     DivergenceError,
     SolverConfig,
-    exact_iteration,
     initial_exact_state,
-    operator_norm_squared,
     solve_exact,
 )
+from oscluster.exact import exact_iteration
+from oscluster.types import operator_norm_squared
 
 from helpers import build_difference_operator
 

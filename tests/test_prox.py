@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oscluster import group_shrink_columns, ridge_error_update, soft_threshold
+from oscluster.prox import group_shrink_columns, ridge_error_update, soft_threshold
 
 from helpers import (
     first_order_group_prox,

@@ -8,14 +8,12 @@ from oscluster import (
     SyntheticSpec,
     generate_synthetic,
     initial_relaxed_state,
-    lyapunov_s,
     normalize_columns,
-    operator_norm_squared,
-    relaxed_iteration,
     solve_relaxed,
     spatsc_solve,
 )
-from oscluster.types import difference_norm_squared
+from oscluster.relaxed import lyapunov_s, relaxed_iteration
+from oscluster.types import difference_norm_squared, operator_norm_squared
 
 from conftest import OSC_PARAMS
 from helpers import (

@@ -208,6 +208,16 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.ones((3, 2)), 4)
 
+    @pytest.mark.parametrize("restarts", [0, -1, 1.5, True], ids=["zero", "negative", "float", "bool"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rejects_restarts_that_are_not_positive_ints(self, rng, restarts, k):
+        pts = rng.standard_normal((6, 2))
+        with pytest.raises(ValueError, match="restarts"):
+            kmeans(pts, k, restarts=restarts)
+        w = np.abs(pts @ pts.T)
+        with pytest.raises(ValueError, match="restarts"):
+            ncut_cluster(w, k, restarts=restarts)
+
 
 class TestCountEstimation:
     def test_sv_threshold_identity(self):
@@ -224,6 +234,11 @@ class TestCountEstimation:
     def test_sv_threshold_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
             estimate_k_sv_threshold(np.eye(3), 0.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_sv_threshold_rejects_nonfinite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            estimate_k_sv_threshold(np.eye(3), tau)
 
     @pytest.mark.parametrize("n", [2, 7, 40])
     def test_singular_values_match_svd(self, rng, n):

@@ -18,20 +18,18 @@ from oscluster import (
     SolverConfig,
     SyntheticSpec,
     add_noise_psnr,
-    exact_iteration,
     generate_synthetic,
     initial_exact_state,
     initial_relaxed_state,
     normalize_columns,
-    relaxed_iteration,
     solve_exact,
     solve_relaxed,
     spatsc_solve,
     ssc_solve,
 )
 from oscluster.baselines import _stationarity_gap
-from oscluster.exact import ExactWorkspace
-from oscluster.relaxed import RelaxedWorkspace
+from oscluster.exact import ExactWorkspace, exact_iteration
+from oscluster.relaxed import RelaxedWorkspace, relaxed_iteration
 from oscluster.types import FitOperator, operator_norm_squared
 
 from helpers import (
@@ -196,6 +194,27 @@ def test_workspace_recomputes_for_a_state_it_did_not_produce(warm):
     fresh = relaxed_iteration(x, start, *args)
     for got, want in zip((again.z, again.j, again.y), (fresh.z, fresh.j, fresh.y)):
         assert np.array_equal(got, want)
+
+
+def owned_arrays(workspace):
+    """The arrays a workspace allocated: its own and its two output sets'."""
+    owned = [a for a in vars(workspace).values() if isinstance(a, np.ndarray)]
+    return owned + [a for out in workspace.sets for a in vars(out).values()]
+
+
+@pytest.mark.parametrize("d, n", [(D, N), (20, 12)], ids=["d<n", "d>n"])
+def test_workspace_sizes(d, n):
+    # Relaxed: Z, J, Y twice, then Z R, J - Z R and the fit step.  Exact: 11
+    # N x N-sized arrays (Z, J, Y2 twice, Z R, dZ R, J - Z R, the gradient
+    # step and a max(D, N) x N distance buffer) and 6 D x N (E, Y1 twice,
+    # X Z - X and X Z - X + E).
+    square, band = n * n, n * (n - 1)
+    relaxed = owned_arrays(RelaxedWorkspace(FitOperator(np.ones((d, n)))))
+    assert len(relaxed) == 9
+    assert sum(a.nbytes for a in relaxed) == 8 * (3 * square + 6 * band)
+    exact = owned_arrays(ExactWorkspace(d, n))
+    assert len(exact) == 11 + 6
+    assert sum(a.nbytes for a in exact) == 8 * (3 * square + 7 * band + max(d, n) * n + 6 * d * n)
 
 
 def test_workspace_refuses_other_data(warm):

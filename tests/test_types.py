@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from oscluster import (
-    SolveDiagnostics,
-    SolverConfig,
+from oscluster import SolveDiagnostics, SolverConfig
+from oscluster.types import (
     apply_difference_adjoint,
     as_coefficient_matrix,
     as_data_matrix,
     as_labels,
     column_differences,
+    difference_norm_squared,
+    frobenius_distance,
     operator_norm_squared,
 )
-from oscluster.types import difference_norm_squared, frobenius_distance
 
 from helpers import build_difference_operator
 
@@ -68,6 +68,12 @@ class TestFrobeniusDistance:
         a, b = rng.standard_normal((2, 7, 3))
         scratch = np.empty(30)
         assert frobenius_distance(a, b, scratch) == np.linalg.norm(a - b)
+
+    def test_scratch_of_another_shape(self):
+        # The relaxed solver measures an N x (N-1) step in its N x N fit buffer.
+        rng = np.random.default_rng(1)
+        a, b = rng.standard_normal((2, 5, 4))
+        assert frobenius_distance(a, b, np.empty((5, 5))) == np.linalg.norm(a - b)
 
     def test_scratch_too_small(self):
         with pytest.raises(ValueError, match="scratch"):
