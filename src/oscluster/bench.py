@@ -39,6 +39,7 @@ from .datagen import SyntheticSpec, add_noise_psnr, generate_semisynthetic, gene
 from .matio import load_matrix
 from .metrics import sce
 from .pipeline import K_ESTIMATORS, METHODS, cluster_sequential
+from .spectral import check_threshold
 from .types import SolverConfig, is_int
 
 DEFAULT_PSNR_GRID = (math.inf, 40.0, 30.0, 20.0, 15.0, 10.0)
@@ -116,6 +117,8 @@ def parse_bench_config(raw):
         raise ValueError(f"k must be null or a positive int, got {cfg['k']!r}")
     if cfg["k_method"] not in K_ESTIMATORS:
         raise ValueError(f"unknown k_method {cfg['k_method']!r} (choose from {K_ESTIMATORS})")
+    if cfg["k"] is None and cfg["k_method"] == "sv-threshold":
+        check_threshold(cfg["sv_tau"])
     return cfg
 
 

@@ -20,6 +20,7 @@ from .relaxed import solve_relaxed
 from .spectral import (
     build_affinity,
     check_cluster_count,
+    check_threshold,
     estimate_k_eigengap,
     estimate_k_sv_threshold,
     ncut_cluster,
@@ -50,17 +51,20 @@ def normalize_columns(x):
     return x / np.where(norms > 0, norms, 1.0)[None, :]
 
 
+def check_k_method(method):
+    """Raise ValueError unless ``method`` is in K_ESTIMATORS."""
+    if method not in K_ESTIMATORS:
+        raise ValueError(f"unknown k estimator {method!r} (choose from {K_ESTIMATORS})")
+
+
 def estimate_k(w, method="eigengap", tau=None):
     """Cluster count from an affinity spectrum."""
+    check_k_method(method)
     if method == "eigengap":
         return estimate_k_eigengap(w)
     if method == "svd-gap":
         return estimate_k_eigengap(w, singular_values=True)
-    if method == "sv-threshold":
-        if tau is None:
-            raise ValueError("sv-threshold estimation needs tau")
-        return estimate_k_sv_threshold(w, tau)
-    raise ValueError(f"unknown k estimator {method!r} (choose from {K_ESTIMATORS})")
+    return estimate_k_sv_threshold(w, tau)
 
 
 def solve_coefficients(x, method, config):
@@ -97,9 +101,12 @@ def cluster_sequential(
     the clustering, not any file handling around it.
     """
     x = as_data_matrix(x)
+    # Before the solve, which bad k settings would only waste.
+    check_k_method(k_method)
     if k is not None:
-        # Before the solve, which a bad k would only waste.
         check_cluster_count(k, x.shape[1])
+    elif k_method == "sv-threshold":
+        check_threshold(sv_tau)
     config = config if config is not None else SolverConfig()
     start = time.perf_counter()
     data = normalize_columns(x) if normalize else x

@@ -3,6 +3,8 @@ boundary detection on ordered coefficient matrices."""
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 import scipy.linalg
 
@@ -104,6 +106,12 @@ def check_cluster_count(k, n):
         raise ValueError(f"k must be an int in [1, {n}], got {k!r}")
 
 
+def check_threshold(tau):
+    """Raise ValueError unless ``tau`` is a positive finite real (not a bool)."""
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0 < tau < np.inf:
+        raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
+
+
 def check_restarts(restarts):
     """Raise ValueError unless ``restarts`` is a positive int (not a bool)."""
     if not is_int(restarts) or restarts < 1:
@@ -171,8 +179,7 @@ def _singular_values(w):
 def estimate_k_sv_threshold(w, tau):
     """Number of singular values of W above the absolute threshold tau."""
     w = _check_affinity(w)
-    if not 0 < tau < np.inf:
-        raise ValueError(f"threshold tau must be positive and finite, got {tau}")
+    check_threshold(tau)
     return int(np.sum(_singular_values(w) > tau))
 
 

@@ -67,10 +67,15 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         ({"repeats": True}, "repeats must be an int"),
         ({"normalize": "false"}, "normalize must be true or false"),
         ({"psnr_db": [None, True]}, "bad psnr entry True"),
+        ({"k_method": "sv-threshold"}, "tau"),
+        ({"k_method": "sv-threshold", "sv_tau": -0.5}, "tau"),
+        ({"k_method": "sv-threshold", "sv_tau": "0.5"}, "tau"),
+        ({"k_method": "sv-threshold", "sv_tau": True}, "tau"),
     ],
     ids=[
         "unknown-key", "timing", "method", "k-method", "generator-str", "generator-key",
         "seed-float", "seed-str", "repeats-float", "repeats-bool", "normalize-str", "psnr-bool",
+        "tau-missing", "tau-negative", "tau-str", "tau-bool",
     ],
 )
 def test_malformed_config_rejected_before_the_run(tmp_path, change, message):

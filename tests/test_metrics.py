@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from oscluster import psnr, sce
+from oscluster.metrics import _max_assignment
 
 from helpers import brute_force_sce
 
@@ -54,6 +56,30 @@ class TestClusteringError:
     def test_surplus_predicted_labels_count_as_errors(self):
         # 4 predicted singletons vs 2 true groups: only 2 can match.
         assert sce([0, 1, 2, 3], [0, 0, 1, 1]) == 0.5
+
+    @pytest.mark.parametrize("kp, kt", [(1, 7), (7, 1), (2, 7), (7, 3), (4, 6), (7, 7)])
+    def test_rectangular_and_tied_confusions_match_brute_force(self, rng, kp, kt):
+        # Counts from {0, 1, 2} tie many matchings; an all-ones confusion
+        # ties every one of them.
+        tables = [rng.integers(0, 3, size=(kp, kt)) for _ in range(8)]
+        for counts in tables + [np.ones((kp, kt), dtype=int)]:
+            counts[0, 0] += 1
+            predicted = np.repeat(np.repeat(np.arange(kp), kt), counts.ravel())
+            truth = np.repeat(np.tile(np.arange(kt), kp), counts.ravel())
+            assert sce(predicted, truth) == brute_force_sce(predicted, truth)
+
+    def test_shuffled_singletons_score_zero(self, rng):
+        assert sce(rng.permutation(1600), np.arange(1600)) == 0.0
+
+    def test_many_classes_match_scipy_assignment(self, rng):
+        _, p = np.unique(rng.integers(0, 200, size=1600), return_inverse=True)
+        _, t = np.unique(rng.integers(0, 200, size=1600), return_inverse=True)
+        confusion = np.zeros((p.max() + 1, t.max() + 1))
+        np.add.at(confusion, (p, t), 1.0)
+        rows, cols = linear_sum_assignment(confusion, maximize=True)
+        matched = confusion[rows, cols].sum()
+        assert _max_assignment(confusion) == matched
+        assert sce(p, t) == 1.0 - matched / 1600
 
 
 class TestPsnr:

@@ -47,6 +47,16 @@ class TestEstimateK:
             estimate_k(np.eye(3), "elbow")
 
 
+@pytest.fixture
+def refuse_solve(monkeypatch):
+    """Fail the test if cluster_sequential reaches the solver."""
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved with bad settings")
+
+    monkeypatch.setattr("oscluster.pipeline.solve_coefficients", solve)
+
+
 class TestClusterSequential:
     def test_clean_sequence_segmented_exactly(self):
         x, labels = generate_synthetic(SyntheticSpec(seed=0))
@@ -90,13 +100,34 @@ class TestClusterSequential:
             assert result.diagnostics is not None
 
     @pytest.mark.parametrize("k", [2.5, 5.0, "3", True, 0, 13])
-    def test_bad_k_refused_before_solving(self, rng, monkeypatch, k):
-        def solve(*args, **kwargs):
-            raise AssertionError("solved with a bad k")
-
-        monkeypatch.setattr("oscluster.pipeline.solve_coefficients", solve)
+    def test_bad_k_refused_before_solving(self, rng, refuse_solve, k):
         with pytest.raises(ValueError, match="k must be an int"):
             cluster_sequential(rng.standard_normal((4, 12)), method="ssc", k=k)
+
+    @pytest.mark.parametrize(
+        "k, k_method, sv_tau, match",
+        [
+            (None, "bogus", None, "unknown k estimator"),
+            (5, "bogus", None, "unknown k estimator"),
+            (None, "sv-threshold", None, "tau"),
+            (None, "sv-threshold", float("nan"), "tau"),
+            (None, "sv-threshold", float("inf"), "tau"),
+            (None, "sv-threshold", 0.0, "tau"),
+            (None, "sv-threshold", -1.0, "tau"),
+        ],
+    )
+    def test_bad_k_estimator_refused_before_solving(
+        self, rng, refuse_solve, k, k_method, sv_tau, match
+    ):
+        with pytest.raises(ValueError, match=match):
+            cluster_sequential(
+                rng.standard_normal((4, 12)), k=k, k_method=k_method, sv_tau=sv_tau
+            )
+
+    def test_given_k_needs_no_tau(self, rng):
+        x = rng.standard_normal((5, 8))
+        result = cluster_sequential(x, method="lrr-sim", k=2, k_method="sv-threshold")
+        assert result.k == 2
 
     def test_numpy_integer_k_accepted(self, rng):
         x = rng.standard_normal((5, 8))
