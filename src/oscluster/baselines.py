@@ -17,32 +17,32 @@ SSC_TOL = 1e-6  # the lasso KKT gap at which ssc stops
 
 def _stationarity_gap(fit_step, z, lam):
     """Largest lasso KKT violation at Z off its zero diagonal; ``fit_step`` is
-    X^T (X - X Z), the negated gradient of the fit, ``lam`` a weight per column."""
+    X^T (X - X Z), the negated gradient of the fit, ``lam`` the weight."""
     off_support = np.maximum(np.abs(fit_step) - lam, 0.0)
     gap = np.where(z != 0.0, np.abs(fit_step - np.sign(z) * lam), off_support)
     np.fill_diagonal(gap, 0.0)
     return float(gap.max())
 
 
-def ssc_solve(x, lam, config=None, return_diagnostics=False):
+def ssc_solve(x, config=None):
     """Sparse self-expression: each column solves its own lasso.
 
-    Column i minimizes ``0.5*||x_i - X z||^2 + lam_i*||z||_1`` with the
-    self-loop z_ii fixed to zero; ``lam`` is a positive scalar or a
-    length-N vector.  FISTA (Beck & Teboulle, 2009) from Z = 0 with step
-    1 / ||X||^2, restarting its momentum whenever that points uphill
-    (O'Donoghue & Candes, 2015).  It stops at a lasso KKT gap of 1e-6 or
-    after ``config.max_iter`` sweeps (default 5000), the only field of
-    ``config`` it reads.  The diagnostics record ``iterations``,
-    ``converged``, ``objective_value``, ``l_z`` = ||X||^2 and each sweep's
-    KKT gap in ``feasibility_history``.
+    Column i minimizes ``0.5*||x_i - X z||^2 + lambda1*||z||_1`` with the
+    self-loop z_ii fixed to zero whatever ``config.diag_zero`` says.  FISTA
+    (Beck & Teboulle, 2009) from Z = 0 with step 1 / ||X||^2, restarting
+    its momentum whenever that points uphill (O'Donoghue & Candes, 2015).
+    It stops at a lasso KKT gap of 1e-6 or after ``config.max_iter``
+    sweeps; ``lambda1``, which must be positive, and ``max_iter`` are the
+    only fields of ``config`` it reads.  Returns ``(z, diagnostics)``; the
+    diagnostics record ``iterations``, ``converged``, ``objective_value``,
+    ``l_z`` = ||X||^2 and each sweep's KKT gap in ``feasibility_history``.
     """
     x = as_data_matrix(x)
     n = x.shape[1]
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (n,)).copy()
-    if np.any(lam <= 0):
-        raise ValueError("lasso weights must be positive")
-    max_iter = config.max_iter if config is not None else 5000
+    config = config if config is not None else SolverConfig()
+    lam = config.lambda1
+    if lam <= 0:
+        raise ValueError(f"ssc needs lambda1 > 0, got {lam}")
     operator = FitOperator(x)
     l_z = operator.l_z
     diag = SolveDiagnostics(l_z=l_z)
@@ -54,7 +54,7 @@ def ssc_solve(x, lam, config=None, return_diagnostics=False):
     gap = _stationarity_gap(fit, z, lam)
     t = 1.0
     # A gap above zero needs a nonzero X, so l_z > 0 in the loop.
-    while gap > SSC_TOL and diag.iterations < max_iter:
+    while gap > SSC_TOL and diag.iterations < config.max_iter:
         # Z+ = prox(W + fit step of W / l_z), built over W's fit step.
         fit_w /= l_z
         fit_w += w
@@ -78,25 +78,19 @@ def ssc_solve(x, lam, config=None, return_diagnostics=False):
         z, z_next, fit, fit_next = z_next, z, fit_next, fit
     diag.converged = gap <= SSC_TOL
     fit_term = 0.5 * float(np.sum((x - x @ z) ** 2))
-    diag.objective_value = fit_term + float(np.abs(z).sum(axis=0) @ lam)
-    if return_diagnostics:
-        return z, diag
-    return z
+    diag.objective_value = fit_term + lam * float(np.abs(z).sum())
+    return z, diag
 
 
-def spatsc_solve(x, lambda1, lambda2, config=None, return_diagnostics=False):
+def spatsc_solve(x, config=None):
     """Entrywise-smoothed variant: same machinery as the sequential solver
     with the column-group shrinkage on J replaced by entrywise shrinkage,
-    and the diagonal of Z constrained to zero.
+    and the diagonal of Z fixed to zero whatever ``config.diag_zero`` says.
+    Returns ``(z, diagnostics)``.
     """
-    if lambda1 < 0 or lambda2 < 0:
-        raise ValueError("penalty weights must be nonnegative")
     config = config if config is not None else SolverConfig()
-    config = replace(config, lambda1=lambda1, lambda2=lambda2, diag_zero=True)
-    state, diag = _solve_core(x, config, j_prox="l1")
-    if return_diagnostics:
-        return state.z, diag
-    return state.z
+    state, diag = _solve_core(x, replace(config, diag_zero=True), j_prox="l1")
+    return state.z, diag
 
 
 def sim_closed_form(a, rank_tol=1e-10):

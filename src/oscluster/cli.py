@@ -83,7 +83,9 @@ def _add_cluster_parser(sub):
     p.add_argument("--eps1", type=float, default=defaults.eps1)
     p.add_argument("--eps2", type=float, default=defaults.eps2)
     p.add_argument("--max-iter", type=int, default=defaults.max_iter)
-    p.add_argument("--diag-zero", action="store_true", help="constrain diag(Z) = 0")
+    p.add_argument(
+        "--diag-zero", action="store_true", help="constrain diag(Z) = 0 (ssc and spatsc always do)"
+    )
     p.add_argument("--no-normalize", action="store_true", help="skip unit-norm column scaling")
     p.add_argument("--seed", type=int, default=0, help="clustering restart seed")
     p.add_argument("--truth", default=None, help="true label file; adds SCE to the report")

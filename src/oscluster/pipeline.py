@@ -68,20 +68,23 @@ def estimate_k(w, method="eigengap", tau=None):
 
 
 def solve_coefficients(x, method, config):
-    """Run the chosen self-expression method; returns (z, diagnostics)."""
-    if method == "osc-relaxed":
-        return solve_relaxed(x, config)
-    if method == "osc-exact":
-        return solve_exact(x, config)
-    if method == "ssc":
-        return ssc_solve(x, config.lambda1, config=config, return_diagnostics=True)
-    if method == "spatsc":
-        return spatsc_solve(
-            x, config.lambda1, config.lambda2, config=config, return_diagnostics=True
-        )
+    """Run the chosen self-expression method; returns (z, diagnostics).
+
+    Every iterative method is ``solve(x, config)``.  The table is built at
+    call time from this module's bindings, so a wrapper set on them sees
+    the call.  The closed-form ``lrr-sim`` has no diagnostics.
+    """
     if method == "lrr-sim":
         return sim_closed_form(x), None
-    raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
+    solvers = {
+        "osc-relaxed": solve_relaxed,
+        "osc-exact": solve_exact,
+        "ssc": ssc_solve,
+        "spatsc": spatsc_solve,
+    }
+    if method not in solvers:
+        raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
+    return solvers[method](x, config)
 
 
 def cluster_sequential(

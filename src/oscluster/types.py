@@ -41,38 +41,14 @@ def as_data_matrix(values):
     return x
 
 
-def as_coefficient_matrix(values, expect_zero_diag=False):
-    """Validate an N x N coefficient matrix; optionally require a zero diagonal."""
+def as_coefficient_matrix(values):
+    """Validate an N x N coefficient matrix of finite entries."""
     z = np.asarray(values, dtype=float)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("coefficient matrix contains non-finite entries")
-    if expect_zero_diag and np.any(np.diag(z) != 0.0):
-        raise ValueError("coefficient matrix has nonzero diagonal entries")
     return z
-
-
-def as_labels(values, num_clusters=None):
-    """Validate an integer label vector; entries must lie in [0, num_clusters)."""
-    labels = np.asarray(values)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size == 0:
-        raise ValueError("labels must be nonempty")
-    if not np.issubdtype(labels.dtype, np.integer):
-        rounded = np.rint(np.asarray(labels, dtype=float))
-        if not np.array_equal(rounded, np.asarray(labels, dtype=float)):
-            raise ValueError("labels must be integers")
-        labels = rounded.astype(int)
-    labels = labels.astype(int)
-    if labels.min() < 0:
-        raise ValueError("labels must be nonnegative")
-    if num_clusters is not None and labels.max() >= num_clusters:
-        raise ValueError(
-            f"label {labels.max()} out of range for {num_clusters} clusters"
-        )
-    return labels
 
 
 def column_differences(z, out=None):
@@ -215,8 +191,9 @@ class SolverConfig:
     ``"multiplicative"`` rule scales mu by ``gamma0`` whenever the scaled
     iterate change falls under ``eps2``, while ``"additive"`` adds a fixed
     increment every sweep (the mode used for descent-monitor analysis).
-    Every number must be finite and ``max_iter`` an int; anything else
-    raises ``ValueError``.
+    ``diag_zero`` fixes diag(Z) at zero in the two sequential solvers; ssc
+    and spatsc always fix it there.  Every number must be finite and
+    ``max_iter`` an int; anything else raises ``ValueError``.
     """
 
     lambda1: float = 0.1

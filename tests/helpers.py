@@ -158,14 +158,13 @@ def lasso_cd(dictionary, target, lam, exclude=None, tol=1e-10, max_sweeps=100000
 
 
 def lasso_cd_matrix(x, lam, tol=1e-10):
-    """Self-expressive lasso with zero diagonal, column by column; ``lam``
-    is a scalar or one weight per column."""
+    """Self-expressive lasso with zero diagonal and weight ``lam``, column
+    by column."""
     x = np.asarray(x, dtype=float)
     n = x.shape[1]
-    lam_cols = np.broadcast_to(np.asarray(lam, dtype=float), (n,))
     z = np.zeros((n, n))
     for i in range(n):
-        z[:, i] = lasso_cd(x, x[:, i], lam_cols[i], exclude=i, tol=tol)
+        z[:, i] = lasso_cd(x, x[:, i], lam, exclude=i, tol=tol)
     return z
 
 
@@ -395,7 +394,7 @@ def reference_fista_lasso(x, lam, l_z, sweeps):
     z = w = np.zeros((n, n))
     t = 1.0
     for _ in range(sweeps):
-        z_new = _shrink_entries(w + x.T @ (x - x @ w) / l_z, np.asarray(lam) / l_z)
+        z_new = _shrink_entries(w + x.T @ (x - x @ w) / l_z, lam / l_z)
         np.fill_diagonal(z_new, 0.0)
         if np.sum((w - z_new) * (z_new - z)) > 0:
             t = 1.0

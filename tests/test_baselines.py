@@ -32,8 +32,7 @@ class TestSparseSelfExpression:
         x = unit_columns(rng, 6, 8)
         gram = np.abs(x.T @ x)
         np.fill_diagonal(gram, 0.0)
-        lam = 1.01 * float(gram.max())
-        z = ssc_solve(x, lam)
+        z, _ = ssc_solve(x, SolverConfig(lambda1=1.01 * float(gram.max())))
         assert np.max(np.abs(z)) == 0.0
 
     def test_identical_columns(self):
@@ -41,7 +40,7 @@ class TestSparseSelfExpression:
         c = rng.standard_normal((5, 1))
         c /= np.linalg.norm(c)
         x = np.hstack([c, c])
-        z = ssc_solve(x, 0.1)
+        z, _ = ssc_solve(x, SolverConfig(lambda1=0.1))
         # min_b 0.5*(1-b)^2 + 0.1*|b| has solution 0.9
         assert abs(z[1, 0] - 0.9) <= 1e-4
         assert abs(z[0, 1] - 0.9) <= 1e-4
@@ -50,45 +49,39 @@ class TestSparseSelfExpression:
     def test_matches_coordinate_descent(self):
         rng = np.random.default_rng(1)
         x = unit_columns(rng, 10, 8)
-        z = ssc_solve(x, 0.15)
+        z, _ = ssc_solve(x, SolverConfig(lambda1=0.15))
         want = lasso_cd_matrix(x, 0.15)
         assert np.linalg.norm(z - want) <= 1e-4
 
-    def test_per_column_weights(self):
-        rng = np.random.default_rng(4)
-        x = unit_columns(rng, 8, 6)
-        lam = np.full(6, 0.05)
-        lam[0] = 10.0
-        z = ssc_solve(x, lam)
-        assert np.max(np.abs(z[:, 0])) == 0.0
-        assert np.max(np.abs(z[:, 1:])) > 0.0
-
     def test_rejects_nonpositive_weights(self):
         x = unit_columns(np.random.default_rng(5), 4, 5)
+        # SolverConfig allows lambda1 = 0; the lasso needs a positive weight.
+        with pytest.raises(ValueError, match="lambda1 > 0"):
+            ssc_solve(x, SolverConfig(lambda1=0.0))
         with pytest.raises(ValueError):
-            ssc_solve(x, 0.0)
-        with pytest.raises(ValueError):
-            ssc_solve(x, np.array([0.1, 0.1, -0.1, 0.1, 0.1]))
+            ssc_solve(x, SolverConfig(lambda1=-0.1))
 
     def test_column_permutation_equivariance(self):
         rng = np.random.default_rng(1)
         x = unit_columns(rng, 10, 8)
         perm = np.array([3, 1, 0, 2, 6, 7, 4, 5])
-        z = ssc_solve(x, 0.15)
-        zp = ssc_solve(x[:, perm], 0.15)
+        config = SolverConfig(lambda1=0.15)
+        z, _ = ssc_solve(x, config)
+        zp, _ = ssc_solve(x[:, perm], config)
         for m in range(8):
             for j in range(8):
                 assert zp[m, j] == pytest.approx(z[perm[m], perm[j]], abs=1e-6)
 
-    def test_diagnostics_on_request(self):
+    def test_returns_diagnostics(self):
         x = unit_columns(np.random.default_rng(6), 6, 7)
-        z, diag = ssc_solve(x, 0.2, return_diagnostics=True)
+        z, diag = ssc_solve(x, SolverConfig(lambda1=0.2))
         assert diag.converged
         assert z.shape == (7, 7)
+        assert len(diag.feasibility_history) == diag.iterations
 
     def test_converges_on_clean_protocol(self):
         x, _ = generate_synthetic(SyntheticSpec(seed=0))
-        _, diag = ssc_solve(normalize_columns(x), 0.2, SSC_PARAMS, return_diagnostics=True)
+        _, diag = ssc_solve(normalize_columns(x), SSC_PARAMS)
         assert diag.converged
         assert diag.iterations <= SSC_PARAMS.max_iter
         assert diag.feasibility_history[-1] <= 1e-6
@@ -99,7 +92,7 @@ class TestSparseSelfExpression:
         x[:, zero_columns] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, diag = ssc_solve(x, 0.1, return_diagnostics=True)
+            z, diag = ssc_solve(x, SolverConfig(lambda1=0.1))
         assert np.all(np.isfinite(z))
         assert np.all(np.diag(z) == 0.0)
         assert diag.converged
@@ -107,7 +100,7 @@ class TestSparseSelfExpression:
         assert np.all(z[:, zero_columns] == 0.0) and np.all(z[zero_columns, :] == 0.0)
 
     def test_all_zero_data_needs_no_sweep(self):
-        _, diag = ssc_solve(np.zeros((3, 4)), 0.1, return_diagnostics=True)
+        _, diag = ssc_solve(np.zeros((3, 4)), SolverConfig(lambda1=0.1))
         assert diag.l_z == 0.0
         assert diag.iterations == 0 and diag.feasibility_history == []
         assert diag.objective_value == 0.0
@@ -117,28 +110,30 @@ class TestEntrywiseSmoothedVariant:
     def test_no_smoothing_matches_sparse_solver(self):
         rng = np.random.default_rng(3)
         x = unit_columns(rng, 8, 7)
-        z_plain = ssc_solve(x, 0.1, config=TIGHT)
-        z_smooth = spatsc_solve(x, 0.1, 0.0, config=TIGHT)
+        config = replace(TIGHT, lambda1=0.1, lambda2=0.0)
+        z_plain, _ = ssc_solve(x, config)
+        z_smooth, _ = spatsc_solve(x, config)
         assert np.linalg.norm(z_plain - z_smooth) <= 1e-3
 
     def test_heavy_smoothing_flattens_columns(self):
         rng = np.random.default_rng(10)
         x = unit_columns(rng, 8, 10)
-        z = spatsc_solve(x, 0.01, 100.0)
+        z, _ = spatsc_solve(x, SolverConfig(lambda1=0.01, lambda2=100.0))
         diffs = np.abs(np.diff(z, axis=1))
         assert diffs.max() <= 1e-3
 
     def test_diagonal_is_zero(self):
+        # Whatever diag_zero says: the flag belongs to the sequential solvers.
         x = unit_columns(np.random.default_rng(11), 6, 9)
-        z = spatsc_solve(x, 0.1, 0.01)
+        z, _ = spatsc_solve(x, SolverConfig(lambda1=0.1, lambda2=0.01, diag_zero=False))
         assert np.max(np.abs(np.diag(z))) == 0.0
 
     def test_rejects_negative_weights(self):
         x = unit_columns(np.random.default_rng(12), 4, 5)
-        with pytest.raises(ValueError):
-            spatsc_solve(x, -0.1, 0.01)
-        with pytest.raises(ValueError):
-            spatsc_solve(x, 0.1, -0.01)
+        with pytest.raises(ValueError, match="lambda1"):
+            spatsc_solve(x, SolverConfig(lambda1=-0.1, lambda2=0.01))
+        with pytest.raises(ValueError, match="lambda2"):
+            spatsc_solve(x, SolverConfig(lambda1=0.1, lambda2=-0.01))
 
     def test_converges_on_rotated_basis_sequence(self):
         from oscluster import SyntheticSpec, generate_synthetic, normalize_columns
@@ -147,8 +142,8 @@ class TestEntrywiseSmoothedVariant:
         xn = normalize_columns(x)
         # The entrywise penalty's change criterion is slow to settle at
         # these weights; the residual itself is tiny long before that.
-        cfg = SolverConfig(max_iter=8000)
-        _, diag = spatsc_solve(xn, 0.1, 0.01, config=cfg, return_diagnostics=True)
+        cfg = SolverConfig(lambda1=0.1, lambda2=0.01, max_iter=8000)
+        _, diag = spatsc_solve(xn, cfg)
         assert diag.converged
         assert diag.feasibility_history[-1] < 1e-4
 
@@ -158,7 +153,7 @@ class TestEntrywiseSmoothedVariant:
 
         def solve(x, eta_z):
             config = replace(SPATSC_PARAMS, eta_z=eta_z)
-            return spatsc_solve(x, 0.1, 0.01, config=config, return_diagnostics=True)
+            return spatsc_solve(x, config)
 
         assert_default_step_saves_sweeps(solve, noisy, SPATSC_PARAMS.mu0, 5)
 

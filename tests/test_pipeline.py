@@ -14,7 +14,9 @@ from oscluster import (
     generate_synthetic,
     normalize_columns,
     sce,
+    ssc_solve,
 )
+from oscluster import pipeline
 from oscluster.pipeline import K_ESTIMATORS, METHODS
 
 
@@ -153,6 +155,58 @@ class TestClusterSequential:
     def test_noisy_sweep_stays_accurate(self, noisy_sweep_20db):
         arr = np.asarray(noisy_sweep_20db)
         assert arr.mean() <= 0.10
+
+
+# The pipeline binding each method's solver is looked up under.
+SOLVER_OF = {
+    "osc-relaxed": "solve_relaxed",
+    "osc-exact": "solve_exact",
+    "ssc": "ssc_solve",
+    "spatsc": "spatsc_solve",
+    "lrr-sim": "sim_closed_form",
+}
+
+
+class TestSolverContract:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_each_method_calls_its_solver_once(self, monkeypatch, method):
+        # Every iterative method is solve(x, config); lrr-sim is
+        # sim_closed_form(x).  Spies on the module bindings see the calls,
+        # as the benchmark's tracing wrappers must.
+        calls = []
+
+        def spy(name, solver):
+            def call(*args, **kwargs):
+                calls.append((name, args, kwargs))
+                return solver(*args, **kwargs)
+
+            return call
+
+        for name in SOLVER_OF.values():
+            monkeypatch.setattr(pipeline, name, spy(name, getattr(pipeline, name)))
+        rng = np.random.default_rng(20)
+        x = rng.standard_normal((6, 12))
+        config = SolverConfig(lambda1=0.1, lambda2=0.01)
+        cluster_sequential(x, method=method, config=config, k=2, normalize=False)
+        assert [name for name, _, _ in calls] == [SOLVER_OF[method]]
+        _, args, kwargs = calls[0]
+        want = (x,) if method == "lrr-sim" else (x, config)
+        assert len(args) == len(want) and all(a is b for a, b in zip(args, want))
+        assert kwargs == {}
+
+    def test_ssc_budget_is_the_config_budget(self):
+        # Clean seed 3 needs 2483 sweeps at lambda1 = 0.2, more than the
+        # default budget: called directly or through the pipeline, ssc
+        # stops at the same max_iter and says it did not converge.
+        x, _ = generate_synthetic(SyntheticSpec(seed=3))
+        xn = normalize_columns(x)
+        config = SolverConfig(lambda1=0.2)
+        _, direct = ssc_solve(xn, config)
+        piped = cluster_sequential(x, method="ssc", config=config, k=5).diagnostics
+        assert (piped.iterations, piped.converged) == (direct.iterations, direct.converged)
+        assert direct.iterations == config.max_iter and not direct.converged
+        _, default = ssc_solve(xn)
+        assert default.iterations == SolverConfig().max_iter
 
 
 @st.composite

@@ -178,7 +178,7 @@ class TestDefaultStep:
             if solver == "relaxed":
                 _, diag = solve_relaxed(x, config)
             else:
-                _, diag = spatsc_solve(x, 0.1, 0.01, config=config, return_diagnostics=True)
+                _, diag = spatsc_solve(x, dataclasses.replace(config, lambda2=0.01))
             assert diag.eta_z == want
 
     def test_default_step_saves_sweeps_on_clean_sequence(self):

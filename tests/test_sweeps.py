@@ -125,7 +125,7 @@ def test_relaxed_sweeps_match_reference_across_shapes(d, n, rank, shared, j_prox
 
 
 def lasso_objectives(x, z, lam):
-    """Each column's lasso objective 0.5 ||x_i - X z_i||^2 + lam_i ||z_i||_1."""
+    """Each column's lasso objective 0.5 ||x_i - X z_i||^2 + lam ||z_i||_1."""
     return 0.5 * np.sum((x - x @ z) ** 2, axis=0) + lam * np.sum(np.abs(z), axis=0)
 
 
@@ -136,18 +136,17 @@ def test_ssc_matches_reference_across_shapes(d, n, rank):
     # two.  A KKT gap of 1e-6 pins each column's objective to far below
     # 1e-6; it pins Z only as well as the lasso is conditioned.
     x, _ = warm_start(d, n, rank=rank)
-    for lam in (0.05, np.linspace(0.05, 0.2, n)):
-        lam_cols = np.broadcast_to(lam, (n,))
-        z, diag = ssc_solve(x, lam, return_diagnostics=True)
-        want = lasso_cd_matrix(x, lam)
-        objective_gap = lasso_objectives(x, z, lam_cols) - lasso_objectives(x, want, lam_cols)
-        assert np.max(np.abs(objective_gap)) <= 1e-6
-        assert np.max(np.abs(z - want)) <= 1e-3
-        assert np.all(np.diag(z) == 0.0)
-        gap = _stationarity_gap(x.T @ (x - x @ z), z, lam_cols)
-        assert diag.converged and gap <= 1e-6
-        assert diag.feasibility_history[-1] == pytest.approx(gap, rel=1e-6, abs=1e-12)
-        assert len(diag.feasibility_history) == diag.iterations
+    lam = 0.05
+    z, diag = ssc_solve(x, SolverConfig(lambda1=lam))
+    want = lasso_cd_matrix(x, lam)
+    objective_gap = lasso_objectives(x, z, lam) - lasso_objectives(x, want, lam)
+    assert np.max(np.abs(objective_gap)) <= 1e-6
+    assert np.max(np.abs(z - want)) <= 1e-3
+    assert np.all(np.diag(z) == 0.0)
+    gap = _stationarity_gap(x.T @ (x - x @ z), z, lam)
+    assert diag.converged and gap <= 1e-6
+    assert diag.feasibility_history[-1] == pytest.approx(gap, rel=1e-6, abs=1e-12)
+    assert len(diag.feasibility_history) == diag.iterations
 
 
 @pytest.mark.parametrize("d, n, rank", SHAPES, ids=SHAPE_IDS)
@@ -155,13 +154,13 @@ def test_ssc_sweeps_match_reference(d, n, rank):
     # The extrapolated point's fit step is combined from the last two
     # iterates'; the reference takes it afresh every sweep.
     x, _ = warm_start(d, n, rank=rank)
-    for lam in (0.05, np.linspace(0.05, 0.2, n)):
-        z, diag = ssc_solve(x, lam, config=SolverConfig(max_iter=SWEEPS), return_diagnostics=True)
-        assert diag.iterations == SWEEPS and len(diag.feasibility_history) == SWEEPS
-        assert_close(z, reference_fista_lasso(x, lam, diag.l_z, SWEEPS), tol=1e-10)
-        # Stopped by max_iter short of the gap, and saying so.
-        gap = _stationarity_gap(x.T @ (x - x @ z), z, np.broadcast_to(lam, (n,)))
-        assert not diag.converged and gap > 1e-6
+    lam = 0.05
+    z, diag = ssc_solve(x, SolverConfig(lambda1=lam, max_iter=SWEEPS))
+    assert diag.iterations == SWEEPS and len(diag.feasibility_history) == SWEEPS
+    assert_close(z, reference_fista_lasso(x, lam, diag.l_z, SWEEPS), tol=1e-10)
+    # Stopped by max_iter short of the gap, and saying so.
+    gap = _stationarity_gap(x.T @ (x - x @ z), z, lam)
+    assert not diag.converged and gap > 1e-6
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["workspace", "fresh"])
@@ -301,8 +300,8 @@ def protocol_x():
 
 SOLVES = {
     "relaxed": solve_relaxed,
-    "spatsc": lambda x, config: spatsc_solve(x, 0.1, 0.01, config=config),
-    "ssc": lambda x, config: ssc_solve(x, 0.2, config=config),
+    "spatsc": spatsc_solve,
+    "ssc": ssc_solve,
     "exact": solve_exact,
 }
 

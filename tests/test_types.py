@@ -6,7 +6,6 @@ from oscluster.types import (
     apply_difference_adjoint,
     as_coefficient_matrix,
     as_data_matrix,
-    as_labels,
     column_differences,
     difference_norm_squared,
     frobenius_distance,
@@ -127,20 +126,6 @@ class TestValidators:
     def test_coefficient_matrix_square_only(self):
         with pytest.raises(ValueError):
             as_coefficient_matrix(np.ones((2, 3)))
-
-    def test_coefficient_matrix_zero_diag_check(self):
-        z = np.ones((3, 3))
-        with pytest.raises(ValueError):
-            as_coefficient_matrix(z, expect_zero_diag=True)
-        np.fill_diagonal(z, 0.0)
-        assert as_coefficient_matrix(z, expect_zero_diag=True).shape == (3, 3)
-
-    def test_labels_range_check(self):
-        assert np.array_equal(as_labels([0, 1, 1], num_clusters=2), [0, 1, 1])
-        with pytest.raises(ValueError):
-            as_labels([0, 2], num_clusters=2)
-        with pytest.raises(ValueError):
-            as_labels([-1, 0])
 
 
 class TestSolverConfig:
