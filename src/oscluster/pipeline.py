@@ -112,8 +112,8 @@ def cluster_sequential(
         check_threshold(sv_tau)
     config = config if config is not None else SolverConfig()
     start = time.perf_counter()
-    data = normalize_columns(x) if normalize else x
-    z, diagnostics = solve_coefficients(data, method, config)
+    # The normalized copy is dropped once Z exists.
+    z, diagnostics = solve_coefficients(normalize_columns(x) if normalize else x, method, config)
     w = build_affinity(z)
     k_was_estimated = k is None
     if k_was_estimated:

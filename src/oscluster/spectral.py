@@ -17,41 +17,72 @@ _ZERO_DEGREE_EPS = 1e-12
 _ZERO_ROW_NORM = 1e-10
 
 
+# Square tile of the in-place symmetrization.  Any size gives bitwise the
+# same W.  Minimum of 15 interleaved runs, 1 BLAS thread: at N = 1600,
+# tiles of 64, 96 and 128 took 9.3-9.8 ms (32 and 48 were slower, and
+# a + a.T 18 ms); at N = 3200, 53-56 ms against 152 ms.  With 64 the
+# temporaries numpy makes for one in-place tile update (a copy of the
+# transposed tile and an iteration buffer) stay near 100 KB.
+_AFFINITY_TILE = 64
+
+
 def build_affinity(z):
-    """Symmetric nonnegative affinity W = |Z| + |Z|^T."""
-    z = as_coefficient_matrix(z)
-    a = np.abs(z)
-    return a + a.T
+    """Symmetric nonnegative affinity W = |Z| + |Z|^T.
+
+    Symmetrized in place in |Z|, one pair of mirrored tiles at a time, so
+    the only N x N array allocated is W itself.  Addition commutes, so
+    each pair holds bitwise the entries of |Z| + |Z|^T.
+    """
+    w = np.abs(as_coefficient_matrix(z))
+    n, b = w.shape[0], _AFFINITY_TILE
+    for i in range(0, n, b):
+        diagonal = w[i : i + b, i : i + b]
+        diagonal += diagonal.T
+        for j in range(i + b, n, b):
+            upper = w[i : i + b, j : j + b]
+            lower = w[j : j + b, i : i + b]
+            upper += lower.T
+            lower[...] = upper.T
+    return w
 
 
 def _check_affinity(w):
+    """Validated affinity: ``w`` itself when it is exactly symmetric,
+    otherwise the symmetrized copy of an input asymmetric within tolerance."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"affinity must be square, got shape {w.shape}")
     if not np.all(np.isfinite(w)):
         raise ValueError("affinity contains non-finite entries")
-    if np.abs(w - w.T).max() > 1e-8 * max(1.0, np.abs(w).max()):
+    # 0.5 * (w + w.T) equals an exactly symmetric w bitwise.
+    exact = np.array_equal(w, w.T)
+    if not exact and np.abs(w - w.T).max() > 1e-8 * max(1.0, np.abs(w).max()):
         raise ValueError("affinity must be symmetric")
     if w.min() < -1e-12:
         raise ValueError("affinity must be nonnegative")
-    return 0.5 * (w + w.T)
+    return w if exact else 0.5 * (w + w.T)
 
 
 def normalized_laplacian(w):
-    """I - D^{-1/2} W D^{-1/2}; rows with zero degree get a tiny guard degree."""
+    """I - D^{-1/2} W D^{-1/2}; rows with zero degree get a tiny guard degree.
+
+    Fortran-ordered, the layout LAPACK decomposes in place.
+    """
     w = _check_affinity(w)
     degrees = w.sum(axis=1)
     degrees = np.where(degrees <= 0.0, _ZERO_DEGREE_EPS, degrees)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    lap = -inv_sqrt[:, None] * w * inv_sqrt[None, :]
+    # The checked W is exactly symmetric, so W^T is W in Fortran order.
+    lap = np.multiply(-inv_sqrt[:, None], w.T, order="F")
+    lap *= inv_sqrt[None, :]
     lap[np.diag_indices_from(lap)] += 1.0
     return lap
 
 
 def unnormalized_laplacian(w):
-    """D - W."""
+    """D - W, Fortran-ordered like ``normalized_laplacian``."""
     w = _check_affinity(w)
-    lap = -w.copy()
+    lap = np.negative(w.T, order="F")
     lap[np.diag_indices_from(lap)] += w.sum(axis=1)
     return lap
 
@@ -163,8 +194,11 @@ def ncut_cluster(w, k, seed=0, restarts=20, normalized=True):
     check_cluster_count(k, n)
     if k == 1:
         return np.zeros(n, dtype=int)
-    # The Laplacian is finite: its affinity has been checked.
-    _, embedding = scipy.linalg.eigh(lap, subset_by_index=[0, k - 1], check_finite=False)
+    # The Laplacian is finite (its affinity has been checked) and
+    # Fortran-ordered, so LAPACK overwrites it without a copy.
+    _, embedding = scipy.linalg.eigh(
+        lap, subset_by_index=[0, k - 1], check_finite=False, overwrite_a=True
+    )
     row_norms = np.linalg.norm(embedding, axis=1)
     embedding = embedding / np.where(row_norms > _ZERO_ROW_NORM, row_norms, np.inf)[:, None]
     return kmeans(embedding, k, seed=seed, restarts=restarts)

@@ -1,19 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from oscluster import (
+    SyntheticSpec,
     build_affinity,
+    cluster_sequential,
     detect_boundaries_peaks,
     estimate_k_eigengap,
     estimate_k_sv_threshold,
+    generate_synthetic,
     kmeans,
     ncut_cluster,
     normalized_laplacian,
     sce,
     unnormalized_laplacian,
 )
-from oscluster.spectral import _singular_values
+from oscluster.spectral import _AFFINITY_TILE, _ZERO_ROW_NORM, _check_affinity, _singular_values
 
 from helpers import ncut_full_eigh
 
@@ -59,6 +67,54 @@ class TestAffinity:
         with pytest.raises(ValueError):
             build_affinity(np.ones((3, 4)))
 
+    @pytest.mark.parametrize(
+        "n", [1, 2, _AFFINITY_TILE - 1, _AFFINITY_TILE, _AFFINITY_TILE + 1, 2 * _AFFINITY_TILE + 1]
+    )
+    def test_tiles_equal_abs_plus_transpose_bitwise(self, n):
+        z = np.random.default_rng(n).standard_normal((n, n))
+        a = np.abs(z)
+        assert np.array_equal(build_affinity(z), a + a.T)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_equals_abs_plus_transpose_bitwise_property(self, n, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 8, size=(n, n))
+        a = np.abs(z)
+        assert np.array_equal(build_affinity(z), a + a.T)
+
+    def test_leaves_its_input_alone(self, rng):
+        z = rng.standard_normal((70, 70))
+        before = z.copy()
+        build_affinity(z)
+        assert np.array_equal(z, before)
+
+
+class TestCheckAffinity:
+    def test_exactly_symmetric_input_is_returned_as_is(self, rng):
+        w = build_affinity(rng.standard_normal((9, 9)))
+        assert _check_affinity(w) is w
+
+    def test_asymmetric_within_tolerance_gets_the_symmetrized_copy(self, rng):
+        w = build_affinity(rng.standard_normal((9, 9)))
+        w[0, 1] += 1e-12
+        checked = _check_affinity(w)
+        assert checked is not w
+        assert np.array_equal(checked, 0.5 * (w + w.T))
+        assert np.array_equal(checked, checked.T)
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (np.array([[np.inf, -1.0], [0.0, 1.0]]), "non-finite"),
+            (np.array([[1.0, -1.0], [0.0, 1.0]]), "symmetric"),
+            (np.array([[-1.0, 0.0], [0.0, 1.0]]), "nonnegative"),
+        ],
+    )
+    def test_checks_run_finite_then_symmetric_then_nonnegative(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            _check_affinity(w)
+
 
 class TestLaplacians:
     def test_unnormalized_rows_sum_to_zero(self, rng):
@@ -90,6 +146,34 @@ class TestLaplacians:
         w = -np.eye(3)
         with pytest.raises(ValueError):
             unnormalized_laplacian(w)
+
+    # The noisy blocks are symmetric only to roundoff, so the expected
+    # Laplacians start from the symmetrized copy the affinity check returns.
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_normalized_equals_the_broadcast_expression_bitwise(self, exact):
+        w = _noisy_blocks(4, seed=6, isolated=2)
+        if exact:
+            w = 0.5 * (w + w.T)
+        lap = normalized_laplacian(w)
+        w = 0.5 * (w + w.T)
+        degrees = w.sum(axis=1)
+        inv_sqrt = 1.0 / np.sqrt(np.where(degrees <= 0.0, 1e-12, degrees))
+        want = -inv_sqrt[:, None] * w * inv_sqrt[None, :]
+        want[np.diag_indices_from(want)] += 1.0
+        assert lap.flags.f_contiguous
+        assert np.array_equal(lap, want)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_unnormalized_equals_degree_minus_affinity_bitwise(self, exact):
+        w = _noisy_blocks(4, seed=7, isolated=2)
+        if exact:
+            w = 0.5 * (w + w.T)
+        lap = unnormalized_laplacian(w)
+        w = 0.5 * (w + w.T)
+        want = -w.copy()
+        want[np.diag_indices_from(want)] += w.sum(axis=1)
+        assert lap.flags.f_contiguous
+        assert np.array_equal(lap, want)
 
 
 class TestNcut:
@@ -183,9 +267,70 @@ class TestNcut:
         assert np.array_equal(labels, want)
         assert sorted(labels) == list(range(n))
 
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_in_place_eigensolve_matches_a_solve_on_a_c_ordered_copy(self, normalized, seed):
+        w = _noisy_blocks(5, seed, isolated=1)
+        lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
+        _, embedding = scipy.linalg.eigh(
+            np.ascontiguousarray(lap), subset_by_index=[0, 4], check_finite=False
+        )
+        row_norms = np.linalg.norm(embedding, axis=1)
+        embedding = embedding / np.where(row_norms > _ZERO_ROW_NORM, row_norms, np.inf)[:, None]
+        want = kmeans(embedding, 5, seed=seed)
+        assert np.array_equal(ncut_cluster(w, 5, seed=seed, normalized=normalized), want)
+
     def test_rotated_basis_sequences_are_recovered(self, clean_sweep):
         exact_hits = sum(1 for rec in clean_sweep if rec["sce_relaxed"] == 0.0)
         assert exact_hits >= 18
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes of the numpy arrays allocated during ``fn(*args, **kwargs)``."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """How many N x N arrays the spectral stage holds at once, at N = 400.
+
+    tracemalloc sees every array numpy and scipy's wrappers allocate, but not
+    the buffers LAPACK or numpy.linalg.eigvalsh allocate inside, such as the
+    copy of W that estimate_k's eigvalsh decomposes.  Resident memory
+    therefore stays the benchmark's job (perfbench's peak_rss_mb); these
+    tests pin the arrays the library itself keeps alive.
+    """
+
+    N = 400
+    NN = N * N * 8
+
+    def _z(self):
+        return np.random.default_rng(0).standard_normal((self.N, self.N))
+
+    def test_build_affinity_allocates_only_its_output(self):
+        assert _traced_peak(build_affinity, self._z()) <= 1.1 * self.NN
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_ncut_cluster_allocates_one_laplacian(self, normalized, k):
+        w = build_affinity(self._z())
+        # The workspace scipy allocates for LAPACK (about 38 N doubles),
+        # the N x k embedding and k-means' distances.
+        small = 8 * self.N * (64 + 4 * k)
+        assert _traced_peak(ncut_cluster, w, k, normalized=normalized) <= self.NN + small
+
+    def test_lrr_sim_segmentation_holds_three_n_by_n_arrays(self):
+        # Z, W and the Laplacian, plus the eigensolve's O(N) and O(N k)
+        # arrays (k = 4 here).
+        x, _ = generate_synthetic(SyntheticSpec(num_subspaces=4, points_per_subspace=100, seed=1))
+        assert x.shape[1] == self.N
+        small = 8 * self.N * (64 + 4 * 4)
+        assert _traced_peak(cluster_sequential, x, method="lrr-sim") <= 3 * self.NN + small
 
 
 class TestKmeans:
