@@ -33,7 +33,6 @@ from .spectral import (
     kmeans,
     ncut_cluster,
     normalized_laplacian,
-    unnormalized_laplacian,
 )
 from .types import DivergenceError, SolveDiagnostics, SolverConfig
 
@@ -73,5 +72,4 @@ __all__ = [
     "solve_relaxed",
     "spatsc_solve",
     "ssc_solve",
-    "unnormalized_laplacian",
 ]

@@ -13,6 +13,7 @@ from .relaxed import _solve_core
 from .types import FitOperator, SolveDiagnostics, SolverConfig, as_data_matrix
 
 SSC_TOL = 1e-6  # the lasso KKT gap at which ssc stops
+SIM_RANK_TOL = 1e-10  # relative singular value below which sim drops a direction
 
 
 def _stationarity_gap(fit_step, z, lam):
@@ -93,9 +94,9 @@ def spatsc_solve(x, config=None):
     return state.z, diag
 
 
-def sim_closed_form(a, rank_tol=1e-10):
+def sim_closed_form(a):
     """Shape-interaction projector Z = V V^T from the right singular vectors
-    of ``a`` whose singular values exceed ``rank_tol`` times the largest.
+    of ``a`` whose singular values exceed ``SIM_RANK_TOL`` times the largest.
 
     The result is a symmetric idempotent matrix with A Z = A.
     """
@@ -107,5 +108,5 @@ def sim_closed_form(a, rank_tol=1e-10):
     if not np.any(a):
         raise ValueError("matrix is identically zero")
     _, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = vt[s > rank_tol * s[0]].T
+    v = vt[s > SIM_RANK_TOL * s[0]].T
     return v @ v.T

@@ -60,7 +60,7 @@ def _parse_psnr(value):
     if isinstance(value, (str, bool)):
         raise ValueError(f"bad psnr entry {value!r}")
     value = float(value)
-    if value <= 0:
+    if not value > 0:
         raise ValueError(f"psnr must be positive, got {value}")
     return value
 

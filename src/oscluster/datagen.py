@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import as_data_matrix
+from .types import as_data_matrix, is_finite_real, is_int
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        counts = ("num_subspaces", "points_per_subspace", "ambient_dim", "subspace_dim", "seed")
+        for name in counts:
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name in ("cov_diag", "cov_offdiag"):
+            if not is_finite_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.num_subspaces < 1:
             raise ValueError(f"num_subspaces must be >= 1, got {self.num_subspaces}")
         if self.points_per_subspace < 2:
@@ -88,10 +95,21 @@ def random_rotation(rng, n):
     return q
 
 
-def _coefficient_block(rng, dim, count, chol_lower):
-    # Rows are draws from N(0, C) with C = L L^T.
-    g = rng.standard_normal((dim, count))
-    return g @ chol_lower.T
+def _stack_segments(spec, bases, streams):
+    """(x, labels) with segment i = bases[i] @ Q_i, where Q_i has
+    ``points_per_subspace`` columns whose rows are draws from N(0, C),
+    C the spec's tridiagonal covariance, taken from ``streams[i]``."""
+    chol_lower = np.linalg.cholesky(
+        tridiagonal_covariance(spec.points_per_subspace, spec.cov_diag, spec.cov_offdiag)
+    )
+    blocks = []
+    for basis, stream in zip(bases, streams):
+        g = np.random.default_rng(stream).standard_normal(
+            (basis.shape[1], spec.points_per_subspace)
+        )
+        blocks.append(basis @ (g @ chol_lower.T))
+    labels = np.repeat(np.arange(spec.num_subspaces), spec.points_per_subspace)
+    return np.hstack(blocks), labels
 
 
 def generate_synthetic(spec=None):
@@ -106,21 +124,11 @@ def generate_synthetic(spec=None):
     rng_basis = np.random.default_rng(streams[0])
     rng_rotation = np.random.default_rng(streams[1])
 
-    basis = random_orthonormal(rng_basis, spec.ambient_dim, spec.subspace_dim)
+    bases = [random_orthonormal(rng_basis, spec.ambient_dim, spec.subspace_dim)]
     rotation = random_rotation(rng_rotation, spec.ambient_dim)
-    chol_lower = np.linalg.cholesky(
-        tridiagonal_covariance(spec.points_per_subspace, spec.cov_diag, spec.cov_offdiag)
-    )
-
-    blocks = []
-    for i in range(spec.num_subspaces):
-        rng_q = np.random.default_rng(streams[2 + i])
-        q = _coefficient_block(rng_q, spec.subspace_dim, spec.points_per_subspace, chol_lower)
-        blocks.append(basis @ q)
-        basis = rotation @ basis
-    x = np.hstack(blocks)
-    labels = np.repeat(np.arange(spec.num_subspaces), spec.points_per_subspace)
-    return x, labels
+    for _ in range(spec.num_subspaces - 1):
+        bases.append(rotation @ bases[-1])
+    return _stack_segments(spec, bases, streams[2:])
 
 
 def generate_semisynthetic(library, spec=None, bases_per_subspace=5):
@@ -134,8 +142,8 @@ def generate_semisynthetic(library, spec=None, bases_per_subspace=5):
     """
     spec = spec if spec is not None else SyntheticSpec()
     library = as_data_matrix(library)
-    if bases_per_subspace < 1:
-        raise ValueError(f"bases_per_subspace must be >= 1, got {bases_per_subspace}")
+    if not is_int(bases_per_subspace) or bases_per_subspace < 1:
+        raise ValueError(f"bases_per_subspace must be an int >= 1, got {bases_per_subspace!r}")
     needed = bases_per_subspace * spec.num_subspaces
     if library.shape[1] < needed:
         raise ValueError(
@@ -144,20 +152,8 @@ def generate_semisynthetic(library, spec=None, bases_per_subspace=5):
     streams = np.random.SeedSequence(spec.seed).spawn(1 + spec.num_subspaces)
     rng_pick = np.random.default_rng(streams[0])
     chosen = rng_pick.choice(library.shape[1], size=needed, replace=False)
-
-    chol_lower = np.linalg.cholesky(
-        tridiagonal_covariance(spec.points_per_subspace, spec.cov_diag, spec.cov_offdiag)
-    )
-    blocks = []
-    for i in range(spec.num_subspaces):
-        cols = chosen[i * bases_per_subspace : (i + 1) * bases_per_subspace]
-        basis = library[:, cols]
-        rng_q = np.random.default_rng(streams[1 + i])
-        q = _coefficient_block(rng_q, bases_per_subspace, spec.points_per_subspace, chol_lower)
-        blocks.append(basis @ q)
-    x = np.hstack(blocks)
-    labels = np.repeat(np.arange(spec.num_subspaces), spec.points_per_subspace)
-    return x, labels
+    bases = [library[:, cols] for cols in chosen.reshape(spec.num_subspaces, bases_per_subspace)]
+    return _stack_segments(spec, bases, streams[1:])
 
 
 def add_noise_psnr(a, target_psnr_db, seed=0):

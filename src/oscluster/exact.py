@@ -92,15 +92,15 @@ class ExactWorkspace:
             self._of = of
 
 
-def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace=None):
+def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace):
     """One parallel sweep: Z, E and J all read only the k-th iterate.
 
     Re-running this on the same state reproduces the output bitwise; no
-    block observes another block's fresh value.  A ``workspace`` (see
+    block observes another block's fresh value.  The ``workspace`` (see
     ExactWorkspace) lets successive sweeps share buffers and the products
-    one sweep leaves for the next; without one the sweep allocates its own.
+    one sweep leaves for the next.
     """
-    ws = workspace if workspace is not None else ExactWorkspace(*x.shape)
+    ws = workspace
     ws.sync(x, state)
     z, y1, y2, mu = state.z, state.y1, state.y2, state.mu
     sigma_z = mu * eta_z

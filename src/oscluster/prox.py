@@ -8,22 +8,16 @@ import numpy as np
 def soft_threshold(v, tau, out=None):
     """Entrywise shrinkage: sign(v) * max(|v| - tau, 0).
 
-    Proximal operator of ``tau * ||.||_1``, taken in two passes as
-    ``v - clip(v, -tau, tau)``, which equals the formula above except that
-    every entry with |v| <= tau is +0.0 (never -0.0).  ``tau`` may be a
-    scalar or an array broadcastable against ``v`` (one threshold per
-    column, say).  ``clip`` is fast only for a scalar ``tau``: with one
-    threshold per column it runs about 10% slower than the formula above
-    in four passes.  ``out``, if given, receives the result and must not
-    overlap ``v``; otherwise the result is the only array allocated.
+    Proximal operator of ``tau * ||.||_1`` for a scalar ``tau >= 0``, taken
+    in two passes as ``v - clip(v, -tau, tau)``, which equals the formula
+    above except that every entry with |v| <= tau is +0.0 (never -0.0).
+    ``out``, if given, receives the result and must not overlap ``v``;
+    otherwise the result is the only array allocated.
     """
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("threshold tau must be nonnegative")
+    if not tau >= 0:
+        raise ValueError(f"threshold tau must be nonnegative, got {tau!r}")
     v = np.asarray(v, dtype=float)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(v.shape, tau.shape))
-    np.clip(v, -tau, tau, out=out)
+    out = np.clip(v, -tau, tau, out=out)
     return np.subtract(v, out, out=out)
 
 
@@ -45,8 +39,8 @@ def group_shrink_columns(u, kappa, out=None):
     scaled by ``(||u_i|| - kappa) / ||u_i||``.  ``out``, if given, receives
     the result and must not overlap ``u``.
     """
-    if kappa < 0:
-        raise ValueError("shrinkage weight kappa must be nonnegative")
+    if not kappa >= 0:
+        raise ValueError(f"shrinkage weight kappa must be nonnegative, got {kappa!r}")
     u = np.asarray(u, dtype=float)
     if u.ndim != 2:
         raise ValueError(f"column shrinkage needs a 2-D array, got shape {u.shape}")
@@ -71,7 +65,7 @@ def ridge_error_update(residual, y1, mu, out=None):
     y1 = np.asarray(y1, dtype=float)
     if residual.shape != y1.shape:
         raise ValueError(f"shape mismatch: residual {residual.shape} vs y1 {y1.shape}")
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     out = np.multiply(residual, mu, out=out)
     out += y1

@@ -3,18 +3,18 @@ boundary detection on ordered coefficient matrices."""
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 import scipy.linalg
 
-from .types import as_coefficient_matrix, column_differences, is_int
+from .types import as_coefficient_matrix, column_differences, is_finite_real, is_int
 
 _ZERO_DEGREE_EPS = 1e-12
 # Embedding rows shorter than this are roundoff around an exact zero (an
 # isolated node under the normalized Laplacian).  They stay zero instead of
 # being scaled up to an arbitrary unit direction.
 _ZERO_ROW_NORM = 1e-10
+# k-means runs from this many seedings and keeps the best.
+KMEANS_RESTARTS = 20
 
 
 # Square tile of the in-place symmetrization.  Any size gives bitwise the
@@ -79,14 +79,6 @@ def normalized_laplacian(w):
     return lap
 
 
-def unnormalized_laplacian(w):
-    """D - W, Fortran-ordered like ``normalized_laplacian``."""
-    w = _check_affinity(w)
-    lap = np.negative(w.T, order="F")
-    lap[np.diag_indices_from(lap)] += w.sum(axis=1)
-    return lap
-
-
 def _kmeans_pp_init(points, k, rng):
     # D^2 seeding: next center drawn proportionally to squared distance
     # from the nearest chosen center.
@@ -139,18 +131,12 @@ def check_cluster_count(k, n):
 
 def check_threshold(tau):
     """Raise ValueError unless ``tau`` is a positive finite real (not a bool)."""
-    if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0 < tau < np.inf:
+    if not is_finite_real(tau) or tau <= 0:
         raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
 
 
-def check_restarts(restarts):
-    """Raise ValueError unless ``restarts`` is a positive int (not a bool)."""
-    if not is_int(restarts) or restarts < 1:
-        raise ValueError(f"restarts must be a positive int, got {restarts!r}")
-
-
-def kmeans(points, k, seed=0, restarts=20):
-    """Best-of-``restarts`` k-means with D^2 seeding.
+def kmeans(points, k, seed=0):
+    """Best-of-``KMEANS_RESTARTS`` k-means with D^2 seeding.
 
     Deterministic given ``seed``: restarts draw from spawned child streams
     and ties in the final objective keep the earliest restart.
@@ -160,11 +146,10 @@ def kmeans(points, k, seed=0, restarts=20):
         raise ValueError(f"need a nonempty 2-D point array, got shape {points.shape}")
     n = points.shape[0]
     check_cluster_count(k, n)
-    check_restarts(restarts)
     if k == 1:
         return np.zeros(n, dtype=int)
     best_labels, best_inertia = None, np.inf
-    for child in np.random.SeedSequence(seed).spawn(restarts):
+    for child in np.random.SeedSequence(seed).spawn(KMEANS_RESTARTS):
         rng = np.random.default_rng(child)
         centers = _kmeans_pp_init(points, k, rng)
         labels, inertia = _lloyd(points, centers)
@@ -173,13 +158,13 @@ def kmeans(points, k, seed=0, restarts=20):
     return best_labels.astype(int)
 
 
-def ncut_cluster(w, k, seed=0, restarts=20, normalized=True):
-    """Spectral clustering of an affinity into k groups.
+def ncut_cluster(w, k, seed=0):
+    """Normalized-cut spectral clustering of an affinity into k groups.
 
     Embeds each sample with the eigenvectors of the k smallest eigenvalues
-    of the (normalized, by default) graph Laplacian, normalizes the
-    embedding rows to unit length, and k-means clusters them.  Returns an
-    integer label per sample.
+    of the normalized graph Laplacian, normalizes the embedding rows to
+    unit length, and k-means clusters them (``kmeans``, from ``seed``).
+    Returns an integer label per sample.
 
     Only those k eigenvectors are computed (LAPACK's index-subset
     symmetric solver), not the full N x N eigenbasis.  The embedding is
@@ -187,9 +172,7 @@ def ncut_cluster(w, k, seed=0, restarts=20, normalized=True):
     any basis of the tied eigenspace is an equally valid answer, and the
     labels may depend on which one the solver returns.
     """
-    check_restarts(restarts)
-    # The Laplacians validate the affinity.
-    lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
+    lap = normalized_laplacian(w)  # validates the affinity
     n = lap.shape[0]
     check_cluster_count(k, n)
     if k == 1:
@@ -201,7 +184,7 @@ def ncut_cluster(w, k, seed=0, restarts=20, normalized=True):
     )
     row_norms = np.linalg.norm(embedding, axis=1)
     embedding = embedding / np.where(row_norms > _ZERO_ROW_NORM, row_norms, np.inf)[:, None]
-    return kmeans(embedding, k, seed=seed, restarts=restarts)
+    return kmeans(embedding, k, seed=seed)
 
 
 def _singular_values(w):

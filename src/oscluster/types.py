@@ -21,6 +21,11 @@ def is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_finite_real(value):
+    """True for a finite Python or numpy real number; a bool does not count."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class DivergenceError(RuntimeError):
     """Raised when a solver iterate leaves the finite domain (NaN or Inf)."""
 

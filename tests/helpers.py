@@ -15,7 +15,6 @@ from oscluster import (
     kmeans,
     ncut_cluster,
     normalized_laplacian,
-    unnormalized_laplacian,
 )
 from oscluster.spectral import _ZERO_ROW_NORM
 from oscluster.types import difference_norm_squared, operator_norm_squared
@@ -168,10 +167,10 @@ def lasso_cd_matrix(x, lam, tol=1e-10):
     return z
 
 
-def ncut_full_eigh(w, k, seed=0, normalized=True):
+def ncut_full_eigh(w, k, seed=0):
     """Spectral clustering as ncut_cluster, but embedding with the first k
-    columns of a full ``np.linalg.eigh`` of the Laplacian."""
-    lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
+    columns of a full ``np.linalg.eigh`` of the normalized Laplacian."""
+    lap = normalized_laplacian(w)
     n = lap.shape[0]
     if k == 1:
         return np.zeros(n, dtype=int)

@@ -67,6 +67,7 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         ({"repeats": True}, "repeats must be an int"),
         ({"normalize": "false"}, "normalize must be true or false"),
         ({"psnr_db": [None, True]}, "bad psnr entry True"),
+        ({"psnr_db": [None, float("nan")]}, "psnr must be positive, got nan"),
         ({"k_method": "sv-threshold"}, "tau"),
         ({"k_method": "sv-threshold", "sv_tau": -0.5}, "tau"),
         ({"k_method": "sv-threshold", "sv_tau": "0.5"}, "tau"),
@@ -75,6 +76,7 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
     ids=[
         "unknown-key", "timing", "method", "k-method", "generator-str", "generator-key",
         "seed-float", "seed-str", "repeats-float", "repeats-bool", "normalize-str", "psnr-bool",
+        "psnr-nan",
         "tau-missing", "tau-negative", "tau-str", "tau-bool",
     ],
 )

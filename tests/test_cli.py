@@ -68,6 +68,13 @@ class TestGenerate:
         out = tmp_path / "x.csv"
         assert main(["generate", "--out", str(out), "--subspaces", "0"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--cov-diag", "inf"), ("--cov-offdiag", "nan")])
+    def test_non_finite_covariance_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert main(["generate", "--out", str(out), flag, value]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_labels_path_equal_to_out_refused(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         out.write_bytes(b"keep me")
@@ -381,6 +388,16 @@ class TestBench:
         cfg.write_text(json.dumps({"methods": []}))
         assert main(["bench", str(cfg)]) == 2
         assert "bench config" in capsys.readouterr().err
+
+    def test_nan_psnr_token_is_usage_error(self, tmp_path, capsys):
+        # json accepts the bare NaN token; a NaN noise level is refused.
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({**TINY_BENCH, "psnr_db": [None, float("nan")]}))
+        assert "NaN" in cfg.read_text()
+        out_dir = tmp_path / "results"
+        assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert "psnr must be positive" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_fewer_than_one_worker_is_usage_error(self, tmp_path, capsys, workers):

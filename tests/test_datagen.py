@@ -28,6 +28,34 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"num_subspaces": 2.5}, "num_subspaces must be an int"),
+            ({"points_per_subspace": 20.0}, "points_per_subspace must be an int"),
+            ({"ambient_dim": 100.0}, "ambient_dim must be an int"),
+            ({"subspace_dim": 4.0}, "subspace_dim must be an int"),
+            ({"seed": 1.5}, "seed must be an int"),
+            ({"seed": True}, "seed must be an int"),
+            ({"cov_diag": np.inf}, "cov_diag must be a finite number"),
+            ({"cov_offdiag": np.nan}, "cov_offdiag must be a finite number"),
+            ({"cov_offdiag": -np.inf}, "cov_offdiag must be a finite number"),
+            ({"cov_diag": "0.001"}, "cov_diag must be a finite number"),
+        ],
+        ids=[
+            "subspaces-float", "points-float", "ambient-float", "subspace-dim-float",
+            "seed-float", "seed-bool", "diag-inf", "offdiag-nan", "offdiag-minus-inf", "diag-str",
+        ],
+    )
+    def test_rejects_non_int_counts_and_non_finite_covariances(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = SyntheticSpec(num_subspaces=np.int64(2), seed=np.uint32(7))
+        x, _ = generate_synthetic(spec)
+        assert np.array_equal(x, generate_synthetic(SyntheticSpec(num_subspaces=2, seed=7))[0])
+
     def test_defaults(self):
         spec = SyntheticSpec()
         assert (spec.num_subspaces, spec.points_per_subspace) == (5, 20)
@@ -126,6 +154,12 @@ class TestSemisynthetic:
         library = np.ones((40, 30))
         with pytest.raises(ValueError):
             generate_semisynthetic(library, SyntheticSpec(seed=0), bases_per_subspace=0)
+
+    @pytest.mark.parametrize("bases", [2.0, 2.5, True, "2"])
+    def test_bases_per_subspace_must_be_an_int(self, bases):
+        library = np.ones((40, 30))
+        with pytest.raises(ValueError, match="bases_per_subspace must be an int"):
+            generate_semisynthetic(library, SyntheticSpec(seed=0), bases_per_subspace=bases)
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)

@@ -9,7 +9,7 @@ from oscluster import (
     initial_exact_state,
     solve_exact,
 )
-from oscluster.exact import exact_iteration
+from oscluster.exact import ExactWorkspace, exact_iteration
 from oscluster.types import operator_norm_squared
 
 from helpers import build_difference_operator
@@ -64,8 +64,11 @@ class TestParallelSweep:
             y1=rng.standard_normal((6, 9)),
             y2=rng.standard_normal((9, 8)),
         )
-        a = exact_iteration(x, state, 0.1, 1.0, 30.0, 1.0, False)
-        b = exact_iteration(x, state, 0.1, 1.0, 30.0, 1.0, False)
+        # One workspace each: a shared one would hand both calls the same
+        # output arrays, and a and b would be one iterate.
+        args = (0.1, 1.0, 30.0, 1.0, False)
+        a = exact_iteration(x, state, *args, workspace=ExactWorkspace(6, 9))
+        b = exact_iteration(x, state, *args, workspace=ExactWorkspace(6, 9))
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.e, b.e)
         assert np.array_equal(a.j, b.j)
@@ -79,9 +82,10 @@ class TestParallelSweep:
         x = unit_columns(rng, 5, 7)
         state = initial_exact_state(5, 7, 1.0)
         state = dataclasses.replace(state, z=rng.standard_normal((7, 7)))
-        out1 = exact_iteration(x, state, 0.1, 1.0, 30.0, 1.0, False)
+        args = (0.1, 1.0, 30.0, 1.0, False)
+        out1 = exact_iteration(x, state, *args, workspace=ExactWorkspace(5, 7))
         other = dataclasses.replace(state, j=rng.standard_normal((7, 6)))
-        out2 = exact_iteration(x, other, 0.1, 1.0, 30.0, 1.0, False)
+        out2 = exact_iteration(x, other, *args, workspace=ExactWorkspace(5, 7))
         assert np.array_equal(out1.e, out2.e)
 
 

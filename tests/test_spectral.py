@@ -19,7 +19,6 @@ from oscluster import (
     ncut_cluster,
     normalized_laplacian,
     sce,
-    unnormalized_laplacian,
 )
 from oscluster.spectral import _AFFINITY_TILE, _ZERO_ROW_NORM, _check_affinity, _singular_values
 
@@ -39,11 +38,10 @@ def _noisy_blocks(k, seed, isolated=0, noise=0.3):
     return w[np.ix_(perm, perm)]
 
 
-def _assert_gap_after(w, k, normalized):
+def _assert_gap_after(w, k):
     # Only eigenvalues k and k+1 apart make the k-dimensional embedding
     # (and so the labels) independent of the eigensolver.
-    lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
-    vals = np.linalg.eigvalsh(lap)
+    vals = np.linalg.eigvalsh(normalized_laplacian(w))
     assert vals[k] - vals[k - 1] > 0.05
 
 
@@ -117,12 +115,6 @@ class TestCheckAffinity:
 
 
 class TestLaplacians:
-    def test_unnormalized_rows_sum_to_zero(self, rng):
-        w = np.abs(rng.standard_normal((5, 5)))
-        w = w + w.T
-        lap = unnormalized_laplacian(w)
-        assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
-
     def test_normalized_spectrum_bounded(self, rng):
         w = np.abs(rng.standard_normal((6, 6)))
         w = w + w.T
@@ -145,7 +137,7 @@ class TestLaplacians:
     def test_rejects_negative(self):
         w = -np.eye(3)
         with pytest.raises(ValueError):
-            unnormalized_laplacian(w)
+            normalized_laplacian(w)
 
     # The noisy blocks are symmetric only to roundoff, so the expected
     # Laplacians start from the symmetrized copy the affinity check returns.
@@ -160,18 +152,6 @@ class TestLaplacians:
         inv_sqrt = 1.0 / np.sqrt(np.where(degrees <= 0.0, 1e-12, degrees))
         want = -inv_sqrt[:, None] * w * inv_sqrt[None, :]
         want[np.diag_indices_from(want)] += 1.0
-        assert lap.flags.f_contiguous
-        assert np.array_equal(lap, want)
-
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_unnormalized_equals_degree_minus_affinity_bitwise(self, exact):
-        w = _noisy_blocks(4, seed=7, isolated=2)
-        if exact:
-            w = 0.5 * (w + w.T)
-        lap = unnormalized_laplacian(w)
-        w = 0.5 * (w + w.T)
-        want = -w.copy()
-        want[np.diag_indices_from(want)] += w.sum(axis=1)
         assert lap.flags.f_contiguous
         assert np.array_equal(lap, want)
 
@@ -215,7 +195,6 @@ class TestNcut:
         assert np.array_equal(ncut_cluster(w, np.int64(2), seed=0), ncut_cluster(w, 2, seed=0))
 
     @pytest.mark.parametrize("k", [1, 2])
-    @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize(
         "w",
         [
@@ -227,58 +206,51 @@ class TestNcut:
         ],
         ids=["rectangular", "one-d", "non-finite", "asymmetric", "negative"],
     )
-    def test_rejects_malformed_affinity(self, w, normalized, k):
+    def test_rejects_malformed_affinity(self, w, k):
         with pytest.raises(ValueError):
-            ncut_cluster(w, k, normalized=normalized)
+            ncut_cluster(w, k)
 
-    @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_partial_eigensolve_matches_full(self, k, normalized, seed):
+    def test_partial_eigensolve_matches_full(self, k, seed):
         w = _noisy_blocks(k, seed)
-        _assert_gap_after(w, k, normalized)
-        want = ncut_full_eigh(w, k, seed=seed, normalized=normalized)
-        assert np.array_equal(ncut_cluster(w, k, seed=seed, normalized=normalized), want)
+        _assert_gap_after(w, k)
+        want = ncut_full_eigh(w, k, seed=seed)
+        assert np.array_equal(ncut_cluster(w, k, seed=seed), want)
 
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_partial_eigensolve_with_isolated_nodes(self, normalized):
+    def test_partial_eigensolve_with_isolated_nodes(self):
         # Three blocks and three zero-degree nodes: the normalized Laplacian
-        # has 0 three times, then 1 for each guarded isolated node; the
-        # unnormalized one has 0 six times (one per component).
-        # Under the normalized Laplacian an isolated node's embedding row
-        # is zero up to roundoff; k-means distance ties at those rows can
-        # break either way, so the partitions are compared, not label ids.
+        # has 0 three times, then 1 for each guarded isolated node.
+        # An isolated node's embedding row is zero up to roundoff; k-means
+        # distance ties at those rows can break either way, so the
+        # partitions are compared, not label ids.
         w = _noisy_blocks(3, seed=4, isolated=3)
-        k = 3 if normalized else 6
-        _assert_gap_after(w, k, normalized)
-        want = ncut_full_eigh(w, k, seed=0, normalized=normalized)
-        labels = ncut_cluster(w, k, normalized=normalized)
+        _assert_gap_after(w, 3)
+        want = ncut_full_eigh(w, 3, seed=0)
+        labels = ncut_cluster(w, 3)
         assert sce(labels, want) == 0.0
-        if normalized:
-            isolated = w.sum(axis=1) == 0
-            assert len(set(labels[isolated])) == 1
+        isolated = w.sum(axis=1) == 0
+        assert len(set(labels[isolated])) == 1
 
-    @pytest.mark.parametrize("normalized", [True, False])
-    def test_partial_eigensolve_k_equals_n(self, normalized):
+    def test_partial_eigensolve_k_equals_n(self):
         w = _noisy_blocks(2, seed=5)
         n = w.shape[0]
-        want = ncut_full_eigh(w, n, seed=0, normalized=normalized)
-        labels = ncut_cluster(w, n, normalized=normalized)
+        want = ncut_full_eigh(w, n, seed=0)
+        labels = ncut_cluster(w, n)
         assert np.array_equal(labels, want)
         assert sorted(labels) == list(range(n))
 
-    @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_in_place_eigensolve_matches_a_solve_on_a_c_ordered_copy(self, normalized, seed):
+    def test_in_place_eigensolve_matches_a_solve_on_a_c_ordered_copy(self, seed):
         w = _noisy_blocks(5, seed, isolated=1)
-        lap = normalized_laplacian(w) if normalized else unnormalized_laplacian(w)
+        lap = normalized_laplacian(w)
         _, embedding = scipy.linalg.eigh(
             np.ascontiguousarray(lap), subset_by_index=[0, 4], check_finite=False
         )
         row_norms = np.linalg.norm(embedding, axis=1)
         embedding = embedding / np.where(row_norms > _ZERO_ROW_NORM, row_norms, np.inf)[:, None]
         want = kmeans(embedding, 5, seed=seed)
-        assert np.array_equal(ncut_cluster(w, 5, seed=seed, normalized=normalized), want)
+        assert np.array_equal(ncut_cluster(w, 5, seed=seed), want)
 
     def test_rotated_basis_sequences_are_recovered(self, clean_sweep):
         exact_hits = sum(1 for rec in clean_sweep if rec["sce_relaxed"] == 0.0)
@@ -315,14 +287,13 @@ class TestMemory:
     def test_build_affinity_allocates_only_its_output(self):
         assert _traced_peak(build_affinity, self._z()) <= 1.1 * self.NN
 
-    @pytest.mark.parametrize("normalized", [True, False])
     @pytest.mark.parametrize("k", [2, 8])
-    def test_ncut_cluster_allocates_one_laplacian(self, normalized, k):
+    def test_ncut_cluster_allocates_one_laplacian(self, k):
         w = build_affinity(self._z())
         # The workspace scipy allocates for LAPACK (about 38 N doubles),
         # the N x k embedding and k-means' distances.
         small = 8 * self.N * (64 + 4 * k)
-        assert _traced_peak(ncut_cluster, w, k, normalized=normalized) <= self.NN + small
+        assert _traced_peak(ncut_cluster, w, k) <= self.NN + small
 
     def test_lrr_sim_segmentation_holds_three_n_by_n_arrays(self):
         # Z, W and the Laplacian, plus the eigensolve's O(N) and O(N k)
@@ -352,16 +323,6 @@ class TestKmeans:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             kmeans(np.ones((3, 2)), 4)
-
-    @pytest.mark.parametrize("restarts", [0, -1, 1.5, True], ids=["zero", "negative", "float", "bool"])
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_rejects_restarts_that_are_not_positive_ints(self, rng, restarts, k):
-        pts = rng.standard_normal((6, 2))
-        with pytest.raises(ValueError, match="restarts"):
-            kmeans(pts, k, restarts=restarts)
-        w = np.abs(pts @ pts.T)
-        with pytest.raises(ValueError, match="restarts"):
-            ncut_cluster(w, k, restarts=restarts)
 
 
 class TestCountEstimation:

@@ -163,15 +163,14 @@ def test_ssc_sweeps_match_reference(d, n, rank):
     assert not diag.converged and gap > 1e-6
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["workspace", "fresh"])
-def test_exact_sweeps_match_reference(warm, shared):
+def test_exact_sweeps_match_reference(warm):
     x, b = warm
     lam1, lam2, eta_z, eta_j = 0.1, 0.5, 40.0, 1.02
     state = dataclasses.replace(
         initial_exact_state(D, N, 1.0), z=b["z"], e=b["e"], j=b["j"], y1=b["y1"], y2=b["y"]
     )
     want = (b["z"], b["e"], b["j"], b["y1"], b["y"])
-    workspace = ExactWorkspace(D, N) if shared else None
+    workspace = ExactWorkspace(D, N)
     for sweep in range(SWEEPS):
         state = dataclasses.replace(state, mu=mu_at(sweep))
         state = exact_iteration(x, state, lam1, lam2, eta_z, eta_j, False, workspace=workspace)
