@@ -55,9 +55,9 @@ class TestSoftThreshold:
             lambda z: prox_objective_l1(z, v, tau), zstar, rng
         )
 
-    def test_equals_sign_formula_with_positive_zeros(self, rng):
+    @pytest.mark.parametrize("tau", [np.float64(0.6)], ids=["scalar"])
+    def test_equals_sign_formula_with_positive_zeros(self, rng, tau):
         v = rng.standard_normal((9, 7))
-        tau = np.float64(0.6)
         # Entries on the threshold, at both zeros, and far outside it.
         v[0] = tau
         v[1] = -tau
