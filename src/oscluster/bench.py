@@ -35,14 +35,15 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .datagen import SyntheticSpec, add_noise_psnr, generate_semisynthetic, generate_synthetic
+from .datagen import SyntheticSpec, generate_dataset
 from .matio import load_matrix
 from .metrics import sce
-from .pipeline import K_ESTIMATORS, METHODS, cluster_sequential
+from .pipeline import METHODS, check_k_method, cluster_sequential
 from .spectral import check_threshold
 from .types import SolverConfig, is_int
 
 DEFAULT_PSNR_GRID = (math.inf, 40.0, 30.0, 20.0, 15.0, 10.0)
+RAW_COLUMNS = ("method", "psnr_db", "repeat", "sce", "wall_ms", "iterations", "converged", "error")
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(SolverConfig))
 _GENERATOR_FIELDS = tuple(f.name for f in fields(SyntheticSpec))
@@ -91,9 +92,12 @@ def parse_bench_config(raw):
         raise ValueError("bench config must be a JSON object")
     if not raw.get("methods"):
         raise ValueError("bench config needs a nonempty 'methods' list")
-    for key, default in (("master_seed", 0), ("repeats", 20)):
-        if not is_int(raw.get(key, default)):
-            raise ValueError(f"{key} must be an int, got {raw[key]!r}")
+    for key, default, least in (("master_seed", 0, 0), ("repeats", 20, 1)):
+        value = raw.get(key, default)
+        if not is_int(value):
+            raise ValueError(f"{key} must be an int, got {value!r}")
+        if value < least:
+            raise ValueError(f"{key} must be >= {least}, got {value}")
     cfg = {
         "master_seed": raw.get("master_seed", 0),
         "repeats": raw.get("repeats", 20),
@@ -111,12 +115,9 @@ def parse_bench_config(raw):
     _object_with_keys(raw, cfg, "bench config")
     if not isinstance(cfg["normalize"], bool):
         raise ValueError(f"normalize must be true or false, got {cfg['normalize']!r}")
-    if cfg["repeats"] < 1:
-        raise ValueError(f"repeats must be >= 1, got {cfg['repeats']}")
     if cfg["k"] is not None and not (is_int(cfg["k"]) and cfg["k"] >= 1):
         raise ValueError(f"k must be null or a positive int, got {cfg['k']!r}")
-    if cfg["k_method"] not in K_ESTIMATORS:
-        raise ValueError(f"unknown k_method {cfg['k_method']!r} (choose from {K_ESTIMATORS})")
+    check_k_method(cfg["k_method"])
     if cfg["k"] is None and cfg["k_method"] == "sv-threshold":
         check_threshold(cfg["sv_tau"])
     return cfg
@@ -124,45 +125,24 @@ def parse_bench_config(raw):
 
 def _generate_cell_data(cfg, repeat, psnr_db, library_matrix):
     spec = replace(cfg["generator"], seed=derive_seed(cfg["master_seed"], 0, repeat))
-    if library_matrix is not None:
-        x, labels = generate_semisynthetic(library_matrix, spec)
-    else:
-        x, labels = generate_synthetic(spec)
-    if math.isfinite(psnr_db):
-        noise_seed = derive_seed(cfg["master_seed"], 1, repeat, int(round(psnr_db * 100)))
-        x = add_noise_psnr(x, psnr_db, seed=noise_seed)
-    return x, labels
+    if math.isinf(psnr_db):
+        return generate_dataset(spec, library_matrix)
+    noise_seed = derive_seed(cfg["master_seed"], 1, repeat, int(round(psnr_db * 100)))
+    return generate_dataset(spec, library_matrix, psnr_db=psnr_db, noise_seed=noise_seed)
 
 
 def run_cell(cfg, method_name, config, repeat, psnr_db, library_matrix):
     """One (method, noise, repeat) measurement; exceptions become row errors."""
-    row = {
-        "method": method_name,
-        "psnr_db": psnr_db,
-        "repeat": repeat,
-        "sce": None,
-        "wall_ms": None,
-        "iterations": None,
-        "converged": None,
-        "error": "",
-    }
+    row = dict.fromkeys(RAW_COLUMNS)
+    row.update(method=method_name, psnr_db=psnr_db, repeat=repeat, error="")
     try:
         x, labels = _generate_cell_data(cfg, repeat, psnr_db, library_matrix)
         result = cluster_sequential(
-            x,
-            method=method_name,
-            config=config,
-            k=cfg["k"],
-            k_method=cfg["k_method"],
-            sv_tau=cfg["sv_tau"],
-            seed=derive_seed(cfg["master_seed"], 2, repeat),
-            normalize=cfg["normalize"],
+            x, method=method_name, config=config, seed=derive_seed(cfg["master_seed"], 2, repeat),
+            **{name: cfg[name] for name in ("k", "k_method", "sv_tau", "normalize")},
         )
         row["sce"] = sce(result.labels, labels)
-        row["wall_ms"] = result.wall_ms
-        if result.diagnostics is not None:
-            row["iterations"] = result.diagnostics.iterations
-            row["converged"] = result.diagnostics.converged
+        row.update(result.record())
     except Exception as exc:  # recorded, sweep continues
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
@@ -218,15 +198,7 @@ def run_bench(raw_config, out_dir, workers=1):
     # Deterministic output order regardless of execution order.
     rows.sort(key=lambda r: (r["method"], -r["psnr_db"], r["repeat"]))
     raw_path = os.path.join(out_dir, "raw.csv")
-    _write_csv(
-        raw_path,
-        ["method", "psnr_db", "repeat", "sce", "wall_ms", "iterations", "converged", "error"],
-        [
-            (r["method"], r["psnr_db"], r["repeat"], r["sce"], r["wall_ms"],
-             r["iterations"], r["converged"], r["error"])
-            for r in rows
-        ],
-    )
+    _write_csv(raw_path, RAW_COLUMNS, [[r[c] for c in RAW_COLUMNS] for r in rows])
 
     summary_rows = []
     for name, _ in cfg["methods"]:

@@ -16,12 +16,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
 from .bench import run_bench
-from .datagen import SyntheticSpec, add_noise_psnr, generate_semisynthetic, generate_synthetic
+from .datagen import BASES_PER_SUBSPACE, SyntheticSpec, generate_dataset
 from .matio import load_int_array, load_matrix, save_int_array, save_matrix
 from .metrics import sce
 from .pipeline import K_ESTIMATORS, METHODS, cluster_sequential
@@ -51,42 +50,76 @@ def _path_collision(paths):
     return None
 
 
+# (flag, field, help): each flag stores into a field of SyntheticSpec or
+# SolverConfig and takes its type and default from that field's default.
+_SPEC_FLAGS = (
+    ("--seed", "seed", None),
+    ("--subspaces", "num_subspaces", None),
+    ("--points", "points_per_subspace", "samples per subspace"),
+    ("--dim", "ambient_dim", "ambient dimension"),
+    ("--subspace-dim", "subspace_dim", None),
+    ("--cov-diag", "cov_diag", None),
+    ("--cov-offdiag", "cov_offdiag", None),
+)
+_SOLVER_FLAGS = (
+    ("--lambda1", "lambda1", None),
+    ("--lambda2", "lambda2", None),
+    ("--mu", "mu0", None),
+    ("--mu-max", "mu_max", None),
+    ("--gamma0", "gamma0", None),
+    ("--eps1", "eps1", None),
+    ("--eps2", "eps2", None),
+    ("--max-iter", "max_iter", None),
+    ("--diag-zero", "diag_zero", "constrain diag(Z) = 0 (ssc and spatsc always do)"),
+)
+# cluster flags passed to cluster_sequential under their dest names.
+_RUN_ARGS = ("method", "k", "k_method", "sv_tau", "seed", "normalize")
+
+
+def _add_field_flags(parser, table, defaults):
+    for flag, name, text in table:
+        default = getattr(defaults, name)
+        if isinstance(default, bool):
+            parser.add_argument(flag, dest=name, action="store_true", help=text)
+        else:
+            metavar = flag[2:].upper().replace("-", "_")
+            parser.add_argument(
+                flag, dest=name, type=type(default), default=default, metavar=metavar, help=text
+            )
+
+
+def _from_flags(cls, table, args):
+    return cls(**{name: getattr(args, name) for _, name, _ in table})
+
+
 def _add_generate_parser(sub):
     p = sub.add_parser("generate", help="write a synthetic ordered dataset")
     p.add_argument("--out", default="synthetic.csv", help="output matrix (.csv or .json)")
     p.add_argument("--labels-out", default=None, help="label sidecar (default <out>.labels.json)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subspaces", type=int, default=5)
-    p.add_argument("--points", type=int, default=20, help="samples per subspace")
-    p.add_argument("--dim", type=int, default=100, help="ambient dimension")
-    p.add_argument("--subspace-dim", type=int, default=4)
-    p.add_argument("--cov-diag", type=float, default=0.001)
-    p.add_argument("--cov-offdiag", type=float, default=0.0005)
+    _add_field_flags(p, _SPEC_FLAGS, SyntheticSpec())
     p.add_argument("--library", default=None, help="matrix file whose columns serve as bases")
-    p.add_argument("--bases-per-subspace", type=int, default=5)
+    p.add_argument(
+        "--bases-per-subspace", type=int, default=None,
+        help=f"library columns per subspace (needs --library; default {BASES_PER_SUBSPACE})",
+    )
     p.add_argument("--psnr", type=float, default=None, help="add noise at this PSNR (dB)")
 
 
 def _add_cluster_parser(sub):
-    defaults = SolverConfig()
     p = sub.add_parser("cluster", help="segment an ordered data file")
     p.add_argument("data", help="matrix file (.csv or .json), one sample per column")
     p.add_argument("--method", choices=METHODS, default="osc-relaxed")
     p.add_argument("--k", type=int, default=None, help="cluster count (default: estimate)")
-    p.add_argument("--estimate-k", choices=K_ESTIMATORS, default="eigengap")
-    p.add_argument("--tau", type=float, default=None, help="threshold for sv-threshold estimation")
-    p.add_argument("--lambda1", type=float, default=defaults.lambda1)
-    p.add_argument("--lambda2", type=float, default=defaults.lambda2)
-    p.add_argument("--mu", type=float, default=defaults.mu0)
-    p.add_argument("--mu-max", type=float, default=defaults.mu_max)
-    p.add_argument("--gamma0", type=float, default=defaults.gamma0)
-    p.add_argument("--eps1", type=float, default=defaults.eps1)
-    p.add_argument("--eps2", type=float, default=defaults.eps2)
-    p.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    p.add_argument("--estimate-k", dest="k_method", choices=K_ESTIMATORS, default="eigengap")
     p.add_argument(
-        "--diag-zero", action="store_true", help="constrain diag(Z) = 0 (ssc and spatsc always do)"
+        "--tau", dest="sv_tau", type=float, default=None, metavar="TAU",
+        help="threshold for sv-threshold estimation",
     )
-    p.add_argument("--no-normalize", action="store_true", help="skip unit-norm column scaling")
+    _add_field_flags(p, _SOLVER_FLAGS, SolverConfig())
+    p.add_argument(
+        "--no-normalize", dest="normalize", action="store_false",
+        help="skip unit-norm column scaling",
+    )
     p.add_argument("--seed", type=int, default=0, help="clustering restart seed")
     p.add_argument("--truth", default=None, help="true label file; adds SCE to the report")
     p.add_argument("--labels-out", default=None, help="default <data>.predicted.json")
@@ -106,22 +139,14 @@ def cmd_generate(args):
     if collision:
         print(f"error: {collision}", file=sys.stderr)
         return EXIT_USAGE
-    spec = SyntheticSpec(
-        num_subspaces=args.subspaces,
-        points_per_subspace=args.points,
-        ambient_dim=args.dim,
-        subspace_dim=args.subspace_dim,
-        cov_diag=args.cov_diag,
-        cov_offdiag=args.cov_offdiag,
-        seed=args.seed,
+    spec = _from_flags(SyntheticSpec, _SPEC_FLAGS, args)
+    x, labels = generate_dataset(
+        spec,
+        library=load_matrix(args.library) if args.library else None,
+        bases_per_subspace=args.bases_per_subspace,
+        psnr_db=args.psnr,
+        noise_seed=args.seed,
     )
-    if args.library:
-        library = load_matrix(args.library)
-        x, labels = generate_semisynthetic(library, spec, args.bases_per_subspace)
-    else:
-        x, labels = generate_synthetic(spec)
-    if args.psnr is not None:
-        x = add_noise_psnr(x, args.psnr, seed=args.seed)
     save_matrix(args.out, x)
     save_int_array(labels_path, labels)
     report = dataclasses.asdict(spec)
@@ -148,58 +173,24 @@ def cmd_cluster(args):
         print(f"error: {collision}", file=sys.stderr)
         return EXIT_USAGE
     x = load_matrix(args.data)
-    config = SolverConfig(
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        mu0=args.mu,
-        mu_max=args.mu_max,
-        gamma0=args.gamma0,
-        eps1=args.eps1,
-        eps2=args.eps2,
-        max_iter=args.max_iter,
-        diag_zero=args.diag_zero,
-    )
+    config = _from_flags(SolverConfig, _SOLVER_FLAGS, args)
     report = {"method": args.method, "data": str(args.data)}
     try:
         result = cluster_sequential(
-            x,
-            method=args.method,
-            config=config,
-            k=args.k,
-            k_method=args.estimate_k,
-            sv_tau=args.tau,
-            seed=args.seed,
-            normalize=not args.no_normalize,
+            x, config=config, **{name: getattr(args, name) for name in _RUN_ARGS}
         )
     except DivergenceError as exc:
         report["error"] = str(exc)
-        with open(diagnostics_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-
-    report.update(
-        k=result.k,
-        k_was_estimated=result.k_was_estimated,
-        wall_ms=result.wall_ms,
-        labels_out=str(labels_path),
-    )
-    if result.diagnostics is not None:
-        report.update(
-            iterations=result.diagnostics.iterations,
-            converged=result.diagnostics.converged,
-            objective=result.diagnostics.objective_value,
-            final_feasibility=(
-                result.diagnostics.feasibility_history[-1]
-                if result.diagnostics.feasibility_history
-                else None
-            ),
-        )
-    if args.truth:
-        report["sce"] = sce(result.labels, load_int_array(args.truth))
-    save_int_array(labels_path, result.labels)
+    else:
+        report.update(result.record(), labels_out=str(labels_path))
+        if args.truth:
+            report["sce"] = sce(result.labels, load_int_array(args.truth))
+        save_int_array(labels_path, result.labels)
     with open(diagnostics_path, "w") as fh:
         json.dump(report, fh, indent=2)
+    if "error" in report:
+        print(f"solver failed: {report['error']}", file=sys.stderr)
+        return EXIT_SOLVER
     print(json.dumps(report))
     return EXIT_OK
 

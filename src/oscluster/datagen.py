@@ -16,6 +16,8 @@ import numpy as np
 
 from .types import as_data_matrix, is_finite_real, is_int
 
+BASES_PER_SUBSPACE = 5
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -131,7 +133,7 @@ def generate_synthetic(spec=None):
     return _stack_segments(spec, bases, streams[2:])
 
 
-def generate_semisynthetic(library, spec=None, bases_per_subspace=5):
+def generate_semisynthetic(library, spec=None, bases_per_subspace=BASES_PER_SUBSPACE):
     """Generate (x, labels) using library columns as subspace bases.
 
     Each subspace draws ``bases_per_subspace`` distinct library columns
@@ -154,6 +156,22 @@ def generate_semisynthetic(library, spec=None, bases_per_subspace=5):
     chosen = rng_pick.choice(library.shape[1], size=needed, replace=False)
     bases = [library[:, cols] for cols in chosen.reshape(spec.num_subspaces, bases_per_subspace)]
     return _stack_segments(spec, bases, streams[1:])
+
+
+def generate_dataset(spec, library=None, bases_per_subspace=None, psnr_db=None, noise_seed=0):
+    """(x, labels) from ``library``'s columns when it is given (with
+    ``bases_per_subspace``, default ``BASES_PER_SUBSPACE``), else synthetic;
+    then with noise at ``psnr_db`` dB drawn from ``noise_seed`` unless None."""
+    if library is not None:
+        bases = BASES_PER_SUBSPACE if bases_per_subspace is None else bases_per_subspace
+        x, labels = generate_semisynthetic(library, spec, bases)
+    elif bases_per_subspace is not None:
+        raise ValueError(f"bases_per_subspace={bases_per_subspace!r} needs a library")
+    else:
+        x, labels = generate_synthetic(spec)
+    if psnr_db is not None:
+        x = add_noise_psnr(x, psnr_db, seed=noise_seed)
+    return x, labels
 
 
 def add_noise_psnr(a, target_psnr_db, seed=0):

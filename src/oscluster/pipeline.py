@@ -43,6 +43,21 @@ class ClusterResult:
     diagnostics: object
     wall_ms: float
 
+    def record(self):
+        """The run's report fields, shared by the CLI report and the bench
+        row: the count, the wall time and, when the method iterates, its
+        sweep count, convergence flag, objective and last residual."""
+        record = {"k": self.k, "k_was_estimated": self.k_was_estimated, "wall_ms": self.wall_ms}
+        d = self.diagnostics
+        if d is not None:
+            record.update(
+                iterations=d.iterations,
+                converged=d.converged,
+                objective=d.objective_value,
+                final_feasibility=d.feasibility_history[-1] if d.feasibility_history else None,
+            )
+        return record
+
 
 def normalize_columns(x):
     """Scale each column to unit Euclidean norm; zero columns stay zero."""

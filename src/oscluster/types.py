@@ -197,8 +197,9 @@ class SolverConfig:
     iterate change falls under ``eps2``, while ``"additive"`` adds a fixed
     increment every sweep (the mode used for descent-monitor analysis).
     ``diag_zero`` fixes diag(Z) at zero in the two sequential solvers; ssc
-    and spatsc always fix it there.  Every number must be finite and
-    ``max_iter`` an int; anything else raises ``ValueError``.
+    and spatsc always fix it there.  Every number must be a finite real
+    (``eta_z`` may be ``None``), ``max_iter`` an int and the two flags
+    bools; anything else raises ``ValueError``.
     """
 
     lambda1: float = 0.1
@@ -221,10 +222,13 @@ class SolverConfig:
         )
         for name in float_fields:
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not (name == "eta_z" and value is None) and not is_finite_real(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not is_int(self.max_iter):
             raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
+        for name in ("diag_zero", "monitor_lyapunov"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
         if self.lambda1 < 0:
             raise ValueError(f"lambda1 must be nonnegative, got {self.lambda1}")
         if self.lambda2 < 0:

@@ -58,11 +58,12 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         ({"repets": 5}, "unknown keys"),
         ({"timing": {"repeats": 1}}, "unknown keys"),
         ({"methods": [{"name": "kmeans"}]}, "unknown method"),
-        ({"k_method": "elbow"}, "unknown k_method"),
+        ({"k_method": "elbow"}, "unknown k estimator"),
         ({"generator": "synthetic"}, "'generator' must be an object"),
         ({"generator": {"num_subspace": 3}}, "'generator' has unknown keys"),
         ({"master_seed": 1.7}, "master_seed must be an int"),
         ({"master_seed": "1"}, "master_seed must be an int"),
+        ({"master_seed": -1}, "master_seed must be >= 0"),
         ({"repeats": 1.7}, "repeats must be an int"),
         ({"repeats": True}, "repeats must be an int"),
         ({"normalize": "false"}, "normalize must be true or false"),
@@ -75,8 +76,8 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
     ],
     ids=[
         "unknown-key", "timing", "method", "k-method", "generator-str", "generator-key",
-        "seed-float", "seed-str", "repeats-float", "repeats-bool", "normalize-str", "psnr-bool",
-        "psnr-nan",
+        "seed-float", "seed-str", "seed-negative", "repeats-float", "repeats-bool",
+        "normalize-str", "psnr-bool", "psnr-nan",
         "tau-missing", "tau-negative", "tau-str", "tau-bool",
     ],
 )

@@ -4,7 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from oscluster import DivergenceError, SolverConfig, load_int_array, load_matrix, save_matrix
+from oscluster import (
+    DivergenceError,
+    SolverConfig,
+    SyntheticSpec,
+    load_int_array,
+    load_matrix,
+    save_matrix,
+)
 from oscluster.cli import main
 
 
@@ -75,6 +82,23 @@ class TestGenerate:
         assert "must be a finite number" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_bases_per_subspace_without_library_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert main(["generate", "--out", str(out), "--bases-per-subspace", "3"]) == 2
+        assert "needs a library" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spec_defaults_are_the_spec_defaults(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def generate(spec, **kwargs):
+            seen["spec"] = spec
+            raise ValueError("stop before generating")
+
+        monkeypatch.setattr("oscluster.cli.generate_dataset", generate)
+        assert main(["generate", "--out", str(tmp_path / "x.csv")]) == 2
+        assert seen["spec"] == SyntheticSpec()
+
     def test_labels_path_equal_to_out_refused(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         out.write_bytes(b"keep me")
@@ -144,6 +168,19 @@ class TestCluster:
         monkeypatch.setattr("oscluster.cli.cluster_sequential", solve)
         assert main(["cluster", str(table_dataset)]) == 2
         assert seen["config"] == SolverConfig()
+
+    @pytest.mark.parametrize(
+        "method, solver_keys",
+        [
+            ("osc-relaxed", {"iterations", "converged", "objective", "final_feasibility"}),
+            ("lrr-sim", set()),
+        ],
+    )
+    def test_report_keys(self, table_dataset, capsys, method, solver_keys):
+        assert main(["cluster", str(table_dataset), "--method", method, "--k", "5"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        run_keys = {"method", "data", "k", "k_was_estimated", "wall_ms", "labels_out"}
+        assert set(report) == run_keys | solver_keys
 
     @pytest.mark.parametrize("tau", ["nan", "inf"])
     def test_nonfinite_tau_is_usage_error(self, tmp_path, capsys, tau):
@@ -423,17 +460,18 @@ class TestBench:
             ({"repets": 5}, "unknown keys"),
             ({"timing": {"repeats": 1}}, "unknown keys"),
             ({"methods": [{"name": "kmeans"}]}, "unknown method"),
-            ({"k_method": "elbow"}, "unknown k_method"),
+            ({"k_method": "elbow"}, "unknown k estimator"),
             ({"generator": [2, 5]}, "'generator' must be an object"),
             ({"generator": {"num_subspace": 3}}, "'generator' has unknown keys"),
             ({"master_seed": 1.7}, "master_seed must be an int"),
             ({"repeats": 1.7}, "repeats must be an int"),
             ({"normalize": "false"}, "normalize must be true or false"),
             ({"psnr_db": [True]}, "bad psnr entry True"),
+            ({"master_seed": -1}, "master_seed must be >= 0"),
         ],
         ids=[
             "unknown-key", "timing", "method", "k-method", "generator-list", "generator-key",
-            "seed-float", "repeats-float", "normalize-str", "psnr-bool",
+            "seed-float", "repeats-float", "normalize-str", "psnr-bool", "seed-negative",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, change, message):
@@ -442,6 +480,20 @@ class TestBench:
         out_dir = tmp_path / "results"
         assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"name": "ssc", "lambda1": "0.2"}, {"name": "osc-relaxed", "diag_zero": "false"}],
+        ids=["lambda1-str", "diag-zero-str"],
+    )
+    def test_method_field_of_the_wrong_type_is_usage_error(self, tmp_path, capsys, entry):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({**TINY_BENCH, "methods": [entry]}))
+        out_dir = tmp_path / "results"
+        assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "bad bench config" in err and "Traceback" not in err
         assert not out_dir.exists()
 
     def test_malformed_json_is_usage_error(self, tmp_path, capsys):

@@ -171,6 +171,30 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("lambda1", "0.2"),
+            ("lambda1", None),
+            ("lambda1", True),
+            ("mu0", [1.0]),
+            ("eta_z", "1.5"),
+            ("eta_j", False),
+            ("diag_zero", "false"),
+            ("diag_zero", 1),
+            ("diag_zero", None),
+            ("monitor_lyapunov", "true"),
+            ("monitor_lyapunov", np.True_),
+        ],
+    )
+    def test_rejects_values_of_the_wrong_type(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
+    def test_accepts_numpy_numbers_and_no_eta_z(self):
+        cfg = SolverConfig(lambda1=np.float64(0.2), eta_z=None, max_iter=np.int64(10))
+        assert (cfg.lambda1, cfg.eta_z, cfg.max_iter) == (0.2, None, 10)
+
     def test_frozen(self):
         cfg = SolverConfig()
         with pytest.raises(Exception):
