@@ -23,13 +23,12 @@ from .matio import (
     save_matrix,
 )
 from .metrics import psnr, sce
-from .pipeline import ClusterResult, cluster_sequential, estimate_k, normalize_columns
+from .pipeline import ClusterResult, cluster_sequential, normalize_columns
 from .relaxed import RelaxedState, initial_relaxed_state, solve_relaxed
 from .spectral import (
     build_affinity,
     detect_boundaries_peaks,
-    estimate_k_eigengap,
-    estimate_k_sv_threshold,
+    estimate_k,
     kmeans,
     ncut_cluster,
     normalized_laplacian,
@@ -51,8 +50,6 @@ __all__ = [
     "cluster_sequential",
     "detect_boundaries_peaks",
     "estimate_k",
-    "estimate_k_eigengap",
-    "estimate_k_sv_threshold",
     "generate_semisynthetic",
     "generate_synthetic",
     "initial_exact_state",

@@ -35,11 +35,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .datagen import SyntheticSpec, generate_dataset
+from .datagen import SyntheticSpec, check_library, generate_dataset
 from .matio import load_matrix
 from .metrics import sce
-from .pipeline import METHODS, check_k_method, cluster_sequential
-from .spectral import check_threshold
+from .pipeline import METHODS, cluster_sequential
+from .spectral import check_k_settings
 from .types import SolverConfig, is_int
 
 DEFAULT_PSNR_GRID = (math.inf, 40.0, 30.0, 20.0, 15.0, 10.0)
@@ -90,8 +90,10 @@ def parse_bench_config(raw):
     """Normalize a raw config dict; raises ValueError on malformed input."""
     if not isinstance(raw, dict):
         raise ValueError("bench config must be a JSON object")
-    if not raw.get("methods"):
+    if not isinstance(raw.get("methods"), (list, tuple)) or not raw["methods"]:
         raise ValueError("bench config needs a nonempty 'methods' list")
+    if not isinstance(raw.get("psnr_db", DEFAULT_PSNR_GRID), (list, tuple)):
+        raise ValueError(f"psnr_db must be a list, got {raw['psnr_db']!r}")
     for key, default, least in (("master_seed", 0, 0), ("repeats", 20, 1)):
         value = raw.get(key, default)
         if not is_int(value):
@@ -115,11 +117,9 @@ def parse_bench_config(raw):
     _object_with_keys(raw, cfg, "bench config")
     if not isinstance(cfg["normalize"], bool):
         raise ValueError(f"normalize must be true or false, got {cfg['normalize']!r}")
-    if cfg["k"] is not None and not (is_int(cfg["k"]) and cfg["k"] >= 1):
-        raise ValueError(f"k must be null or a positive int, got {cfg['k']!r}")
-    check_k_method(cfg["k_method"])
-    if cfg["k"] is None and cfg["k_method"] == "sv-threshold":
-        check_threshold(cfg["sv_tau"])
+    generator = cfg["generator"]
+    n = generator.num_subspaces * generator.points_per_subspace
+    check_k_settings(cfg["k"], cfg["k_method"], cfg["sv_tau"], n)
     return cfg
 
 
@@ -180,8 +180,10 @@ def run_bench(raw_config, out_dir, workers=1):
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cfg = parse_bench_config(raw_config)
+    library_matrix = None
+    if cfg["library"]:
+        library_matrix = check_library(load_matrix(cfg["library"]), cfg["generator"])
     os.makedirs(out_dir, exist_ok=True)
-    library_matrix = load_matrix(cfg["library"]) if cfg["library"] else None
 
     tasks = [
         (cfg, name, config, repeat, psnr_db, library_matrix)

@@ -23,7 +23,8 @@ from .bench import run_bench
 from .datagen import BASES_PER_SUBSPACE, SyntheticSpec, generate_dataset
 from .matio import load_int_array, load_matrix, save_int_array, save_matrix
 from .metrics import sce
-from .pipeline import K_ESTIMATORS, METHODS, cluster_sequential
+from .pipeline import METHODS, cluster_sequential
+from .spectral import K_ESTIMATORS
 from .types import DivergenceError, SolverConfig
 
 EXIT_OK = 0

@@ -143,6 +143,20 @@ def generate_semisynthetic(library, spec=None, bases_per_subspace=BASES_PER_SUBS
     num_subspaces`` columns.
     """
     spec = spec if spec is not None else SyntheticSpec()
+    library = check_library(library, spec, bases_per_subspace)
+    streams = np.random.SeedSequence(spec.seed).spawn(1 + spec.num_subspaces)
+    rng_pick = np.random.default_rng(streams[0])
+    chosen = rng_pick.choice(
+        library.shape[1], size=(spec.num_subspaces, bases_per_subspace), replace=False
+    )
+    bases = [library[:, cols] for cols in chosen]
+    return _stack_segments(spec, bases, streams[1:])
+
+
+def check_library(library, spec, bases_per_subspace=BASES_PER_SUBSPACE):
+    """``library`` as a data matrix; raises ValueError unless it has the
+    ``bases_per_subspace * spec.num_subspaces`` columns that
+    ``generate_semisynthetic`` draws."""
     library = as_data_matrix(library)
     if not is_int(bases_per_subspace) or bases_per_subspace < 1:
         raise ValueError(f"bases_per_subspace must be an int >= 1, got {bases_per_subspace!r}")
@@ -151,11 +165,7 @@ def generate_semisynthetic(library, spec=None, bases_per_subspace=BASES_PER_SUBS
         raise ValueError(
             f"library has {library.shape[1]} columns, needs at least {needed}"
         )
-    streams = np.random.SeedSequence(spec.seed).spawn(1 + spec.num_subspaces)
-    rng_pick = np.random.default_rng(streams[0])
-    chosen = rng_pick.choice(library.shape[1], size=needed, replace=False)
-    bases = [library[:, cols] for cols in chosen.reshape(spec.num_subspaces, bases_per_subspace)]
-    return _stack_segments(spec, bases, streams[1:])
+    return library
 
 
 def generate_dataset(spec, library=None, bases_per_subspace=None, psnr_db=None, noise_seed=0):

@@ -17,18 +17,10 @@ import numpy as np
 from .baselines import sim_closed_form, spatsc_solve, ssc_solve
 from .exact import solve_exact
 from .relaxed import solve_relaxed
-from .spectral import (
-    build_affinity,
-    check_cluster_count,
-    check_threshold,
-    estimate_k_eigengap,
-    estimate_k_sv_threshold,
-    ncut_cluster,
-)
+from .spectral import build_affinity, check_k_settings, estimate_k, ncut_cluster
 from .types import SolverConfig, as_data_matrix
 
 METHODS = ("osc-relaxed", "osc-exact", "ssc", "spatsc", "lrr-sim")
-K_ESTIMATORS = ("eigengap", "svd-gap", "sv-threshold")
 
 
 @dataclass
@@ -64,22 +56,6 @@ def normalize_columns(x):
     x = as_data_matrix(x)
     norms = np.linalg.norm(x, axis=0)
     return x / np.where(norms > 0, norms, 1.0)[None, :]
-
-
-def check_k_method(method):
-    """Raise ValueError unless ``method`` is in K_ESTIMATORS."""
-    if method not in K_ESTIMATORS:
-        raise ValueError(f"unknown k estimator {method!r} (choose from {K_ESTIMATORS})")
-
-
-def estimate_k(w, method="eigengap", tau=None):
-    """Cluster count from an affinity spectrum."""
-    check_k_method(method)
-    if method == "eigengap":
-        return estimate_k_eigengap(w)
-    if method == "svd-gap":
-        return estimate_k_eigengap(w, singular_values=True)
-    return estimate_k_sv_threshold(w, tau)
 
 
 def solve_coefficients(x, method, config):
@@ -120,11 +96,7 @@ def cluster_sequential(
     """
     x = as_data_matrix(x)
     # Before the solve, which bad k settings would only waste.
-    check_k_method(k_method)
-    if k is not None:
-        check_cluster_count(k, x.shape[1])
-    elif k_method == "sv-threshold":
-        check_threshold(sv_tau)
+    check_k_settings(k, k_method, sv_tau, x.shape[1])
     config = config if config is not None else SolverConfig()
     start = time.perf_counter()
     # The normalized copy is dropped once Z exists.

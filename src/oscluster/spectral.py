@@ -15,6 +15,8 @@ _ZERO_DEGREE_EPS = 1e-12
 _ZERO_ROW_NORM = 1e-10
 # k-means runs from this many seedings and keeps the best.
 KMEANS_RESTARTS = 20
+# The ways ``estimate_k`` reads the cluster count from the affinity spectrum.
+K_ESTIMATORS = ("eigengap", "svd-gap", "sv-threshold")
 
 
 # Square tile of the in-place symmetrization.  Any size gives bitwise the
@@ -135,6 +137,18 @@ def check_threshold(tau):
         raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
 
 
+def check_k_settings(k, k_method, sv_tau, n):
+    """Raise ValueError unless the cluster-count settings can run on ``n``
+    samples: ``k_method`` is in K_ESTIMATORS, a given ``k`` is in [1, n],
+    and with ``k`` None the ``sv-threshold`` method has a valid ``sv_tau``."""
+    if k_method not in K_ESTIMATORS:
+        raise ValueError(f"unknown k estimator {k_method!r} (choose from {K_ESTIMATORS})")
+    if k is not None:
+        check_cluster_count(k, n)
+    elif k_method == "sv-threshold":
+        check_threshold(sv_tau)
+
+
 def kmeans(points, k, seed=0):
     """Best-of-``KMEANS_RESTARTS`` k-means with D^2 seeding.
 
@@ -187,33 +201,26 @@ def ncut_cluster(w, k, seed=0):
     return kmeans(embedding, k, seed=seed)
 
 
-def _singular_values(w):
-    # W is symmetric, so its singular values are its |eigenvalues|; one
-    # eigvalsh is about 3x cheaper than an SVD.  Descending order.
-    return np.sort(np.abs(np.linalg.eigvalsh(w)))[::-1]
+def estimate_k(w, method="eigengap", tau=None):
+    """Cluster count from the spectrum of the affinity W, by ``method``.
 
-
-def estimate_k_sv_threshold(w, tau):
-    """Number of singular values of W above the absolute threshold tau."""
-    w = _check_affinity(w)
-    check_threshold(tau)
-    return int(np.sum(_singular_values(w) > tau))
-
-
-def estimate_k_eigengap(w, singular_values=False):
-    """Position of the largest gap in the descending spectrum of W.
-
-    With eigenvalues d_1 >= d_2 >= ... the estimate is the (1-based) i
-    maximizing d_i - d_{i+1}; ties resolve to the smallest i.  Set
-    ``singular_values`` to use singular values instead of eigenvalues.
+    ``eigengap``: with the eigenvalues of W in descending order
+    d_1 >= d_2 >= ..., the (1-based) i maximizing d_i - d_{i+1}; ties
+    resolve to the smallest i.  ``svd-gap``: the same on the singular
+    values.  ``sv-threshold``: the number of singular values above the
+    absolute threshold ``tau``.
     """
     w = _check_affinity(w)
-    if w.shape[0] < 2:
+    check_k_settings(None, method, tau, w.shape[0])
+    if method != "sv-threshold" and w.shape[0] < 2:
         raise ValueError("gap estimation needs at least a 2x2 affinity")
-    if singular_values:
-        spectrum = _singular_values(w)
-    else:
-        spectrum = np.linalg.eigvalsh(w)[::-1]
+    spectrum = np.linalg.eigvalsh(w)[::-1]
+    if method != "eigengap":
+        # W is symmetric, so its singular values are its |eigenvalues|; one
+        # eigvalsh is about 3x cheaper than an SVD.
+        spectrum = np.sort(np.abs(spectrum))[::-1]
+    if method == "sv-threshold":
+        return int(np.sum(spectrum > tau))
     gaps = spectrum[:-1] - spectrum[1:]
     return int(np.argmax(gaps)) + 1
 

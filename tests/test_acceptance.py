@@ -14,8 +14,7 @@ from scipy.linalg import block_diag
 from oscluster import (
     SolverConfig,
     SyntheticSpec,
-    estimate_k_eigengap,
-    estimate_k_sv_threshold,
+    estimate_k,
     generate_synthetic,
     normalize_columns,
     sce,
@@ -162,10 +161,10 @@ def test_criterion_05_beats_references_at_15db(capsys, noisy_sweep_15db):
 
 
 def test_criterion_06_cluster_count_estimation(capsys, clean_sweep):
-    hits = sum(1 for rec in clean_sweep if estimate_k_eigengap(rec["w_relaxed"]) == 5)
+    hits = sum(1 for rec in clean_sweep if estimate_k(rec["w_relaxed"]) == 5)
     w = block_diag(*[np.ones((20, 20)) for _ in range(5)])
     sigma_max = float(np.linalg.svd(w, compute_uv=False)[0])
-    sv_estimate = estimate_k_sv_threshold(w, 1e-6 * sigma_max)
+    sv_estimate = estimate_k(w, "sv-threshold", 1e-6 * sigma_max)
     ok = hits >= 18 and sv_estimate == 5
     report(
         capsys,

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from oscluster import save_matrix
 from oscluster.bench import parse_bench_config, run_bench
 
 
@@ -36,7 +38,7 @@ def test_k_accepts_null_or_positive_int(k):
 
 @pytest.mark.parametrize("k", ["5", 2.5, 5.0, True, 0, -3, [5]])
 def test_k_rejects_anything_else(tmp_path, k):
-    with pytest.raises(ValueError, match="k must be null or a positive int"):
+    with pytest.raises(ValueError, match=r"k must be an int in \[1, 100\]"):
         parse_bench_config({"methods": [{"name": "ssc"}], "k": k})
     out_dir = tmp_path / "results"
     with pytest.raises(ValueError, match="k must be"):
@@ -73,12 +75,20 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         ({"k_method": "sv-threshold", "sv_tau": -0.5}, "tau"),
         ({"k_method": "sv-threshold", "sv_tau": "0.5"}, "tau"),
         ({"k_method": "sv-threshold", "sv_tau": True}, "tau"),
+        ({"k": 101}, r"k must be an int in \[1, 100\], got 101"),
+        (
+            {"k": 11, "generator": {"num_subspaces": 2, "points_per_subspace": 5}},
+            r"k must be an int in \[1, 10\], got 11",
+        ),
+        ({"psnr_db": 20}, "psnr_db must be a list, got 20"),
+        ({"methods": 5}, "nonempty 'methods' list"),
     ],
     ids=[
         "unknown-key", "timing", "method", "k-method", "generator-str", "generator-key",
         "seed-float", "seed-str", "seed-negative", "repeats-float", "repeats-bool",
         "normalize-str", "psnr-bool", "psnr-nan",
-        "tau-missing", "tau-negative", "tau-str", "tau-bool",
+        "tau-missing", "tau-negative", "tau-str", "tau-bool", "k-above-n", "k-above-small-n",
+        "psnr-not-list", "methods-int",
     ],
 )
 def test_malformed_config_rejected_before_the_run(tmp_path, change, message):
@@ -88,6 +98,19 @@ def test_malformed_config_rejected_before_the_run(tmp_path, change, message):
     out_dir = tmp_path / "results"
     with pytest.raises(ValueError, match=message):
         run_bench(raw, out_dir)
+    assert not out_dir.exists()
+
+
+def test_library_refused_before_the_run(tmp_path):
+    out_dir = tmp_path / "results"
+    with pytest.raises(FileNotFoundError):
+        run_bench({"methods": [{"name": "ssc"}], "library": str(tmp_path / "missing.csv")}, out_dir)
+    assert not out_dir.exists()
+    # The default generator draws 5 subspaces x 5 columns from the library.
+    library = tmp_path / "narrow.csv"
+    save_matrix(library, np.random.default_rng(0).standard_normal((30, 10)))
+    with pytest.raises(ValueError, match="library has 10 columns, needs at least 25"):
+        run_bench({"methods": [{"name": "ssc"}], "library": str(library)}, out_dir)
     assert not out_dir.exists()
 
 

@@ -451,7 +451,7 @@ class TestBench:
         cfg.write_text(json.dumps({**TINY_BENCH, "k": k}))
         out_dir = tmp_path / "results"
         assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
-        assert "k must be null or a positive int" in capsys.readouterr().err
+        assert "k must be an int in [1, 10]" in capsys.readouterr().err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -468,10 +468,14 @@ class TestBench:
             ({"normalize": "false"}, "normalize must be true or false"),
             ({"psnr_db": [True]}, "bad psnr entry True"),
             ({"master_seed": -1}, "master_seed must be >= 0"),
+            ({"k": 11}, "k must be an int in [1, 10], got 11"),
+            ({"psnr_db": 20}, "psnr_db must be a list, got 20"),
+            ({"methods": 5}, "nonempty 'methods' list"),
         ],
         ids=[
             "unknown-key", "timing", "method", "k-method", "generator-list", "generator-key",
             "seed-float", "repeats-float", "normalize-str", "psnr-bool", "seed-negative",
+            "k-above-n", "psnr-not-list", "methods-not-list",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, change, message):
@@ -481,6 +485,18 @@ class TestBench:
         assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_missing_or_narrow_library_is_usage_error(self, tmp_path, capsys):
+        # TINY_BENCH's generator draws 2 subspaces x 5 columns from the library.
+        save_matrix(tmp_path / "narrow.csv", np.ones((10, 9)))
+        for library, message in (("missing.csv", "not found"), ("narrow.csv", "needs at least 10")):
+            cfg = tmp_path / "bench.json"
+            cfg.write_text(json.dumps({**TINY_BENCH, "library": str(tmp_path / library)}))
+            out_dir = tmp_path / "results"
+            assert main(["bench", str(cfg), "--out-dir", str(out_dir)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+            assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "entry",

@@ -17,7 +17,8 @@ from oscluster import (
     ssc_solve,
 )
 from oscluster import pipeline
-from oscluster.pipeline import K_ESTIMATORS, METHODS
+from oscluster.pipeline import METHODS
+from oscluster.spectral import K_ESTIMATORS
 
 
 class TestNormalizeColumns:

@@ -12,15 +12,14 @@ from oscluster import (
     build_affinity,
     cluster_sequential,
     detect_boundaries_peaks,
-    estimate_k_eigengap,
-    estimate_k_sv_threshold,
+    estimate_k,
     generate_synthetic,
     kmeans,
     ncut_cluster,
     normalized_laplacian,
     sce,
 )
-from oscluster.spectral import _AFFINITY_TILE, _ZERO_ROW_NORM, _check_affinity, _singular_values
+from oscluster.spectral import _AFFINITY_TILE, _ZERO_ROW_NORM, _check_affinity
 
 from helpers import ncut_full_eigh
 
@@ -338,55 +337,56 @@ class TestKmeans:
 
 class TestCountEstimation:
     def test_sv_threshold_identity(self):
-        assert estimate_k_sv_threshold(np.eye(6), 0.5) == 6
+        assert estimate_k(np.eye(6), "sv-threshold", 0.5) == 6
 
     def test_sv_threshold_zero_affinity(self):
-        assert estimate_k_sv_threshold(np.zeros((4, 4)), 0.5) == 0
+        assert estimate_k(np.zeros((4, 4)), "sv-threshold", 0.5) == 0
 
     def test_sv_threshold_block_constant_rank(self):
         w = block_diag(*[np.ones((20, 20)) for _ in range(5)])
         sigma_max = float(np.linalg.svd(w, compute_uv=False)[0])
-        assert estimate_k_sv_threshold(w, 1e-6 * sigma_max) == 5
+        assert estimate_k(w, "sv-threshold", 1e-6 * sigma_max) == 5
 
     def test_sv_threshold_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
-            estimate_k_sv_threshold(np.eye(3), 0.0)
+            estimate_k(np.eye(3), "sv-threshold", 0.0)
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_sv_threshold_rejects_nonfinite_tau(self, tau):
         with pytest.raises(ValueError, match="tau"):
-            estimate_k_sv_threshold(np.eye(3), tau)
+            estimate_k(np.eye(3), "sv-threshold", tau)
 
     @pytest.mark.parametrize("n", [2, 7, 40])
     def test_singular_values_match_svd(self, rng, n):
+        # svd-gap and sv-threshold read W's singular values off its
+        # eigenvalues; both counts must agree with the SVD's.
         w = np.abs(rng.standard_normal((n, n)))
         w = w + w.T
-        want = np.linalg.svd(w, compute_uv=False)
-        got = _singular_values(w)
-        assert np.all(got[:-1] >= got[1:])
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * want[0])
+        sv = np.linalg.svd(w, compute_uv=False)
+        gaps = sv[:-1] - sv[1:]
+        assert estimate_k(w, "svd-gap") == int(np.argmax(gaps)) + 1
+        for i, tau in enumerate(np.append(0.5 * (sv[:-1] + sv[1:]), 0.5 * sv[-1])):
+            assert estimate_k(w, "sv-threshold", tau) == i + 1
 
     def test_eigengap_two_dominant(self):
         w = np.diag([10.0, 9.5, 0.1, 0.05])
-        assert estimate_k_eigengap(w) == 2
+        assert estimate_k(w) == 2
 
     def test_eigengap_flat_spectrum(self):
-        assert estimate_k_eigengap(3.0 * np.eye(5)) == 1
+        assert estimate_k(3.0 * np.eye(5)) == 1
 
     def test_eigengap_permutation_invariant(self, rng):
         w = np.abs(rng.standard_normal((7, 7)))
         w = w + w.T
         perm = rng.permutation(7)
-        assert estimate_k_eigengap(w) == estimate_k_eigengap(w[np.ix_(perm, perm)])
+        assert estimate_k(w) == estimate_k(w[np.ix_(perm, perm)])
 
     def test_eigengap_needs_two_samples(self):
         with pytest.raises(ValueError):
-            estimate_k_eigengap(np.ones((1, 1)))
+            estimate_k(np.ones((1, 1)))
 
     def test_eigengap_recovers_five_groups(self, clean_sweep):
-        hits = sum(
-            1 for rec in clean_sweep if estimate_k_eigengap(rec["w_relaxed"]) == 5
-        )
+        hits = sum(1 for rec in clean_sweep if estimate_k(rec["w_relaxed"]) == 5)
         assert hits >= 18
 
 
