@@ -92,8 +92,11 @@ def parse_bench_config(raw):
         raise ValueError("bench config must be a JSON object")
     if not isinstance(raw.get("methods"), (list, tuple)) or not raw["methods"]:
         raise ValueError("bench config needs a nonempty 'methods' list")
-    if not isinstance(raw.get("psnr_db", DEFAULT_PSNR_GRID), (list, tuple)):
-        raise ValueError(f"psnr_db must be a list, got {raw['psnr_db']!r}")
+    psnr_db = raw.get("psnr_db", DEFAULT_PSNR_GRID)
+    if not isinstance(psnr_db, (list, tuple)):
+        raise ValueError(f"psnr_db must be a list, got {psnr_db!r}")
+    if not psnr_db:
+        raise ValueError("psnr_db must name at least one noise level")
     for key, default, least in (("master_seed", 0, 0), ("repeats", 20, 1)):
         value = raw.get(key, default)
         if not is_int(value):
@@ -103,7 +106,7 @@ def parse_bench_config(raw):
     cfg = {
         "master_seed": raw.get("master_seed", 0),
         "repeats": raw.get("repeats", 20),
-        "psnr_db": [_parse_psnr(v) for v in raw.get("psnr_db", DEFAULT_PSNR_GRID)],
+        "psnr_db": [_parse_psnr(v) for v in psnr_db],
         "methods": [_method_config(m) for m in raw["methods"]],
         "generator": SyntheticSpec(
             **_object_with_keys(raw.get("generator", {}), _GENERATOR_FIELDS, "'generator'")

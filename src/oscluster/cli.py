@@ -111,7 +111,11 @@ def _add_cluster_parser(sub):
     p.add_argument("data", help="matrix file (.csv or .json), one sample per column")
     p.add_argument("--method", choices=METHODS, default="osc-relaxed")
     p.add_argument("--k", type=int, default=None, help="cluster count (default: estimate)")
-    p.add_argument("--estimate-k", dest="k_method", choices=K_ESTIMATORS, default="eigengap")
+    p.add_argument(
+        "--estimate-k", dest="k_method", choices=K_ESTIMATORS, default="eigengap",
+        help="how k is estimated without --k: the largest gap in the normalized Laplacian's "
+        "eigenvalues (eigengap, the default), or from the affinity's singular values",
+    )
     p.add_argument(
         "--tau", dest="sv_tau", type=float, default=None, metavar="TAU",
         help="threshold for sv-threshold estimation",

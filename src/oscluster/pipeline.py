@@ -17,7 +17,13 @@ import numpy as np
 from .baselines import sim_closed_form, spatsc_solve, ssc_solve
 from .exact import solve_exact
 from .relaxed import solve_relaxed
-from .spectral import build_affinity, check_k_settings, estimate_k, ncut_cluster
+from .spectral import (
+    LaplacianSpectrum,
+    build_affinity,
+    check_k_settings,
+    estimate_k,
+    ncut_cluster,
+)
 from .types import SolverConfig, as_data_matrix
 
 METHODS = ("osc-relaxed", "osc-exact", "ssc", "spatsc", "lrr-sim")
@@ -90,9 +96,10 @@ def cluster_sequential(
 ):
     """Segment ordered samples into subspaces.
 
-    With ``k=None`` the cluster count is estimated from the affinity
-    spectrum by ``k_method``.  The reported wall time covers the solve and
-    the clustering, not any file handling around it.
+    With ``k=None`` the cluster count is estimated by ``k_method``
+    (``estimate_k``): by default from the eigengap of the normalized
+    Laplacian that the embedding then reuses.  The reported wall time
+    covers the solve and the clustering, not any file handling around it.
     """
     x = as_data_matrix(x)
     # Before the solve, which bad k settings would only waste.
@@ -102,10 +109,13 @@ def cluster_sequential(
     # The normalized copy is dropped once Z exists.
     z, diagnostics = solve_coefficients(normalize_columns(x) if normalize else x, method, config)
     w = build_affinity(z)
+    # Checks W once.  The Laplacian is reduced once, on its first use: by
+    # the eigengap, or else by the embedding.
+    spectrum = LaplacianSpectrum(w)
     k_was_estimated = k is None
     if k_was_estimated:
-        k = estimate_k(w, method=k_method, tau=sv_tau)
-    labels = ncut_cluster(w, k, seed=seed)
+        k = estimate_k(spectrum, method=k_method, tau=sv_tau)
+    labels = ncut_cluster(spectrum, k, seed=seed)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return ClusterResult(
         labels=labels,

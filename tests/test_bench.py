@@ -82,13 +82,14 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         ),
         ({"psnr_db": 20}, "psnr_db must be a list, got 20"),
         ({"methods": 5}, "nonempty 'methods' list"),
+        ({"psnr_db": []}, "psnr_db must name at least one noise level"),
     ],
     ids=[
         "unknown-key", "timing", "method", "k-method", "generator-str", "generator-key",
         "seed-float", "seed-str", "seed-negative", "repeats-float", "repeats-bool",
         "normalize-str", "psnr-bool", "psnr-nan",
         "tau-missing", "tau-negative", "tau-str", "tau-bool", "k-above-n", "k-above-small-n",
-        "psnr-not-list", "methods-int",
+        "psnr-not-list", "methods-int", "psnr-empty",
     ],
 )
 def test_malformed_config_rejected_before_the_run(tmp_path, change, message):

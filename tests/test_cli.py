@@ -471,11 +471,12 @@ class TestBench:
             ({"k": 11}, "k must be an int in [1, 10], got 11"),
             ({"psnr_db": 20}, "psnr_db must be a list, got 20"),
             ({"methods": 5}, "nonempty 'methods' list"),
+            ({"psnr_db": []}, "psnr_db must name at least one noise level"),
         ],
         ids=[
             "unknown-key", "timing", "method", "k-method", "generator-list", "generator-key",
             "seed-float", "repeats-float", "normalize-str", "psnr-bool", "seed-negative",
-            "k-above-n", "psnr-not-list", "methods-not-list",
+            "k-above-n", "psnr-not-list", "methods-not-list", "psnr-empty",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, change, message):

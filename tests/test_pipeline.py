@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ from oscluster import (
     sce,
     ssc_solve,
 )
-from oscluster import pipeline
+from oscluster import pipeline, spectral
 from oscluster.pipeline import METHODS
 from oscluster.spectral import K_ESTIMATORS
 
@@ -36,7 +37,9 @@ class TestNormalizeColumns:
 
 class TestEstimateK:
     def test_eigengap_dispatch(self):
-        w = np.diag([10.0, 9.5, 0.1, 0.05])
+        # Two dense blocks joined by weak links: two groups both by the
+        # Laplacian's eigengap and by the gap in W's singular values.
+        w = np.kron(np.eye(2), np.ones((3, 3))) + 0.01
         assert estimate_k(w, "eigengap") == 2
         assert estimate_k(w, "svd-gap") == 2
 
@@ -156,6 +159,46 @@ class TestClusterSequential:
     def test_noisy_sweep_stays_accurate(self, noisy_sweep_20db):
         arr = np.asarray(noisy_sweep_20db)
         assert arr.mean() <= 0.10
+
+
+class TestOneReduction:
+    @pytest.mark.parametrize(
+        "k, k_method, want",
+        [
+            (None, "eigengap", ["check", "laplacian", "dsytrd", "dsterf"]),
+            (None, "svd-gap", ["check", "eigvalsh", "laplacian", "dsytrd"]),
+            (4, "eigengap", ["check", "laplacian", "dsytrd"]),
+        ],
+    )
+    def test_affinity_is_checked_once_and_reduced_once(self, monkeypatch, k, k_method, want):
+        # Spies on the names spectral looks up.  W is checked once, and its
+        # Laplacian reduced once: the eigengap reads that reduction, and
+        # with k given no eigenvalue routine runs.  An estimator that reads
+        # W's own spectrum runs before the Laplacian exists.
+        calls = []
+
+        def spy(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name, attr in [
+            ("check", "_check_affinity"),
+            ("laplacian", "normalized_laplacian"),
+            ("dsytrd", "dsytrd"),
+            ("dsterf", "dsterf"),
+        ]:
+            monkeypatch.setattr(spectral, attr, spy(name, getattr(spectral, attr)))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        monkeypatch.setattr(scipy.linalg, "eigh", spy("eigh", scipy.linalg.eigh))
+        x, labels = generate_synthetic(SyntheticSpec(num_subspaces=4, seed=2))
+        result = cluster_sequential(x, method="lrr-sim", k=k, k_method=k_method)
+        assert calls == want
+        assert result.k == 4
+        assert sce(result.labels, labels) == 0.0
 
 
 # The pipeline binding each method's solver is looked up under.

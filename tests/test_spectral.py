@@ -19,7 +19,12 @@ from oscluster import (
     normalized_laplacian,
     sce,
 )
-from oscluster.spectral import _AFFINITY_TILE, _ZERO_ROW_NORM, _check_affinity
+from oscluster.spectral import (
+    _AFFINITY_TILE,
+    _ZERO_ROW_NORM,
+    LaplacianSpectrum,
+    _check_affinity,
+)
 
 from helpers import ncut_full_eigh
 
@@ -40,6 +45,18 @@ def _noisy_blocks(k, seed, isolated=0, noise=0.3):
 # ncut_cluster has one Laplacian, the normalized one. The tests below once
 # ran under both Laplacians; the single value keeps their case ids as they were.
 _NORMALIZED = pytest.mark.parametrize("normalized", [True])
+
+
+def _subset_eigh_embedding(w, k):
+    """The k smallest eigenvectors of the normalized Laplacian, from
+    LAPACK's index-subset symmetric solver on a C-ordered copy."""
+    lap = np.ascontiguousarray(normalized_laplacian(w))
+    return scipy.linalg.eigh(lap, subset_by_index=[0, k - 1], check_finite=False)[1]
+
+
+def _random_affinity(n, seed):
+    z = np.random.default_rng(seed).standard_normal((n, n))
+    return np.abs(z) + np.abs(z).T
 
 
 def _assert_gap_after(w, k):
@@ -251,19 +268,56 @@ class TestNcut:
     @_NORMALIZED
     @pytest.mark.parametrize("seed", [0, 1])
     def test_in_place_eigensolve_matches_a_solve_on_a_c_ordered_copy(self, normalized, seed):
+        # The embedding from the in-place reduction spans the subset solver's
+        # eigenspace, and k-means finds the same partition in both.
         w = _noisy_blocks(5, seed, isolated=1)
-        lap = normalized_laplacian(w)
-        _, embedding = scipy.linalg.eigh(
-            np.ascontiguousarray(lap), subset_by_index=[0, 4], check_finite=False
-        )
-        row_norms = np.linalg.norm(embedding, axis=1)
-        embedding = embedding / np.where(row_norms > _ZERO_ROW_NORM, row_norms, np.inf)[:, None]
-        want = kmeans(embedding, 5, seed=seed)
-        assert np.array_equal(ncut_cluster(w, 5, seed=seed), want)
+        _assert_gap_after(w, 5)
+        want = _subset_eigh_embedding(w, 5)
+        embedding = LaplacianSpectrum(w).embedding(5)
+        assert np.max(scipy.linalg.subspace_angles(embedding, want)) < 1e-10
+        row_norms = np.linalg.norm(want, axis=1)
+        want = want / np.where(row_norms > _ZERO_ROW_NORM, row_norms, np.inf)[:, None]
+        assert sce(ncut_cluster(w, 5, seed=seed), kmeans(want, 5, seed=seed)) == 0.0
 
     def test_rotated_basis_sequences_are_recovered(self, clean_sweep):
         exact_hits = sum(1 for rec in clean_sweep if rec["sce_relaxed"] == 0.0)
         assert exact_hits >= 18
+
+
+class TestLaplacianSpectrum:
+    @pytest.mark.parametrize(
+        "n, k", [(2, 1), (2, 2), (3, 2), (17, 5), (64, 3), (150, 8), (150, 150)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_embedding_spans_the_subset_eigh_eigenspace(self, n, k, seed):
+        w = _random_affinity(n, seed)
+        embedding = LaplacianSpectrum(w).embedding(k)
+        assert embedding.shape == (n, k)
+        assert np.abs(embedding.T @ embedding - np.eye(k)).max() < 1e-10
+        want = _subset_eigh_embedding(w, k)
+        assert np.max(scipy.linalg.subspace_angles(embedding, want)) < 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_embedding_with_isolated_nodes(self, seed):
+        # Eigenvalue 0 three times, one per block, then the rest near 1.
+        w = _noisy_blocks(3, seed, isolated=3)
+        _assert_gap_after(w, 3)
+        embedding = LaplacianSpectrum(w).embedding(3)
+        assert np.abs(embedding.T @ embedding - np.eye(3)).max() < 1e-10
+        want = _subset_eigh_embedding(w, 3)
+        assert np.max(scipy.linalg.subspace_angles(embedding, want)) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 9, 100])
+    def test_eigenvalues_are_the_laplacian_spectrum(self, n):
+        w = _random_affinity(n, n)
+        want = np.linalg.eigvalsh(normalized_laplacian(w))
+        assert np.allclose(LaplacianSpectrum(w).eigenvalues(), want, rtol=0, atol=1e-12)
+
+    def test_checks_its_affinity_and_keeps_it(self, rng):
+        w = build_affinity(rng.standard_normal((6, 6)))
+        assert LaplacianSpectrum(w).affinity is w
+        with pytest.raises(ValueError, match="symmetric"):
+            LaplacianSpectrum(np.triu(w))
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -282,9 +336,10 @@ class TestMemory:
 
     tracemalloc sees every array numpy and scipy's wrappers allocate, but not
     the buffers LAPACK or numpy.linalg.eigvalsh allocate inside, such as the
-    copy of W that estimate_k's eigvalsh decomposes.  Resident memory
-    therefore stays the benchmark's job (perfbench's peak_rss_mb); these
-    tests pin the arrays the library itself keeps alive.
+    copy of W that the svd-gap and sv-threshold estimators' eigvalsh
+    decomposes.  Resident memory therefore stays the benchmark's job
+    (perfbench's peak_rss_mb); these tests pin the arrays the library
+    itself keeps alive.
     """
 
     N = 400
@@ -300,8 +355,8 @@ class TestMemory:
     @pytest.mark.parametrize("k", [2, 8])
     def test_ncut_cluster_allocates_one_laplacian(self, normalized, k):
         w = build_affinity(self._z())
-        # The workspace scipy allocates for LAPACK (about 38 N doubles),
-        # the N x k embedding and k-means' distances.
+        # dsytrd's blocked workspace (32 N doubles), the tridiagonal T and
+        # its reflector scalars, the N x k embedding and k-means' distances.
         small = 8 * self.N * (64 + 4 * k)
         assert _traced_peak(ncut_cluster, w, k) <= self.NN + small
 
@@ -369,8 +424,26 @@ class TestCountEstimation:
             assert estimate_k(w, "sv-threshold", tau) == i + 1
 
     def test_eigengap_two_dominant(self):
-        w = np.diag([10.0, 9.5, 0.1, 0.05])
+        # Two dense blocks joined by weak links: the Laplacian's two
+        # smallest eigenvalues are near 0, the rest near 1.5.
+        w = block_diag(np.ones((4, 4)), np.ones((3, 3))) + 1e-3
         assert estimate_k(w) == 2
+
+    def test_eigengap_zero_affinity(self):
+        # Every node is isolated, so the Laplacian is the identity: no gap.
+        assert estimate_k(np.zeros((4, 4))) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_eigengap_counts_blocks_not_isolated_nodes(self, seed):
+        # An isolated node adds eigenvalue 1, next to the blocks' own
+        # eigenvalues near 1, so the largest gap stays after the blocks' zeros.
+        assert estimate_k(_noisy_blocks(3, seed, isolated=3)) == 3
+
+    def test_eigengap_reads_the_spectrum_it_is_given(self):
+        w = _noisy_blocks(4, seed=1)
+        spectrum = LaplacianSpectrum(w)
+        assert estimate_k(spectrum) == estimate_k(w) == 4
+        assert np.array_equal(ncut_cluster(spectrum, 4, seed=2), ncut_cluster(w, 4, seed=2))
 
     def test_eigengap_flat_spectrum(self):
         assert estimate_k(3.0 * np.eye(5)) == 1
