@@ -49,13 +49,18 @@ class ExactState:
 
 
 def initial_exact_state(d, n, mu0):
-    """Default start: zero blocks, all-ones multipliers, penalty mu0."""
+    """Default start: zero blocks, zero multipliers, penalty mu0.
+
+    As in ``initial_relaxed_state``, the zero multipliers keep the
+    objective's symmetries: a rotation X -> Q X maps Y1 to Q Y1, and an
+    order reversal maps Y2 to -P Y2 Q; a nonzero constant start moves.
+    """
     return ExactState(
         z=np.zeros((n, n)),
         e=np.zeros((d, n)),
         j=np.zeros((n, n - 1)),
-        y1=np.ones((d, n)),
-        y2=np.ones((n, n - 1)),
+        y1=np.zeros((d, n)),
+        y2=np.zeros((n, n - 1)),
         mu=float(mu0),
         iteration=0,
     )

@@ -278,7 +278,8 @@ def estimate_k(w, method="eigengap", tau=None):
     section 8.3).  ``svd-gap``: with the singular values of W in descending
     order s_1 >= s_2 >= ..., the smallest i maximizing s_i - s_{i+1}.
     ``sv-threshold``: the number of singular values of W above the absolute
-    threshold ``tau``.
+    threshold ``tau``; a ``tau`` at or above all of them raises
+    ``ValueError``, since no partition has zero clusters.
     """
     spectrum = LaplacianSpectrum.of(w)
     n = spectrum.affinity.shape[0]
@@ -291,7 +292,13 @@ def estimate_k(w, method="eigengap", tau=None):
     # eigvalsh is about 3x cheaper than an SVD.
     singular_values = np.sort(np.abs(np.linalg.eigvalsh(spectrum.affinity)))[::-1]
     if method == "sv-threshold":
-        return int(np.sum(singular_values > tau))
+        k = int(np.sum(singular_values > tau))
+        if k == 0:
+            raise ValueError(
+                f"sv-threshold estimated k = 0: tau {tau:g} is not below any singular value "
+                f"of the affinity (largest {singular_values[0]:.6g})"
+            )
+        return k
     return int(np.argmax(singular_values[:-1] - singular_values[1:])) + 1
 
 

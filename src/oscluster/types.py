@@ -196,6 +196,9 @@ class SolverConfig:
     ``"multiplicative"`` rule scales mu by ``gamma0`` whenever the scaled
     iterate change falls under ``eps2``, while ``"additive"`` adds a fixed
     increment every sweep (the mode used for descent-monitor analysis).
+    Under the multiplicative rule the sequential solver and spatsc also
+    over-relax their coupling J = Z R (``relaxed.OVER_RELAXATION``); the
+    additive rule keeps the plain sweep the descent monitor assumes.
     ``diag_zero`` fixes diag(Z) at zero in the two sequential solvers; ssc
     and spatsc always fix it there.  Every number must be a finite real
     (``eta_z`` may be ``None``), ``max_iter`` an int and the two flags

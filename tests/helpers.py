@@ -3,6 +3,8 @@
 Each oracle reaches the quantity by a different route than the library:
 grid search, parabola fitting, quasi-Newton descent on a smoothed
 objective, coordinate descent, exhaustive permutation search, bisection.
+One helper is a frozen copy instead: ``plain_relaxed_sweep`` keeps the
+unrelaxed fused sweep, so a test can require bitwise equality with it.
 """
 
 import itertools
@@ -16,8 +18,16 @@ from oscluster import (
     ncut_cluster,
     normalized_laplacian,
 )
+from oscluster import admm
+from oscluster.prox import group_shrink_columns, soft_threshold, soft_threshold_zero_diag
+from oscluster.relaxed import OVER_RELAXATION, RelaxedState
 from oscluster.spectral import _ZERO_ROW_NORM
-from oscluster.types import difference_norm_squared, operator_norm_squared
+from oscluster.types import (
+    apply_difference_adjoint,
+    column_differences,
+    difference_norm_squared,
+    operator_norm_squared,
+)
 
 
 def grid_prox_l1(v, tau, step=1e-3):
@@ -265,8 +275,12 @@ def _shrink_columns(u, kappa):
     return u * np.where(norms > kappa, 1.0 - kappa / np.where(norms > 0, norms, 1.0), 0.0)
 
 
-def reference_relaxed_sweep(x, z, j, y, mu, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12"):
-    """One sequential sweep written straight from its update formulas.
+def reference_relaxed_sweep(
+    x, z, j, y, mu, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12", alpha=1.0
+):
+    """One sequential sweep written straight from its update formulas, with
+    the J step and the multiplier on the relaxed coupling
+    h = alpha Z+ R + (1 - alpha) J.
 
     Every product is taken afresh from the given blocks, and Z R is a dense
     product with the difference operator, so nothing is carried from an
@@ -278,11 +292,47 @@ def reference_relaxed_sweep(x, z, j, y, mu, lam1, lam2, l_z, eta_z, eta_j, diag_
     z_new = _shrink_entries(v, lam1 / step)
     if diag_zero:
         np.fill_diagonal(z_new, 0.0)
-    u = z_new @ r - y / (mu * eta_j)
+    h = alpha * (z_new @ r) + (1.0 - alpha) * j
+    u = h - y / (mu * eta_j)
     kappa = lam2 / (mu * eta_j)
     j_new = _shrink_columns(u, kappa) if j_prox == "l12" else _shrink_entries(u, kappa)
-    y_new = y + mu * (j_new - z_new @ r)
+    y_new = y + mu * (j_new - h)
     return z_new, j_new, y_new
+
+
+def plain_relaxed_sweep(
+    x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12", *, workspace, alpha
+):
+    """The sequential sweep without relaxation, as the library ran it before
+    the relaxed coupling: the same fused passes in the same order, so its
+    values are bitwise those of that sweep.  Takes ``relaxed_iteration``'s
+    arguments and refuses any ``alpha`` but 1."""
+    assert alpha == 1.0
+    ws = workspace
+    ws.sync(state)
+    z, y, mu = state.z, state.y, state.mu
+    step = mu * eta_z + l_z
+    sigma_j = mu * eta_j
+    out = admm.free_set(ws.sets, z)
+    z_new, j_new, y_new = out.z, out.j, out.y
+    v = ws.operator.fit(z, out=ws.fit)
+    y_tilde = np.multiply(ws.residual, mu, out=y_new)
+    y_tilde += y
+    v += apply_difference_adjoint(y_tilde, out=z_new)
+    v /= step
+    v += z
+    shrink = soft_threshold_zero_diag if diag_zero else soft_threshold
+    shrink(v, lam1 / step, out=z_new)
+    zr = column_differences(z_new, out=ws.zr)
+    u = np.divide(y, sigma_j, out=y_new)
+    np.subtract(zr, u, out=u)
+    shrink = group_shrink_columns if j_prox == "l12" else soft_threshold
+    shrink(u, lam2 / sigma_j, out=j_new)
+    residual = np.subtract(j_new, zr, out=ws.residual)
+    ws._of = (z_new, j_new)
+    np.multiply(residual, mu, out=y_new)
+    y_new += y
+    return RelaxedState(z_new, j_new, y_new, mu, state.iteration + 1)
 
 
 def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag_zero):
@@ -325,11 +375,13 @@ def _next_mu(config, mu, change):
 
 def reference_relaxed_solve(x, config, l_z, eta_z, blocks):
     """The sequential solver's multiplicative-penalty loop around
-    reference_relaxed_sweep, from ``blocks = (z, j, y)``.
+    reference_relaxed_sweep, from ``blocks = (z, j, y)``, with that
+    schedule's relaxation weight ``OVER_RELAXATION``.
 
     ``l_z`` and ``eta_z`` are taken as given, so the comparison isolates
     the sweeps.  Returns ``(z, sweeps, feasibility, change, mu)`` histories.
     """
+    assert config.mu_schedule == "multiplicative"
     r = build_difference_operator(x.shape[1])
     z, j, y = blocks
     mu = config.mu0
@@ -337,7 +389,7 @@ def reference_relaxed_solve(x, config, l_z, eta_z, blocks):
     for sweep in range(1, config.max_iter + 1):
         z_new, j_new, y_new = reference_relaxed_sweep(
             x, z, j, y, mu, config.lambda1, config.lambda2, l_z, eta_z, config.eta_j,
-            config.diag_zero,
+            config.diag_zero, alpha=OVER_RELAXATION,
         )
         feas = float(np.linalg.norm(j_new - z_new @ r))
         change = mu * max(float(np.linalg.norm(z_new - z)), float(np.linalg.norm(j_new - j)))

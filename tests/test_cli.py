@@ -192,6 +192,19 @@ class TestCluster:
         assert "tau" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.labels.json"]
 
+    def test_tau_above_every_singular_value_is_usage_error(self, tmp_path, capsys):
+        # sv-threshold would estimate k = 0; the estimator refuses, naming
+        # itself and tau, and no output is written.
+        data = tmp_path / "s.csv"
+        assert main(["generate", "--out", str(data), "--subspaces", "2", "--points", "10"]) == 0
+        capsys.readouterr()
+        code = main(["cluster", str(data), "--estimate-k", "sv-threshold", "--tau", "1e6"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: sv-threshold estimated k = 0: tau 1e+06" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.labels.json"]
+
     def test_k_one(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         data = tmp_path / "tiny.csv"

@@ -395,7 +395,19 @@ class TestCountEstimation:
         assert estimate_k(np.eye(6), "sv-threshold", 0.5) == 6
 
     def test_sv_threshold_zero_affinity(self):
-        assert estimate_k(np.zeros((4, 4)), "sv-threshold", 0.5) == 0
+        # No singular value lies above tau: k would be 0, which no
+        # partition has.
+        with pytest.raises(ValueError, match=r"sv-threshold estimated k = 0: tau 0\.5"):
+            estimate_k(np.zeros((4, 4)), "sv-threshold", 0.5)
+
+    def test_sv_threshold_above_every_singular_value(self):
+        w = np.abs(np.random.default_rng(0).standard_normal((5, 5)))
+        w = w + w.T
+        largest = float(np.max(np.abs(np.linalg.eigvalsh(w))))
+        assert estimate_k(w, "sv-threshold", 0.999 * largest) == 1
+        for tau in (largest, 1e6):
+            with pytest.raises(ValueError, match="sv-threshold estimated k = 0: tau"):
+                estimate_k(w, "sv-threshold", tau)
 
     def test_sv_threshold_block_constant_rank(self):
         w = block_diag(*[np.ones((20, 20)) for _ in range(5)])

@@ -27,13 +27,15 @@ from oscluster import (
     spatsc_solve,
     ssc_solve,
 )
+from oscluster import relaxed
 from oscluster.baselines import _stationarity_gap
 from oscluster.exact import ExactWorkspace, exact_iteration
-from oscluster.relaxed import RelaxedWorkspace, relaxed_iteration
+from oscluster.relaxed import OVER_RELAXATION, RelaxedWorkspace, relaxed_iteration
 from oscluster.types import FitOperator, operator_norm_squared
 
 from helpers import (
     lasso_cd_matrix,
+    plain_relaxed_sweep,
     reference_exact_solve,
     reference_exact_sweep,
     reference_fista_lasso,
@@ -91,7 +93,7 @@ def mu_at(sweep):
     return 1.1**sweep
 
 
-def check_chained_relaxed_sweeps(x, b, shared, j_prox, diag_zero):
+def check_chained_relaxed_sweeps(x, b, shared, j_prox, diag_zero, alpha=1.0):
     d, n = x.shape
     lam1, lam2, l_z, eta_z, eta_j = 0.1, 0.5, 3.0, 6.0, 1.02
     state = dataclasses.replace(initial_relaxed_state(d, n, 1.0), z=b["z"], j=b["j"], y=b["y"])
@@ -100,10 +102,11 @@ def check_chained_relaxed_sweeps(x, b, shared, j_prox, diag_zero):
     for sweep in range(SWEEPS):
         state = dataclasses.replace(state, mu=mu_at(sweep))
         state = relaxed_iteration(
-            x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox, workspace=workspace
+            x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox, workspace=workspace,
+            alpha=alpha,
         )
         want = reference_relaxed_sweep(
-            x, *want, mu_at(sweep), lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox
+            x, *want, mu_at(sweep), lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox, alpha
         )
         for got, expected in zip((state.z, state.j, state.y), want):
             assert_close(got, expected)
@@ -122,6 +125,15 @@ def test_relaxed_sweeps_match_reference(warm, shared, j_prox, diag_zero):
 @pytest.mark.parametrize("j_prox, diag_zero", [("l12", False), ("l1", True)])
 def test_relaxed_sweeps_match_reference_across_shapes(d, n, rank, shared, j_prox, diag_zero):
     check_chained_relaxed_sweeps(*warm_start(d, n, rank=rank), shared, j_prox, diag_zero)
+
+
+@pytest.mark.parametrize("d, n, rank", SHAPES, ids=SHAPE_IDS)
+@pytest.mark.parametrize("alpha", [0.5, OVER_RELAXATION])
+@pytest.mark.parametrize("j_prox, diag_zero", [("l12", False), ("l1", True)])
+def test_relaxed_sweeps_with_relaxation_match_reference(d, n, rank, alpha, j_prox, diag_zero):
+    # The J step and the multiplier read h = alpha Z+ R + (1 - alpha) J,
+    # which the sweep builds over buffers it has already spent.
+    check_chained_relaxed_sweeps(*warm_start(d, n, rank=rank), True, j_prox, diag_zero, alpha)
 
 
 def lasso_objectives(x, z, lam):
@@ -335,12 +347,24 @@ def assert_same_solve(z, diag, reference):
     assert_close(z, want_z, tol=1e-9)
 
 
+def relaxed_start(x, mu0):
+    """The default start's blocks, as the reference drivers take them."""
+    state = initial_relaxed_state(*x.shape, mu0)
+    return state.z, state.j, state.y
+
+
+def exact_start(x, mu0):
+    state = initial_exact_state(*x.shape, mu0)
+    return state.z, state.e, state.j, state.y1, state.y2
+
+
 def test_relaxed_solve_matches_reference(protocol_x):
+    # The default start (every block zero) and the over-relaxed sweep of
+    # the multiplicative schedule, against the dense formulas.
     config = SolverConfig()
     z, diag = solve_relaxed(protocol_x, config)
     assert diag.converged
-    n = protocol_x.shape[1]
-    start = (np.zeros((n, n)), np.zeros((n, n - 1)), np.ones((n, n - 1)))
+    start = relaxed_start(protocol_x, config.mu0)
     assert_same_solve(
         z, diag, reference_relaxed_solve(protocol_x, config, diag.l_z, diag.eta_z, start)
     )
@@ -350,12 +374,24 @@ def test_exact_solve_matches_reference(protocol_x):
     config = SolverConfig()
     z, diag = solve_exact(protocol_x, config)
     assert diag.converged
-    d, n = protocol_x.shape
-    start = (
-        np.zeros((n, n)), np.zeros((d, n)), np.zeros((n, n - 1)), np.ones((d, n)),
-        np.ones((n, n - 1)),
-    )
+    start = exact_start(protocol_x, config.mu0)
     assert_same_solve(z, diag, reference_exact_solve(protocol_x, config, diag.eta_z, start))
+
+
+def test_additive_schedule_runs_the_plain_sweep_bitwise(protocol_x, monkeypatch):
+    # From the all-ones multiplier the default start once had, an
+    # additive-schedule solve is bitwise the solve of the unrelaxed sweep:
+    # the same Z, sweep count and histories.
+    start = initial_relaxed_state(*protocol_x.shape, 1.0)
+    start.y[:] = 1.0
+    config = SolverConfig(mu_schedule="additive", max_iter=200)
+    z, diag = solve_relaxed(protocol_x, config, initial_state=start)
+    monkeypatch.setattr(relaxed, "relaxed_iteration", plain_relaxed_sweep)
+    want_z, want = solve_relaxed(protocol_x, config, initial_state=start)
+    assert np.array_equal(z, want_z)
+    assert diag.iterations == want.iterations == 200
+    for name in ("feasibility_history", "change_history", "mu_history"):
+        assert getattr(diag, name) == getattr(want, name)
 
 
 @pytest.mark.parametrize("solver", ["relaxed", "exact"])
@@ -364,19 +400,14 @@ def test_solve_with_more_rows_than_columns_matches_reference(solver):
     rng = np.random.default_rng(8)
     x = rng.standard_normal((20, 10))
     x /= np.linalg.norm(x, axis=0, keepdims=True)
-    d, n = x.shape
     config = SolverConfig()
     if solver == "relaxed":
         z, diag = solve_relaxed(x, config)
-        start = (np.zeros((n, n)), np.zeros((n, n - 1)), np.ones((n, n - 1)))
+        start = relaxed_start(x, config.mu0)
         reference = reference_relaxed_solve(x, config, diag.l_z, diag.eta_z, start)
     else:
         z, diag = solve_exact(x, config)
-        start = (
-            np.zeros((n, n)), np.zeros((d, n)), np.zeros((n, n - 1)), np.ones((d, n)),
-            np.ones((n, n - 1)),
-        )
-        reference = reference_exact_solve(x, config, diag.eta_z, start)
+        reference = reference_exact_solve(x, config, diag.eta_z, exact_start(x, config.mu0))
     assert diag.converged
     assert_same_solve(z, diag, reference)
 
