@@ -2,17 +2,19 @@
 
 The sequential solver, its SpatSC variant and the exact-constraint solver
 are one linearized ADMM with an adaptive penalty mu (LADMAP, Lin, Liu & Su,
-NIPS 2011).  They differ only in their sweep and stopping test, which they
-pass to ``run`` as closures.
+NIPS 2011).  They differ only in their sweep and in what it leaves for the
+stop; ``run`` alone decides convergence, mu growth and divergence.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 
+from .types import DivergenceError, difference_norm_squared, is_finite_real
 
 def buffer_sets(**shapes):
     """Two sets of sweep output buffers, each with one array per named shape.
@@ -30,10 +32,16 @@ def free_set(sets, z):
 
 
 def start_state(initial_state, default):
-    """``initial_state`` if given, else ``default``; every array block of
-    ``initial_state`` must have the shape of the same block of ``default``."""
+    """``initial_state`` if given, else ``default``; a given state must be of
+    ``default``'s type, with a positive finite mu and its block shapes."""
     if initial_state is None:
         return default
+    kind, got = type(default).__name__, type(initial_state).__name__
+    if not isinstance(initial_state, type(default)):
+        raise ValueError(f"initial state must be of type {kind}, got {got}")
+    mu = initial_state.mu
+    if not is_finite_real(mu) or mu <= 0:
+        raise ValueError(f"initial state mu must be a positive finite number, got {mu!r}")
     for f in fields(default):
         block = getattr(default, f.name)
         if isinstance(block, np.ndarray) and getattr(initial_state, f.name).shape != block.shape:
@@ -51,25 +59,54 @@ def resolve_eta(config, default, floor, floor_name):
     return eta_z
 
 
-def run(config, state, sweep, measure, additive_step, diag, monitor=None):
-    """Sweep from ``state`` until ``measure`` reports convergence or
-    ``config.max_iter`` sweeps have run; returns the last state.
+def check_finite(quick, state, sweep):
+    """Raise DivergenceError unless every value in ``state`` is finite.
+    ``quick`` cannot be finite while any entry is not; only a non-finite one
+    runs the entrywise test, so a finite state whose sum overflows passes."""
+    if not math.isfinite(quick) and not all(np.isfinite(v).all() for v in vars(state).values()):
+        raise DivergenceError(f"solver state became non-finite at iteration {sweep}")
 
-    ``sweep(state)`` gives the next iterate at the same mu, ``measure(old,
-    new)`` its ``(feasibility, change, converged)``.  Mu then grows by
-    ``additive_step`` (additive schedule) or by ``gamma0`` once ``change``
-    is under ``eps2``, up to ``mu_max``.  ``monitor(state)`` goes to
-    ``diag.lyapunov_history``.
+
+# The J step's proximal weight, sigma_j = mu * ETA_J: J enters J = Z R through
+# the identity, of squared norm 1, so LADMAP needs a weight above 1.
+ETA_J = 1.02
+
+
+def run(config, state, sweep, residuals, multipliers, diag, monitor=None, scale=(1.0, 1.0)):
+    """Sweep from ``state`` until it converges or ``config.max_iter`` sweeps
+    have run; returns the last state and records the solve in ``diag``.
+
+    ``sweep(state)`` gives the next iterate at the same mu and its step
+    norms; ``residuals`` are the arrays each sweep leaves its residuals in,
+    ``multipliers`` the names of the multiplier blocks.  With ``scale =
+    (normalizer, weight)`` the solve converges once
+
+        feasibility = max ||residual||_F / normalizer < eps1  and
+        change = mu * weight / normalizer * max step norm < eps2.
+
+    Mu then grows, up to ``mu_max``, by l_z / (eta_z - ||R||^2) from
+    ``diag`` (additive schedule) or by the factor ``gamma0`` once change <
+    eps2 (multiplicative).  A non-finite iterate, flagged by the step norms
+    and multiplier sums, raises DivergenceError.  ``monitor(state)`` goes to
+    ``diag.lyapunov_history``; ``diag.iterations`` counts this call's sweeps.
     """
+    normalizer, weight = scale
+    increment = diag.l_z / (diag.eta_z - difference_norm_squared(state.z.shape[0]))
     if monitor is not None:
         diag.lyapunov_history = []
     converged = False
-    for _ in range(config.max_iter):
+    for sweeps in range(1, config.max_iter + 1):
         mu = state.mu
-        new = sweep(state)
-        feasibility, change, converged = measure(state, new)
+        new, steps = sweep(state)
+        quick = sum(steps)
+        for name in multipliers:
+            quick += float(np.sum(getattr(new, name)))
+        check_finite(quick, new, sweeps)
+        feasibility = max(float(np.linalg.norm(r)) for r in residuals) / normalizer
+        change = mu * weight / normalizer * max(steps)
+        converged = feasibility < config.eps1 and change < config.eps2
         if config.mu_schedule == "additive":
-            mu_next = min(config.mu_max, mu + additive_step)
+            mu_next = min(config.mu_max, mu + increment)
         else:
             gamma = config.gamma0 if change < config.eps2 else 1.0
             mu_next = min(config.mu_max, gamma * mu)
@@ -81,6 +118,5 @@ def run(config, state, sweep, measure, additive_step, diag, monitor=None):
             diag.lyapunov_history.append(monitor(state))
         if converged:
             break
-    diag.iterations = state.iteration
-    diag.converged = converged
+    diag.iterations, diag.converged = sweeps, converged
     return state

@@ -114,7 +114,7 @@ def _add_cluster_parser(sub):
     p.add_argument(
         "--estimate-k", dest="k_method", choices=K_ESTIMATORS, default="eigengap",
         help="how k is estimated without --k: the largest gap in the normalized Laplacian's "
-        "eigenvalues (eigengap, the default), or from the affinity's singular values",
+        "eigenvalues (eigengap, the default), or W's singular values above --tau (sv-threshold)",
     )
     p.add_argument(
         "--tau", dest="sv_tau", type=float, default=None, metavar="TAU",

@@ -10,8 +10,9 @@ the objective.  All three primal blocks are updated in parallel from the
 previous iterate; the multipliers then move with the fresh blocks.  The
 proximal weight eta_z must exceed ||X||^2 + ||R||^2, and the default adds
 a factor for the number of parallel blocks on top of that floor, which is
-what keeps the joint update contractive in practice.  The sweep loop and
-the penalty schedule are shared with the other solvers in ``admm.py``.
+what keeps the joint update contractive in practice.  The sweep loop, the
+stop and the penalty schedule are shared with the other solvers in
+``admm.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .types import (
     SolverConfig,
     apply_difference_adjoint,
     as_data_matrix,
-    check_finite,
     column_differences,
     difference_norm_squared,
     frobenius_distance,
@@ -152,23 +152,22 @@ def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace)
 def solve_exact(x, config=None, initial_state=None):
     """Solve the exact-constraint objective; returns ``(z, diagnostics)``.
 
-    Convergence requires all three residual tests at once, each normalized
-    by ||X||_F: the fit residual ||X Z - X + E||, the coupling residual
-    ||J - Z R||, and the scaled iterate change
-    ``mu * sqrt(eta_z) * max(||dZ||, ||dE||, ||dJ||, ||dZ R||) / ||X||_F``.
-    An all-zero X gives Z = 0 without a sweep, reported as converged.
+    ``admm.run`` stops it once three residual tests hold at once, each
+    normalized by ||X||_F: the fit residual ||X Z - X + E|| and the coupling
+    residual ||J - Z R|| under eps1, and the scaled iterate change
+    ``mu * sqrt(eta_z) * max(||dZ||, ||dE||, ||dJ||, ||dZ R||) / ||X||_F``
+    under eps2.  An all-zero X gives Z = 0 without a sweep, reported as
+    converged.
     """
     config = config if config is not None else SolverConfig()
     x = as_data_matrix(x)
     d, n = x.shape
     l_z = operator_norm_squared(x)
-    r_norm2 = difference_norm_squared(n)
     # Three primal blocks move in parallel off the same multiplier, so the
     # proximal weight needs the block count as headroom; the bare spectral
     # bound is stable only for sequential sweeps.
-    floor = l_z + r_norm2
+    floor = l_z + difference_norm_squared(n)
     eta_z = admm.resolve_eta(config, 3.06 * floor, floor, "||X||^2 + ||R||^2")
-    eta_j = float(config.eta_j)
     x_fro = float(np.linalg.norm(x))
     state = admm.start_state(initial_state, initial_exact_state(d, n, config.mu0))
     diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z)
@@ -181,32 +180,20 @@ def solve_exact(x, config=None, initial_state=None):
     workspace = ExactWorkspace(d, n)
 
     def sweep(state):
-        return exact_iteration(
-            x, state, config.lambda1, config.lambda2, eta_z, eta_j, config.diag_zero,
+        new = exact_iteration(
+            x, state, config.lambda1, config.lambda2, eta_z, admm.ETA_J, config.diag_zero,
             workspace=workspace,
         )
-
-    def measure(old, new):
-        steps = (
+        return new, (
             float(np.linalg.norm(workspace.nn)),  # dZ
-            frobenius_distance(new.e, old.e, workspace.scratch),
-            frobenius_distance(new.j, old.j, workspace.scratch),
-            float(np.linalg.norm(workspace.dzr)),
+            frobenius_distance(new.e, state.e, workspace.scratch),
+            frobenius_distance(new.j, state.j, workspace.scratch),
+            float(np.linalg.norm(workspace.dzr)),  # dZ R
         )
-        # The steps are finite only where both iterates' Z, E and J are.
-        quick = sum(steps) + float(np.sum(new.y1)) + float(np.sum(new.y2))
-        check_finite(quick, (new.z, new.e, new.j, new.y1, new.y2), new.iteration)
-        fit_residual = float(np.linalg.norm(workspace.fit)) / x_fro
-        coupling_residual = float(np.linalg.norm(workspace.coupling)) / x_fro
-        change = old.mu * float(np.sqrt(eta_z)) / x_fro * max(steps)
-        converged = (
-            fit_residual < config.eps1
-            and coupling_residual < config.eps1
-            and change < config.eps2
-        )
-        return max(fit_residual, coupling_residual), change, converged
 
-    state = admm.run(config, state, sweep, measure, l_z / (eta_z - r_norm2), diag)
+    residuals = (workspace.fit, workspace.coupling)
+    scale = (x_fro, float(np.sqrt(eta_z)))
+    state = admm.run(config, state, sweep, residuals, ("y1", "y2"), diag, scale=scale)
     zr = workspace.zr  # Z R of the final iterate
     diag.objective_value = (
         0.5 * float(np.sum(state.e**2))

@@ -15,8 +15,8 @@ over-relaxed coupling h = alpha Z R + (1 - alpha) J, with alpha =
 ``OVER_RELAXATION`` (Eckstein & Bertsekas, Math. Prog. 1992; Fang, He, Liu
 & Yuan, Math. Prog. Comp. 2015, for the linearized case, alpha in (0, 2));
 the additive schedule, which the descent monitor assumes, keeps the plain
-sweep (alpha = 1).  The sweep loop and the penalty schedule are shared
-with the other solvers in ``admm.py``.
+sweep (alpha = 1).  The sweep loop, the stop and the penalty schedule are
+shared with the other solvers in ``admm.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .types import (
     SolverConfig,
     apply_difference_adjoint,
     as_data_matrix,
-    check_finite,
     column_differences,
     difference_norm_squared,
     frobenius_distance,
@@ -214,9 +213,9 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     Starts from ``initial_state`` or from ``initial_relaxed_state`` (all
     blocks zero).  The multiplicative schedule runs the over-relaxed sweep
     (alpha = ``OVER_RELAXATION``), the additive one the plain sweep (alpha
-    = 1), which is what ``lyapunov_s`` describes.  Stops when the
-    constraint residual ||J - Z R||_F falls under eps1 and the scaled change
-    mu * max(||dZ||_F, ||dJ||_F) falls under eps2.  When
+    = 1), which is what ``lyapunov_s`` describes.  ``admm.run`` stops it
+    when the constraint residual ||J - Z R||_F falls under eps1 and the
+    scaled change mu * max(||dZ||_F, ||dJ||_F) falls under eps2.  When
     ``lyapunov_reference`` is given, the descent monitor is evaluated
     against it after every sweep.
     """
@@ -235,33 +234,27 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     eta_z = admm.resolve_eta(
         config, r_norm2 + headroom + 1e-3, r_norm2, "the squared spectral norm of R"
     )
-    eta_j = float(config.eta_j)
     state = admm.start_state(initial_state, initial_relaxed_state(d, n, config.mu0))
     diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z)
     workspace = RelaxedWorkspace(fit)
     alpha = OVER_RELAXATION if config.mu_schedule == "multiplicative" else 1.0
 
     def sweep(state):
-        return relaxed_iteration(
-            x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox, workspace=workspace,
-            alpha=alpha,
+        new = relaxed_iteration(
+            x, state, lam1, lam2, l_z, eta_z, admm.ETA_J, diag_zero, j_prox,
+            workspace=workspace, alpha=alpha,
         )
-
-    def measure(old, new):
-        dz = frobenius_distance(new.z, old.z, workspace.fit)
-        dj = frobenius_distance(new.j, old.j, workspace.fit)
-        # The distances are finite only where both iterates' Z and J are.
-        check_finite(dz + dj + float(np.sum(new.y)), (new.z, new.j, new.y), new.iteration)
-        feasibility = float(np.linalg.norm(workspace.residual))
-        change = old.mu * max(dz, dj)
-        return feasibility, change, feasibility < config.eps1 and change < config.eps2
+        return new, (
+            frobenius_distance(new.z, state.z, workspace.fit),
+            frobenius_distance(new.j, state.j, workspace.fit),
+        )
 
     monitor = None
     if lyapunov_reference is not None:
         def monitor(state):
-            return lyapunov_s(state, lyapunov_reference, eta_z, eta_j, l_z)
+            return lyapunov_s(state, lyapunov_reference, eta_z, admm.ETA_J, l_z)
 
-    state = admm.run(config, state, sweep, measure, l_z / (eta_z - r_norm2), diag, monitor)
+    state = admm.run(config, state, sweep, (workspace.residual,), ("y",), diag, monitor)
     diag.objective_value = _objective(x, state.z, lam1, lam2, j_prox)
     return state, diag
 

@@ -17,7 +17,7 @@ _ZERO_ROW_NORM = 1e-10
 # k-means runs from this many seedings and keeps the best.
 KMEANS_RESTARTS = 20
 # The ways ``estimate_k`` reads the cluster count from the affinity spectrum.
-K_ESTIMATORS = ("eigengap", "svd-gap", "sv-threshold")
+K_ESTIMATORS = ("eigengap", "sv-threshold")
 
 
 # Square tile of the in-place symmetrization.  Any size gives bitwise the
@@ -275,31 +275,27 @@ def estimate_k(w, method="eigengap", tau=None):
     ``eigengap``: with the eigenvalues of the normalized Laplacian in
     ascending order l_1 <= l_2 <= ..., the smallest (1-based) i maximizing
     l_{i+1} - l_i (von Luxburg, "A tutorial on spectral clustering", 2007,
-    section 8.3).  ``svd-gap``: with the singular values of W in descending
-    order s_1 >= s_2 >= ..., the smallest i maximizing s_i - s_{i+1}.
-    ``sv-threshold``: the number of singular values of W above the absolute
-    threshold ``tau``; a ``tau`` at or above all of them raises
-    ``ValueError``, since no partition has zero clusters.
+    section 8.3).  ``sv-threshold``: the number of singular values of W
+    above the absolute threshold ``tau``; a ``tau`` at or above all of them
+    raises ``ValueError``, since no partition has zero clusters.
     """
     spectrum = LaplacianSpectrum.of(w)
     n = spectrum.affinity.shape[0]
     check_k_settings(None, method, tau, n)
-    if method != "sv-threshold" and n < 2:
-        raise ValueError("gap estimation needs at least a 2x2 affinity")
     if method == "eigengap":
+        if n < 2:
+            raise ValueError("gap estimation needs at least a 2x2 affinity")
         return int(np.argmax(np.diff(spectrum.eigenvalues()))) + 1
     # W is symmetric, so its singular values are its |eigenvalues|; one
     # eigvalsh is about 3x cheaper than an SVD.
-    singular_values = np.sort(np.abs(np.linalg.eigvalsh(spectrum.affinity)))[::-1]
-    if method == "sv-threshold":
-        k = int(np.sum(singular_values > tau))
-        if k == 0:
-            raise ValueError(
-                f"sv-threshold estimated k = 0: tau {tau:g} is not below any singular value "
-                f"of the affinity (largest {singular_values[0]:.6g})"
-            )
-        return k
-    return int(np.argmax(singular_values[:-1] - singular_values[1:])) + 1
+    singular_values = np.abs(np.linalg.eigvalsh(spectrum.affinity))
+    k = int(np.sum(singular_values > tau))
+    if k == 0:
+        raise ValueError(
+            f"sv-threshold estimated k = 0: tau {tau:g} is not below any singular value "
+            f"of the affinity (largest {singular_values.max():.6g})"
+        )
+    return k
 
 
 def detect_boundaries_peaks(z, prominence=1.0):

@@ -108,18 +108,6 @@ def frobenius_distance(a, b, scratch):
     return float(np.linalg.norm(diff))
 
 
-def check_finite(quick, arrays, iteration):
-    """Raise DivergenceError unless every entry of ``arrays`` is finite.
-
-    ``quick`` is a number the caller already has that cannot be finite
-    while any entry is not (a sum of the arrays' norms and sums, say).  The
-    entrywise test runs only when ``quick`` is not finite, so a large but
-    finite state whose sum overflows still passes.
-    """
-    if not math.isfinite(quick) and not all(np.isfinite(a).all() for a in arrays):
-        raise DivergenceError(f"solver state became non-finite at iteration {iteration}")
-
-
 def operator_norm_squared(m):
     """Squared spectral norm (largest squared singular value) of a matrix:
     the top eigenvalue of the smaller of its two Gram matrices."""
@@ -192,7 +180,9 @@ class SolverConfig:
     additive default adds l_z / mu0 (l_z = ||X||^2) so that the additive
     increment l_z / (eta_z - ||R||^2) is about mu0, the growth the descent
     monitor needs.  The exact solver's default is 3.06 (||X||^2 + ||R||^2)
-    under either schedule.  ``mu_schedule`` picks how the penalty grows: the default
+    under either schedule; the J step's weight is the constant
+    ``admm.ETA_J``.  ``mu_schedule`` picks how ``admm.run``, which also
+    applies the stop on ``eps1`` and ``eps2``, grows the penalty: the default
     ``"multiplicative"`` rule scales mu by ``gamma0`` whenever the scaled
     iterate change falls under ``eps2``, while ``"additive"`` adds a fixed
     increment every sweep (the mode used for descent-monitor analysis).
@@ -211,7 +201,6 @@ class SolverConfig:
     mu_max: float = 1e10
     gamma0: float = 1.1
     eta_z: float | None = None
-    eta_j: float = 1.02
     eps1: float = 1e-4
     eps2: float = 1e-4
     max_iter: int = 2000
@@ -220,9 +209,7 @@ class SolverConfig:
     mu_schedule: str = "multiplicative"
 
     def __post_init__(self):
-        float_fields = (
-            "lambda1", "lambda2", "mu0", "mu_max", "gamma0", "eta_z", "eta_j", "eps1", "eps2",
-        )
+        float_fields = ("lambda1", "lambda2", "mu0", "mu_max", "gamma0", "eta_z", "eps1", "eps2")
         for name in float_fields:
             value = getattr(self, name)
             if not (name == "eta_z" and value is None) and not is_finite_real(value):
@@ -244,8 +231,6 @@ class SolverConfig:
             raise ValueError(f"gamma0 must be >= 1, got {self.gamma0}")
         if self.eta_z is not None and self.eta_z <= 0:
             raise ValueError(f"eta_z must be positive, got {self.eta_z}")
-        if self.eta_j <= 1:
-            raise ValueError(f"eta_j must be > 1, got {self.eta_j}")
         if self.eps1 <= 0 or self.eps2 <= 0:
             raise ValueError("eps1 and eps2 must be positive")
         if self.max_iter < 1:
@@ -263,9 +248,11 @@ class SolveDiagnostics:
     residual; for the exact-constraint solver it holds the larger of the
     two normalized residuals; for ``ssc_solve`` the lasso KKT gap, its only
     history.  ``change_history`` holds the scaled iterate change that gates
-    both the stopping test and the penalty growth.  ``lyapunov_history`` is
-    filled only when descent monitoring is on.  ``l_z`` is ||X||^2;
-    ``eta_z`` stays NaN for ``ssc_solve``, which has no proximal weight.
+    both the stopping test and the penalty growth; ``admm.run`` decides
+    that stop for every solver but ssc.  ``iterations`` counts this solve's
+    sweeps, warm start or not.  ``lyapunov_history`` is filled only when
+    descent monitoring is on.  ``l_z`` is ||X||^2; ``eta_z`` stays NaN for
+    ``ssc_solve``, which has no proximal weight.
     """
 
     iterations: int = 0

@@ -388,7 +388,7 @@ def reference_relaxed_solve(x, config, l_z, eta_z, blocks):
     feasibility, changes, mus = [], [], []
     for sweep in range(1, config.max_iter + 1):
         z_new, j_new, y_new = reference_relaxed_sweep(
-            x, z, j, y, mu, config.lambda1, config.lambda2, l_z, eta_z, config.eta_j,
+            x, z, j, y, mu, config.lambda1, config.lambda2, l_z, eta_z, admm.ETA_J,
             config.diag_zero, alpha=OVER_RELAXATION,
         )
         feas = float(np.linalg.norm(j_new - z_new @ r))
@@ -414,7 +414,7 @@ def reference_exact_solve(x, config, eta_z, blocks):
     feasibility, changes, mus = [], [], []
     for sweep in range(1, config.max_iter + 1):
         z_new, e_new, j_new, y1_new, y2_new = reference_exact_sweep(
-            x, z, e, j, y1, y2, mu, config.lambda1, config.lambda2, eta_z, config.eta_j,
+            x, z, e, j, y1, y2, mu, config.lambda1, config.lambda2, eta_z, admm.ETA_J,
             config.diag_zero,
         )
         fit = float(np.linalg.norm(x @ z_new - x + e_new)) / x_fro

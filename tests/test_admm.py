@@ -1,0 +1,139 @@
+"""The one stop of the linearized-ADMM solvers, driven through ``admm.run``
+with a fake state and a scripted sweep."""
+
+from dataclasses import dataclass, replace
+
+import numpy as np
+import pytest
+
+from oscluster import DivergenceError, SolveDiagnostics, SolverConfig
+from oscluster.admm import run
+from oscluster.types import difference_norm_squared
+
+N = 4
+BIG, SMALL = 1.0, 1e-6  # above and below the default eps1 = eps2 = 1e-4
+
+
+@dataclass
+class FakeState:
+    z: np.ndarray
+    y: np.ndarray
+    mu: float
+    iteration: int = 0
+
+
+def start(mu=1.0, iteration=0):
+    return FakeState(np.zeros((N, N)), np.zeros((N, N - 1)), mu, iteration)
+
+
+def scripted(residuals, script):
+    """A sweep that replays ``script``, one ``(residual values, step norms)``
+    or ``(residual values, step norms, multiplier entry)`` per sweep: each
+    residual array is filled with its value, so its norm is known."""
+    entries = iter(script)
+
+    def sweep(state):
+        values, steps, *multiplier = next(entries)
+        for array, value in zip(residuals, values):
+            array.fill(value)
+        y = state.y.copy()
+        if multiplier:
+            y[0, 0] = multiplier[0]
+        return replace(state, y=y, iteration=state.iteration + 1), steps
+
+    return sweep
+
+
+def solve(config, script, residual_count=1, scale=(1.0, 1.0), l_z=1.0, eta_z=5.0, state=None):
+    residuals = tuple(np.empty(1) for _ in range(residual_count))
+    diag = SolveDiagnostics(l_z=l_z, eta_z=eta_z)
+    state = run(
+        config, state or start(config.mu0), scripted(residuals, script), residuals, ("y",), diag,
+        scale=scale,
+    )
+    return state, diag
+
+
+class TestStop:
+    def test_stops_only_when_feasible_and_still(self):
+        script = [
+            ((SMALL,), (BIG, SMALL)),  # feasible, moving
+            ((BIG,), (SMALL, SMALL)),  # infeasible, still
+            ((SMALL,), (SMALL, SMALL)),  # both: stop here
+            ((SMALL,), (SMALL, SMALL)),
+        ]
+        state, diag = solve(SolverConfig(), script)
+        assert diag.converged and diag.iterations == 3 and state.iteration == 3
+        assert diag.feasibility_history == [SMALL, BIG, SMALL]
+        assert diag.change_history == [BIG, SMALL, 1.1 * SMALL]
+
+    def test_every_residual_must_pass(self):
+        # Exact-shaped: a fit residual that passes does not stop the solve
+        # while the coupling residual does not.
+        normalizer, weight = 2.0, 3.0
+        script = [
+            ((SMALL, BIG), (SMALL,) * 4),
+            ((BIG, SMALL), (SMALL,) * 4),
+            ((SMALL, SMALL), (SMALL,) * 4),
+        ]
+        _, diag = solve(SolverConfig(), script, residual_count=2, scale=(normalizer, weight))
+        assert diag.converged and diag.iterations == 3
+        assert diag.feasibility_history == [BIG / normalizer, BIG / normalizer, SMALL / normalizer]
+        mus = diag.mu_history
+        assert diag.change_history == [mu * weight / normalizer * SMALL for mu in mus]
+
+    def test_the_change_is_scaled_by_mu_weight_and_normalizer(self):
+        # Feasible, and the raw step is under eps2, but mu * weight /
+        # normalizer lifts the change above it.
+        script = [((SMALL, SMALL), (1e-5, 3e-5, 2e-5))] * 2
+        config = SolverConfig(mu0=10.0, max_iter=2)
+        _, diag = solve(config, script, residual_count=2, scale=(0.5, 1.0))
+        assert not diag.converged and diag.iterations == 2
+        assert diag.change_history == [10.0 / 0.5 * 3e-5] * 2
+
+    def test_budget_ends_the_solve_unconverged(self):
+        _, diag = solve(SolverConfig(max_iter=3), [((BIG,), (BIG,))] * 3)
+        assert not diag.converged and diag.iterations == 3
+
+    def test_iterations_count_this_call_only(self):
+        state, diag = solve(
+            SolverConfig(max_iter=2), [((BIG,), (BIG,))] * 2, state=start(iteration=100)
+        )
+        assert diag.iterations == 2 and state.iteration == 102
+
+
+class TestPenalty:
+    def test_multiplicative_growth_only_when_still_and_capped(self):
+        config = SolverConfig(gamma0=1.5, mu_max=3.0, max_iter=6)
+        changes = [BIG, SMALL, BIG, SMALL, SMALL, SMALL]
+        state, diag = solve(config, [((BIG,), (c,)) for c in changes])
+        assert diag.mu_history == [1.0, 1.0, 1.5, 1.5, 2.25, 3.0]
+        assert state.mu == 3.0
+
+    def test_additive_increment(self):
+        l_z, headroom = 2.0, 0.5
+        eta_z = difference_norm_squared(N) + headroom
+        config = SolverConfig(mu_schedule="additive", mu_max=10.0, max_iter=4)
+        state, diag = solve(config, [((BIG,), (BIG,))] * 4, l_z=l_z, eta_z=eta_z)
+        increment = l_z / (eta_z - difference_norm_squared(N))
+        assert increment == pytest.approx(l_z / headroom)
+        want = [1.0]
+        for _ in range(3):
+            want.append(min(10.0, want[-1] + increment))
+        assert diag.mu_history == want and want[-1] == 10.0 > want[-2]
+        assert state.mu == 10.0
+
+
+class TestDivergence:
+    def test_non_finite_multiplier_with_finite_steps(self):
+        script = [((BIG,), (BIG,)), ((BIG,), (BIG,), np.inf), ((BIG,), (BIG,))]
+        with pytest.raises(DivergenceError, match="non-finite at iteration 2"):
+            solve(SolverConfig(), script)
+
+    def test_large_finite_multiplier_passes(self):
+        # The multiplier sum overflows, but every entry is finite.
+        state = start()
+        state.y[1, 1] = 1e308
+        with np.errstate(over="ignore"):
+            _, diag = solve(SolverConfig(max_iter=1), [((BIG,), (BIG,), 1e308)], state=state)
+        assert diag.iterations == 1 and not diag.converged

@@ -31,6 +31,12 @@ def test_method_entry_rejects_unknown_keys():
         config_with({"name": "osc-relaxed", "lamda1": 0.2})
 
 
+def test_method_entry_rejects_eta_j():
+    # The J step's weight is a constant of the solvers, not a setting.
+    with pytest.raises(ValueError, match="unknown keys.*eta_j"):
+        config_with({"name": "osc-relaxed", "eta_j": 1.02})
+
+
 @pytest.mark.parametrize("k", [None, 1, 5])
 def test_k_accepts_null_or_positive_int(k):
     assert parse_bench_config({"methods": [{"name": "ssc"}], "k": k})["k"] == k
@@ -61,6 +67,7 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         ({"timing": {"repeats": 1}}, "unknown keys"),
         ({"methods": [{"name": "kmeans"}]}, "unknown method"),
         ({"k_method": "elbow"}, "unknown k estimator"),
+        ({"k_method": "svd-gap"}, "unknown k estimator 'svd-gap'"),
         ({"generator": "synthetic"}, "'generator' must be an object"),
         ({"generator": {"num_subspace": 3}}, "'generator' has unknown keys"),
         ({"master_seed": 1.7}, "master_seed must be an int"),
@@ -85,7 +92,8 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         ({"psnr_db": []}, "psnr_db must name at least one noise level"),
     ],
     ids=[
-        "unknown-key", "timing", "method", "k-method", "generator-str", "generator-key",
+        "unknown-key", "timing", "method", "k-method", "k-method-svd-gap", "generator-str",
+        "generator-key",
         "seed-float", "seed-str", "seed-negative", "repeats-float", "repeats-bool",
         "normalize-str", "psnr-bool", "psnr-nan",
         "tau-missing", "tau-negative", "tau-str", "tau-bool", "k-above-n", "k-above-small-n",

@@ -355,6 +355,12 @@ class TestCluster:
             main(["cluster", str(tmp_path / "x.csv"), "--method", "agglomerative"])
         assert exc.value.code == 2
 
+    def test_removed_estimator_rejected_by_parser(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", str(tmp_path / "x.csv"), "--estimate-k", "svd-gap"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'svd-gap'" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(7)
         data = tmp_path / "tiny.csv"
@@ -474,6 +480,7 @@ class TestBench:
             ({"timing": {"repeats": 1}}, "unknown keys"),
             ({"methods": [{"name": "kmeans"}]}, "unknown method"),
             ({"k_method": "elbow"}, "unknown k estimator"),
+            ({"k_method": "svd-gap"}, "unknown k estimator 'svd-gap'"),
             ({"generator": [2, 5]}, "'generator' must be an object"),
             ({"generator": {"num_subspace": 3}}, "'generator' has unknown keys"),
             ({"master_seed": 1.7}, "master_seed must be an int"),
@@ -487,7 +494,8 @@ class TestBench:
             ({"psnr_db": []}, "psnr_db must name at least one noise level"),
         ],
         ids=[
-            "unknown-key", "timing", "method", "k-method", "generator-list", "generator-key",
+            "unknown-key", "timing", "method", "k-method", "k-method-svd-gap", "generator-list",
+            "generator-key",
             "seed-float", "repeats-float", "normalize-str", "psnr-bool", "seed-negative",
             "k-above-n", "psnr-not-list", "methods-not-list", "psnr-empty",
         ],

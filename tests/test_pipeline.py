@@ -37,11 +37,10 @@ class TestNormalizeColumns:
 
 class TestEstimateK:
     def test_eigengap_dispatch(self):
-        # Two dense blocks joined by weak links: two groups both by the
-        # Laplacian's eigengap and by the gap in W's singular values.
+        # Two dense blocks joined by weak links: two groups by the
+        # Laplacian's eigengap.
         w = np.kron(np.eye(2), np.ones((3, 3))) + 0.01
         assert estimate_k(w, "eigengap") == 2
-        assert estimate_k(w, "svd-gap") == 2
 
     def test_sv_threshold_needs_tau(self):
         with pytest.raises(ValueError):
@@ -51,6 +50,8 @@ class TestEstimateK:
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             estimate_k(np.eye(3), "elbow")
+        with pytest.raises(ValueError, match="unknown k estimator 'svd-gap'"):
+            estimate_k(np.eye(3), "svd-gap")
 
 
 @pytest.fixture
@@ -115,6 +116,7 @@ class TestClusterSequential:
         [
             (None, "bogus", None, "unknown k estimator"),
             (5, "bogus", None, "unknown k estimator"),
+            (None, "svd-gap", None, "unknown k estimator"),
             (None, "sv-threshold", None, "tau"),
             (None, "sv-threshold", float("nan"), "tau"),
             (None, "sv-threshold", float("inf"), "tau"),
@@ -166,15 +168,13 @@ class TestOneReduction:
         "k, k_method, want",
         [
             (None, "eigengap", ["check", "laplacian", "dsytrd", "dsterf"]),
-            (None, "svd-gap", ["check", "eigvalsh", "laplacian", "dsytrd"]),
             (4, "eigengap", ["check", "laplacian", "dsytrd"]),
         ],
     )
     def test_affinity_is_checked_once_and_reduced_once(self, monkeypatch, k, k_method, want):
         # Spies on the names spectral looks up.  W is checked once, and its
         # Laplacian reduced once: the eigengap reads that reduction, and
-        # with k given no eigenvalue routine runs.  An estimator that reads
-        # W's own spectrum runs before the Laplacian exists.
+        # with k given no eigenvalue routine runs.
         calls = []
 
         def spy(name, fn):

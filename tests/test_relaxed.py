@@ -7,6 +7,7 @@ from oscluster import (
     SolverConfig,
     SyntheticSpec,
     generate_synthetic,
+    initial_exact_state,
     initial_relaxed_state,
     normalize_columns,
     solve_relaxed,
@@ -155,6 +156,25 @@ class TestWarmStart:
         bad = initial_relaxed_state(4, 7, 1.0)
         with pytest.raises(ValueError):
             solve_relaxed(x, SolverConfig(), initial_state=bad)
+
+    def test_initial_state_of_the_exact_solver_refused(self):
+        x = unit_columns(np.random.default_rng(1), 4, 5)
+        with pytest.raises(ValueError, match="initial state must be of type RelaxedState"):
+            solve_relaxed(x, SolverConfig(), initial_state=initial_exact_state(4, 5, 1.0))
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, float("nan"), float("inf"), True, "1"])
+    def test_initial_mu_must_be_positive_finite(self, mu):
+        x = unit_columns(np.random.default_rng(1), 4, 5)
+        bad = dataclasses.replace(initial_relaxed_state(4, 5, 1.0), mu=mu)
+        with pytest.raises(ValueError, match="initial state mu"):
+            solve_relaxed(x, SolverConfig(), initial_state=bad)
+
+    def test_iterations_count_this_solve_only(self):
+        # A warm start's own counter does not carry into the report.
+        x = unit_columns(np.random.default_rng(1), 4, 5)
+        start = dataclasses.replace(initial_relaxed_state(4, 5, 1.0), iteration=100)
+        _, diag = solve_relaxed(x, SolverConfig(max_iter=5), initial_state=start)
+        assert diag.iterations == len(diag.feasibility_history) == 5
 
     def test_initial_multiplier_shape_checked(self):
         x = unit_columns(np.random.default_rng(1), 4, 5)

@@ -336,10 +336,10 @@ class TestMemory:
 
     tracemalloc sees every array numpy and scipy's wrappers allocate, but not
     the buffers LAPACK or numpy.linalg.eigvalsh allocate inside, such as the
-    copy of W that the svd-gap and sv-threshold estimators' eigvalsh
-    decomposes.  Resident memory therefore stays the benchmark's job
-    (perfbench's peak_rss_mb); these tests pin the arrays the library
-    itself keeps alive.
+    copy of W that the sv-threshold estimator's eigvalsh decomposes.
+    Resident memory therefore stays the benchmark's job (perfbench's
+    peak_rss_mb); these tests pin the arrays the library itself keeps
+    alive.
     """
 
     N = 400
@@ -425,13 +425,11 @@ class TestCountEstimation:
 
     @pytest.mark.parametrize("n", [2, 7, 40])
     def test_singular_values_match_svd(self, rng, n):
-        # svd-gap and sv-threshold read W's singular values off its
-        # eigenvalues; both counts must agree with the SVD's.
+        # sv-threshold reads W's singular values off its eigenvalues; its
+        # counts must agree with the SVD's.
         w = np.abs(rng.standard_normal((n, n)))
         w = w + w.T
         sv = np.linalg.svd(w, compute_uv=False)
-        gaps = sv[:-1] - sv[1:]
-        assert estimate_k(w, "svd-gap") == int(np.argmax(gaps)) + 1
         for i, tau in enumerate(np.append(0.5 * (sv[:-1] + sv[1:]), 0.5 * sv[-1])):
             assert estimate_k(w, "sv-threshold", tau) == i + 1
 

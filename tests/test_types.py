@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ class TestSolverConfig:
             {"mu0": 0.0},
             {"mu_max": 0.5},  # below mu0
             {"gamma0": 0.9},
-            {"eta_j": 0.0},
+            {"eta_z": 0.0},
             {"eps1": 0.0},
             {"eps2": -1e-4},
             {"max_iter": 0},
@@ -158,7 +160,7 @@ class TestSolverConfig:
             {"lambda1": float("nan")},
             {"mu0": float("nan")},
             {"eta_z": float("nan")},
-            {"eta_j": float("nan")},
+            {"mu_max": float("nan")},
             {"lambda2": float("inf")},
             {"mu_max": float("inf")},
             {"eta_z": float("inf")},
@@ -179,7 +181,7 @@ class TestSolverConfig:
             ("lambda1", True),
             ("mu0", [1.0]),
             ("eta_z", "1.5"),
-            ("eta_j", False),
+            ("gamma0", False),
             ("diag_zero", "false"),
             ("diag_zero", 1),
             ("diag_zero", None),
@@ -194,6 +196,12 @@ class TestSolverConfig:
     def test_accepts_numpy_numbers_and_no_eta_z(self):
         cfg = SolverConfig(lambda1=np.float64(0.2), eta_z=None, max_iter=np.int64(10))
         assert (cfg.lambda1, cfg.eta_z, cfg.max_iter) == (0.2, None, 10)
+
+    def test_twelve_settings(self):
+        # The J step's weight is the constant admm.ETA_J, not a field.
+        assert len(fields(SolverConfig)) == 12
+        with pytest.raises(TypeError, match="eta_j"):
+            SolverConfig(eta_j=1.02)
 
     def test_frozen(self):
         cfg = SolverConfig()
