@@ -43,7 +43,9 @@ from .spectral import check_k_settings
 from .types import SolverConfig, is_int
 
 DEFAULT_PSNR_GRID = (math.inf, 40.0, 30.0, 20.0, 15.0, 10.0)
-RAW_COLUMNS = ("method", "psnr_db", "repeat", "sce", "wall_ms", "iterations", "converged", "error")
+RAW_COLUMNS = (
+    "method", "psnr_db", "repeat", "sce", "wall_ms", "iterations", "converged", "spectrum", "error",
+)
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(SolverConfig))
 _GENERATOR_FIELDS = tuple(f.name for f in fields(SyntheticSpec))

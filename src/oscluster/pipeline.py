@@ -40,12 +40,22 @@ class ClusterResult:
     affinity: np.ndarray
     diagnostics: object
     wall_ms: float
+    # The Laplacian reduction that gave k and the embedding: "float32"
+    # (certified) or "float64" (fallback); None when L was not reduced
+    # (k = 1, given or by sv-threshold).
+    spectrum: str | None
 
     def record(self):
         """The run's report fields, shared by the CLI report and the bench
-        row: the count, the wall time and, when the method iterates, its
-        sweep count, convergence flag, objective and last residual."""
-        record = {"k": self.k, "k_was_estimated": self.k_was_estimated, "wall_ms": self.wall_ms}
+        row: the count, the wall time, the precision of the Laplacian
+        reduction and, when the method iterates, its sweep count,
+        convergence flag, objective and last residual."""
+        record = {
+            "k": self.k,
+            "k_was_estimated": self.k_was_estimated,
+            "wall_ms": self.wall_ms,
+            "spectrum": self.spectrum,
+        }
         d = self.diagnostics
         if d is not None:
             record.update(
@@ -110,7 +120,8 @@ def cluster_sequential(
     z, diagnostics = solve_coefficients(normalize_columns(x) if normalize else x, method, config)
     w = build_affinity(z)
     # Checks W once.  The Laplacian is reduced once, on its first use: by
-    # the eigengap, or else by the embedding.
+    # the eigengap, or else by the embedding.  That reduction is in float32;
+    # a second one, in double, runs only if a certificate fails.
     spectrum = LaplacianSpectrum(w)
     k_was_estimated = k is None
     if k_was_estimated:
@@ -125,4 +136,5 @@ def cluster_sequential(
         affinity=w,
         diagnostics=diagnostics,
         wall_ms=wall_ms,
+        spectrum=spectrum.precision,
     )

@@ -5,7 +5,16 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dormqr, dsterf, dsytrd, dsytrd_lwork
+from scipy.linalg.lapack import (
+    dormqr,
+    dsterf,
+    dsytrd,
+    dsytrd_lwork,
+    sormqr,
+    ssterf,
+    ssytrd,
+    ssytrd_lwork,
+)
 
 from .types import as_coefficient_matrix, column_differences, is_finite_real, is_int
 
@@ -19,6 +28,31 @@ KMEANS_RESTARTS = 20
 # The ways ``estimate_k`` reads the cluster count from the affinity spectrum.
 K_ESTIMATORS = ("eigengap", "sv-threshold")
 
+# Unit roundoffs of float32 and float64.
+_U32, _U64 = 2.0**-24, 2.0**-53
+# Each float32 eigenvalue of L is within
+#   error = _EIGENVALUE_ERROR * N * (u32 + u64) * ||T||_F
+# of L's.  By Weyl's inequality an eigenvalue moves by at most the norm of
+# the perturbation, and three add up here, each at most N u ||L||_F:
+# rounding L to float32 (u ||L||_F), ssytrd's Householder backward error
+# (c N u ||L||_F, Golub & Van Loan, "Matrix Computations", section 8.3.1,
+# with c = 1) and ssterf's on T.  ||T||_F is ||L||_F to within that error.
+# The u64 term covers the double reduction's own error, so a certified
+# count is the one the double eigenvalues give.  On spectral-n1600 inputs
+# the error was at most 2.4e-6 and the bound 1.1e-2.
+_EIGENVALUE_ERROR = 3.0
+# The embedding is accepted when the Davis-Kahan bound on the sine of its
+# largest angle to L's eigenspace is at most this.
+_EMBEDDING_TOLERANCE = 1e-10
+# Degree of the Chebyshev filter, and how many filter and Rayleigh-Ritz
+# passes may run before the embedding falls back to the double reduction.
+# Measured on the benchmark's seed-1 pools: spectral-n1600 inputs needed
+# one pass (a bound near 1e-14), relaxed-n200 inputs one (one input in 32
+# two), and protocol-n100 inputs two (9 calls in 144 three).  Degree 6
+# needed up to four passes there, and degree 5 fell back on 3 calls.
+_FILTER_DEGREE = 8
+_FILTER_PASSES = 4
+
 
 # Square tile of the in-place symmetrization.  Any size gives bitwise the
 # same W.  Minimum of 15 interleaved runs, 1 BLAS thread: at N = 1600,
@@ -27,6 +61,9 @@ K_ESTIMATORS = ("eigengap", "sv-threshold")
 # temporaries numpy makes for one in-place tile update (a copy of the
 # transposed tile and an iteration buffer) stay near 100 KB.
 _AFFINITY_TILE = 64
+# Columns of L formed in double per step of the float32 Laplacian: an
+# N x 64 tile stays near 800 KB at N = 1600.
+_LAPLACIAN_TILE = 64
 
 
 def build_affinity(z):
@@ -66,6 +103,14 @@ def _check_affinity(w):
     return w if exact else 0.5 * (w + w.T)
 
 
+def _inverse_sqrt_degrees(w):
+    """D^{-1/2} of the affinity ``w``; rows with zero degree get a tiny guard
+    degree."""
+    degrees = w.sum(axis=1)
+    degrees = np.where(degrees <= 0.0, _ZERO_DEGREE_EPS, degrees)
+    return 1.0 / np.sqrt(degrees)
+
+
 def normalized_laplacian(w):
     """I - D^{-1/2} W D^{-1/2}; rows with zero degree get a tiny guard degree.
 
@@ -74,9 +119,7 @@ def normalized_laplacian(w):
     in place.
     """
     w = LaplacianSpectrum.of(w).affinity
-    degrees = w.sum(axis=1)
-    degrees = np.where(degrees <= 0.0, _ZERO_DEGREE_EPS, degrees)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
+    inv_sqrt = _inverse_sqrt_degrees(w)
     # The checked W is exactly symmetric, so W^T is W in Fortran order.
     lap = np.multiply(-inv_sqrt[:, None], w.T, order="F")
     lap *= inv_sqrt[None, :]
@@ -84,20 +127,80 @@ def normalized_laplacian(w):
     return lap
 
 
+def _widest_gap(values):
+    """The smallest (1-based) i maximizing values[i] - values[i-1], and by
+    how much that gap beats every other (inf when it is the only one)."""
+    gaps = np.diff(values)
+    i = int(np.argmax(gaps))
+    return i + 1, gaps[i] - np.max(np.delete(gaps, i), initial=-np.inf)
+
+
+def _laplacian_product(w, inv_sqrt, v):
+    """L v in double, as v - D^{-1/2} W D^{-1/2} v, from W and D^{-1/2}."""
+    inv_sqrt = inv_sqrt[:, None]
+    return v - inv_sqrt * (w @ (inv_sqrt * v))
+
+
+def _apply_reflectors(ormqr, lap, tau, vectors):
+    """Q @ ``vectors`` in place, for the Q = diag(1, Q') whose reflectors a
+    lower ``?sytrd`` left in ``lap``, applied by ``ormqr`` of ``lap``'s
+    precision.
+
+    Q' is the product of the reflectors stored in QR form below L's
+    diagonal, what LAPACK's ?ormtr (which scipy does not wrap) applies with
+    ?ormqr.  Read from one element past the buffer's start, column j of an
+    N x (N-1) Fortran-contiguous view holds L[1:, j] over L[0, j+1].  With
+    row 0's unused upper part zeroed that is Q's reflector j padded by a
+    zero row, and ?ormqr takes the view without copying it.
+    """
+    n, k = lap.shape[0], vectors.shape[1]
+    lap[0, 1:] = 0.0
+    flat = lap.reshape(-1, order="F")
+    reflectors = flat[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
+    c = np.zeros((n, k), dtype=lap.dtype, order="F")
+    c[:-1] = vectors[1:]
+    _, work, _ = ormqr("L", "N", reflectors, tau, c, -1)
+    c, _, _ = ormqr("L", "N", reflectors, tau, c, int(work[0]), overwrite_c=1)
+    vectors[1:] = c[:-1]
+    return vectors
+
+
 class LaplacianSpectrum:
     """The normalized Laplacian L of one affinity, reduced once.
 
-    Checks the affinity when built.  On first use L is formed and reduced
-    in place to a tridiagonal T = Q^T L Q (LAPACK ``dsytrd``), whose
-    Householder reflectors stay in L's buffer.  ``eigenvalues`` reads all
-    of L's eigenvalues off T; ``embedding`` maps T's eigenvectors back to
-    L through the reflectors.  So a call that both estimates k and embeds
-    reduces L once, and an estimator that reads only W (``affinity``) runs
-    before L exists.
+    Checks the affinity when built.  On first use L is formed in float32,
+    straight from W and its degrees, and reduced in place to a tridiagonal
+    T = Q^T L Q (LAPACK ``ssytrd``), whose Householder reflectors stay in
+    L's buffer.  That halves the bytes the reduction, the bulk of the
+    spectral stage, moves.  Nothing it gives is trusted uncertified:
+
+    * ``eigengap`` reads all of T's eigenvalues (``ssterf``).  Each is
+      within ``error`` of L's (Weyl's inequality on the backward errors),
+      so the count is accepted only when the winning gap beats every
+      other gap by more than 4 ``error``, and is then the count the
+      double eigenvalues give.
+    * ``embedding`` maps T's eigenvectors back through the reflectors
+      (``sormqr``) and refines them in double against L itself, with a
+      Chebyshev filter and a Rayleigh-Ritz step.  The basis is accepted
+      only when the Davis-Kahan bound on its angle to L's eigenspace is
+      at most ``_EMBEDDING_TOLERANCE``.
+
+    When a certificate fails, or k = N, the float32 reduction is dropped
+    and L is formed and reduced in double (``dsytrd``), once, and serves
+    every later answer; ``eigenvalues`` always reads that one.
+    ``precision`` says which reduction is serving: "float32", "float64",
+    or None before L is reduced.  An estimator that reads only W
+    (``affinity``) runs before L exists.
     """
 
     def __init__(self, w):
         self.affinity = _check_affinity(w)
+        self.precision = None
+        # (reduced L, d, e, tau, D^{-1/2}, error) in float32, then the
+        # double (reduced L, d, e, tau): at most one of them is held.  No
+        # caller keeps the float32 L across a fallback, so it is freed
+        # before the double L is formed.
+        self._single = None
         self._reduced = None
 
     @classmethod
@@ -106,8 +209,40 @@ class LaplacianSpectrum:
         the affinity ``w``."""
         return w if isinstance(w, cls) else cls(w)
 
+    def _single_reduction(self):
+        """The float32 reduction, formed on first use; None once the double
+        reduction serves."""
+        if self.precision is None:
+            w = self.affinity
+            n = w.shape[0]
+            inv_sqrt = _inverse_sqrt_degrees(w)
+            lap = np.empty((n, n), dtype=np.float32, order="F")
+            buffer = np.empty((n, _LAPLACIAN_TILE), order="F")
+            for j in range(0, n, _LAPLACIAN_TILE):
+                # Columns j.. of L in double, formed as normalized_laplacian
+                # forms them (W is symmetric: its column j is its row j),
+                # then rounded once, so L32 is the double L rounded.
+                tile = buffer[:, : min(_LAPLACIAN_TILE, n - j)]
+                np.multiply(-inv_sqrt[:, None], w[j : j + _LAPLACIAN_TILE].T, out=tile)
+                tile *= inv_sqrt[None, j : j + _LAPLACIAN_TILE]
+                cols = np.arange(tile.shape[1])
+                tile[j + cols, cols] += 1.0
+                lap[:, j : j + _LAPLACIAN_TILE] = tile
+            lwork, _ = ssytrd_lwork(n, lower=1)
+            lap, d, e, tau, _ = ssytrd(lap, lower=1, lwork=int(lwork), overwrite_a=1)
+            # ||T||_F, which is ||L||_F up to the reduction's own error.
+            d64, e64 = d.astype(float), e.astype(float)
+            norm = np.sqrt(d64 @ d64 + 2.0 * (e64 @ e64))
+            error = _EIGENVALUE_ERROR * n * (_U32 + _U64) * norm
+            self._single = lap, d, e, tau, inv_sqrt, error
+            self.precision = "float32"
+        return self._single
+
     def _reduction(self):
         if self._reduced is None:
+            # The float32 reduction goes before the double L is formed.
+            self._single = None
+            self.precision = "float64"
             lap = normalized_laplacian(self)
             # scipy's default workspace of N doubles forces the unblocked
             # reduction: 588 ms instead of 316 ms at N = 1600 (1 BLAS
@@ -118,36 +253,86 @@ class LaplacianSpectrum:
         return self._reduced
 
     def eigenvalues(self):
-        """All eigenvalues of L, ascending."""
+        """All eigenvalues of L, ascending, from the double reduction."""
         _, d, e, _ = self._reduction()
         values, info = dsterf(d, e)
         if info:
             raise np.linalg.LinAlgError(f"dsterf did not converge ({info})")
         return values
 
+    def eigengap(self):
+        """The smallest (1-based) i maximizing l_{i+1} - l_i over L's
+        ascending eigenvalues l_1 <= l_2 <= ...; L must be at least 2 x 2.
+
+        Read off the float32 eigenvalues when the winning gap is certified,
+        else off ``eigenvalues``.
+        """
+        if self._single_reduction() is not None:
+            _, d, e, _, _, error = self._single
+            values, info = ssterf(d, e)
+            k, margin = _widest_gap(values.astype(float))
+            if not info and margin > 4.0 * error:
+                return k
+        return _widest_gap(self.eigenvalues())[0]
+
     def embedding(self, k):
         """Orthonormal eigenvectors of L's k smallest eigenvalues, N x k."""
+        n = self.affinity.shape[0]
+        if k < n and self._single_reduction() is not None:
+            vectors = self._certified_embedding(k)
+            if vectors is not None:
+                return vectors
         lap, d, e, tau = self._reduction()
-        n = lap.shape[0]
         _, vectors = eigh_tridiagonal(
             d, e, select="i", select_range=(0, k - 1), check_finite=False
         )
-        # Q = diag(1, Q'), where Q' is the product of the reflectors stored
-        # in QR form below L's diagonal, what LAPACK's dormtr (which scipy
-        # does not wrap) applies with dormqr.  Read from one element past
-        # the buffer's start, column j of an N x (N-1) Fortran-contiguous
-        # view holds L[1:, j] over L[0, j+1].  With row 0's unused upper
-        # part zeroed that is Q's reflector j padded by a zero row, and
-        # dormqr takes the view without copying it.
-        lap[0, 1:] = 0.0
-        flat = lap.reshape(-1, order="F")
-        reflectors = flat[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
-        c = np.zeros((n, k), order="F")
-        c[:-1] = vectors[1:]
-        _, work, _ = dormqr("L", "N", reflectors, tau, c, -1)
-        c, _, _ = dormqr("L", "N", reflectors, tau, c, int(work[0]), overwrite_c=1)
-        vectors[1:] = c[:-1]
-        return vectors
+        return _apply_reflectors(dormqr, lap, tau, vectors)
+
+    def _certified_embedding(self, k):
+        """The embedding from the float32 reduction, refined in double, or
+        None if its Davis-Kahan bound stays above ``_EMBEDDING_TOLERANCE``."""
+        lap, d, e, tau, inv_sqrt, error = self._single
+        n = lap.shape[0]
+        d, e = d.astype(float), e.astype(float)
+        values, vectors = eigh_tridiagonal(
+            d, e, select="i", select_range=(0, k), check_finite=False
+        )
+        (top,) = eigh_tridiagonal(
+            d, e, eigvals_only=True, select="i", select_range=(n - 1, n - 1), check_finite=False
+        )
+        vectors = _apply_reflectors(sormqr, lap, tau, vectors[:, :k])
+        # L's eigenvalues k+1, ..., N lie in [low, high].
+        low, high = values[k] - error, top + error
+        centre, half = 0.5 * (high + low), 0.5 * (high - low)
+        if half <= 0.0:  # L = 0: no gap to certify
+            return None
+        w = self.affinity
+        for _ in range(_FILTER_PASSES):
+            # Chebyshev filter (Zhou, Saad, Tiago & Chelikowsky, J. Comput.
+            # Phys. 2006): T_m((L - centre) / half) is at most 1 in size on
+            # [low, high] and grows fast below it, where the k wanted
+            # eigenvalues lie.
+            previous = vectors
+            vectors = (_laplacian_product(w, inv_sqrt, vectors) - centre * vectors) / half
+            for _ in range(_FILTER_DEGREE - 1):
+                shifted = _laplacian_product(w, inv_sqrt, vectors) - centre * vectors
+                previous, vectors = vectors, (2.0 / half) * shifted - previous
+            # Rayleigh-Ritz on the filtered span.
+            basis = np.linalg.qr(vectors)[0]
+            l_basis = _laplacian_product(w, inv_sqrt, basis)
+            ritz, rotation = np.linalg.eigh(basis.T @ l_basis)
+            vectors = basis @ rotation
+            residual = np.linalg.norm(l_basis @ rotation - vectors * ritz)
+            # Davis-Kahan sin(theta): the largest angle between the span and
+            # L's eigenspace is at most residual / (l_{k+1} - ritz_k), and
+            # l_{k+1} >= low.
+            gap = low - ritz[-1]
+            if gap > 0.0 and residual <= _EMBEDDING_TOLERANCE * gap:
+                # Fortran order, as the double path returns it: k-means'
+                # reductions over the k entries of each row run on it about
+                # 1.4x faster (N = 1600, k = 8).
+                return np.asfortranarray(vectors)
+        return None
 
 
 def _kmeans_pp_init(points, k, rng):
@@ -252,10 +437,14 @@ def ncut_cluster(w, k, seed=0):
     the Laplacian is not reduced again.
 
     Only those k eigenvectors are computed, from the tridiagonal reduction
-    of the Laplacian, not the full N x N eigenbasis.  The embedding is
-    well defined only when eigenvalues k and k+1 differ: with a tie there,
-    any basis of the tied eigenspace is an equally valid answer, and the
-    labels may depend on which one the solver returns.
+    of the Laplacian, not the full N x N eigenbasis.  They come from the
+    float32 reduction, refined in double and accepted only within 1e-10 of
+    L's eigenspace by the Davis-Kahan bound, or else from the double
+    reduction (``LaplacianSpectrum``).  The embedding is well defined only
+    when eigenvalues k and k+1 differ: with a tie there, any basis of the
+    tied eigenspace is an equally valid answer, the float32 embedding is
+    not certified, and the labels may depend on which basis the double
+    reduction returns.
     """
     spectrum = LaplacianSpectrum.of(w)  # validates the affinity
     n = spectrum.affinity.shape[0]
@@ -275,7 +464,11 @@ def estimate_k(w, method="eigengap", tau=None):
     ``eigengap``: with the eigenvalues of the normalized Laplacian in
     ascending order l_1 <= l_2 <= ..., the smallest (1-based) i maximizing
     l_{i+1} - l_i (von Luxburg, "A tutorial on spectral clustering", 2007,
-    section 8.3).  ``sv-threshold``: the number of singular values of W
+    section 8.3).  It is read off the float32 eigenvalues when the winning
+    gap beats every other by more than four times their error bound, and
+    off the double eigenvalues otherwise, so the count is the one the
+    double eigenvalues give (``LaplacianSpectrum.eigengap``).
+    ``sv-threshold``: the number of singular values of W
     above the absolute threshold ``tau``; a ``tau`` at or above all of them
     raises ``ValueError``, since no partition has zero clusters.
     """
@@ -285,7 +478,7 @@ def estimate_k(w, method="eigengap", tau=None):
     if method == "eigengap":
         if n < 2:
             raise ValueError("gap estimation needs at least a 2x2 affinity")
-        return int(np.argmax(np.diff(spectrum.eigenvalues()))) + 1
+        return spectrum.eigengap()
     # W is symmetric, so its singular values are its |eigenvalues|; one
     # eigvalsh is about 3x cheaper than an SVD.
     singular_values = np.abs(np.linalg.eigvalsh(spectrum.affinity))

@@ -157,6 +157,7 @@ class TestCluster:
         report = json.loads(capsys.readouterr().out)
         assert report["k"] == 5
         assert report["k_was_estimated"] is True
+        assert report["spectrum"] == "float32"
 
     def test_solver_defaults_are_the_config_defaults(self, table_dataset, monkeypatch):
         seen = {}
@@ -179,7 +180,7 @@ class TestCluster:
     def test_report_keys(self, table_dataset, capsys, method, solver_keys):
         assert main(["cluster", str(table_dataset), "--method", method, "--k", "5"]) == 0
         report = json.loads(capsys.readouterr().out)
-        run_keys = {"method", "data", "k", "k_was_estimated", "wall_ms", "labels_out"}
+        run_keys = {"method", "data", "k", "k_was_estimated", "wall_ms", "spectrum", "labels_out"}
         assert set(report) == run_keys | solver_keys
 
     @pytest.mark.parametrize("tau", ["nan", "inf"])
@@ -408,11 +409,12 @@ class TestBench:
 
         raw = read_csv(paths["raw"])
         assert raw[0] == [
-            "method", "psnr_db", "repeat", "sce", "wall_ms", "iterations", "converged", "error",
+            "method", "psnr_db", "repeat", "sce", "wall_ms", "iterations", "converged",
+            "spectrum", "error",
         ]
         assert len(raw) == 1 + 2 * 2  # one method, two noise levels, two repeats
         assert {row[1] for row in raw[1:]} == {"inf", "20"}
-        assert all(row[7] == "" for row in raw[1:])
+        assert all(row[7] == "float32" and row[8] == "" for row in raw[1:])
 
         summary = read_csv(paths["summary"])
         assert summary[0] == [

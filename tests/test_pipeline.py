@@ -89,6 +89,8 @@ class TestClusterSequential:
         x = rng.standard_normal((5, 8))
         result = cluster_sequential(x, method="ssc", config=SolverConfig(lambda1=0.2), k=1)
         assert np.array_equal(result.labels, np.zeros(8, dtype=int))
+        # Nothing read the Laplacian, so no reduction served.
+        assert result.spectrum is None
 
     @pytest.mark.parametrize("method", METHODS)
     def test_all_methods_run(self, method):
@@ -163,19 +165,47 @@ class TestClusterSequential:
         assert arr.mean() <= 0.10
 
 
+# ?ormqr runs twice: a workspace query, then the product.
+SORMQR, DORMQR = ["sormqr"] * 2, ["dormqr"] * 2
+
+
 class TestOneReduction:
     @pytest.mark.parametrize(
-        "k, k_method, want",
+        "k, fail, want",
         [
-            (None, "eigengap", ["check", "laplacian", "dsytrd", "dsterf"]),
-            (4, "eigengap", ["check", "laplacian", "dsytrd"]),
+            (None, None, ["check", "ssytrd", "ssterf", *SORMQR]),
+            (4, None, ["check", "ssytrd", *SORMQR]),
+            # The float32 eigengap is not certified: the double reduction
+            # gives k, and the embedding reads it too.
+            (
+                None,
+                ("_EIGENVALUE_ERROR", 1e12),
+                ["check", "ssytrd", "ssterf", "laplacian", "dsytrd", "dsterf", *DORMQR],
+            ),
+            # The refined embedding is not certified.
+            (
+                4,
+                ("_EMBEDDING_TOLERANCE", 0.0),
+                ["check", "ssytrd", *SORMQR, "laplacian", "dsytrd", *DORMQR],
+            ),
+        ],
+        # The first two ids are the ones these cases had before the
+        # fallback cases were added.
+        ids=[
+            "None-eigengap-want0",
+            "4-eigengap-want1",
+            "None-eigengap-fallback",
+            "4-eigengap-fallback",
         ],
     )
-    def test_affinity_is_checked_once_and_reduced_once(self, monkeypatch, k, k_method, want):
+    def test_affinity_is_checked_once_and_reduced_once(self, monkeypatch, k, fail, want):
         # Spies on the names spectral looks up.  W is checked once, and its
-        # Laplacian reduced once: the eigengap reads that reduction, and
-        # with k given no eigenvalue routine runs.
-        calls = []
+        # Laplacian reduced once in float32: the eigengap reads that
+        # reduction, and with k given no eigenvalue routine runs.  No N x N
+        # eigensolve runs; the Rayleigh-Ritz steps solve k x k problems.
+        # When a certificate fails, the float32 reduction is dropped before
+        # the double Laplacian is formed, and that is reduced once.
+        calls, eigh_shapes = [], []
 
         def spy(name, fn):
             def call(*args, **kwargs):
@@ -184,19 +214,38 @@ class TestOneReduction:
 
             return call
 
-        for name, attr in [
-            ("check", "_check_affinity"),
-            ("laplacian", "normalized_laplacian"),
-            ("dsytrd", "dsytrd"),
-            ("dsterf", "dsterf"),
-        ]:
-            monkeypatch.setattr(spectral, attr, spy(name, getattr(spectral, attr)))
+        def eigh_spy(fn):
+            def call(a, *args, **kwargs):
+                eigh_shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+
+            return call
+
+        original_laplacian = spectral.normalized_laplacian
+
+        def laplacian(spectrum):
+            # The float32 L is gone before the double one is formed.
+            assert spectrum._single is None
+            calls.append("laplacian")
+            return original_laplacian(spectrum)
+
+        monkeypatch.setattr(spectral, "normalized_laplacian", laplacian)
+        for name in ["ssytrd", "ssterf", "sormqr", "dsytrd", "dsterf", "dormqr"]:
+            monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
+        monkeypatch.setattr(spectral, "_check_affinity", spy("check", spectral._check_affinity))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy(np.linalg.eigh))
         monkeypatch.setattr(scipy.linalg, "eigh", spy("eigh", scipy.linalg.eigh))
+        if fail is not None:
+            monkeypatch.setattr(spectral, *fail)
         x, labels = generate_synthetic(SyntheticSpec(num_subspaces=4, seed=2))
-        result = cluster_sequential(x, method="lrr-sim", k=k, k_method=k_method)
+        result = cluster_sequential(x, method="lrr-sim", k=k)
         assert calls == want
+        # Rayleigh-Ritz runs, on k x k problems only, when the float32
+        # embedding is tried.
+        assert set(eigh_shapes) <= {(4, 4)}
+        assert bool(eigh_shapes) == ("sormqr" in calls)
+        assert result.spectrum == ("float32" if fail is None else "float64")
         assert result.k == 4
         assert sce(result.labels, labels) == 0.0
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -16,9 +16,12 @@ from oscluster import (
     generate_synthetic,
     kmeans,
     ncut_cluster,
+    normalize_columns,
     normalized_laplacian,
     sce,
+    sim_closed_form,
 )
+from oscluster import spectral
 from oscluster.spectral import (
     _AFFINITY_TILE,
     _ZERO_ROW_NORM,
@@ -26,7 +29,7 @@ from oscluster.spectral import (
     _check_affinity,
 )
 
-from helpers import ncut_full_eigh
+from helpers import double_reduction_spectrum, ncut_full_eigh
 
 
 def _noisy_blocks(k, seed, isolated=0, noise=0.3):
@@ -57,6 +60,36 @@ def _subset_eigh_embedding(w, k):
 def _random_affinity(n, seed):
     z = np.random.default_rng(seed).standard_normal((n, n))
     return np.abs(z) + np.abs(z).T
+
+
+def _tied_cliques(t, seed=0):
+    """Two 8-node cliques, self-loops included, joined by weight t between
+    every cross pair, permuted.  L's eigenvalues are 0, 2t/(1+t) and 1
+    (14 times), so its two nonzero gaps, 2t/(1+t) and (1-t)/(1+t), tie at
+    t = 1/3."""
+    w = np.full((16, 16), t)
+    w[:8, :8] = w[8:, 8:] = 1.0
+    perm = np.random.default_rng(seed).permutation(16)
+    return w[np.ix_(perm, perm)]
+
+
+@st.composite
+def noisy_block_affinities(draw):
+    """Permuted affinity of 1-6 blocks of 1-10 nodes, with within-block
+    noise, weak links between every pair of block nodes and 0-3 isolated
+    nodes; at least 2 nodes.  Blocks of one node each make k = N blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 10), min_size=1, max_size=6))
+    isolated = draw(st.integers(0 if sum(sizes) > 1 else 1, 3))
+    noise = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    link = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    blocks = [1.0 + noise * np.abs(rng.standard_normal((size, size))) for size in sizes]
+    w = block_diag(*blocks, np.zeros((isolated, isolated)))
+    m = sum(sizes)
+    w[:m, :m] += link * np.abs(rng.standard_normal((m, m)))
+    w = w + w.T
+    perm = rng.permutation(w.shape[0])
+    return w[np.ix_(perm, perm)]
 
 
 def _assert_gap_after(w, k):
@@ -320,6 +353,90 @@ class TestLaplacianSpectrum:
             LaplacianSpectrum(np.triu(w))
 
 
+class TestFloat32Certificates:
+    """The spectrum reduces L in float32 and keeps an answer only with its
+    certificate.  Without one it takes the double reduction, which gives
+    bitwise what the spectral stage gave before the float32 reduction."""
+
+    @staticmethod
+    def _assert_double_answers(spectrum, w, k, labels):
+        values, want = double_reduction_spectrum(w, k)
+        assert spectrum.precision == "float64"
+        assert np.array_equal(spectrum.embedding(k), want)
+        assert np.array_equal(spectrum.eigenvalues(), values)
+        rows = np.linalg.norm(want, axis=1)
+        points = want / np.where(rows > _ZERO_ROW_NORM, rows, np.inf)[:, None]
+        assert np.array_equal(labels, kmeans(points, k, seed=3))
+
+    def test_near_tied_eigengaps_take_the_double_reduction(self):
+        # The two widest gaps differ by 2.25e-9, the second the wider,
+        # against a float32 eigenvalue error bound near 1e-5 at N = 16.
+        w = _tied_cliques(1 / 3 - 1e-9)
+        values, _ = double_reduction_spectrum(w, 1)
+        gaps = np.sort(np.diff(values))
+        assert 0.0 < gaps[-1] - gaps[-2] < 1e-8
+        spectrum = LaplacianSpectrum(w)
+        k = estimate_k(spectrum)
+        assert k == int(np.argmax(np.diff(values))) + 1 == 2
+        self._assert_double_answers(spectrum, w, k, ncut_cluster(spectrum, k, seed=3))
+
+    @pytest.mark.parametrize(
+        "w, k",
+        [(_tied_cliques(0.2), 3), (_random_affinity(150, 0), 8)],
+        ids=["tied", "near-tied"],
+    )
+    def test_given_k_inside_a_near_tie_takes_the_double_reduction(self, w, k):
+        # l_3 = l_4 = 1 for the cliques; l_8 and l_9 of the random affinity
+        # sit in the bulk of its spectrum.
+        spectrum = LaplacianSpectrum(w)
+        labels = ncut_cluster(spectrum, k, seed=3)
+        self._assert_double_answers(spectrum, w, k, labels)
+
+    def test_lrr_sim_affinity_is_certified(self):
+        # Four subspaces of 100: the eigengap and the embedding are both
+        # certified in float32.
+        x, _ = generate_synthetic(SyntheticSpec(num_subspaces=4, points_per_subspace=100, seed=1))
+        w = build_affinity(sim_closed_form(normalize_columns(x)))
+        spectrum = LaplacianSpectrum(w)
+        assert estimate_k(spectrum) == 4
+        embedding = spectrum.embedding(4)
+        assert spectrum.precision == "float32"
+        assert np.abs(embedding.T @ embedding - np.eye(4)).max() < 1e-10
+        want = _subset_eigh_embedding(w, 4)
+        assert np.max(scipy.linalg.subspace_angles(embedding, want)) < 1e-10
+
+    def test_k_equal_to_n_takes_the_double_reduction(self):
+        w = _noisy_blocks(2, seed=5)
+        spectrum = LaplacianSpectrum(w)
+        n = w.shape[0]
+        self._assert_double_answers(spectrum, w, n, ncut_cluster(spectrum, n, seed=3))
+
+    def test_laplacian_is_the_double_one_rounded(self):
+        w = _noisy_blocks(4, seed=6, isolated=2)
+        w = 0.5 * (w + w.T)
+        spectrum = LaplacianSpectrum(w)
+        formed = []
+        original = spectral.ssytrd
+
+        def ssytrd(lap, **kwargs):
+            formed.append(lap.copy(order="F"))
+            return original(lap, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "ssytrd", ssytrd)
+            spectrum.embedding(4)
+        (lap,) = formed
+        assert lap.dtype == np.float32 and lap.flags.f_contiguous
+        assert np.array_equal(lap, normalized_laplacian(w).astype(np.float32))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(w=noisy_block_affinities())
+    @example(w=2.0 * np.eye(6))  # six one-node blocks: k = N
+    def test_certified_eigengap_is_the_double_eigengap(self, w):
+        double = LaplacianSpectrum(w).eigenvalues()
+        assert estimate_k(w) == int(np.argmax(np.diff(double))) + 1
+
+
 def _traced_peak(fn, *args, **kwargs):
     """Peak bytes of the numpy arrays allocated during ``fn(*args, **kwargs)``."""
     tracemalloc.start()
@@ -359,6 +476,16 @@ class TestMemory:
         # its reflector scalars, the N x k embedding and k-means' distances.
         small = 8 * self.N * (64 + 4 * k)
         assert _traced_peak(ncut_cluster, w, k) <= self.NN + small
+
+    def test_certified_ncut_cluster_allocates_half_a_laplacian(self):
+        # The float32 L, and not the double one.  Beside it: the N x 64
+        # double tile L is rounded from, ssytrd's workspace (32 N floats),
+        # T and its reflector scalars, and the embedding's O(N k) arrays.
+        x, _ = generate_synthetic(SyntheticSpec(num_subspaces=4, points_per_subspace=100, seed=1))
+        spectrum = LaplacianSpectrum(build_affinity(sim_closed_form(normalize_columns(x))))
+        small = 8 * self.N * (96 + 4 * 4)
+        assert _traced_peak(ncut_cluster, spectrum, 4) <= self.NN // 2 + small
+        assert spectrum.precision == "float32"
 
     def test_lrr_sim_segmentation_holds_three_n_by_n_arrays(self):
         # Z, W and the Laplacian, plus the eigensolve's O(N) and O(N k)
