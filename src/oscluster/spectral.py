@@ -3,18 +3,10 @@ boundary detection on ordered coefficient matrices."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import (
-    dormqr,
-    dsterf,
-    dsytrd,
-    dsytrd_lwork,
-    sormqr,
-    ssterf,
-    ssytrd,
-    ssytrd_lwork,
-)
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .types import as_coefficient_matrix, column_differences, is_finite_real, is_int
 
@@ -45,7 +37,8 @@ _EIGENVALUE_ERROR = 3.0
 # largest angle to L's eigenspace is at most this.
 _EMBEDDING_TOLERANCE = 1e-10
 # Degree of the Chebyshev filter, and how many filter and Rayleigh-Ritz
-# passes may run before the embedding falls back to the double reduction.
+# passes may run at most before the embedding falls back to the double
+# reduction.
 # Measured on the benchmark's seed-1 pools: spectral-n1600 inputs needed
 # one pass (a bound near 1e-14), relaxed-n200 inputs one (one input in 32
 # two), and protocol-n100 inputs two (9 calls in 144 three).  Degree 6
@@ -61,9 +54,19 @@ _FILTER_PASSES = 4
 # temporaries numpy makes for one in-place tile update (a copy of the
 # transposed tile and an iteration buffer) stay near 100 KB.
 _AFFINITY_TILE = 64
-# Columns of L formed in double per step of the float32 Laplacian: an
-# N x 64 tile stays near 800 KB at N = 1600.
+# Columns of L formed in double per step: an N x 64 tile stays near 800 KB
+# at N = 1600.
 _LAPLACIAN_TILE = 64
+# Each precision's LAPACK routines: the reduction to tridiagonal form and
+# its workspace query, T's eigenvalues, and the product with T's reflectors.
+_LAPACK = {
+    "float32": dict(
+        sytrd=lapack.ssytrd, lwork=lapack.ssytrd_lwork, sterf=lapack.ssterf, ormqr=lapack.sormqr
+    ),
+    "float64": dict(
+        sytrd=lapack.dsytrd, lwork=lapack.dsytrd_lwork, sterf=lapack.dsterf, ormqr=lapack.dormqr
+    ),
+}
 
 
 def build_affinity(z):
@@ -103,28 +106,14 @@ def _check_affinity(w):
     return w if exact else 0.5 * (w + w.T)
 
 
-def _inverse_sqrt_degrees(w):
-    """D^{-1/2} of the affinity ``w``; rows with zero degree get a tiny guard
-    degree."""
-    degrees = w.sum(axis=1)
-    degrees = np.where(degrees <= 0.0, _ZERO_DEGREE_EPS, degrees)
-    return 1.0 / np.sqrt(degrees)
-
-
 def normalized_laplacian(w):
     """I - D^{-1/2} W D^{-1/2}; rows with zero degree get a tiny guard degree.
 
     ``w`` is an affinity, or a ``LaplacianSpectrum`` whose affinity has
     already been checked.  Fortran-ordered, the layout LAPACK decomposes
-    in place.
+    in place.  This is the L that ``LaplacianSpectrum`` reduces in float64.
     """
-    w = LaplacianSpectrum.of(w).affinity
-    inv_sqrt = _inverse_sqrt_degrees(w)
-    # The checked W is exactly symmetric, so W^T is W in Fortran order.
-    lap = np.multiply(-inv_sqrt[:, None], w.T, order="F")
-    lap *= inv_sqrt[None, :]
-    lap[np.diag_indices_from(lap)] += 1.0
-    return lap
+    return LaplacianSpectrum.of(w)._laplacian("float64")
 
 
 def _widest_gap(values):
@@ -141,10 +130,9 @@ def _laplacian_product(w, inv_sqrt, v):
     return v - inv_sqrt * (w @ (inv_sqrt * v))
 
 
-def _apply_reflectors(ormqr, lap, tau, vectors):
+def _apply_reflectors(lap, tau, vectors):
     """Q @ ``vectors`` in place, for the Q = diag(1, Q') whose reflectors a
-    lower ``?sytrd`` left in ``lap``, applied by ``ormqr`` of ``lap``'s
-    precision.
+    lower ``?sytrd`` left in ``lap``, applied in ``lap``'s precision.
 
     Q' is the product of the reflectors stored in QR form below L's
     diagonal, what LAPACK's ?ormtr (which scipy does not wrap) applies with
@@ -159,6 +147,7 @@ def _apply_reflectors(ormqr, lap, tau, vectors):
     reflectors = flat[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
     c = np.zeros((n, k), dtype=lap.dtype, order="F")
     c[:-1] = vectors[1:]
+    ormqr = _LAPACK[lap.dtype.name]["ormqr"]
     _, work, _ = ormqr("L", "N", reflectors, tau, c, -1)
     c, _, _ = ormqr("L", "N", reflectors, tau, c, int(work[0]), overwrite_c=1)
     vectors[1:] = c[:-1]
@@ -168,40 +157,34 @@ def _apply_reflectors(ormqr, lap, tau, vectors):
 class LaplacianSpectrum:
     """The normalized Laplacian L of one affinity, reduced once.
 
-    Checks the affinity when built.  On first use L is formed in float32,
-    straight from W and its degrees, and reduced in place to a tridiagonal
-    T = Q^T L Q (LAPACK ``ssytrd``), whose Householder reflectors stay in
-    L's buffer.  That halves the bytes the reduction, the bulk of the
-    spectral stage, moves.  Nothing it gives is trusted uncertified:
+    Checks the affinity when built.  On first use one routine forms L from
+    W and its degrees and reduces it in place to a tridiagonal T = Q^T L Q
+    (LAPACK ``?sytrd``), keeping the reflectors in L's buffer.  It runs in
+    float32, which halves the bytes the reduction (the bulk of the spectral
+    stage) moves, and its answers are kept only when certified:
 
-    * ``eigengap`` reads all of T's eigenvalues (``ssterf``).  Each is
-      within ``error`` of L's (Weyl's inequality on the backward errors),
-      so the count is accepted only when the winning gap beats every
-      other gap by more than 4 ``error``, and is then the count the
+    * ``eigengap`` reads T's eigenvalues (``?sterf``), each within ``error``
+      of L's by Weyl's inequality, and keeps the count when the winning gap
+      beats every other by more than 4 ``error``: it is then the count the
       double eigenvalues give.
-    * ``embedding`` maps T's eigenvectors back through the reflectors
-      (``sormqr``) and refines them in double against L itself, with a
-      Chebyshev filter and a Rayleigh-Ritz step.  The basis is accepted
-      only when the Davis-Kahan bound on its angle to L's eigenspace is
-      at most ``_EMBEDDING_TOLERANCE``.
+    * ``embedding`` maps T's eigenvectors back (``?ormqr``), refines them in
+      double against L with Chebyshev filter and Rayleigh-Ritz passes, and
+      keeps them when the Davis-Kahan bound puts them within
+      ``_EMBEDDING_TOLERANCE`` of L's eigenspace.  The passes stop as soon
+      as the bound shows it cannot get there.
 
-    When a certificate fails, or k = N, the float32 reduction is dropped
-    and L is formed and reduced in double (``dsytrd``), once, and serves
-    every later answer; ``eigenvalues`` always reads that one.
-    ``precision`` says which reduction is serving: "float32", "float64",
-    or None before L is reduced.  An estimator that reads only W
+    When a certificate fails, or k = N, the float32 L is dropped and the
+    same routine runs once more in float64, whose answers need no
+    certificate and serve from then on; ``eigenvalues`` always reads it.
+    ``precision`` names the reduction serving: "float32", "float64", or
+    None before L is reduced.  An estimator that reads only W
     (``affinity``) runs before L exists.
     """
 
     def __init__(self, w):
         self.affinity = _check_affinity(w)
         self.precision = None
-        # (reduced L, d, e, tau, D^{-1/2}, error) in float32, then the
-        # double (reduced L, d, e, tau): at most one of them is held.  No
-        # caller keeps the float32 L across a fallback, so it is freed
-        # before the double L is formed.
-        self._single = None
-        self._reduced = None
+        self._reduction = None  # (reduced L, d, e, tau, error) at ``precision``
 
     @classmethod
     def of(cls, w):
@@ -209,105 +192,121 @@ class LaplacianSpectrum:
         the affinity ``w``."""
         return w if isinstance(w, cls) else cls(w)
 
-    def _single_reduction(self):
-        """The float32 reduction, formed on first use; None once the double
-        reduction serves."""
-        if self.precision is None:
-            w = self.affinity
-            n = w.shape[0]
-            inv_sqrt = _inverse_sqrt_degrees(w)
-            lap = np.empty((n, n), dtype=np.float32, order="F")
-            buffer = np.empty((n, _LAPLACIAN_TILE), order="F")
-            for j in range(0, n, _LAPLACIAN_TILE):
-                # Columns j.. of L in double, formed as normalized_laplacian
-                # forms them (W is symmetric: its column j is its row j),
-                # then rounded once, so L32 is the double L rounded.
-                tile = buffer[:, : min(_LAPLACIAN_TILE, n - j)]
-                np.multiply(-inv_sqrt[:, None], w[j : j + _LAPLACIAN_TILE].T, out=tile)
-                tile *= inv_sqrt[None, j : j + _LAPLACIAN_TILE]
-                cols = np.arange(tile.shape[1])
-                tile[j + cols, cols] += 1.0
-                lap[:, j : j + _LAPLACIAN_TILE] = tile
-            lwork, _ = ssytrd_lwork(n, lower=1)
-            lap, d, e, tau, _ = ssytrd(lap, lower=1, lwork=int(lwork), overwrite_a=1)
-            # ||T||_F, which is ||L||_F up to the reduction's own error.
-            d64, e64 = d.astype(float), e.astype(float)
-            norm = np.sqrt(d64 @ d64 + 2.0 * (e64 @ e64))
-            error = _EIGENVALUE_ERROR * n * (_U32 + _U64) * norm
-            self._single = lap, d, e, tau, inv_sqrt, error
-            self.precision = "float32"
-        return self._single
+    @cached_property
+    def _inv_sqrt(self):
+        """D^{-1/2}; rows with zero degree get a tiny guard degree."""
+        degrees = self.affinity.sum(axis=1)
+        degrees = np.where(degrees <= 0.0, _ZERO_DEGREE_EPS, degrees)
+        return 1.0 / np.sqrt(degrees)
 
-    def _reduction(self):
-        if self._reduced is None:
-            # The float32 reduction goes before the double L is formed.
-            self._single = None
-            self.precision = "float64"
-            lap = normalized_laplacian(self)
-            # scipy's default workspace of N doubles forces the unblocked
-            # reduction: 588 ms instead of 316 ms at N = 1600 (1 BLAS
-            # thread, Xeon).  L is Fortran-ordered, so it is reduced in place.
-            lwork, _ = dsytrd_lwork(lap.shape[0], lower=1)
-            lap, d, e, tau, _ = dsytrd(lap, lower=1, lwork=int(lwork), overwrite_a=1)
-            self._reduced = lap, d, e, tau
-        return self._reduced
+    def _laplacian(self, precision):
+        """L in ``precision``, Fortran-ordered, formed in double N x 64
+        columns at a time.  Below float64 each tile goes through one buffer
+        and is rounded once, so L is the double L rounded."""
+        w, inv_sqrt = self.affinity, self._inv_sqrt
+        n, b = w.shape[0], _LAPLACIAN_TILE
+        lap = np.empty((n, n), dtype=precision, order="F")
+        buffer = None if precision == "float64" else np.empty((n, b), order="F")
+        for j in range(0, n, b):
+            columns = lap[:, j : j + b]
+            tile = columns if buffer is None else buffer[:, : columns.shape[1]]
+            # W is symmetric: its column j is its row j.
+            np.multiply(-inv_sqrt[:, None], w[j : j + b].T, out=tile)
+            tile *= inv_sqrt[None, j : j + b]
+            diagonal = np.arange(tile.shape[1])
+            tile[j + diagonal, diagonal] += 1.0
+            if buffer is not None:
+                columns[...] = tile
+        return lap
+
+    def _reduce(self, precision):
+        """Form L in ``precision`` and reduce it in place, as the one
+        reduction held."""
+        self._reduction = None  # the float32 L goes before the double L is formed
+        self.precision = precision
+        routines = _LAPACK[precision]
+        lap = normalized_laplacian(self) if precision == "float64" else self._laplacian(precision)
+        # scipy's default workspace of N elements forces the unblocked
+        # reduction: 588 ms instead of 316 ms for dsytrd at N = 1600 (1 BLAS
+        # thread, Xeon).  L is Fortran-ordered, so it is reduced in place.
+        n = lap.shape[0]
+        lwork, _ = routines["lwork"](n, lower=1)
+        lap, d, e, tau, _ = routines["sytrd"](lap, lower=1, lwork=int(lwork), overwrite_a=1)
+        # ||T||_F, which is ||L||_F up to the reduction's own error.
+        d64, e64 = d.astype(float), e.astype(float)
+        error = _EIGENVALUE_ERROR * n * (_U32 + _U64) * np.sqrt(d64 @ d64 + 2.0 * (e64 @ e64))
+        self._reduction = lap, d, e, tau, error
+
+    def _serve(self, read, certifiable=True):
+        """``read(True)`` from the float32 reduction, or None when its answer
+        fails the certificate; then, or when not ``certifiable``, L is
+        reduced in float64 and ``read(False)`` answers."""
+        if self.precision != "float64":
+            if certifiable:
+                if self.precision is None:
+                    self._reduce("float32")
+                answer = read(True)
+                if answer is not None:
+                    return answer
+            self._reduce("float64")
+        return read(False)
+
+    def _values(self, certify):
+        """T's eigenvalues, ascending, in double; None if ?sterf fails while certifying."""
+        _, d, e, _, _ = self._reduction
+        values, info = _LAPACK[self.precision]["sterf"](d, e)
+        if info and not certify:
+            raise np.linalg.LinAlgError(f"{self.precision} ?sterf did not converge ({info})")
+        return None if info else values.astype(float)
 
     def eigenvalues(self):
         """All eigenvalues of L, ascending, from the double reduction."""
-        _, d, e, _ = self._reduction()
-        values, info = dsterf(d, e)
-        if info:
-            raise np.linalg.LinAlgError(f"dsterf did not converge ({info})")
-        return values
+        return self._serve(self._values, certifiable=False)
 
     def eigengap(self):
         """The smallest (1-based) i maximizing l_{i+1} - l_i over L's
-        ascending eigenvalues l_1 <= l_2 <= ...; L must be at least 2 x 2.
+        ascending eigenvalues l_1 <= l_2 <= ...; L must be at least 2 x 2."""
 
-        Read off the float32 eigenvalues when the winning gap is certified,
-        else off ``eigenvalues``.
-        """
-        if self._single_reduction() is not None:
-            _, d, e, _, _, error = self._single
-            values, info = ssterf(d, e)
-            k, margin = _widest_gap(values.astype(float))
-            if not info and margin > 4.0 * error:
-                return k
-        return _widest_gap(self.eigenvalues())[0]
+        def read(certify):
+            values = self._values(certify)
+            if values is not None:
+                k, margin = _widest_gap(values)
+                if not certify or margin > 4.0 * self._reduction[-1]:
+                    return k
+
+        return self._serve(read)
 
     def embedding(self, k):
         """Orthonormal eigenvectors of L's k smallest eigenvalues, N x k."""
         n = self.affinity.shape[0]
-        if k < n and self._single_reduction() is not None:
-            vectors = self._certified_embedding(k)
-            if vectors is not None:
-                return vectors
-        lap, d, e, tau = self._reduction()
-        _, vectors = eigh_tridiagonal(
-            d, e, select="i", select_range=(0, k - 1), check_finite=False
-        )
-        return _apply_reflectors(dormqr, lap, tau, vectors)
 
-    def _certified_embedding(self, k):
-        """The embedding from the float32 reduction, refined in double, or
-        None if its Davis-Kahan bound stays above ``_EMBEDDING_TOLERANCE``."""
-        lap, d, e, tau, inv_sqrt, error = self._single
-        n = lap.shape[0]
-        d, e = d.astype(float), e.astype(float)
-        values, vectors = eigh_tridiagonal(
-            d, e, select="i", select_range=(0, k), check_finite=False
-        )
-        (top,) = eigh_tridiagonal(
-            d, e, eigvals_only=True, select="i", select_range=(n - 1, n - 1), check_finite=False
-        )
-        vectors = _apply_reflectors(sormqr, lap, tau, vectors[:, :k])
-        # L's eigenvalues k+1, ..., N lie in [low, high].
-        low, high = values[k] - error, top + error
+        def read(certify):
+            lap, d, e, tau, error = self._reduction
+            d, e = d.astype(float), e.astype(float)
+            # Certifying needs eigenpair k+1 as well.
+            values, vectors = eigh_tridiagonal(
+                d, e, select="i", select_range=(0, k if certify else k - 1), check_finite=False
+            )
+            vectors = _apply_reflectors(lap, tau, vectors[:, :k])
+            if not certify:
+                return vectors
+            (top,) = eigh_tridiagonal(
+                d, e, eigvals_only=True, select="i", select_range=(n - 1, n - 1), check_finite=False
+            )
+            # L's eigenvalues k+1, ..., N lie in [low, high].
+            return self._refine(vectors, values[k] - error, top + error)
+
+        return self._serve(read, certifiable=k < n)
+
+    def _refine(self, vectors, low, high):
+        """``vectors`` refined in double against L, whose eigenvalues k+1 and
+        up lie in [low, high]; None if the Davis-Kahan bound cannot certify."""
         centre, half = 0.5 * (high + low), 0.5 * (high - low)
         if half <= 0.0:  # L = 0: no gap to certify
             return None
-        w = self.affinity
-        for _ in range(_FILTER_PASSES):
+        w, inv_sqrt = self.affinity, self._inv_sqrt
+        last = np.inf
+        for left in reversed(range(_FILTER_PASSES)):
             # Chebyshev filter (Zhou, Saad, Tiago & Chelikowsky, J. Comput.
             # Phys. 2006): T_m((L - centre) / half) is at most 1 in size on
             # [low, high] and grows fast below it, where the k wanted
@@ -325,13 +324,18 @@ class LaplacianSpectrum:
             residual = np.linalg.norm(l_basis @ rotation - vectors * ritz)
             # Davis-Kahan sin(theta): the largest angle between the span and
             # L's eigenspace is at most residual / (l_{k+1} - ritz_k), and
-            # l_{k+1} >= low.
+            # l_{k+1} >= low.  Without a gap there is no bound.
             gap = low - ritz[-1]
-            if gap > 0.0 and residual <= _EMBEDDING_TOLERANCE * gap:
-                # Fortran order, as the double path returns it: k-means'
-                # reductions over the k entries of each row run on it about
-                # 1.4x faster (N = 1600, k = 8).
-                return np.asfortranarray(vectors)
+            if gap <= 0.0:
+                return None
+            if residual <= _EMBEDDING_TOLERANCE * gap:
+                return vectors
+            # Give up when the bound, falling at this pass's rate, cannot
+            # reach the tolerance in the passes left.
+            bound = residual / gap
+            if bound * (bound / last) ** left > _EMBEDDING_TOLERANCE:
+                return None
+            last = bound
         return None
 
 
@@ -385,22 +389,17 @@ def check_cluster_count(k, n):
         raise ValueError(f"k must be an int in [1, {n}], got {k!r}")
 
 
-def check_threshold(tau):
-    """Raise ValueError unless ``tau`` is a positive finite real (not a bool)."""
-    if not is_finite_real(tau) or tau <= 0:
-        raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
-
-
 def check_k_settings(k, k_method, sv_tau, n):
     """Raise ValueError unless the cluster-count settings can run on ``n``
     samples: ``k_method`` is in K_ESTIMATORS, a given ``k`` is in [1, n],
-    and with ``k`` None the ``sv-threshold`` method has a valid ``sv_tau``."""
+    and with ``k`` None the ``sv-threshold`` method has a positive finite
+    real (not a bool) ``sv_tau``."""
     if k_method not in K_ESTIMATORS:
         raise ValueError(f"unknown k estimator {k_method!r} (choose from {K_ESTIMATORS})")
     if k is not None:
         check_cluster_count(k, n)
-    elif k_method == "sv-threshold":
-        check_threshold(sv_tau)
+    elif k_method == "sv-threshold" and (not is_finite_real(sv_tau) or sv_tau <= 0):
+        raise ValueError(f"threshold tau must be positive and finite, got {sv_tau!r}")
 
 
 def kmeans(points, k, seed=0):
@@ -412,6 +411,9 @@ def kmeans(points, k, seed=0):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"need a nonempty 2-D point array, got shape {points.shape}")
+    # Row sums over k entries run 1.4x faster in Fortran order (N = 1600,
+    # k = 8), and the labels do not depend on the caller's layout.
+    points = np.asfortranarray(points)
     n = points.shape[0]
     check_cluster_count(k, n)
     if k == 1:
@@ -437,10 +439,8 @@ def ncut_cluster(w, k, seed=0):
     the Laplacian is not reduced again.
 
     Only those k eigenvectors are computed, from the tridiagonal reduction
-    of the Laplacian, not the full N x N eigenbasis.  They come from the
-    float32 reduction, refined in double and accepted only within 1e-10 of
-    L's eigenspace by the Davis-Kahan bound, or else from the double
-    reduction (``LaplacianSpectrum``).  The embedding is well defined only
+    of the Laplacian, not the full N x N eigenbasis
+    (``LaplacianSpectrum.embedding``).  The embedding is well defined only
     when eigenvalues k and k+1 differ: with a tie there, any basis of the
     tied eigenspace is an equally valid answer, the float32 embedding is
     not certified, and the labels may depend on which basis the double
@@ -464,10 +464,8 @@ def estimate_k(w, method="eigengap", tau=None):
     ``eigengap``: with the eigenvalues of the normalized Laplacian in
     ascending order l_1 <= l_2 <= ..., the smallest (1-based) i maximizing
     l_{i+1} - l_i (von Luxburg, "A tutorial on spectral clustering", 2007,
-    section 8.3).  It is read off the float32 eigenvalues when the winning
-    gap beats every other by more than four times their error bound, and
-    off the double eigenvalues otherwise, so the count is the one the
-    double eigenvalues give (``LaplacianSpectrum.eigengap``).
+    section 8.3).  The count is the one the double eigenvalues give, read
+    off the float32 ones when certified (``LaplacianSpectrum.eigengap``).
     ``sv-threshold``: the number of singular values of W
     above the absolute threshold ``tau``; a ``tau`` at or above all of them
     raises ``ValueError``, since no partition has zero clusters.

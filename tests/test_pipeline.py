@@ -225,13 +225,15 @@ class TestOneReduction:
 
         def laplacian(spectrum):
             # The float32 L is gone before the double one is formed.
-            assert spectrum._single is None
+            assert spectrum._reduction is None
             calls.append("laplacian")
             return original_laplacian(spectrum)
 
         monkeypatch.setattr(spectral, "normalized_laplacian", laplacian)
-        for name in ["ssytrd", "ssterf", "sormqr", "dsytrd", "dsterf", "dormqr"]:
-            monkeypatch.setattr(spectral, name, spy(name, getattr(spectral, name)))
+        for prefix, precision in [("s", "float32"), ("d", "float64")]:
+            routines = spectral._LAPACK[precision]
+            for name in ["sytrd", "sterf", "ormqr"]:
+                monkeypatch.setitem(routines, name, spy(prefix + name, routines[name]))
         monkeypatch.setattr(spectral, "_check_affinity", spy("check", spectral._check_affinity))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy(np.linalg.eigh))

@@ -209,6 +209,19 @@ class TestLaplacians:
         assert lap.flags.f_contiguous
         assert np.array_equal(lap, want)
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 150])
+    def test_normalized_equals_the_broadcast_expression_across_tiles(self, n):
+        # L is formed N x 64 columns at a time; a partial last tile too.
+        w = _random_affinity(n, n)
+        w[:3] = w[:, :3] = 0.0  # zero-degree rows
+        degrees = w.sum(axis=1)
+        inv_sqrt = 1.0 / np.sqrt(np.where(degrees <= 0.0, 1e-12, degrees))
+        want = -inv_sqrt[:, None] * w * inv_sqrt[None, :]
+        want[np.diag_indices_from(want)] += 1.0
+        lap = normalized_laplacian(w)
+        assert lap.flags.f_contiguous
+        assert np.array_equal(lap, want)
+
 
 class TestNcut:
     def test_block_diagonal_two_groups(self):
@@ -416,18 +429,77 @@ class TestFloat32Certificates:
         w = 0.5 * (w + w.T)
         spectrum = LaplacianSpectrum(w)
         formed = []
-        original = spectral.ssytrd
+        original = spectral._LAPACK["float32"]["sytrd"]
 
         def ssytrd(lap, **kwargs):
-            formed.append(lap.copy(order="F"))
+            formed.append((lap.flags.f_contiguous, lap.copy()))
             return original(lap, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectral, "ssytrd", ssytrd)
+            patch.setitem(spectral._LAPACK["float32"], "sytrd", ssytrd)
             spectrum.embedding(4)
-        (lap,) = formed
-        assert lap.dtype == np.float32 and lap.flags.f_contiguous
+        ((fortran, lap),) = formed
+        assert fortran and lap.dtype == np.float32
         assert np.array_equal(lap, normalized_laplacian(w).astype(np.float32))
+
+    def test_fallback_laplacian_is_the_double_one(self):
+        # The given k sits in the bulk of the spectrum: the float32
+        # embedding is not certified, and L is formed again in double.
+        w = _random_affinity(150, 0)
+        spectrum = LaplacianSpectrum(w)
+        formed = []
+        original = spectral._LAPACK["float64"]["sytrd"]
+
+        def dsytrd(lap, **kwargs):
+            formed.append((lap.flags.f_contiguous, lap.copy()))
+            return original(lap, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(spectral._LAPACK["float64"], "sytrd", dsytrd)
+            spectrum.embedding(8)
+        ((fortran, lap),) = formed
+        assert spectrum.precision == "float64"
+        assert fortran and lap.dtype == np.float64
+        assert np.array_equal(lap, normalized_laplacian(w))
+
+    @staticmethod
+    def _products_of(spectrum, k):
+        """Products with L the embedding of ``spectrum`` takes, and its labels."""
+        count = []
+        original = spectral._laplacian_product
+
+        def product(*args):
+            count.append(1)
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "_laplacian_product", product)
+            labels = ncut_cluster(spectrum, k, seed=3)
+        return len(count), labels
+
+    @pytest.mark.parametrize(
+        "w, k, want",
+        [(_tied_cliques(0.2), 3, 9), (_random_affinity(150, 0), 8, 18)],
+        ids=["no-gap", "slow"],
+    )
+    def test_filter_gives_up_early(self, w, k, want):
+        # One pass is 9 products: 8 for the degree-8 filter, 1 for
+        # Rayleigh-Ritz.  With k inside a tie the Ritz value k stays above
+        # eigenvalue k+1's lower bound after the first pass.  In the bulk,
+        # the bound falls too slowly after two passes to reach 1e-10 in the
+        # two passes left.  Both used to run all 4 passes.
+        spectrum = LaplacianSpectrum(w)
+        products, labels = self._products_of(spectrum, k)
+        assert products == want
+        self._assert_double_answers(spectrum, w, k, labels)
+
+    def test_filter_runs_every_pass_a_certificate_needs(self):
+        # k = 9 on five 4-dimensional subspaces is certified only by the
+        # fourth pass: the rate seen after each earlier pass must not give up.
+        x, _ = generate_synthetic(SyntheticSpec())
+        spectrum = LaplacianSpectrum(build_affinity(sim_closed_form(normalize_columns(x))))
+        products, _ = self._products_of(spectrum, 9)
+        assert (products, spectrum.precision) == (36, "float32")
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(w=noisy_block_affinities())
@@ -515,6 +587,24 @@ class TestKmeans:
     def test_k_too_large(self):
         with pytest.raises(ValueError):
             kmeans(np.ones((3, 2)), 4)
+
+    def test_point_layout_does_not_change_labels(self, rng, monkeypatch):
+        # k-means runs on a Fortran-ordered copy whatever the caller's
+        # layout, so C- and F-ordered points give the same labels.
+        pts = rng.standard_normal((200, 9))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        layouts = []
+        original = spectral._lloyd
+
+        def lloyd(points, centers):
+            layouts.append(points.flags.f_contiguous)
+            return original(points, centers)
+
+        monkeypatch.setattr(spectral, "_lloyd", lloyd)
+        c_labels = kmeans(np.ascontiguousarray(pts), 9, seed=4)
+        f_labels = kmeans(np.asfortranarray(pts), 9, seed=4)
+        assert np.array_equal(c_labels, f_labels)
+        assert layouts == [True] * (2 * spectral.KMEANS_RESTARTS)
 
 
 class TestCountEstimation:
