@@ -40,15 +40,16 @@ class ClusterResult:
     affinity: np.ndarray
     diagnostics: object
     wall_ms: float
-    # The Laplacian reduction that gave k and the embedding: "float32"
-    # (certified) or "float64" (fallback); None when L was not reduced
-    # (k = 1, given or by sv-threshold).
+    # The tier of ``LaplacianSpectrum`` that gave k and the embedding:
+    # "subspace" (a filtered Ritz block, proved by float32 Cholesky checks)
+    # or "float64" (the double reduction, the fallback); None when neither
+    # ran (k = 1, given or by sv-threshold).
     spectrum: str | None
 
     def record(self):
         """The run's report fields, shared by the CLI report and the bench
-        row: the count, the wall time, the precision of the Laplacian
-        reduction and, when the method iterates, its sweep count,
+        row: the count, the wall time, the tier of the Laplacian spectrum
+        that served and, when the method iterates, its sweep count,
         convergence flag, objective and last residual."""
         record = {
             "k": self.k,
@@ -119,9 +120,9 @@ def cluster_sequential(
     # The normalized copy is dropped once Z exists.
     z, diagnostics = solve_coefficients(normalize_columns(x) if normalize else x, method, config)
     w = build_affinity(z)
-    # Checks W once.  The Laplacian is reduced once, on its first use: by
-    # the eigengap, or else by the embedding.  That reduction is in float32;
-    # a second one, in double, runs only if a certificate fails.
+    # Checks W once.  The eigengap and the embedding are proved from one
+    # filtered Ritz block; the Laplacian is reduced in double only if a
+    # certificate fails.
     spectrum = LaplacianSpectrum(w)
     k_was_estimated = k is None
     if k_was_estimated:

@@ -22,29 +22,32 @@ K_ESTIMATORS = ("eigengap", "sv-threshold")
 
 # Unit roundoffs of float32 and float64.
 _U32, _U64 = 2.0**-24, 2.0**-53
-# Each float32 eigenvalue of L is within
-#   error = _EIGENVALUE_ERROR * N * (u32 + u64) * ||T||_F
-# of L's.  By Weyl's inequality an eigenvalue moves by at most the norm of
-# the perturbation, and three add up here, each at most N u ||L||_F:
-# rounding L to float32 (u ||L||_F), ssytrd's Householder backward error
-# (c N u ||L||_F, Golub & Van Loan, "Matrix Computations", section 8.3.1,
-# with c = 1) and ssterf's on T.  ||T||_F is ||L||_F to within that error.
-# The u64 term covers the double reduction's own error, so a certified
-# count is the one the double eigenvalues give.  On spectral-n1600 inputs
-# the error was at most 2.4e-6 and the bound 1.1e-2.
-_EIGENVALUE_ERROR = 3.0
 # The embedding is accepted when the Davis-Kahan bound on the sine of its
 # largest angle to L's eigenspace is at most this.
 _EMBEDDING_TOLERANCE = 1e-10
 # Degree of the Chebyshev filter, and how many filter and Rayleigh-Ritz
-# passes may run at most before the embedding falls back to the double
-# reduction.
-# Measured on the benchmark's seed-1 pools: spectral-n1600 inputs needed
-# one pass (a bound near 1e-14), relaxed-n200 inputs one (one input in 32
-# two), and protocol-n100 inputs two (9 calls in 144 three).  Degree 6
-# needed up to four passes there, and degree 5 fell back on 3 calls.
+# passes may run at most before the subspace tier gives up.  From the
+# fixed-seed start, on the benchmark's seed-1 pools: spectral-n1600 inputs
+# needed two passes, relaxed-n200 inputs three (5 in 32 four), and
+# protocol-n100 inputs four (2 calls in 144 three, 56 five).  With at most
+# four passes, and the rate judged from the first, 88 of those 144 calls
+# gave up.
 _FILTER_DEGREE = 8
-_FILTER_PASSES = 4
+_FILTER_PASSES = 6
+# The subspace tier filters a block of this many vectors to read the
+# eigengap off, or of k + _BLOCK_EXTRA for a given k.
+_GAP_BLOCK = 16
+_BLOCK_EXTRA = 3
+# Lanczos steps behind the estimate of L's largest eigenvalue.
+_LANCZOS_STEPS = 12
+# The Cholesky checks factor L - (theta_{k+1} - margin) I + ... and
+# (top + margin) I - L: a margin of this share of the Ritz gap theta_{k+1}
+# - theta_k inside the estimates of l_{k+1} and l_max, so that estimates a
+# little off still pass.
+_CHOLESKY_MARGIN = 0.05
+# Weight c of the rank-k term c V_k V_k^T that lifts L's k smallest
+# eigenvalues above sigma in the count check: L's spectrum lies in [0, 2].
+_DEFLATION = 2.0
 
 
 # Square tile of the in-place symmetrization.  Any size gives bitwise the
@@ -54,19 +57,22 @@ _FILTER_PASSES = 4
 # temporaries numpy makes for one in-place tile update (a copy of the
 # transposed tile and an iteration buffer) stay near 100 KB.
 _AFFINITY_TILE = 64
-# Columns of L formed in double per step: an N x 64 tile stays near 800 KB
-# at N = 1600.
-_LAPLACIAN_TILE = 64
-# Each precision's LAPACK routines: the reduction to tridiagonal form and
-# its workspace query, T's eigenvalues, and the product with T's reflectors.
-_LAPACK = {
-    "float32": dict(
-        sytrd=lapack.ssytrd, lwork=lapack.ssytrd_lwork, sterf=lapack.ssterf, ormqr=lapack.sormqr
-    ),
-    "float64": dict(
-        sytrd=lapack.dsytrd, lwork=lapack.dsytrd_lwork, sterf=lapack.dsterf, ormqr=lapack.dormqr
-    ),
-}
+# Columns of L, or of a Cholesky check's matrix, formed in double per step:
+# an N x 32 tile, and the rank-k product added to it, stay near 400 KB each
+# at N = 1600.  Tiles of 32 and 64 formed both equally fast there (8-13 ms,
+# best of 5, 1 BLAS thread).
+_LAPLACIAN_TILE = 32
+# The LAPACK routines, looked up here so that tests can spy on them: the
+# double reduction to tridiagonal form and its workspace query, T's
+# eigenvalues, the product with T's reflectors, and the float32 Cholesky
+# factorization behind the subspace tier's checks.
+_LAPACK = dict(
+    sytrd=lapack.dsytrd,
+    lwork=lapack.dsytrd_lwork,
+    sterf=lapack.dsterf,
+    ormqr=lapack.dormqr,
+    potrf=lapack.spotrf,
+)
 
 
 def build_affinity(z):
@@ -113,7 +119,7 @@ def normalized_laplacian(w):
     already been checked.  Fortran-ordered, the layout LAPACK decomposes
     in place.  This is the L that ``LaplacianSpectrum`` reduces in float64.
     """
-    return LaplacianSpectrum.of(w)._laplacian("float64")
+    return LaplacianSpectrum.of(w)._laplacian()
 
 
 def _widest_gap(values):
@@ -132,59 +138,120 @@ def _laplacian_product(w, inv_sqrt, v):
 
 def _apply_reflectors(lap, tau, vectors):
     """Q @ ``vectors`` in place, for the Q = diag(1, Q') whose reflectors a
-    lower ``?sytrd`` left in ``lap``, applied in ``lap``'s precision.
+    lower ``dsytrd`` left in ``lap``.
 
     Q' is the product of the reflectors stored in QR form below L's
-    diagonal, what LAPACK's ?ormtr (which scipy does not wrap) applies with
-    ?ormqr.  Read from one element past the buffer's start, column j of an
+    diagonal, what LAPACK's dormtr (which scipy does not wrap) applies with
+    dormqr.  Read from one element past the buffer's start, column j of an
     N x (N-1) Fortran-contiguous view holds L[1:, j] over L[0, j+1].  With
     row 0's unused upper part zeroed that is Q's reflector j padded by a
-    zero row, and ?ormqr takes the view without copying it.
+    zero row, and dormqr takes the view without copying it.
     """
     n, k = lap.shape[0], vectors.shape[1]
     lap[0, 1:] = 0.0
     flat = lap.reshape(-1, order="F")
     reflectors = flat[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
-    c = np.zeros((n, k), dtype=lap.dtype, order="F")
+    c = np.zeros((n, k), order="F")
     c[:-1] = vectors[1:]
-    ormqr = _LAPACK[lap.dtype.name]["ormqr"]
+    ormqr = _LAPACK["ormqr"]
     _, work, _ = ormqr("L", "N", reflectors, tau, c, -1)
     c, _, _ = ormqr("L", "N", reflectors, tau, c, int(work[0]), overwrite_c=1)
     vectors[1:] = c[:-1]
     return vectors
 
 
+def _rayleigh_ritz(w, inv_sqrt, vectors):
+    """Rayleigh-Ritz of L on the span of ``vectors``: the Ritz values,
+    ascending, the Ritz vectors and the norm of each one's residual
+    L v - value v."""
+    basis = np.linalg.qr(vectors)[0]
+    l_basis = _laplacian_product(w, inv_sqrt, basis)
+    values, rotation = np.linalg.eigh(basis.T @ l_basis)
+    vectors = basis @ rotation
+    return values, vectors, np.linalg.norm(l_basis @ rotation - vectors * values, axis=0)
+
+
+def _chebyshev(w, inv_sqrt, vectors, low, high):
+    """T_m((L - centre) / half) ``vectors``, the Chebyshev filter of degree
+    ``_FILTER_DEGREE`` on [low, high] (Zhou, Saad, Tiago & Chelikowsky,
+    J. Comput. Phys. 2006): at most 1 in size on [low, high], it grows fast
+    below ``low``, where the wanted eigenvalues lie."""
+    centre, half = 0.5 * (high + low), 0.5 * (high - low)
+    previous = vectors
+    vectors = (_laplacian_product(w, inv_sqrt, vectors) - centre * vectors) / half
+    for _ in range(_FILTER_DEGREE - 1):
+        shifted = _laplacian_product(w, inv_sqrt, vectors) - centre * vectors
+        previous, vectors = vectors, (2.0 / half) * shifted - previous
+    return vectors
+
+
+def _gap_is_certified(ritz, residual, sigma, tau, intervals, n):
+    """Whether l_{k+1} - l_k is the widest gap of L's spectrum by a margin
+    that the double reduction's own error cannot close.  Given: k =
+    len(ritz) Ritz values within ``residual`` of l_1..l_k, l_{k+1} > sigma,
+    l_max < tau, and ``intervals``, a pair of arrays (lower ends, upper
+    ends) of intervals that each hold an eigenvalue of L, one of them
+    [sigma, theta_{k+1}].
+
+    Eigengap certificate.  l_{k+1} - l_k > sigma - theta_k - r.  A gap below
+    k is at most the Ritz gap there plus 2 r.  A gap (l_i, l_{i+1}) above k
+    lies in (sigma, tau) and holds no interval whole.  With the intervals
+    from sigma up sorted by lower end, take the last one, s, starting at or
+    below l_i: the next one ends at or above l_{i+1}, so the gap is at most
+    hi_{s+1} - lo_s, or tau - lo_s when s is the last (at most tau - sigma
+    in all).  The double reduction's eigenvalues lie within error = 3 N
+    u64 ||L||_F of L's, by Weyl's inequality over three perturbations of
+    at most N u64 ||L||_F each: rounding L, dsytrd's Householder backward
+    error (Golub & Van Loan, "Matrix Computations", section 8.3.1) and
+    dsterf's; ||L||_F <= 2 sqrt(N), as L's spectrum lies in [0, 2].  Each
+    gap they give is within 2 error of L's, so a winning margin above
+    4 error makes k the count they give too.
+    """
+    lower, upper = intervals
+    keep = lower >= sigma
+    order = np.argsort(lower[keep])
+    lower, upper = lower[keep][order], upper[keep][order]
+    above = max(np.max(upper[1:] - lower[:-1], initial=-np.inf), tau - lower[-1])
+    below = np.max(np.diff(ritz), initial=-np.inf) + 2.0 * residual
+    winning = sigma - ritz[-1] - residual
+    error = 3.0 * n * _U64 * 2.0 * np.sqrt(n)
+    return winning - max(below, above) > 4.0 * error
+
+
 class LaplacianSpectrum:
-    """The normalized Laplacian L of one affinity, reduced once.
+    """The normalized Laplacian L of one affinity, read in one of two tiers.
 
-    Checks the affinity when built.  On first use one routine forms L from
-    W and its degrees and reduces it in place to a tridiagonal T = Q^T L Q
-    (LAPACK ``?sytrd``), keeping the reflectors in L's buffer.  It runs in
-    float32, which halves the bytes the reduction (the bulk of the spectral
-    stage) moves, and its answers are kept only when certified:
+    Checks the affinity when built.  The "subspace" tier serves first.  It
+    filters a block of vectors against L with products W V in double
+    (``_chebyshev`` and ``_rayleigh_ritz`` passes from a fixed-seed start)
+    and keeps an answer only when float32 Cholesky factorizations prove it
+    (``_definite``):
 
-    * ``eigengap`` reads T's eigenvalues (``?sterf``), each within ``error``
-      of L's by Weyl's inequality, and keeps the count when the winning gap
-      beats every other by more than 4 ``error``: it is then the count the
-      double eigenvalues give.
-    * ``embedding`` maps T's eigenvectors back (``?ormqr``), refines them in
-      double against L with Chebyshev filter and Rayleigh-Ritz passes, and
-      keeps them when the Davis-Kahan bound puts them within
-      ``_EMBEDDING_TOLERANCE`` of L's eigenspace.  The passes stop as soon
-      as the bound shows it cannot get there.
+    * ``eigengap`` reads k off the widest gap of a block of ``_GAP_BLOCK``
+      Ritz values, proves l_{k+1} > sigma and l_max < tau, and keeps k when
+      the gap beats every other by a margin that covers the double
+      reduction's error: it is then the count the double eigenvalues give
+      (``_gap_is_certified``).
+    * ``embedding`` keeps the k Ritz vectors of a block of k +
+      ``_BLOCK_EXTRA`` when l_{k+1} > sigma is proved and the Davis-Kahan
+      bound then puts them within ``_EMBEDDING_TOLERANCE`` of L's
+      eigenspace.  An embedding for the k the eigengap proved is already
+      there.
 
-    When a certificate fails, or k = N, the float32 L is dropped and the
-    same routine runs once more in float64, whose answers need no
-    certificate and serve from then on; ``eigenvalues`` always reads it.
-    ``precision`` names the reduction serving: "float32", "float64", or
-    None before L is reduced.  An estimator that reads only W
-    (``affinity``) runs before L exists.
+    When the filter gives up (and then no Cholesky check runs), a check
+    fails, or the block would not be narrower than L, L is formed in double
+    and reduced in place to a tridiagonal T = Q^T L Q (LAPACK ``dsytrd``).
+    Its answers need no certificate and serve from then on; ``eigenvalues``
+    always reads it.  ``precision`` names the tier serving: "subspace",
+    "float64", or None before L is used.  An estimator that reads only W
+    (``affinity``) runs before either.
     """
 
     def __init__(self, w):
         self.affinity = _check_affinity(w)
         self.precision = None
-        self._reduction = None  # (reduced L, d, e, tau, error) at ``precision``
+        self._reduction = None  # (reduced L, d, e, tau) once "float64" serves
+        self._certified = None  # (k, V_k) the subspace tier proved
 
     @classmethod
     def of(cls, w):
@@ -199,144 +266,241 @@ class LaplacianSpectrum:
         degrees = np.where(degrees <= 0.0, _ZERO_DEGREE_EPS, degrees)
         return 1.0 / np.sqrt(degrees)
 
-    def _laplacian(self, precision):
-        """L in ``precision``, Fortran-ordered, formed in double N x 64
-        columns at a time.  Below float64 each tile goes through one buffer
-        and is rounded once, so L is the double L rounded."""
+    def _laplacian(self, dtype="float64", sign=1.0, diagonal=0.0, vectors=None):
+        """sign L + diagonal I + ``vectors`` ``vectors``^T in ``dtype``,
+        Fortran-ordered, formed in double ``_LAPLACIAN_TILE`` columns at a
+        time.  Below float64 only the lower triangle is formed, the part
+        ``spotrf`` reads, and each tile goes through one buffer and is
+        rounded once.  With the defaults it is L, each entry from the same
+        operations as ever."""
         w, inv_sqrt = self.affinity, self._inv_sqrt
         n, b = w.shape[0], _LAPLACIAN_TILE
-        lap = np.empty((n, n), dtype=precision, order="F")
-        buffer = None if precision == "float64" else np.empty((n, b), order="F")
+        out = np.empty((n, n), dtype=dtype, order="F")
+        buffer = None if dtype == "float64" else np.empty(n * b)
+        scale = -sign * inv_sqrt
         for j in range(0, n, b):
-            columns = lap[:, j : j + b]
-            tile = columns if buffer is None else buffer[:, : columns.shape[1]]
-            # W is symmetric: its column j is its row j.
-            np.multiply(-inv_sqrt[:, None], w[j : j + b].T, out=tile)
-            tile *= inv_sqrt[None, j : j + b]
-            diagonal = np.arange(tile.shape[1])
-            tile[j + diagonal, diagonal] += 1.0
+            top = 0 if buffer is None else j
+            # Columns j.. of L are its rows (L is symmetric), so the tile is
+            # formed row-wise from W's contiguous rows, through a contiguous
+            # buffer below float64: neither step makes a copy.
+            rows = out[top:, j : j + b].T
+            tile = rows if buffer is None else buffer[: rows.size].reshape(rows.shape)
+            np.multiply(w[j : j + b, top:], scale[top:], out=tile)
+            tile *= inv_sqrt[j : j + b, None]
+            d = np.arange(tile.shape[0])
+            tile[d, j - top + d] += sign + diagonal
+            if vectors is not None:
+                tile += vectors[j : j + b] @ vectors[top:].T
             if buffer is not None:
-                columns[...] = tile
-        return lap
+                rows[...] = tile
+        return out
 
-    def _reduce(self, precision):
-        """Form L in ``precision`` and reduce it in place, as the one
-        reduction held."""
-        self._reduction = None  # the float32 L goes before the double L is formed
-        self.precision = precision
-        routines = _LAPACK[precision]
-        lap = normalized_laplacian(self) if precision == "float64" else self._laplacian(precision)
+    def _reduce(self):
+        """Form L in double and reduce it in place: the tier that serves
+        from now on."""
+        self.precision = "float64"
+        lap = normalized_laplacian(self)
         # scipy's default workspace of N elements forces the unblocked
         # reduction: 588 ms instead of 316 ms for dsytrd at N = 1600 (1 BLAS
         # thread, Xeon).  L is Fortran-ordered, so it is reduced in place.
-        n = lap.shape[0]
-        lwork, _ = routines["lwork"](n, lower=1)
-        lap, d, e, tau, _ = routines["sytrd"](lap, lower=1, lwork=int(lwork), overwrite_a=1)
-        # ||T||_F, which is ||L||_F up to the reduction's own error.
-        d64, e64 = d.astype(float), e.astype(float)
-        error = _EIGENVALUE_ERROR * n * (_U32 + _U64) * np.sqrt(d64 @ d64 + 2.0 * (e64 @ e64))
-        self._reduction = lap, d, e, tau, error
+        lwork, _ = _LAPACK["lwork"](lap.shape[0], lower=1)
+        lap, d, e, tau, _ = _LAPACK["sytrd"](lap, lower=1, lwork=int(lwork), overwrite_a=1)
+        self._reduction = lap, d, e, tau
 
-    def _serve(self, read, certifiable=True):
-        """``read(True)`` from the float32 reduction, or None when its answer
-        fails the certificate; then, or when not ``certifiable``, L is
-        reduced in float64 and ``read(False)`` answers."""
+    def _serve(self, subspace, double):
+        """``subspace()``, unless the double reduction serves or that answer
+        is None; then ``double()``, from the double reduction."""
         if self.precision != "float64":
-            if certifiable:
-                if self.precision is None:
-                    self._reduce("float32")
-                answer = read(True)
-                if answer is not None:
-                    return answer
-            self._reduce("float64")
-        return read(False)
+            answer = subspace()
+            if answer is not None:
+                self.precision = "subspace"
+                return answer
+            self._reduce()
+        return double()
 
-    def _values(self, certify):
-        """T's eigenvalues, ascending, in double; None if ?sterf fails while certifying."""
-        _, d, e, _, _ = self._reduction
-        values, info = _LAPACK[self.precision]["sterf"](d, e)
-        if info and not certify:
-            raise np.linalg.LinAlgError(f"{self.precision} ?sterf did not converge ({info})")
-        return None if info else values.astype(float)
+    def _values(self):
+        """T's eigenvalues, ascending."""
+        _, d, e, _ = self._reduction
+        values, info = _LAPACK["sterf"](d, e)
+        if info:
+            raise np.linalg.LinAlgError(f"dsterf did not converge ({info})")
+        return values
 
     def eigenvalues(self):
         """All eigenvalues of L, ascending, from the double reduction."""
-        return self._serve(self._values, certifiable=False)
+        if self.precision != "float64":
+            self._reduce()
+        return self._values()
 
     def eigengap(self):
         """The smallest (1-based) i maximizing l_{i+1} - l_i over L's
         ascending eigenvalues l_1 <= l_2 <= ...; L must be at least 2 x 2."""
 
-        def read(certify):
-            values = self._values(certify)
-            if values is not None:
-                k, margin = _widest_gap(values)
-                if not certify or margin > 4.0 * self._reduction[-1]:
-                    return k
+        def subspace():
+            self._certified = self._subspace(None)
+            return None if self._certified is None else self._certified[0]
 
-        return self._serve(read)
+        return self._serve(subspace, lambda: _widest_gap(self._values())[0])
 
     def embedding(self, k):
         """Orthonormal eigenvectors of L's k smallest eigenvalues, N x k."""
+
+        def subspace():
+            if self._certified is None or self._certified[0] != k:
+                self._certified = self._subspace(k)
+            return None if self._certified is None else self._certified[1]
+
+        def double():
+            lap, d, e, tau = self._reduction
+            _, vectors = eigh_tridiagonal(
+                d, e, select="i", select_range=(0, k - 1), check_finite=False
+            )
+            return _apply_reflectors(lap, tau, vectors)
+
+        return self._serve(subspace, double)
+
+    @cached_property
+    def _lanczos(self):
+        """Ritz values of L, ascending, from ``_LANCZOS_STEPS`` Lanczos steps
+        from a fixed-seed start, and the residual norm of each Ritz pair,
+        formed explicitly: each value is within its residual of an
+        eigenvalue of L (no orthogonality of the Lanczos vectors needed).
+        The largest plus its residual estimates l_max (Zhou & Li, "Bounding
+        the spectrum of large Hermitian matrices", Linear Algebra Appl.
+        2011), though it is not a bound."""
+        w, inv_sqrt = self.affinity, self._inv_sqrt
+        n = w.shape[0]
+        v = np.random.default_rng(0).standard_normal((n, 1))
+        v /= np.linalg.norm(v)
+        previous, beta = np.zeros_like(v), 0.0
+        alphas, betas, basis, products = [], [], [], []
+        for _ in range(_LANCZOS_STEPS):
+            product = _laplacian_product(w, inv_sqrt, v)
+            basis.append(v[:, 0])
+            products.append(product[:, 0])
+            u = product - beta * previous
+            alpha = float(v[:, 0] @ u[:, 0])
+            u -= alpha * v
+            beta = float(np.linalg.norm(u))
+            alphas.append(alpha)
+            betas.append(beta)
+            if beta <= n * _U64:  # an invariant subspace: no more directions
+                break
+            previous, v = v, u / beta
+        values, rotation = eigh_tridiagonal(np.array(alphas), np.array(betas[:-1]))
+        vectors = np.array(basis).T @ rotation
+        residuals = np.array(products).T @ rotation - vectors * values
+        return values, np.linalg.norm(residuals, axis=0) / np.linalg.norm(vectors, axis=0)
+
+    def _subspace(self, k):
+        """``(k, V_k)``: the Ritz vectors of L's k smallest eigenvalues, with
+        k read off the eigengap when None, both proved; None when the block
+        would not be narrower than L, the filter gives up or a check fails."""
         n = self.affinity.shape[0]
-
-        def read(certify):
-            lap, d, e, tau, error = self._reduction
-            d, e = d.astype(float), e.astype(float)
-            # Certifying needs eigenpair k+1 as well.
-            values, vectors = eigh_tridiagonal(
-                d, e, select="i", select_range=(0, k if certify else k - 1), check_finite=False
-            )
-            vectors = _apply_reflectors(lap, tau, vectors[:, :k])
-            if not certify:
-                return vectors
-            (top,) = eigh_tridiagonal(
-                d, e, eigvals_only=True, select="i", select_range=(n - 1, n - 1), check_finite=False
-            )
-            # L's eigenvalues k+1, ..., N lie in [low, high].
-            return self._refine(vectors, values[k] - error, top + error)
-
-        return self._serve(read, certifiable=k < n)
-
-    def _refine(self, vectors, low, high):
-        """``vectors`` refined in double against L, whose eigenvalues k+1 and
-        up lie in [low, high]; None if the Davis-Kahan bound cannot certify."""
-        centre, half = 0.5 * (high + low), 0.5 * (high - low)
-        if half <= 0.0:  # L = 0: no gap to certify
+        m = _GAP_BLOCK if k is None else k + _BLOCK_EXTRA
+        if m >= n:
             return None
         w, inv_sqrt = self.affinity, self._inv_sqrt
+        lanczos, lanczos_radii = self._lanczos
+        high = lanczos[-1] + lanczos_radii[-1]
+        vectors = np.random.default_rng(0).standard_normal((n, m))
+        ritz, vectors, _ = _rayleigh_ritz(w, inv_sqrt, vectors)
         last = np.inf
         for left in reversed(range(_FILTER_PASSES)):
-            # Chebyshev filter (Zhou, Saad, Tiago & Chelikowsky, J. Comput.
-            # Phys. 2006): T_m((L - centre) / half) is at most 1 in size on
-            # [low, high] and grows fast below it, where the k wanted
-            # eigenvalues lie.
-            previous = vectors
-            vectors = (_laplacian_product(w, inv_sqrt, vectors) - centre * vectors) / half
-            for _ in range(_FILTER_DEGREE - 1):
-                shifted = _laplacian_product(w, inv_sqrt, vectors) - centre * vectors
-                previous, vectors = vectors, (2.0 / half) * shifted - previous
-            # Rayleigh-Ritz on the filtered span.
-            basis = np.linalg.qr(vectors)[0]
-            l_basis = _laplacian_product(w, inv_sqrt, basis)
-            ritz, rotation = np.linalg.eigh(basis.T @ l_basis)
-            vectors = basis @ rotation
-            residual = np.linalg.norm(l_basis @ rotation - vectors * ritz)
-            # Davis-Kahan sin(theta): the largest angle between the span and
-            # L's eigenspace is at most residual / (l_{k+1} - ritz_k), and
-            # l_{k+1} >= low.  Without a gap there is no bound.
-            gap = low - ritz[-1]
+            if high <= ritz[-1]:  # nothing above the block to damp
+                return None
+            vectors = _chebyshev(w, inv_sqrt, vectors, ritz[-1], high)
+            ritz, vectors, radii = _rayleigh_ritz(w, inv_sqrt, vectors)
+            count = k if k is not None else _widest_gap(ritz)[0]
+            residual = np.linalg.norm(radii[:count])
+            # The count check factors near theta_{k+1} - margin, and proves
+            # l_{k+1} above sigma, Rump's shift below that.
+            margin = _CHOLESKY_MARGIN * (ritz[count] - ritz[count - 1])
+            sigma = ritz[count] - margin
+            sigma -= self._cholesky_shift(1.0, sigma, count)
+            # Embedding certificate (Davis-Kahan sin theta): once l_{k+1} >
+            # sigma is proved, the largest angle between the span of the k
+            # Ritz vectors and L's eigenspace of l_1..l_k is at most r_F /
+            # (sigma - theta_k), r_F the Frobenius norm of their residuals.
+            # Without a gap there is no bound.
+            gap = sigma - ritz[count - 1]
             if gap <= 0.0:
                 return None
-            if residual <= _EMBEDDING_TOLERANCE * gap:
-                return vectors
-            # Give up when the bound, falling at this pass's rate, cannot
-            # reach the tolerance in the passes left.
             bound = residual / gap
+            if bound <= _EMBEDDING_TOLERANCE:
+                break
+            # Give up when the bound, falling at this pass's rate, cannot
+            # reach the tolerance in the passes left.  The first pass,
+            # filtered above the random start's Ritz values, sets no rate.
             if bound * (bound / last) ** left > _EMBEDDING_TOLERANCE:
                 return None
-            last = bound
-        return None
+            last = bound if left < _FILTER_PASSES - 1 else np.inf
+        if k is None:
+            # The top check factors near the estimate of l_max + margin, and
+            # proves l_max below tau, Rump's shift above that.
+            tau = high + margin
+            tau += self._cholesky_shift(-1.0, tau, 0)
+            # Each Ritz pair, of the block or of the Lanczos steps, holds an
+            # eigenvalue within its residual; l_{k+1} is in [sigma, theta_{k+1}].
+            lower = np.concatenate([[sigma], (ritz - radii)[count:], lanczos - lanczos_radii])
+            upper = np.concatenate([[ritz[count]], (ritz + radii)[count:], lanczos + lanczos_radii])
+            certified = _gap_is_certified(ritz[:count], residual, sigma, tau, (lower, upper), n)
+            if not (certified and self._definite(-1.0, tau)):
+                return None
+        vectors = vectors[:, :count]
+        if not self._definite(1.0, sigma, vectors):
+            return None
+        return count, vectors
+
+    def _cholesky_shift(self, sign, bound, rank):
+        """The diagonal shift rho under which a completed float32 Cholesky
+        factorization proves A = sign (L - bound I) + c V V^T positive
+        definite, for V with ``rank`` orthonormal columns and c =
+        ``_DEFLATION``.
+
+        Cholesky shift (Rump, "Verification of positive definiteness", BIT
+        46, 2006).  If floating-point Cholesky completes on H, then H + E =
+        R^T R with ||E||_2 <= g tr(H), g = gamma_{N+1} / (1 - gamma_{N+1}),
+        gamma_m = m u / (1 - m u) and u = u32.  So if it completes on H =
+        fl32(A - rho I), then A >= (rho - g tr(A) - ||H - (A - rho I)||_2) I,
+        and tr(H) <= tr(A).  The last term is rounding A - rho I into
+        float32, and the double operations that form it: at most eps
+        sqrt(N) (||A||_2 + rho), eps = u32 + N u64, with ||A||_2 <= max(|b|,
+        |2 - b|) + c for L's spectrum in [0, 2].  So rho = (g tr(A) + eps
+        sqrt(N) ||A||_2) / (1 - eps sqrt(N)) proves A > 0 if the bounds are
+        met strictly; the 1.01 makes them strict and covers the double
+        rounding of tr(A).  Rump's underflow term is below 1e-30 here.
+        """
+        w = self.affinity
+        n = w.shape[0]
+        trace = sign * (n - self._inv_sqrt**2 @ np.diagonal(w) - n * bound) + _DEFLATION * rank
+        gamma = (n + 1) * _U32 / (1.0 - (n + 1) * _U32)
+        eps = (_U32 + n * _U64) * np.sqrt(n)
+        norm = max(abs(bound), abs(2.0 - bound)) + _DEFLATION
+        return 1.01 * (gamma / (1.0 - gamma) * max(trace, 0.0) + eps * norm) / (1.0 - eps)
+
+    def _definite(self, sign, bound, vectors=None):
+        """Whether float32 Cholesky (LAPACK ``spotrf``) proves sign (L -
+        bound I) + c V V^T positive definite, for V = ``vectors`` (none by
+        default): it completes on that matrix, formed by ``_laplacian`` and
+        rounded once, after ``_cholesky_shift`` is subtracted from its
+        diagonal.
+
+        Count certificate.  With ``vectors`` the k Ritz vectors and sign 1,
+        a positive definite L - sigma I + c V V^T gives l_{k+1} > sigma: a
+        positive semidefinite term of rank k lifts at most k eigenvalues.
+        The k Ritz values, each within r = r_F of an eigenvalue (Kahan;
+        Parlett, "The Symmetric Eigenvalue Problem", 11.5) and each with
+        theta_i + r < sigma, are then l_1..l_k to within r.  With sign -1
+        and no vectors it proves l_max < bound.
+        """
+        rank = 0 if vectors is None else vectors.shape[1]
+        shift = self._cholesky_shift(sign, bound, rank)
+        if vectors is not None:
+            vectors = np.sqrt(_DEFLATION) * vectors
+        a = self._laplacian("float32", sign, -sign * bound - shift, vectors)
+        _, info = _LAPACK["potrf"](a, lower=1, clean=0, overwrite_a=1)
+        return info == 0
 
 
 def _kmeans_pp_init(points, k, rng):
@@ -438,12 +602,11 @@ def ncut_cluster(w, k, seed=0):
     ``LaplacianSpectrum``; given the spectrum ``estimate_k`` read k from,
     the Laplacian is not reduced again.
 
-    Only those k eigenvectors are computed, from the tridiagonal reduction
-    of the Laplacian, not the full N x N eigenbasis
+    Only those k eigenvectors are computed, not the full N x N eigenbasis
     (``LaplacianSpectrum.embedding``).  The embedding is well defined only
     when eigenvalues k and k+1 differ: with a tie there, any basis of the
-    tied eigenspace is an equally valid answer, the float32 embedding is
-    not certified, and the labels may depend on which basis the double
+    tied eigenspace is an equally valid answer, the subspace tier cannot
+    certify one, and the labels may depend on which basis the double
     reduction returns.
     """
     spectrum = LaplacianSpectrum.of(w)  # validates the affinity
@@ -464,8 +627,8 @@ def estimate_k(w, method="eigengap", tau=None):
     ``eigengap``: with the eigenvalues of the normalized Laplacian in
     ascending order l_1 <= l_2 <= ..., the smallest (1-based) i maximizing
     l_{i+1} - l_i (von Luxburg, "A tutorial on spectral clustering", 2007,
-    section 8.3).  The count is the one the double eigenvalues give, read
-    off the float32 ones when certified (``LaplacianSpectrum.eigengap``).
+    section 8.3).  The count is the one the double eigenvalues give, proved
+    without them when the subspace tier can (``LaplacianSpectrum.eigengap``).
     ``sv-threshold``: the number of singular values of W
     above the absolute threshold ``tau``; a ``tau`` at or above all of them
     raises ``ValueError``, since no partition has zero clusters.

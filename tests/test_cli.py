@@ -157,7 +157,7 @@ class TestCluster:
         report = json.loads(capsys.readouterr().out)
         assert report["k"] == 5
         assert report["k_was_estimated"] is True
-        assert report["spectrum"] == "float32"
+        assert report["spectrum"] == "subspace"
 
     def test_solver_defaults_are_the_config_defaults(self, table_dataset, monkeypatch):
         seen = {}
@@ -414,7 +414,7 @@ class TestBench:
         ]
         assert len(raw) == 1 + 2 * 2  # one method, two noise levels, two repeats
         assert {row[1] for row in raw[1:]} == {"inf", "20"}
-        assert all(row[7] == "float32" and row[8] == "" for row in raw[1:])
+        assert all(row[7] == "subspace" and row[8] == "" for row in raw[1:])
 
         summary = read_csv(paths["summary"])
         assert summary[0] == [

@@ -165,28 +165,28 @@ class TestClusterSequential:
         assert arr.mean() <= 0.10
 
 
-# ?ormqr runs twice: a workspace query, then the product.
-SORMQR, DORMQR = ["sormqr"] * 2, ["dormqr"] * 2
+# dormqr runs twice: a workspace query, then the product.
+DORMQR = ["dormqr"] * 2
 
 
 class TestOneReduction:
     @pytest.mark.parametrize(
         "k, fail, want",
         [
-            (None, None, ["check", "ssytrd", "ssterf", *SORMQR]),
-            (4, None, ["check", "ssytrd", *SORMQR]),
-            # The float32 eigengap is not certified: the double reduction
-            # gives k, and the embedding reads it too.
+            (None, None, ["check", "spotrf", "spotrf"]),
+            (4, None, ["check", "spotrf"]),
+            # Sigma above l_5: the first Cholesky check refuses, and the
+            # double reduction gives k and the embedding.
             (
                 None,
-                ("_EIGENVALUE_ERROR", 1e12),
-                ["check", "ssytrd", "ssterf", "laplacian", "dsytrd", "dsterf", *DORMQR],
+                ("_CHOLESKY_MARGIN", -0.5),
+                ["check", "spotrf", "laplacian", "dsytrd", "dsterf", *DORMQR],
             ),
-            # The refined embedding is not certified.
+            # The filter gives up: no Cholesky check runs.
             (
                 4,
                 ("_EMBEDDING_TOLERANCE", 0.0),
-                ["check", "ssytrd", *SORMQR, "laplacian", "dsytrd", *DORMQR],
+                ["check", "laplacian", "dsytrd", *DORMQR],
             ),
         ],
         # The first two ids are the ones these cases had before the
@@ -199,12 +199,13 @@ class TestOneReduction:
         ],
     )
     def test_affinity_is_checked_once_and_reduced_once(self, monkeypatch, k, fail, want):
-        # Spies on the names spectral looks up.  W is checked once, and its
-        # Laplacian reduced once in float32: the eigengap reads that
-        # reduction, and with k given no eigenvalue routine runs.  No N x N
-        # eigensolve runs; the Rayleigh-Ritz steps solve k x k problems.
-        # When a certificate fails, the float32 reduction is dropped before
-        # the double Laplacian is formed, and that is reduced once.
+        # Spies on the names spectral looks up.  W is checked once.  The
+        # subspace tier proves k and the embedding with float32 Cholesky
+        # checks, two for an estimated k (l_max and l_{k+1}), one for a
+        # given k; an estimated k's embedding is the one its eigengap
+        # proved.  No N x N eigensolve runs; the Rayleigh-Ritz steps solve
+        # problems the size of the block, 16 or k + 3.  When the tier
+        # cannot prove an answer, L is formed and reduced in double once.
         calls, eigh_shapes = [], []
 
         def spy(name, fn):
@@ -221,19 +222,10 @@ class TestOneReduction:
 
             return call
 
-        original_laplacian = spectral.normalized_laplacian
-
-        def laplacian(spectrum):
-            # The float32 L is gone before the double one is formed.
-            assert spectrum._reduction is None
-            calls.append("laplacian")
-            return original_laplacian(spectrum)
-
-        monkeypatch.setattr(spectral, "normalized_laplacian", laplacian)
-        for prefix, precision in [("s", "float32"), ("d", "float64")]:
-            routines = spectral._LAPACK[precision]
-            for name in ["sytrd", "sterf", "ormqr"]:
-                monkeypatch.setitem(routines, name, spy(prefix + name, routines[name]))
+        monkeypatch.setattr(spectral, "normalized_laplacian", spy("laplacian", spectral.normalized_laplacian))
+        for name in ["sytrd", "sterf", "ormqr"]:
+            monkeypatch.setitem(spectral._LAPACK, name, spy("d" + name, spectral._LAPACK[name]))
+        monkeypatch.setitem(spectral._LAPACK, "potrf", spy("spotrf", spectral._LAPACK["potrf"]))
         monkeypatch.setattr(spectral, "_check_affinity", spy("check", spectral._check_affinity))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy(np.linalg.eigh))
@@ -243,11 +235,9 @@ class TestOneReduction:
         x, labels = generate_synthetic(SyntheticSpec(num_subspaces=4, seed=2))
         result = cluster_sequential(x, method="lrr-sim", k=k)
         assert calls == want
-        # Rayleigh-Ritz runs, on k x k problems only, when the float32
-        # embedding is tried.
-        assert set(eigh_shapes) <= {(4, 4)}
-        assert bool(eigh_shapes) == ("sormqr" in calls)
-        assert result.spectrum == ("float32" if fail is None else "float64")
+        block = 16 if k is None else k + 3
+        assert set(eigh_shapes) == {(block, block)}
+        assert result.spectrum == ("subspace" if fail is None else "float64")
         assert result.k == 4
         assert sce(result.labels, labels) == 0.0
 

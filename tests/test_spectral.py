@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from oscluster import (
+    SolverConfig,
     SyntheticSpec,
+    add_noise_psnr,
     build_affinity,
     cluster_sequential,
     detect_boundaries_peaks,
@@ -62,14 +64,14 @@ def _random_affinity(n, seed):
     return np.abs(z) + np.abs(z).T
 
 
-def _tied_cliques(t, seed=0):
-    """Two 8-node cliques, self-loops included, joined by weight t between
-    every cross pair, permuted.  L's eigenvalues are 0, 2t/(1+t) and 1
-    (14 times), so its two nonzero gaps, 2t/(1+t) and (1-t)/(1+t), tie at
-    t = 1/3."""
-    w = np.full((16, 16), t)
-    w[:8, :8] = w[8:, 8:] = 1.0
-    perm = np.random.default_rng(seed).permutation(16)
+def _tied_cliques(t, seed=0, size=8):
+    """Two cliques of ``size`` nodes, self-loops included, joined by weight
+    t between every cross pair, permuted.  L's eigenvalues are 0, 2t/(1+t)
+    and 1 (2 size - 2 times), so its two nonzero gaps, 2t/(1+t) and
+    (1-t)/(1+t), tie at t = 1/3."""
+    w = np.full((2 * size, 2 * size), t)
+    w[:size, :size] = w[size:, size:] = 1.0
+    perm = np.random.default_rng(seed).permutation(2 * size)
     return w[np.ix_(perm, perm)]
 
 
@@ -367,9 +369,9 @@ class TestLaplacianSpectrum:
 
 
 class TestFloat32Certificates:
-    """The spectrum reduces L in float32 and keeps an answer only with its
-    certificate.  Without one it takes the double reduction, which gives
-    bitwise what the spectral stage gave before the float32 reduction."""
+    """The subspace tier keeps an answer only when float32 Cholesky checks
+    prove it.  Without that it takes the double reduction, which gives
+    bitwise what the spectral stage gave before any certified tier."""
 
     @staticmethod
     def _assert_double_answers(spectrum, w, k, labels):
@@ -381,10 +383,18 @@ class TestFloat32Certificates:
         points = want / np.where(rows > _ZERO_ROW_NORM, rows, np.inf)[:, None]
         assert np.array_equal(labels, kmeans(points, k, seed=3))
 
+    @staticmethod
+    def _lrr_sim_affinity():
+        # Four subspaces of 100: L's four zero eigenvalues, then a bulk from
+        # about 0.69 to 1.05.
+        x, _ = generate_synthetic(SyntheticSpec(num_subspaces=4, points_per_subspace=100, seed=1))
+        return build_affinity(sim_closed_form(normalize_columns(x)))
+
     def test_near_tied_eigengaps_take_the_double_reduction(self):
-        # The two widest gaps differ by 2.25e-9, the second the wider,
-        # against a float32 eigenvalue error bound near 1e-5 at N = 16.
-        w = _tied_cliques(1 / 3 - 1e-9)
+        # The two widest gaps differ by 2.25e-9, the second the wider: far
+        # inside the margin the eigengap certificate needs.  At N = 24 the
+        # gap block of 16 is narrower than L, so the subspace tier runs.
+        w = _tied_cliques(1 / 3 - 1e-9, size=12)
         values, _ = double_reduction_spectrum(w, 1)
         gaps = np.sort(np.diff(values))
         assert 0.0 < gaps[-1] - gaps[-2] < 1e-8
@@ -406,14 +416,13 @@ class TestFloat32Certificates:
         self._assert_double_answers(spectrum, w, k, labels)
 
     def test_lrr_sim_affinity_is_certified(self):
-        # Four subspaces of 100: the eigengap and the embedding are both
-        # certified in float32.
-        x, _ = generate_synthetic(SyntheticSpec(num_subspaces=4, points_per_subspace=100, seed=1))
-        w = build_affinity(sim_closed_form(normalize_columns(x)))
+        # The eigengap and the embedding are both certified by the subspace
+        # tier.
+        w = self._lrr_sim_affinity()
         spectrum = LaplacianSpectrum(w)
         assert estimate_k(spectrum) == 4
         embedding = spectrum.embedding(4)
-        assert spectrum.precision == "float32"
+        assert spectrum.precision == "subspace"
         assert np.abs(embedding.T @ embedding - np.eye(4)).max() < 1e-10
         want = _subset_eigh_embedding(w, 4)
         assert np.max(scipy.linalg.subspace_angles(embedding, want)) < 1e-10
@@ -425,37 +434,100 @@ class TestFloat32Certificates:
         self._assert_double_answers(spectrum, w, n, ncut_cluster(spectrum, n, seed=3))
 
     def test_laplacian_is_the_double_one_rounded(self):
-        w = _noisy_blocks(4, seed=6, isolated=2)
-        w = 0.5 * (w + w.T)
+        # Each matrix a Cholesky check factors is formed from the double L
+        # and rounded to float32 once, Fortran-ordered: its lower triangle,
+        # the part spotrf reads, is sign (L - bound I) + c V V^T - shift I
+        # to within one float32 rounding of each entry.
+        w = self._lrr_sim_affinity()
         spectrum = LaplacianSpectrum(w)
-        formed = []
-        original = spectral._LAPACK["float32"]["sytrd"]
+        checks, factored = [], []
+        definite, potrf = LaplacianSpectrum._definite, spectral._LAPACK["potrf"]
 
-        def ssytrd(lap, **kwargs):
-            formed.append((lap.flags.f_contiguous, lap.copy()))
-            return original(lap, **kwargs)
+        def record(self, sign, bound, vectors=None):
+            checks.append((sign, bound, vectors))
+            return definite(self, sign, bound, vectors)
+
+        def spotrf(a, **kwargs):
+            factored.append((a.flags.f_contiguous, a.dtype, np.tril(a)))
+            return potrf(a, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setitem(spectral._LAPACK["float32"], "sytrd", ssytrd)
-            spectrum.embedding(4)
-        ((fortran, lap),) = formed
-        assert fortran and lap.dtype == np.float32
-        assert np.array_equal(lap, normalized_laplacian(w).astype(np.float32))
+            patch.setattr(LaplacianSpectrum, "_definite", record)
+            patch.setitem(spectral._LAPACK, "potrf", spotrf)
+            assert estimate_k(spectrum) == 4
+        assert spectrum.precision == "subspace"
+        # One check proves l_max < tau, the other l_5 > sigma.
+        assert [sign for sign, _, _ in checks] == [-1.0, 1.0]
+        lap, eye = normalized_laplacian(w), np.eye(w.shape[0])
+        for (sign, bound, vectors), (fortran, dtype, lower) in zip(checks, factored, strict=True):
+            rank = 0 if vectors is None else vectors.shape[1]
+            want = sign * (lap - bound * eye) - spectrum._cholesky_shift(sign, bound, rank) * eye
+            if vectors is not None:
+                want += spectral._DEFLATION * vectors @ vectors.T
+            want = np.tril(want)
+            assert fortran and dtype == np.float32
+            assert np.all(np.abs(lower - want) <= 2.0**-24 * np.abs(want) + 1e-13)
+
+    def test_cholesky_checks_prove_only_past_rumps_shift(self):
+        # A check proves l_5 > sigma, or l_max < tau, only with room for
+        # Rump's shift gamma_{N+1} / (1 - gamma_{N+1}) tr(A) (about 3e-3
+        # here, N = 400): inside it a true bound is refused, and a false one
+        # always is.  Without the rank-4 term the count check would see L's
+        # four zero eigenvalues below sigma and refuse every bound.
+        w = self._lrr_sim_affinity()
+        spectrum = LaplacianSpectrum(w)
+        values = spectrum.eigenvalues()
+        vectors = _subset_eigh_embedding(w, 4)
+        n = w.shape[0]
+        gamma = (n + 1) * 2.0**-24 / (1.0 - (n + 1) * 2.0**-24)
+        trace = float(np.trace(normalized_laplacian(w)))
+
+        def rump(sign, bound, rank):
+            return gamma / (1.0 - gamma) * (sign * (trace - n * bound) + 2.0 * rank)
+
+        low, top = values[4], values[-1]
+        assert 2e-3 < rump(1.0, low, 4) < 1e-2
+        assert spectrum._definite(1.0, low - 0.05, vectors)
+        assert not spectrum._definite(1.0, low - 0.5 * rump(1.0, low, 4), vectors)
+        assert not spectrum._definite(1.0, low + 1e-3, vectors)
+        assert spectrum._definite(-1.0, top + 0.05)
+        assert not spectrum._definite(-1.0, top + 0.5 * rump(-1.0, top, 0))
+        assert not spectrum._definite(-1.0, top - 1e-3)
+
+    def test_sigma_above_l_k_plus_1_is_refused(self, monkeypatch):
+        # A margin of -1/2 the Ritz gap puts sigma above l_5: the count check
+        # factors a matrix with a negative eigenvalue, spotrf stops, and the
+        # double reduction serves.
+        monkeypatch.setattr(spectral, "_CHOLESKY_MARGIN", -0.5)
+        infos = []
+        potrf = spectral._LAPACK["potrf"]
+
+        def spotrf(a, **kwargs):
+            factor, info = potrf(a, **kwargs)
+            infos.append(info)
+            return factor, info
+
+        monkeypatch.setitem(spectral._LAPACK, "potrf", spotrf)
+        w = self._lrr_sim_affinity()
+        spectrum = LaplacianSpectrum(w)
+        labels = ncut_cluster(spectrum, 4, seed=3)
+        assert len(infos) == 1 and infos[0] > 0
+        self._assert_double_answers(spectrum, w, 4, labels)
 
     def test_fallback_laplacian_is_the_double_one(self):
-        # The given k sits in the bulk of the spectrum: the float32
-        # embedding is not certified, and L is formed again in double.
+        # The given k sits in the bulk of the spectrum: the subspace tier
+        # gives up, and L is formed in double.
         w = _random_affinity(150, 0)
         spectrum = LaplacianSpectrum(w)
         formed = []
-        original = spectral._LAPACK["float64"]["sytrd"]
+        original = spectral._LAPACK["sytrd"]
 
         def dsytrd(lap, **kwargs):
             formed.append((lap.flags.f_contiguous, lap.copy()))
             return original(lap, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setitem(spectral._LAPACK["float64"], "sytrd", dsytrd)
+            patch.setitem(spectral._LAPACK, "sytrd", dsytrd)
             spectrum.embedding(8)
         ((fortran, lap),) = formed
         assert spectrum.precision == "float64"
@@ -464,42 +536,55 @@ class TestFloat32Certificates:
 
     @staticmethod
     def _products_of(spectrum, k):
-        """Products with L the embedding of ``spectrum`` takes, and its labels."""
-        count = []
-        original = spectral._laplacian_product
+        """Products with L the embedding of ``spectrum`` takes, the checks
+        spotrf ran, and its labels."""
+        count, checks = [], []
+        product, potrf = spectral._laplacian_product, spectral._LAPACK["potrf"]
 
-        def product(*args):
+        def counted(*args):
             count.append(1)
-            return original(*args)
+            return product(*args)
+
+        def spotrf(*args, **kwargs):
+            checks.append(1)
+            return potrf(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectral, "_laplacian_product", product)
+            patch.setattr(spectral, "_laplacian_product", counted)
+            patch.setitem(spectral._LAPACK, "potrf", spotrf)
             labels = ncut_cluster(spectrum, k, seed=3)
-        return len(count), labels
+        return len(count), len(checks), labels
 
     @pytest.mark.parametrize(
         "w, k, want",
-        [(_tied_cliques(0.2), 3, 9), (_random_affinity(150, 0), 8, 18)],
+        [(_tied_cliques(0.2), 3, 4), (_random_affinity(150, 0), 8, 40)],
         ids=["no-gap", "slow"],
     )
     def test_filter_gives_up_early(self, w, k, want):
-        # One pass is 9 products: 8 for the degree-8 filter, 1 for
-        # Rayleigh-Ritz.  With k inside a tie the Ritz value k stays above
-        # eigenvalue k+1's lower bound after the first pass.  In the bulk,
+        # Up to 12 Lanczos steps (the cliques' L has three distinct
+        # eigenvalues, so three there), one product for the start block's
+        # Rayleigh-Ritz step, then 9 a pass: 8 for the degree-8 filter, 1
+        # for Rayleigh-Ritz.  The cliques' start block already reaches the
+        # top of the spectrum, so no filter can damp anything.  In the bulk,
         # the bound falls too slowly after two passes to reach 1e-10 in the
-        # two passes left.  Both used to run all 4 passes.
+        # passes left.  Neither runs a Cholesky check.
         spectrum = LaplacianSpectrum(w)
-        products, labels = self._products_of(spectrum, k)
-        assert products == want
+        products, checks, labels = self._products_of(spectrum, k)
+        assert (products, checks) == (want, 0)
         self._assert_double_answers(spectrum, w, k, labels)
 
     def test_filter_runs_every_pass_a_certificate_needs(self):
-        # k = 9 on five 4-dimensional subspaces is certified only by the
-        # fourth pass: the rate seen after each earlier pass must not give up.
-        x, _ = generate_synthetic(SyntheticSpec())
-        spectrum = LaplacianSpectrum(build_affinity(sim_closed_form(normalize_columns(x))))
-        products, _ = self._products_of(spectrum, 9)
-        assert (products, spectrum.precision) == (36, "float32")
+        # spatsc on protocol seed 7 at 20 dB: L's bulk reaches 1.7, so the
+        # bound falls slowly, and the embedding for k = 5 is certified only
+        # by the sixth pass.  The first pass, from the random start, gains
+        # little; judged at its rate the filter gave up after the second.
+        x, _ = generate_synthetic(SyntheticSpec(seed=7))
+        x = add_noise_psnr(x, 20.0, seed=1007)
+        config = SolverConfig(lambda1=0.1, lambda2=0.01, diag_zero=True)
+        w = cluster_sequential(x, method="spatsc", config=config, k=5).affinity
+        spectrum = LaplacianSpectrum(w)
+        products, checks, _ = self._products_of(spectrum, 5)
+        assert (products, checks, spectrum.precision) == (12 + 1 + 6 * 9, 1, "subspace")
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(w=noisy_block_affinities())
@@ -550,14 +635,14 @@ class TestMemory:
         assert _traced_peak(ncut_cluster, w, k) <= self.NN + small
 
     def test_certified_ncut_cluster_allocates_half_a_laplacian(self):
-        # The float32 L, and not the double one.  Beside it: the N x 64
-        # double tile L is rounded from, ssytrd's workspace (32 N floats),
-        # T and its reflector scalars, and the embedding's O(N k) arrays.
+        # The float32 matrix a Cholesky check factors, and no double L.
+        # Beside it: the N x 64 double tile it is rounded from, the k Ritz
+        # vectors, and the O(N k) arrays of the filter and of k-means.
         x, _ = generate_synthetic(SyntheticSpec(num_subspaces=4, points_per_subspace=100, seed=1))
         spectrum = LaplacianSpectrum(build_affinity(sim_closed_form(normalize_columns(x))))
         small = 8 * self.N * (96 + 4 * 4)
         assert _traced_peak(ncut_cluster, spectrum, 4) <= self.NN // 2 + small
-        assert spectrum.precision == "float32"
+        assert spectrum.precision == "subspace"
 
     def test_lrr_sim_segmentation_holds_three_n_by_n_arrays(self):
         # Z, W and the Laplacian, plus the eigensolve's O(N) and O(N k)
