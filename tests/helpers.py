@@ -198,9 +198,9 @@ def ncut_full_eigh(w, k, seed=0):
 
 def double_reduction_spectrum(w, k):
     """All eigenvalues of the normalized Laplacian and the eigenvectors of
-    its k smallest, as the spectral stage took them before its float32
-    reduction existed: L reduced in place by dsytrd, eigenvalues by dsterf,
-    T's eigenvectors mapped back with dormqr."""
+    its k smallest, as the spectral stage took them before any certified
+    tier existed: L reduced in place by dsytrd, eigenvalues by dsterf, T's
+    eigenvectors mapped back with dormqr."""
     lap = normalized_laplacian(w)
     n = lap.shape[0]
     lwork, _ = dsytrd_lwork(n, lower=1)
