@@ -65,13 +65,14 @@ _LAPLACIAN_TILE = 32
 # The LAPACK routines, looked up here so that tests can spy on them: the
 # double reduction to tridiagonal form and its workspace query, T's
 # eigenvalues, the product with T's reflectors, and the float32 Cholesky
-# factorization behind the subspace tier's checks.
+# factorization, in rectangular full packed storage, behind the subspace
+# tier's checks.
 _LAPACK = dict(
     sytrd=lapack.dsytrd,
     lwork=lapack.dsytrd_lwork,
     sterf=lapack.dsterf,
     ormqr=lapack.dormqr,
-    potrf=lapack.spotrf,
+    pftrf=lapack.spftrf,
 )
 
 
@@ -238,9 +239,13 @@ class LaplacianSpectrum:
       eigenspace.  An embedding for the k the eigengap proved is already
       there.
 
-    When the filter gives up (and then no Cholesky check runs), a check
-    fails, or the block would not be narrower than L, L is formed in double
-    and reduced in place to a tridiagonal T = Q^T L Q (LAPACK ``dsytrd``).
+    The tier proves an estimated k only up to ``_GAP_BLOCK`` - 2, and
+    only while Rump's shifts, which grow as N^2 (about 0.06 in all at N =
+    1600, 0.23 at 3200), leave room in the gap; past either it gives up
+    after one filter pass.  When the filter gives up (and then no Cholesky
+    check runs), a check fails, or the block would not be narrower than L,
+    L is formed in double and reduced in place to a tridiagonal T = Q^T L Q
+    (LAPACK ``dsytrd``).
     Its answers need no certificate and serve from then on; ``eigenvalues``
     always reads it.  ``precision`` names the tier serving: "subspace",
     "float64", or None before L is used.  An estimator that reads only W
@@ -266,34 +271,72 @@ class LaplacianSpectrum:
         degrees = np.where(degrees <= 0.0, _ZERO_DEGREE_EPS, degrees)
         return 1.0 / np.sqrt(degrees)
 
-    def _laplacian(self, dtype="float64", sign=1.0, diagonal=0.0, vectors=None):
-        """sign L + diagonal I + ``vectors`` ``vectors``^T in ``dtype``,
-        Fortran-ordered, formed in double ``_LAPLACIAN_TILE`` columns at a
-        time.  Below float64 only the lower triangle is formed, the part
-        ``spotrf`` reads, and each tile goes through one buffer and is
-        rounded once.  With the defaults it is L, each entry from the same
-        operations as ever."""
-        w, inv_sqrt = self.affinity, self._inv_sqrt
-        n, b = w.shape[0], _LAPLACIAN_TILE
-        out = np.empty((n, n), dtype=dtype, order="F")
-        buffer = None if dtype == "float64" else np.empty(n * b)
-        scale = -sign * inv_sqrt
-        for j in range(0, n, b):
-            top = 0 if buffer is None else j
-            # Columns j.. of L are its rows (L is symmetric), so the tile is
-            # formed row-wise from W's contiguous rows, through a contiguous
-            # buffer below float64: neither step makes a copy.
-            rows = out[top:, j : j + b].T
-            tile = rows if buffer is None else buffer[: rows.size].reshape(rows.shape)
-            np.multiply(w[j : j + b, top:], scale[top:], out=tile)
-            tile *= inv_sqrt[j : j + b, None]
-            d = np.arange(tile.shape[0])
-            tile[d, j - top + d] += sign + diagonal
-            if vectors is not None:
-                tile += vectors[j : j + b] @ vectors[top:].T
-            if buffer is not None:
-                rows[...] = tile
+    def _block(self, out, rows, columns, sign=1.0, diagonal=0.0, vectors=None):
+        """Rows ``rows`` and columns ``columns`` (two ranges) of sign L +
+        diagonal I + ``vectors`` ``vectors``^T, formed in double into ``out``
+        from W's rows, which are contiguous."""
+        (r0, r1), (c0, c1) = rows, columns
+        inv_sqrt = self._inv_sqrt
+        np.multiply(self.affinity[r0:r1, c0:c1], -sign * inv_sqrt[c0:c1], out=out)
+        out *= inv_sqrt[r0:r1, None]
+        d = np.arange(max(r0, c0), min(r1, c1))
+        out[d - r0, d - c0] += sign + diagonal
+        if vectors is not None:
+            out += vectors[r0:r1] @ vectors[c0:c1].T
         return out
+
+    def _laplacian(self):
+        """L in double, Fortran-ordered, formed ``_LAPLACIAN_TILE`` columns
+        at a time, each entry from the same operations as ever."""
+        n, b = self.affinity.shape[0], _LAPLACIAN_TILE
+        out = np.empty((n, n), order="F")
+        for j in range(0, n, b):
+            # Columns j.. of L are its rows (L is symmetric), so they are
+            # formed row-wise straight into L's contiguous columns.
+            self._block(out[:, j : j + b].T, (j, min(j + b, n)), (0, n))
+        return out
+
+    def _packed(self, sign, diagonal, vectors):
+        """The lower triangle of A = sign L + diagonal I + ``vectors``
+        ``vectors``^T in float32, in LAPACK's rectangular full packed format
+        (TRANSR = "N", UPLO = "L"), the storage ``spftrf`` factors: N (N + 1)
+        / 2 entries, half of a float32 N x N array.  Formed in double
+        ``_LAPLACIAN_TILE`` columns at a time and rounded once.
+
+        With h = ceil(N / 2) and e = 1 for even N, 0 for odd, the format is
+        an (N + e) x h Fortran array.  Its column c holds A[c:, c] in rows c
+        + e.., and above them A[h : j + 1, j] for j = c + h - 1 + e: the
+        upper part of A's trailing triangle, row j of it (none when N is odd
+        and c = 0).  Each is formed from W's rows c and j.
+        """
+        n, b = self.affinity.shape[0], _LAPLACIAN_TILE
+        h, e = (n + 1) // 2, 1 - n % 2
+        packed = np.empty((n + e, h), dtype=np.float32, order="F")
+        lower, upper = np.empty(b * n), np.empty(b * h)
+        above = np.triu(np.ones((b, b), dtype=bool), 1)
+        for c in range(0, h, b):
+            width = min(b, h - c)
+            j = c + h - 1 + e
+            # Rows c.. and j.. of A, up to the columns each packed column
+            # takes.  Both run into the width x width window of packed rows c
+            # + e.., where column c + t takes row t of ``low`` on and below
+            # its diagonal and row t of ``high`` above it.
+            low = self._block(
+                lower[: width * (n - c)].reshape(width, n - c),
+                (c, c + width), (c, n), sign, diagonal, vectors,
+            )
+            high = self._block(
+                upper[: width * (j + width - h)].reshape(width, j + width - h),
+                (j, j + width), (h, j + width), sign, diagonal, vectors,
+            )
+            packed[: c + e, c : c + width] = high[:, : c + e].T
+            window = packed[c + e : c + e + width, c : c + width]
+            window[...] = low[:, :width].T
+            np.copyto(
+                window[: width - 1], high[:, c + e : c + e + width - 1].T, where=above[: width - 1, :width]
+            )
+            packed[c + e + width :, c : c + width] = low[:, width:].T
+        return packed.reshape(-1, order="F")
 
     def _reduce(self):
         """Form L in double and reduce it in place: the tier that serves
@@ -395,7 +438,10 @@ class LaplacianSpectrum:
     def _subspace(self, k):
         """``(k, V_k)``: the Ritz vectors of L's k smallest eigenvalues, with
         k read off the eigengap when None, both proved; None when the block
-        would not be narrower than L, the filter gives up or a check fails."""
+        would not be narrower than L, the filter gives up or a check fails.
+        The filter gives up when nothing above the block is left to damp,
+        when an estimated k is m - 1, when Rump's shifts leave no gap to
+        bound, or when the Davis-Kahan bound falls too slowly."""
         n = self.affinity.shape[0]
         m = _GAP_BLOCK if k is None else k + _BLOCK_EXTRA
         if m >= n:
@@ -412,19 +458,34 @@ class LaplacianSpectrum:
             vectors = _chebyshev(w, inv_sqrt, vectors, ritz[-1], high)
             ritz, vectors, radii = _rayleigh_ritz(w, inv_sqrt, vectors)
             count = k if k is not None else _widest_gap(ritz)[0]
+            if count == m - 1:
+                # The widest Ritz gap is the block's last: an estimated k of
+                # m - 1 or more is left to the double reduction.
+                return None
             residual = np.linalg.norm(radii[:count])
-            # The count check factors near theta_{k+1} - margin, and proves
-            # l_{k+1} above sigma, Rump's shift below that.
+            # The count check factors at theta_{k+1} - margin, and proves
+            # l_{k+1} above sigma, Rump's shift below that point.
             margin = _CHOLESKY_MARGIN * (ritz[count] - ritz[count - 1])
-            sigma = ritz[count] - margin
-            sigma -= self._cholesky_shift(1.0, sigma, count)
+            point = ritz[count] - margin
+            sigma = point - self._cholesky_shift(1.0, point, count)
+            gap = sigma - ritz[count - 1]
+            room = 0.0
+            if k is None:
+                # The top check factors at the estimate of l_max + margin,
+                # and proves l_max below tau, Rump's shift above that point.
+                # Every interval ``_gap_is_certified`` reads starts below
+                # high, so it bounds some gap above k by tau - high at least:
+                # the margin and Rump's shift, which grows as N^2.  A Ritz
+                # gap that these fill cannot win.
+                top = high + margin
+                tau = top + self._cholesky_shift(-1.0, top, 0)
+                room = tau - high
             # Embedding certificate (Davis-Kahan sin theta): once l_{k+1} >
             # sigma is proved, the largest angle between the span of the k
             # Ritz vectors and L's eigenspace of l_1..l_k is at most r_F /
             # (sigma - theta_k), r_F the Frobenius norm of their residuals.
             # Without a gap there is no bound.
-            gap = sigma - ritz[count - 1]
-            if gap <= 0.0:
+            if gap <= room:
                 return None
             bound = residual / gap
             if bound <= _EMBEDDING_TOLERANCE:
@@ -436,70 +497,67 @@ class LaplacianSpectrum:
                 return None
             last = bound if left < _FILTER_PASSES - 1 else np.inf
         if k is None:
-            # The top check factors near the estimate of l_max + margin, and
-            # proves l_max below tau, Rump's shift above that.
-            tau = high + margin
-            tau += self._cholesky_shift(-1.0, tau, 0)
             # Each Ritz pair, of the block or of the Lanczos steps, holds an
             # eigenvalue within its residual; l_{k+1} is in [sigma, theta_{k+1}].
             lower = np.concatenate([[sigma], (ritz - radii)[count:], lanczos - lanczos_radii])
             upper = np.concatenate([[ritz[count]], (ritz + radii)[count:], lanczos + lanczos_radii])
             certified = _gap_is_certified(ritz[:count], residual, sigma, tau, (lower, upper), n)
-            if not (certified and self._definite(-1.0, tau)):
+            if not (certified and self._definite(-1.0, top)):
                 return None
         vectors = vectors[:, :count]
-        if not self._definite(1.0, sigma, vectors):
+        if not self._definite(1.0, point, vectors):
             return None
         return count, vectors
 
-    def _cholesky_shift(self, sign, bound, rank):
-        """The diagonal shift rho under which a completed float32 Cholesky
-        factorization proves A = sign (L - bound I) + c V V^T positive
-        definite, for V with ``rank`` orthonormal columns and c =
-        ``_DEFLATION``.
+    def _cholesky_shift(self, sign, point, rank):
+        """rho such that H + rho I is positive definite when float32
+        Cholesky completes on H = sign (L - ``point`` I) + c V V^T, formed
+        in double and rounded once, for V with ``rank`` orthonormal columns
+        and c = ``_DEFLATION``.
 
         Cholesky shift (Rump, "Verification of positive definiteness", BIT
-        46, 2006).  If floating-point Cholesky completes on H, then H + E =
-        R^T R with ||E||_2 <= g tr(H), g = gamma_{N+1} / (1 - gamma_{N+1}),
-        gamma_m = m u / (1 - m u) and u = u32.  So if it completes on H =
-        fl32(A - rho I), then A >= (rho - g tr(A) - ||H - (A - rho I)||_2) I,
-        and tr(H) <= tr(A).  The last term is rounding A - rho I into
-        float32, and the double operations that form it: at most eps
-        sqrt(N) (||A||_2 + rho), eps = u32 + N u64, with ||A||_2 <= max(|b|,
-        |2 - b|) + c for L's spectrum in [0, 2].  So rho = (g tr(A) + eps
-        sqrt(N) ||A||_2) / (1 - eps sqrt(N)) proves A > 0 if the bounds are
-        met strictly; the 1.01 makes them strict and covers the double
-        rounding of tr(A).  Rump's underflow term is below 1e-30 here.
+        46, 2006).  If floating-point Cholesky completes on a matrix G, then
+        G + E = R^T R with ||E||_2 <= g tr(G), g = gamma_{N+1} / (1 -
+        gamma_{N+1}), gamma_m = m u / (1 - m u) and u = u32.  Here G =
+        fl32(H) = H + F, so H >= -(g tr(G) + ||F||_2) I.  F is the rounding
+        of H into float32 and of the double operations that form it: ||F||_2
+        <= eps sqrt(N) ||H||_2, eps = u32 + N u64, with ||H||_2 <=
+        max(|p|, |2 - p|) + c for L's spectrum in [0, 2]; and tr(G) <= (1 +
+        u32) tr(H).  So rho = (g tr(H) + eps sqrt(N) ||H||_2) / (1 - eps
+        sqrt(N)) makes H + rho I positive definite if the bounds are met
+        strictly; the 1.01 makes them strict and covers the roundings of
+        tr(G) and tr(H).  Rump's underflow term is below 1e-30 here.  The
+        bound on E holds whatever the order of the sums that form R, so also
+        for the blocked factorization ``spftrf`` runs on the packed halves
+        (``spotrf``, ``strsm``, ``ssyrk``).  The shift is read at the point
+        factored: it grows as the point moves into L's spectrum.
         """
         w = self.affinity
         n = w.shape[0]
-        trace = sign * (n - self._inv_sqrt**2 @ np.diagonal(w) - n * bound) + _DEFLATION * rank
+        trace = sign * (n - self._inv_sqrt**2 @ np.diagonal(w) - n * point) + _DEFLATION * rank
         gamma = (n + 1) * _U32 / (1.0 - (n + 1) * _U32)
         eps = (_U32 + n * _U64) * np.sqrt(n)
-        norm = max(abs(bound), abs(2.0 - bound)) + _DEFLATION
+        norm = max(abs(point), abs(2.0 - point)) + _DEFLATION
         return 1.01 * (gamma / (1.0 - gamma) * max(trace, 0.0) + eps * norm) / (1.0 - eps)
 
-    def _definite(self, sign, bound, vectors=None):
-        """Whether float32 Cholesky (LAPACK ``spotrf``) proves sign (L -
-        bound I) + c V V^T positive definite, for V = ``vectors`` (none by
-        default): it completes on that matrix, formed by ``_laplacian`` and
-        rounded once, after ``_cholesky_shift`` is subtracted from its
-        diagonal.
+    def _definite(self, sign, point, vectors=None):
+        """Whether float32 Cholesky (LAPACK ``spftrf``) completes on H =
+        sign (L - ``point`` I) + c V V^T, for V = ``vectors`` (none by
+        default), formed by ``_packed`` and rounded once.  If it does, H +
+        rho I is positive definite, rho = ``_cholesky_shift``.
 
         Count certificate.  With ``vectors`` the k Ritz vectors and sign 1,
-        a positive definite L - sigma I + c V V^T gives l_{k+1} > sigma: a
-        positive semidefinite term of rank k lifts at most k eigenvalues.
-        The k Ritz values, each within r = r_F of an eigenvalue (Kahan;
-        Parlett, "The Symmetric Eigenvalue Problem", 11.5) and each with
-        theta_i + r < sigma, are then l_1..l_k to within r.  With sign -1
-        and no vectors it proves l_max < bound.
+        that is L - sigma I + c V V^T for sigma = point - rho, and it gives
+        l_{k+1} > sigma: a positive semidefinite term of rank k lifts at
+        most k eigenvalues.  The k Ritz values, each within r = r_F of an
+        eigenvalue (Kahan; Parlett, "The Symmetric Eigenvalue Problem",
+        11.5) and each with theta_i + r < sigma, are then l_1..l_k to within
+        r.  With sign -1 and no vectors it proves l_max < point + rho.
         """
-        rank = 0 if vectors is None else vectors.shape[1]
-        shift = self._cholesky_shift(sign, bound, rank)
         if vectors is not None:
             vectors = np.sqrt(_DEFLATION) * vectors
-        a = self._laplacian("float32", sign, -sign * bound - shift, vectors)
-        _, info = _LAPACK["potrf"](a, lower=1, clean=0, overwrite_a=1)
+        a = self._packed(sign, -sign * point, vectors)
+        _, info = _LAPACK["pftrf"](self.affinity.shape[0], a, transr="N", uplo="L", overwrite_a=1)
         return info == 0
 
 

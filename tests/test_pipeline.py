@@ -173,14 +173,14 @@ class TestOneReduction:
     @pytest.mark.parametrize(
         "k, fail, want",
         [
-            (None, None, ["check", "spotrf", "spotrf"]),
-            (4, None, ["check", "spotrf"]),
+            (None, None, ["check", "spftrf", "spftrf"]),
+            (4, None, ["check", "spftrf"]),
             # Sigma above l_5: the first Cholesky check refuses, and the
             # double reduction gives k and the embedding.
             (
                 None,
                 ("_CHOLESKY_MARGIN", -0.5),
-                ["check", "spotrf", "laplacian", "dsytrd", "dsterf", *DORMQR],
+                ["check", "spftrf", "laplacian", "dsytrd", "dsterf", *DORMQR],
             ),
             # The filter gives up: no Cholesky check runs.
             (
@@ -225,7 +225,7 @@ class TestOneReduction:
         monkeypatch.setattr(spectral, "normalized_laplacian", spy("laplacian", spectral.normalized_laplacian))
         for name in ["sytrd", "sterf", "ormqr"]:
             monkeypatch.setitem(spectral._LAPACK, name, spy("d" + name, spectral._LAPACK[name]))
-        monkeypatch.setitem(spectral._LAPACK, "potrf", spy("spotrf", spectral._LAPACK["potrf"]))
+        monkeypatch.setitem(spectral._LAPACK, "pftrf", spy("spftrf", spectral._LAPACK["pftrf"]))
         monkeypatch.setattr(spectral, "_check_affinity", spy("check", spectral._check_affinity))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy(np.linalg.eigh))

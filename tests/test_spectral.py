@@ -26,6 +26,7 @@ from oscluster import (
 from oscluster import spectral
 from oscluster.spectral import (
     _AFFINITY_TILE,
+    _GAP_BLOCK,
     _ZERO_ROW_NORM,
     LaplacianSpectrum,
     _check_affinity,
@@ -76,13 +77,16 @@ def _tied_cliques(t, seed=0, size=8):
 
 
 @st.composite
-def noisy_block_affinities(draw):
+def noisy_block_affinities(draw, min_nodes=2):
     """Permuted affinity of 1-6 blocks of 1-10 nodes, with within-block
     noise, weak links between every pair of block nodes and 0-3 isolated
-    nodes; at least 2 nodes.  Blocks of one node each make k = N blocks."""
+    nodes; at least ``min_nodes`` nodes.  Blocks of one node each make k =
+    N blocks."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sizes = draw(st.lists(st.integers(1, 10), min_size=1, max_size=6))
-    isolated = draw(st.integers(0 if sum(sizes) > 1 else 1, 3))
+    sizes = draw(
+        st.lists(st.integers(1, 10), min_size=1, max_size=6).filter(lambda s: sum(s) + 3 >= min_nodes)
+    )
+    isolated = draw(st.integers(max(min_nodes - sum(sizes), 0), 3))
     noise = draw(st.sampled_from([0.0, 0.3, 1.0]))
     link = draw(st.sampled_from([0.0, 1e-3, 0.05]))
     blocks = [1.0 + noise * np.abs(rng.standard_normal((size, size))) for size in sizes]
@@ -91,6 +95,17 @@ def noisy_block_affinities(draw):
     w[:m, :m] += link * np.abs(rng.standard_normal((m, m)))
     w = w + w.T
     perm = rng.permutation(w.shape[0])
+    return w[np.ix_(perm, perm)]
+
+
+def _twin_blocks(seed, size=8, noise=0.3):
+    """Two copies of one noisy dense block, permuted: each eigenvalue of L
+    twice, so l_1 = l_2 = 0, l_3 = l_4 and so on."""
+    rng = np.random.default_rng(seed)
+    e = noise * np.abs(rng.standard_normal((size, size)))
+    block = 1.0 + e + e.T
+    w = block_diag(block, block)
+    perm = rng.permutation(2 * size)
     return w[np.ix_(perm, perm)]
 
 
@@ -435,79 +450,124 @@ class TestFloat32Certificates:
 
     def test_laplacian_is_the_double_one_rounded(self):
         # Each matrix a Cholesky check factors is formed from the double L
-        # and rounded to float32 once, Fortran-ordered: its lower triangle,
-        # the part spotrf reads, is sign (L - bound I) + c V V^T - shift I
-        # to within one float32 rounding of each entry.
+        # and rounded to float32 once, in rectangular full packed storage:
+        # N (N + 1) / 2 entries that unpack to its lower triangle, sign (L -
+        # point I) + c V V^T to within one float32 rounding of each entry.
         w = self._lrr_sim_affinity()
         spectrum = LaplacianSpectrum(w)
         checks, factored = [], []
-        definite, potrf = LaplacianSpectrum._definite, spectral._LAPACK["potrf"]
+        definite, pftrf = LaplacianSpectrum._definite, spectral._LAPACK["pftrf"]
 
-        def record(self, sign, bound, vectors=None):
-            checks.append((sign, bound, vectors))
-            return definite(self, sign, bound, vectors)
+        def record(self, sign, point, vectors=None):
+            checks.append((sign, point, vectors))
+            return definite(self, sign, point, vectors)
 
-        def spotrf(a, **kwargs):
-            factored.append((a.flags.f_contiguous, a.dtype, np.tril(a)))
-            return potrf(a, **kwargs)
+        def spftrf(n, a, **kwargs):
+            assert kwargs["transr"] == "N" and kwargs["uplo"] == "L"
+            lower, info = scipy.linalg.lapack.stfttr(n, a, transr="N", uplo="L")
+            factored.append((a.dtype, a.size, np.tril(lower), info))
+            return pftrf(n, a, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(LaplacianSpectrum, "_definite", record)
-            patch.setitem(spectral._LAPACK, "potrf", spotrf)
+            patch.setitem(spectral._LAPACK, "pftrf", spftrf)
             assert estimate_k(spectrum) == 4
         assert spectrum.precision == "subspace"
         # One check proves l_max < tau, the other l_5 > sigma.
         assert [sign for sign, _, _ in checks] == [-1.0, 1.0]
-        lap, eye = normalized_laplacian(w), np.eye(w.shape[0])
-        for (sign, bound, vectors), (fortran, dtype, lower) in zip(checks, factored, strict=True):
-            rank = 0 if vectors is None else vectors.shape[1]
-            want = sign * (lap - bound * eye) - spectrum._cholesky_shift(sign, bound, rank) * eye
+        n = w.shape[0]
+        lap, eye = normalized_laplacian(w), np.eye(n)
+        for (sign, point, vectors), (dtype, size, lower, info) in zip(checks, factored, strict=True):
+            want = sign * (lap - point * eye)
             if vectors is not None:
                 want += spectral._DEFLATION * vectors @ vectors.T
             want = np.tril(want)
-            assert fortran and dtype == np.float32
+            assert (dtype, size, info) == (np.float32, n * (n + 1) // 2, 0)
             assert np.all(np.abs(lower - want) <= 2.0**-24 * np.abs(want) + 1e-13)
 
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 66, 130])
+    def test_packed_matrix_is_the_lower_triangle_in_packed_storage(self, n):
+        # Every tile layout: one packed column, partial tiles, N even and odd.
+        w = _random_affinity(n, n)
+        rng = np.random.default_rng(n)
+        vectors = rng.standard_normal((n, 3))
+        spectrum = LaplacianSpectrum(w)
+        a = -(normalized_laplacian(w) - 0.3 * np.eye(n)) + vectors @ vectors.T
+        want, _ = scipy.linalg.lapack.strttf(a.astype(np.float32, order="F"), transr="N", uplo="L")
+        packed = spectrum._packed(-1.0, 0.3, vectors)
+        assert packed.dtype == np.float32 and packed.shape == want.shape
+        assert np.all(np.abs(packed - want) <= 2.0**-23 * np.abs(want) + 1e-12)
+
+    @staticmethod
+    def _rump(w):
+        """Rump's shift gamma_{N+1} / (1 - gamma_{N+1}) tr(H) for H = sign (L
+        - point I) + 2 V V^T, V with ``rank`` orthonormal columns."""
+        n = w.shape[0]
+        gamma = (n + 1) * 2.0**-24 / (1.0 - (n + 1) * 2.0**-24)
+        trace = float(np.trace(normalized_laplacian(w)))
+        return lambda sign, point, rank: gamma / (1.0 - gamma) * (sign * (trace - n * point) + 2.0 * rank)
+
     def test_cholesky_checks_prove_only_past_rumps_shift(self):
-        # A check proves l_5 > sigma, or l_max < tau, only with room for
-        # Rump's shift gamma_{N+1} / (1 - gamma_{N+1}) tr(A) (about 3e-3
-        # here, N = 400): inside it a true bound is refused, and a false one
-        # always is.  Without the rank-4 term the count check would see L's
-        # four zero eigenvalues below sigma and refuse every bound.
+        # A check factors H at a point and proves l_5 > point - rho, or
+        # l_max < point + rho, with rho at least Rump's shift (1e-3 to 3e-3
+        # here, N = 400).  It completes at a point inside L's gap and refuses
+        # one past l_5, or below l_max.  Without the rank-4 term the count
+        # check sees L's four zero eigenvalues below the point and refuses.
         w = self._lrr_sim_affinity()
         spectrum = LaplacianSpectrum(w)
         values = spectrum.eigenvalues()
         vectors = _subset_eigh_embedding(w, 4)
-        n = w.shape[0]
-        gamma = (n + 1) * 2.0**-24 / (1.0 - (n + 1) * 2.0**-24)
-        trace = float(np.trace(normalized_laplacian(w)))
-
-        def rump(sign, bound, rank):
-            return gamma / (1.0 - gamma) * (sign * (trace - n * bound) + 2.0 * rank)
-
+        rump = self._rump(w)
         low, top = values[4], values[-1]
-        assert 2e-3 < rump(1.0, low, 4) < 1e-2
+        for sign, point, rank in [(1.0, low - 0.05, 4), (-1.0, top + 0.05, 0)]:
+            assert 1e-3 < rump(sign, point, rank) <= spectrum._cholesky_shift(sign, point, rank) < 1e-2
         assert spectrum._definite(1.0, low - 0.05, vectors)
-        assert not spectrum._definite(1.0, low - 0.5 * rump(1.0, low, 4), vectors)
         assert not spectrum._definite(1.0, low + 1e-3, vectors)
+        assert not spectrum._definite(1.0, low - 0.05)
         assert spectrum._definite(-1.0, top + 0.05)
-        assert not spectrum._definite(-1.0, top + 0.5 * rump(-1.0, top, 0))
         assert not spectrum._definite(-1.0, top - 1e-3)
+
+    def test_proved_bounds_lie_rumps_shift_past_the_points_factored(self):
+        # The eigengap certificate reads sigma and tau: each lies Rump's
+        # shift, at least, past the point its Cholesky check factored.
+        w = self._lrr_sim_affinity()
+        spectrum = LaplacianSpectrum(w)
+        factored, read = {}, []
+        definite, certified = LaplacianSpectrum._definite, spectral._gap_is_certified
+
+        def record(self, sign, point, vectors=None):
+            factored[sign] = (point, 0 if vectors is None else vectors.shape[1])
+            return definite(self, sign, point, vectors)
+
+        def gap_is_certified(ritz, residual, sigma, tau, intervals, n):
+            read.append((sigma, tau))
+            return certified(ritz, residual, sigma, tau, intervals, n)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(LaplacianSpectrum, "_definite", record)
+            patch.setattr(spectral, "_gap_is_certified", gap_is_certified)
+            assert estimate_k(spectrum) == 4
+        assert spectrum.precision == "subspace"
+        ((sigma, tau),) = read
+        rump = self._rump(w)
+        (low, rank), (top, _) = factored[1.0], factored[-1.0]
+        assert rank == 4
+        assert sigma <= low - rump(1.0, low, 4) and tau >= top + rump(-1.0, top, 0)
 
     def test_sigma_above_l_k_plus_1_is_refused(self, monkeypatch):
         # A margin of -1/2 the Ritz gap puts sigma above l_5: the count check
-        # factors a matrix with a negative eigenvalue, spotrf stops, and the
+        # factors a matrix with a negative eigenvalue, spftrf stops, and the
         # double reduction serves.
         monkeypatch.setattr(spectral, "_CHOLESKY_MARGIN", -0.5)
         infos = []
-        potrf = spectral._LAPACK["potrf"]
+        pftrf = spectral._LAPACK["pftrf"]
 
-        def spotrf(a, **kwargs):
-            factor, info = potrf(a, **kwargs)
+        def spftrf(*args, **kwargs):
+            factor, info = pftrf(*args, **kwargs)
             infos.append(info)
             return factor, info
 
-        monkeypatch.setitem(spectral._LAPACK, "potrf", spotrf)
+        monkeypatch.setitem(spectral._LAPACK, "pftrf", spftrf)
         w = self._lrr_sim_affinity()
         spectrum = LaplacianSpectrum(w)
         labels = ncut_cluster(spectrum, 4, seed=3)
@@ -536,29 +596,34 @@ class TestFloat32Certificates:
 
     @staticmethod
     def _products_of(spectrum, k):
-        """Products with L the embedding of ``spectrum`` takes, the checks
-        spotrf ran, and its labels."""
+        """Products with L that ``ncut_cluster(spectrum, k)`` (or, with k
+        None, ``estimate_k``) takes, the checks spftrf ran, and its labels
+        (or k)."""
         count, checks = [], []
-        product, potrf = spectral._laplacian_product, spectral._LAPACK["potrf"]
+        product, pftrf = spectral._laplacian_product, spectral._LAPACK["pftrf"]
 
         def counted(*args):
             count.append(1)
             return product(*args)
 
-        def spotrf(*args, **kwargs):
+        def spftrf(*args, **kwargs):
             checks.append(1)
-            return potrf(*args, **kwargs)
+            return pftrf(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectral, "_laplacian_product", counted)
-            patch.setitem(spectral._LAPACK, "potrf", spotrf)
-            labels = ncut_cluster(spectrum, k, seed=3)
-        return len(count), len(checks), labels
+            patch.setitem(spectral._LAPACK, "pftrf", spftrf)
+            answer = estimate_k(spectrum) if k is None else ncut_cluster(spectrum, k, seed=3)
+        return len(count), len(checks), answer
 
     @pytest.mark.parametrize(
         "w, k, want",
-        [(_tied_cliques(0.2), 3, 4), (_random_affinity(150, 0), 8, 40)],
-        ids=["no-gap", "slow"],
+        [
+            (_tied_cliques(0.2), 3, 4),
+            (_random_affinity(150, 0), 8, 40),
+            (_twin_blocks(0), 3, 31),
+        ],
+        ids=["no-gap", "slow", "tie"],
     )
     def test_filter_gives_up_early(self, w, k, want):
         # Up to 12 Lanczos steps (the cliques' L has three distinct
@@ -567,7 +632,9 @@ class TestFloat32Certificates:
         # for Rayleigh-Ritz.  The cliques' start block already reaches the
         # top of the spectrum, so no filter can damp anything.  In the bulk,
         # the bound falls too slowly after two passes to reach 1e-10 in the
-        # passes left.  Neither runs a Cholesky check.
+        # passes left.  The twin blocks' l_3 = l_4: once the second pass
+        # resolves the tie, Rump's shift puts sigma below theta_3, so there
+        # is no gap to bound.  None runs a Cholesky check.
         spectrum = LaplacianSpectrum(w)
         products, checks, labels = self._products_of(spectrum, k)
         assert (products, checks) == (want, 0)
@@ -592,6 +659,40 @@ class TestFloat32Certificates:
     def test_certified_eigengap_is_the_double_eigengap(self, w):
         double = LaplacianSpectrum(w).eigenvalues()
         assert estimate_k(w) == int(np.argmax(np.diff(double))) + 1
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(w=noisy_block_affinities(min_nodes=_GAP_BLOCK + 1))
+    def test_certified_eigengap_past_the_gap_block_is_the_double_eigengap(self, w):
+        # Past N = 16 the gap block is narrower than L, so the subspace tier
+        # runs and proves most of these counts.
+        double = LaplacianSpectrum(w).eigenvalues()
+        assert estimate_k(w) == int(np.argmax(np.diff(double))) + 1
+
+    @pytest.mark.parametrize("k, want", [(15, 22), (20, 22)])
+    def test_estimated_k_past_the_gap_block_takes_the_double_reduction(self, k, want):
+        # k disconnected blocks: L's k zero eigenvalues, then a bulk near
+        # 0.9.  After the first pass the widest gap of the 16 Ritz values is
+        # their last (for k = 20 the filter damps l_17..l_20 no more than
+        # l_16): the tier gives up there, with no check.
+        w = _noisy_blocks(k, seed=k)
+        spectrum = LaplacianSpectrum(w)
+        products, checks, answer = self._products_of(spectrum, None)
+        assert (products, checks, answer, spectrum.precision) == (want, 0, k, "float64")
+
+    def test_shifts_that_fill_the_ritz_gap_give_up_after_one_pass(self, monkeypatch):
+        # A top check's shift of 1 leaves the eigengap certificate no room
+        # (the Ritz gap is about 0.69): the tier stops after its first pass
+        # (12 + 1 + 9 products), before any check, and the double reduction
+        # gives k.
+        shift = LaplacianSpectrum._cholesky_shift
+
+        def wider(self, sign, point, rank):
+            return shift(self, sign, point, rank) + (1.0 if sign < 0 else 0.0)
+
+        monkeypatch.setattr(LaplacianSpectrum, "_cholesky_shift", wider)
+        spectrum = LaplacianSpectrum(self._lrr_sim_affinity())
+        products, checks, answer = self._products_of(spectrum, None)
+        assert (products, checks, answer, spectrum.precision) == (22, 0, 4, "float64")
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -635,9 +736,10 @@ class TestMemory:
         assert _traced_peak(ncut_cluster, w, k) <= self.NN + small
 
     def test_certified_ncut_cluster_allocates_half_a_laplacian(self):
-        # The float32 matrix a Cholesky check factors, and no double L.
-        # Beside it: the N x 64 double tile it is rounded from, the k Ritz
-        # vectors, and the O(N k) arrays of the filter and of k-means.
+        # The packed float32 matrix a Cholesky check factors (N (N + 1) / 2
+        # entries, a quarter of a double L), and no double L.  Beside it:
+        # the N x 32 and N/2 x 32 double tiles it is rounded from, the k
+        # Ritz vectors, and the O(N k) arrays of the filter and of k-means.
         x, _ = generate_synthetic(SyntheticSpec(num_subspaces=4, points_per_subspace=100, seed=1))
         spectrum = LaplacianSpectrum(build_affinity(sim_closed_form(normalize_columns(x))))
         small = 8 * self.N * (96 + 4 * 4)
