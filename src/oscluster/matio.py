@@ -5,8 +5,9 @@ Two matrix formats are supported, chosen by file suffix:
 * ``.csv``: D rows by N columns, comma separated, no header, ``.`` decimal
   point.  Values are written with 17 significant digits so a write/read
   cycle reproduces every float64 exactly.
-* ``.json``: ``{"rows": D, "cols": N, "data": [...]}`` with ``data`` in
-  row-major order.  Round-trips are bit-exact for finite float64.
+* ``.json``: ``{"rows": D, "cols": N, "data": [...]}`` with ``data`` a
+  flat list of JSON numbers in row-major order.  Round-trips are bit-exact
+  for finite float64.
 
 Labels and boundary lists serialize as plain JSON integer arrays.
 """
@@ -39,6 +40,12 @@ def save_matrix_json(path, m):
         json.dump(payload, fh)
 
 
+def _is_json_number(value):
+    """Whether a parsed JSON value came from a number: not a bool, string,
+    null, list or object."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_matrix_json(path):
     with open(path) as fh:
         payload = json.load(fh)
@@ -49,6 +56,8 @@ def load_matrix_json(path):
     for name, value in (("rows", rows), ("cols", cols)):
         if not is_int(value) or value < 0:
             raise ValueError(f"{path}: {name} must be a non-negative int, got {value!r}")
+    if not isinstance(data, list) or not all(_is_json_number(v) for v in data):
+        raise ValueError(f"{path}: data must be a flat list of numbers")
     m = np.asarray(data, dtype=float)
     if m.size != rows * cols:
         raise ValueError(f"{path}: data length {m.size} != rows*cols {rows * cols}")

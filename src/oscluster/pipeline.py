@@ -40,10 +40,11 @@ class ClusterResult:
     affinity: np.ndarray
     diagnostics: object
     wall_ms: float
-    # The tier of ``LaplacianSpectrum`` that gave k and the embedding:
-    # "subspace" (a filtered Ritz block, proved by float32 Cholesky checks)
-    # or "float64" (the double reduction, the fallback); None when neither
-    # ran (k = 1, given or by sv-threshold).
+    # Which tier of ``LaplacianSpectrum`` gave k and the embedding:
+    # "subspace" when a filtered Ritz block, proved by float32 Cholesky
+    # checks, gave both; "float64" when scipy's ``eigh`` on the double L,
+    # the fallback, gave either; None when neither ran (k = 1, given or by
+    # sv-threshold).
     spectrum: str | None
 
     def record(self):

@@ -6,6 +6,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from .types import as_coefficient_matrix, column_differences, is_finite_real, is_int
@@ -35,7 +36,8 @@ _EMBEDDING_TOLERANCE = 1e-10
 _FILTER_DEGREE = 8
 _FILTER_PASSES = 6
 # The subspace tier filters a block of this many vectors to read the
-# eigengap off, or of k + _BLOCK_EXTRA for a given k.
+# eigengap off, doubled while the widest Ritz gap is the block's last, or
+# of k + _BLOCK_EXTRA for a given k.
 _GAP_BLOCK = 16
 _BLOCK_EXTRA = 3
 # Lanczos steps behind the estimate of L's largest eigenvalue.
@@ -62,18 +64,10 @@ _AFFINITY_TILE = 64
 # at N = 1600.  Tiles of 32 and 64 formed both equally fast there (8-13 ms,
 # best of 5, 1 BLAS thread).
 _LAPLACIAN_TILE = 32
-# The LAPACK routines, looked up here so that tests can spy on them: the
-# double reduction to tridiagonal form and its workspace query, T's
-# eigenvalues, the product with T's reflectors, and the float32 Cholesky
-# factorization, in rectangular full packed storage, behind the subspace
-# tier's checks.
-_LAPACK = dict(
-    sytrd=lapack.dsytrd,
-    lwork=lapack.dsytrd_lwork,
-    sterf=lapack.dsterf,
-    ormqr=lapack.dormqr,
-    pftrf=lapack.spftrf,
-)
+# The LAPACK routine behind the subspace tier's checks, looked up here so
+# that tests can spy on it: the float32 Cholesky factorization, in
+# rectangular full packed storage.
+_LAPACK = dict(pftrf=lapack.spftrf)
 
 
 def build_affinity(z):
@@ -118,7 +112,8 @@ def normalized_laplacian(w):
 
     ``w`` is an affinity, or a ``LaplacianSpectrum`` whose affinity has
     already been checked.  Fortran-ordered, the layout LAPACK decomposes
-    in place.  This is the L that ``LaplacianSpectrum`` reduces in float64.
+    in place.  This is the L that ``LaplacianSpectrum``'s float64 fallback
+    hands to scipy's ``eigh``.
     """
     return LaplacianSpectrum.of(w)._laplacian()
 
@@ -135,30 +130,6 @@ def _laplacian_product(w, inv_sqrt, v):
     """L v in double, as v - D^{-1/2} W D^{-1/2} v, from W and D^{-1/2}."""
     inv_sqrt = inv_sqrt[:, None]
     return v - inv_sqrt * (w @ (inv_sqrt * v))
-
-
-def _apply_reflectors(lap, tau, vectors):
-    """Q @ ``vectors`` in place, for the Q = diag(1, Q') whose reflectors a
-    lower ``dsytrd`` left in ``lap``.
-
-    Q' is the product of the reflectors stored in QR form below L's
-    diagonal, what LAPACK's dormtr (which scipy does not wrap) applies with
-    dormqr.  Read from one element past the buffer's start, column j of an
-    N x (N-1) Fortran-contiguous view holds L[1:, j] over L[0, j+1].  With
-    row 0's unused upper part zeroed that is Q's reflector j padded by a
-    zero row, and dormqr takes the view without copying it.
-    """
-    n, k = lap.shape[0], vectors.shape[1]
-    lap[0, 1:] = 0.0
-    flat = lap.reshape(-1, order="F")
-    reflectors = flat[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
-    c = np.zeros((n, k), order="F")
-    c[:-1] = vectors[1:]
-    ormqr = _LAPACK["ormqr"]
-    _, work, _ = ormqr("L", "N", reflectors, tau, c, -1)
-    c, _, _ = ormqr("L", "N", reflectors, tau, c, int(work[0]), overwrite_c=1)
-    vectors[1:] = c[:-1]
-    return vectors
 
 
 def _rayleigh_ritz(w, inv_sqrt, vectors):
@@ -188,7 +159,7 @@ def _chebyshev(w, inv_sqrt, vectors, low, high):
 
 def _gap_is_certified(ritz, residual, sigma, tau, intervals, n):
     """Whether l_{k+1} - l_k is the widest gap of L's spectrum by a margin
-    that the double reduction's own error cannot close.  Given: k =
+    that the fallback's own error cannot close.  Given: k =
     len(ritz) Ritz values within ``residual`` of l_1..l_k, l_{k+1} > sigma,
     l_max < tau, and ``intervals``, a pair of arrays (lower ends, upper
     ends) of intervals that each hold an eigenvalue of L, one of them
@@ -200,13 +171,16 @@ def _gap_is_certified(ritz, residual, sigma, tau, intervals, n):
     from sigma up sorted by lower end, take the last one, s, starting at or
     below l_i: the next one ends at or above l_{i+1}, so the gap is at most
     hi_{s+1} - lo_s, or tau - lo_s when s is the last (at most tau - sigma
-    in all).  The double reduction's eigenvalues lie within error = 3 N
-    u64 ||L||_F of L's, by Weyl's inequality over three perturbations of
-    at most N u64 ||L||_F each: rounding L, dsytrd's Householder backward
-    error (Golub & Van Loan, "Matrix Computations", section 8.3.1) and
-    dsterf's; ||L||_F <= 2 sqrt(N), as L's spectrum lies in [0, 2].  Each
-    gap they give is within 2 error of L's, so a winning margin above
-    4 error makes k the count they give too.
+    in all).  The fallback's eigenvalues come from scipy's ``eigh`` with
+    driver "evd": values only, LAPACK's dsyevd reduces L to a tridiagonal
+    T by Householder reflections and takes T's eigenvalues by root-free
+    QR.  They lie within error = 3 N u64 ||L||_F of L's, by Weyl's
+    inequality over three perturbations of at most N u64 ||L||_F each:
+    rounding L, the reduction's backward error (Golub & Van Loan, "Matrix
+    Computations", section 8.3.1) and the QR iteration's; ||L||_F <= 2
+    sqrt(N), as L's spectrum lies in [0, 2].  Each gap they give is within
+    2 error of L's, so a winning margin above 4 error makes k the count
+    they give too.
     """
     lower, upper = intervals
     keep = lower >= sigma
@@ -229,33 +203,32 @@ class LaplacianSpectrum:
     (``_definite``):
 
     * ``eigengap`` reads k off the widest gap of a block of ``_GAP_BLOCK``
-      Ritz values, proves l_{k+1} > sigma and l_max < tau, and keeps k when
-      the gap beats every other by a margin that covers the double
-      reduction's error: it is then the count the double eigenvalues give
-      (``_gap_is_certified``).
+      Ritz values, doubled while that gap is the block's last, proves
+      l_{k+1} > sigma and l_max < tau, and keeps k when the gap beats every
+      other by a margin that covers the fallback's error: it is then the
+      count the fallback's eigenvalues give (``_gap_is_certified``).
     * ``embedding`` keeps the k Ritz vectors of a block of k +
       ``_BLOCK_EXTRA`` when l_{k+1} > sigma is proved and the Davis-Kahan
       bound then puts them within ``_EMBEDDING_TOLERANCE`` of L's
       eigenspace.  An embedding for the k the eigengap proved is already
       there.
 
-    The tier proves an estimated k only up to ``_GAP_BLOCK`` - 2, and
-    only while Rump's shifts, which grow as N^2 (about 0.06 in all at N =
-    1600, 0.23 at 3200), leave room in the gap; past either it gives up
-    after one filter pass.  When the filter gives up (and then no Cholesky
-    check runs), a check fails, or the block would not be narrower than L,
-    L is formed in double and reduced in place to a tridiagonal T = Q^T L Q
-    (LAPACK ``dsytrd``).
-    Its answers need no certificate and serve from then on; ``eigenvalues``
-    always reads it.  ``precision`` names the tier serving: "subspace",
-    "float64", or None before L is used.  An estimator that reads only W
+    The tier proves an estimate only while Rump's shifts, which grow as
+    N^2 (about 0.06 in all at N = 1600, 0.23 at 3200), leave room in the
+    gap; past that it gives up after one filter pass.  When the filter
+    gives up (and then no Cholesky check runs), a check fails, or the
+    block would not be narrower than L, the answer falls back to float64:
+    L is formed in double (``normalized_laplacian``) and handed to scipy's
+    ``eigh``, for all its eigenvalues or for the k smallest eigenpairs.
+    The next answer tries the tier again.  ``precision`` reads "subspace"
+    while the tier gave every answer, "float64" once the fallback gave
+    any, and None before L is used.  An estimator that reads only W
     (``affinity``) runs before either.
     """
 
     def __init__(self, w):
         self.affinity = _check_affinity(w)
         self.precision = None
-        self._reduction = None  # (reduced L, d, e, tau) once "float64" serves
         self._certified = None  # (k, V_k) the subspace tier proved
 
     @classmethod
@@ -338,69 +311,32 @@ class LaplacianSpectrum:
             packed[c + e + width :, c : c + width] = low[:, width:].T
         return packed.reshape(-1, order="F")
 
-    def _reduce(self):
-        """Form L in double and reduce it in place: the tier that serves
-        from now on."""
+    def _fallback(self):
+        """L formed in double, for scipy's ``eigh`` to decompose in place:
+        from now on ``precision`` reads "float64"."""
         self.precision = "float64"
-        lap = normalized_laplacian(self)
-        # scipy's default workspace of N elements forces the unblocked
-        # reduction: 588 ms instead of 316 ms for dsytrd at N = 1600 (1 BLAS
-        # thread, Xeon).  L is Fortran-ordered, so it is reduced in place.
-        lwork, _ = _LAPACK["lwork"](lap.shape[0], lower=1)
-        lap, d, e, tau, _ = _LAPACK["sytrd"](lap, lower=1, lwork=int(lwork), overwrite_a=1)
-        self._reduction = lap, d, e, tau
-
-    def _serve(self, subspace, double):
-        """``subspace()``, unless the double reduction serves or that answer
-        is None; then ``double()``, from the double reduction."""
-        if self.precision != "float64":
-            answer = subspace()
-            if answer is not None:
-                self.precision = "subspace"
-                return answer
-            self._reduce()
-        return double()
-
-    def _values(self):
-        """T's eigenvalues, ascending."""
-        _, d, e, _ = self._reduction
-        values, info = _LAPACK["sterf"](d, e)
-        if info:
-            raise np.linalg.LinAlgError(f"dsterf did not converge ({info})")
-        return values
-
-    def eigenvalues(self):
-        """All eigenvalues of L, ascending, from the double reduction."""
-        if self.precision != "float64":
-            self._reduce()
-        return self._values()
+        return normalized_laplacian(self)
 
     def eigengap(self):
         """The smallest (1-based) i maximizing l_{i+1} - l_i over L's
         ascending eigenvalues l_1 <= l_2 <= ...; L must be at least 2 x 2."""
-
-        def subspace():
-            self._certified = self._subspace(None)
-            return None if self._certified is None else self._certified[0]
-
-        return self._serve(subspace, lambda: _widest_gap(self._values())[0])
+        self._certified = self._subspace(None)
+        if self._certified is not None:
+            return self._certified[0]
+        values = scipy.linalg.eigh(
+            self._fallback(), eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"
+        )
+        return _widest_gap(values)[0]
 
     def embedding(self, k):
         """Orthonormal eigenvectors of L's k smallest eigenvalues, N x k."""
-
-        def subspace():
-            if self._certified is None or self._certified[0] != k:
-                self._certified = self._subspace(k)
-            return None if self._certified is None else self._certified[1]
-
-        def double():
-            lap, d, e, tau = self._reduction
-            _, vectors = eigh_tridiagonal(
-                d, e, select="i", select_range=(0, k - 1), check_finite=False
-            )
-            return _apply_reflectors(lap, tau, vectors)
-
-        return self._serve(subspace, double)
+        if self._certified is None or self._certified[0] != k:
+            self._certified = self._subspace(k)
+        if self._certified is not None:
+            return self._certified[1]
+        return scipy.linalg.eigh(
+            self._fallback(), subset_by_index=[0, k - 1], overwrite_a=True, check_finite=False
+        )[1]
 
     @cached_property
     def _lanczos(self):
@@ -440,8 +376,9 @@ class LaplacianSpectrum:
         k read off the eigengap when None, both proved; None when the block
         would not be narrower than L, the filter gives up or a check fails.
         The filter gives up when nothing above the block is left to damp,
-        when an estimated k is m - 1, when Rump's shifts leave no gap to
-        bound, or when the Davis-Kahan bound falls too slowly."""
+        when Rump's shifts leave no gap to bound, or when the Davis-Kahan
+        bound falls too slowly.  An estimated k of m - 1 doubles the block
+        of m first."""
         n = self.affinity.shape[0]
         m = _GAP_BLOCK if k is None else k + _BLOCK_EXTRA
         if m >= n:
@@ -449,53 +386,62 @@ class LaplacianSpectrum:
         w, inv_sqrt = self.affinity, self._inv_sqrt
         lanczos, lanczos_radii = self._lanczos
         high = lanczos[-1] + lanczos_radii[-1]
-        vectors = np.random.default_rng(0).standard_normal((n, m))
-        ritz, vectors, _ = _rayleigh_ritz(w, inv_sqrt, vectors)
-        last = np.inf
-        for left in reversed(range(_FILTER_PASSES)):
-            if high <= ritz[-1]:  # nothing above the block to damp
-                return None
-            vectors = _chebyshev(w, inv_sqrt, vectors, ritz[-1], high)
-            ritz, vectors, radii = _rayleigh_ritz(w, inv_sqrt, vectors)
-            count = k if k is not None else _widest_gap(ritz)[0]
-            if count == m - 1:
-                # The widest Ritz gap is the block's last: an estimated k of
-                # m - 1 or more is left to the double reduction.
-                return None
-            residual = np.linalg.norm(radii[:count])
-            # The count check factors at theta_{k+1} - margin, and proves
-            # l_{k+1} above sigma, Rump's shift below that point.
-            margin = _CHOLESKY_MARGIN * (ritz[count] - ritz[count - 1])
-            point = ritz[count] - margin
-            sigma = point - self._cholesky_shift(1.0, point, count)
-            gap = sigma - ritz[count - 1]
-            room = 0.0
-            if k is None:
-                # The top check factors at the estimate of l_max + margin,
-                # and proves l_max below tau, Rump's shift above that point.
-                # Every interval ``_gap_is_certified`` reads starts below
-                # high, so it bounds some gap above k by tau - high at least:
-                # the margin and Rump's shift, which grows as N^2.  A Ritz
-                # gap that these fill cannot win.
-                top = high + margin
-                tau = top + self._cholesky_shift(-1.0, top, 0)
-                room = tau - high
-            # Embedding certificate (Davis-Kahan sin theta): once l_{k+1} >
-            # sigma is proved, the largest angle between the span of the k
-            # Ritz vectors and L's eigenspace of l_1..l_k is at most r_F /
-            # (sigma - theta_k), r_F the Frobenius norm of their residuals.
-            # Without a gap there is no bound.
-            if gap <= room:
-                return None
-            bound = residual / gap
-            if bound <= _EMBEDDING_TOLERANCE:
+        rng = np.random.default_rng(0)
+        vectors = np.empty((n, 0))
+        while True:
+            # A widened block keeps the vectors filtered so far.
+            vectors = np.hstack([vectors, rng.standard_normal((n, m - vectors.shape[1]))])
+            ritz, vectors, _ = _rayleigh_ritz(w, inv_sqrt, vectors)
+            last = np.inf
+            for left in reversed(range(_FILTER_PASSES)):
+                if high <= ritz[-1]:  # nothing above the block to damp
+                    return None
+                vectors = _chebyshev(w, inv_sqrt, vectors, ritz[-1], high)
+                ritz, vectors, radii = _rayleigh_ritz(w, inv_sqrt, vectors)
+                count = k if k is not None else _widest_gap(ritz)[0]
+                if count == m - 1:
+                    break
+                residual = np.linalg.norm(radii[:count])
+                # The count check factors at theta_{k+1} - margin, and proves
+                # l_{k+1} above sigma, Rump's shift below that point.
+                margin = _CHOLESKY_MARGIN * (ritz[count] - ritz[count - 1])
+                point = ritz[count] - margin
+                sigma = point - self._cholesky_shift(1.0, point, count)
+                gap = sigma - ritz[count - 1]
+                room = 0.0
+                if k is None:
+                    # The top check factors at the estimate of l_max + margin,
+                    # and proves l_max below tau, Rump's shift above that
+                    # point.  Every interval ``_gap_is_certified`` reads starts
+                    # below high, so it bounds some gap above k by tau - high
+                    # at least: the margin and Rump's shift, which grows as
+                    # N^2.  A Ritz gap that these fill cannot win.
+                    top = high + margin
+                    tau = top + self._cholesky_shift(-1.0, top, 0)
+                    room = tau - high
+                # Embedding certificate (Davis-Kahan sin theta): once l_{k+1} >
+                # sigma is proved, the largest angle between the span of the k
+                # Ritz vectors and L's eigenspace of l_1..l_k is at most r_F /
+                # (sigma - theta_k), r_F the Frobenius norm of their residuals.
+                # Without a gap there is no bound.
+                if gap <= room:
+                    return None
+                bound = residual / gap
+                if bound <= _EMBEDDING_TOLERANCE:
+                    break
+                # Give up when the bound, falling at this pass's rate, cannot
+                # reach the tolerance in the passes left.  The first pass,
+                # filtered above the start's Ritz values, sets no rate.
+                if bound * (bound / last) ** left > _EMBEDDING_TOLERANCE:
+                    return None
+                last = bound if left < _FILTER_PASSES - 1 else np.inf
+            if count < m - 1:
                 break
-            # Give up when the bound, falling at this pass's rate, cannot
-            # reach the tolerance in the passes left.  The first pass,
-            # filtered above the random start's Ritz values, sets no rate.
-            if bound * (bound / last) ** left > _EMBEDDING_TOLERANCE:
+            # The widest Ritz gap is the block's last, so l_{m+1} and on may
+            # lie below it: the passes start again on a block twice as wide.
+            m *= 2
+            if m >= n:
                 return None
-            last = bound if left < _FILTER_PASSES - 1 else np.inf
         if k is None:
             # Each Ritz pair, of the block or of the Lanczos steps, holds an
             # eigenvalue within its residual; l_{k+1} is in [sigma, theta_{k+1}].
@@ -507,6 +453,7 @@ class LaplacianSpectrum:
         vectors = vectors[:, :count]
         if not self._definite(1.0, point, vectors):
             return None
+        self.precision = self.precision or "subspace"
         return count, vectors
 
     def _cholesky_shift(self, sign, point, rank):
@@ -657,15 +604,15 @@ def ncut_cluster(w, k, seed=0):
     of the normalized graph Laplacian, normalizes the embedding rows to
     unit length, and k-means clusters them (``kmeans``, from ``seed``).
     Returns an integer label per sample.  ``w`` is an affinity or its
-    ``LaplacianSpectrum``; given the spectrum ``estimate_k`` read k from,
-    the Laplacian is not reduced again.
+    ``LaplacianSpectrum``; given the spectrum whose eigengap the subspace
+    tier proved, the embedding is the block that proved it.
 
     Only those k eigenvectors are computed, not the full N x N eigenbasis
     (``LaplacianSpectrum.embedding``).  The embedding is well defined only
     when eigenvalues k and k+1 differ: with a tie there, any basis of the
     tied eigenspace is an equally valid answer, the subspace tier cannot
-    certify one, and the labels may depend on which basis the double
-    reduction returns.
+    certify one, and the labels may depend on which basis scipy's ``eigh``
+    returns.
     """
     spectrum = LaplacianSpectrum.of(w)  # validates the affinity
     n = spectrum.affinity.shape[0]
@@ -685,8 +632,9 @@ def estimate_k(w, method="eigengap", tau=None):
     ``eigengap``: with the eigenvalues of the normalized Laplacian in
     ascending order l_1 <= l_2 <= ..., the smallest (1-based) i maximizing
     l_{i+1} - l_i (von Luxburg, "A tutorial on spectral clustering", 2007,
-    section 8.3).  The count is the one the double eigenvalues give, proved
-    without them when the subspace tier can (``LaplacianSpectrum.eigengap``).
+    section 8.3).  The count is the one the float64 eigenvalues give,
+    proved without them when the subspace tier can
+    (``LaplacianSpectrum.eigengap``).
     ``sv-threshold``: the number of singular values of W
     above the absolute threshold ``tau``; a ``tau`` at or above all of them
     raises ``ValueError``, since no partition has zero clusters.

@@ -3,18 +3,14 @@
 Each oracle reaches the quantity by a different route than the library:
 grid search, parabola fitting, quasi-Newton descent on a smoothed
 objective, coordinate descent, exhaustive permutation search, bisection.
-Two helpers are frozen copies instead, so a test can require bitwise
-equality with them: ``plain_relaxed_sweep`` keeps the unrelaxed fused
-sweep, and ``double_reduction_spectrum`` the spectral stage's double
-reduction.
+One helper is a frozen copy instead, so a test can require bitwise
+equality with it: ``plain_relaxed_sweep`` keeps the unrelaxed fused sweep.
 """
 
 import itertools
 import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dormqr, dsterf, dsytrd, dsytrd_lwork
 
 from oscluster import (
     build_affinity,
@@ -194,28 +190,6 @@ def ncut_full_eigh(w, k, seed=0):
         norm = np.linalg.norm(row)
         embedding[i] = row / norm if norm > _ZERO_ROW_NORM else 0.0
     return kmeans(embedding, k, seed=seed)
-
-
-def double_reduction_spectrum(w, k):
-    """All eigenvalues of the normalized Laplacian and the eigenvectors of
-    its k smallest, as the spectral stage took them before any certified
-    tier existed: L reduced in place by dsytrd, eigenvalues by dsterf, T's
-    eigenvectors mapped back with dormqr."""
-    lap = normalized_laplacian(w)
-    n = lap.shape[0]
-    lwork, _ = dsytrd_lwork(n, lower=1)
-    lap, d, e, tau, _ = dsytrd(lap, lower=1, lwork=int(lwork), overwrite_a=1)
-    values, _ = dsterf(d, e)
-    _, vectors = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), check_finite=False)
-    lap[0, 1:] = 0.0
-    flat = lap.reshape(-1, order="F")
-    reflectors = flat[1 : 1 + n * (n - 1)].reshape((n, n - 1), order="F")
-    c = np.zeros((n, k), order="F")
-    c[:-1] = vectors[1:]
-    _, work, _ = dormqr("L", "N", reflectors, tau, c, -1)
-    c, _, _ = dormqr("L", "N", reflectors, tau, c, int(work[0]), overwrite_c=1)
-    vectors[1:] = c[:-1]
-    return values, vectors
 
 
 def brute_force_sce(predicted, truth):

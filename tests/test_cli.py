@@ -337,6 +337,13 @@ class TestCluster:
         assert "must be a non-negative int" in capsys.readouterr().err
         assert not (tmp_path / "s.predicted.json").exists()
 
+    def test_non_numeric_json_data_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "m.json"
+        data.write_text('{"rows": 1, "cols": 3, "data": [true, "2.5", false]}')
+        assert main(["cluster", str(data)]) == 2
+        assert "m.json: data must be a flat list of numbers" in capsys.readouterr().err
+        assert not (tmp_path / "m.predicted.json").exists()
+
     def test_boolean_truth_labels_are_usage_error(self, tmp_path, capsys):
         data = tmp_path / "s.csv"
         assert main(["generate", "--out", str(data), "--subspaces", "2", "--points", "2"]) == 0

@@ -71,6 +71,18 @@ def test_json_rejects_non_integer_shape(tmp_path, rows, cols, data):
         load_matrix(p)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [[True, 2.5, False], ["1", 2.5, 0], [1, None, 0], [[1, 2.5], 0], 1.0],
+    ids=["bool", "string", "null", "list", "not-a-list"],
+)
+def test_json_rejects_entries_that_are_not_numbers(tmp_path, data):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"rows": 1, "cols": 3 if isinstance(data, list) else 1, "data": data}))
+    with pytest.raises(ValueError, match=r"bad\.json: data must be a flat list of numbers"):
+        load_matrix(p)
+
+
 def test_unknown_suffix(tmp_path):
     with pytest.raises(ValueError):
         save_matrix(tmp_path / "m.npy", np.ones((2, 2)))

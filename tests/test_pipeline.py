@@ -165,8 +165,8 @@ class TestClusterSequential:
         assert arr.mean() <= 0.10
 
 
-# dormqr runs twice: a workspace query, then the product.
-DORMQR = ["dormqr"] * 2
+# Each fallback forms L in double and hands it to scipy's eigh.
+FALLBACK = ["laplacian", "eigh"]
 
 
 class TestOneReduction:
@@ -175,18 +175,19 @@ class TestOneReduction:
         [
             (None, None, ["check", "spftrf", "spftrf"]),
             (4, None, ["check", "spftrf"]),
-            # Sigma above l_5: the first Cholesky check refuses, and the
-            # double reduction gives k and the embedding.
+            # Sigma above l_5: the first Cholesky check refuses, and eigh
+            # gives k.  The embedding tries the tier again, with the same
+            # result, and eigh gives it too.
             (
                 None,
                 ("_CHOLESKY_MARGIN", -0.5),
-                ["check", "spftrf", "laplacian", "dsytrd", "dsterf", *DORMQR],
+                ["check", "spftrf", *FALLBACK, "spftrf", *FALLBACK],
             ),
             # The filter gives up: no Cholesky check runs.
             (
                 4,
                 ("_EMBEDDING_TOLERANCE", 0.0),
-                ["check", "laplacian", "dsytrd", *DORMQR],
+                ["check", *FALLBACK],
             ),
         ],
         # The first two ids are the ones these cases had before the
@@ -203,10 +204,12 @@ class TestOneReduction:
         # subspace tier proves k and the embedding with float32 Cholesky
         # checks, two for an estimated k (l_max and l_{k+1}), one for a
         # given k; an estimated k's embedding is the one its eigengap
-        # proved.  No N x N eigensolve runs; the Rayleigh-Ritz steps solve
-        # problems the size of the block, 16 or k + 3.  When the tier
-        # cannot prove an answer, L is formed and reduced in double once.
-        calls, eigh_shapes = [], []
+        # proved.  numpy runs no N x N eigensolve; the Rayleigh-Ritz steps
+        # solve problems the size of the block, 16 or k + 3.  Each answer the
+        # tier cannot prove takes one eigh of the double L: all eigenvalues
+        # with driver evd for k, the k smallest eigenpairs for the
+        # embedding.
+        calls, eigh_shapes, eigh_kwargs = [], [], []
 
         def spy(name, fn):
             def call(*args, **kwargs):
@@ -222,21 +225,34 @@ class TestOneReduction:
 
             return call
 
+        def scipy_eigh_spy(fn):
+            def call(a, **kwargs):
+                calls.append("eigh")
+                eigh_kwargs.append(kwargs)
+                return fn(a, **kwargs)
+
+            return call
+
         monkeypatch.setattr(spectral, "normalized_laplacian", spy("laplacian", spectral.normalized_laplacian))
-        for name in ["sytrd", "sterf", "ormqr"]:
-            monkeypatch.setitem(spectral._LAPACK, name, spy("d" + name, spectral._LAPACK[name]))
         monkeypatch.setitem(spectral._LAPACK, "pftrf", spy("spftrf", spectral._LAPACK["pftrf"]))
         monkeypatch.setattr(spectral, "_check_affinity", spy("check", spectral._check_affinity))
         monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy(np.linalg.eigh))
-        monkeypatch.setattr(scipy.linalg, "eigh", spy("eigh", scipy.linalg.eigh))
+        monkeypatch.setattr(scipy.linalg, "eigh", scipy_eigh_spy(scipy.linalg.eigh))
         if fail is not None:
             monkeypatch.setattr(spectral, *fail)
         x, labels = generate_synthetic(SyntheticSpec(num_subspaces=4, seed=2))
         result = cluster_sequential(x, method="lrr-sim", k=k)
         assert calls == want
-        block = 16 if k is None else k + 3
-        assert set(eigh_shapes) == {(block, block)}
+        values = dict(eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd")
+        vectors = dict(subset_by_index=[0, 3], overwrite_a=True, check_finite=False)
+        assert eigh_kwargs == [values, vectors][2 - want.count("eigh") :]
+        # An estimated k reads the gap block of 16.  A given k, or the
+        # embedding after the eigengap fell back, filters a block of 4 + 3.
+        blocks = {16} if k is None else set()
+        if k is not None or fail is not None:
+            blocks.add(4 + 3)
+        assert set(eigh_shapes) == {(block, block) for block in blocks}
         assert result.spectrum == ("subspace" if fail is None else "float64")
         assert result.k == 4
         assert sce(result.labels, labels) == 0.0

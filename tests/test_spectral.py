@@ -32,7 +32,7 @@ from oscluster.spectral import (
     _check_affinity,
 )
 
-from helpers import double_reduction_spectrum, ncut_full_eigh
+from helpers import ncut_full_eigh
 
 
 def _noisy_blocks(k, seed, isolated=0, noise=0.3):
@@ -228,7 +228,8 @@ class TestLaplacians:
 
     @pytest.mark.parametrize("n", [63, 64, 65, 150])
     def test_normalized_equals_the_broadcast_expression_across_tiles(self, n):
-        # L is formed N x 64 columns at a time; a partial last tile too.
+        # L is formed _LAPLACIAN_TILE (32) columns at a time; a partial last
+        # tile too.
         w = _random_affinity(n, n)
         w[:3] = w[:, :3] = 0.0  # zero-degree rows
         degrees = w.sum(axis=1)
@@ -370,12 +371,6 @@ class TestLaplacianSpectrum:
         want = _subset_eigh_embedding(w, 3)
         assert np.max(scipy.linalg.subspace_angles(embedding, want)) < 1e-10
 
-    @pytest.mark.parametrize("n", [2, 9, 100])
-    def test_eigenvalues_are_the_laplacian_spectrum(self, n):
-        w = _random_affinity(n, n)
-        want = np.linalg.eigvalsh(normalized_laplacian(w))
-        assert np.allclose(LaplacianSpectrum(w).eigenvalues(), want, rtol=0, atol=1e-12)
-
     def test_checks_its_affinity_and_keeps_it(self, rng):
         w = build_affinity(rng.standard_normal((6, 6)))
         assert LaplacianSpectrum(w).affinity is w
@@ -385,15 +380,21 @@ class TestLaplacianSpectrum:
 
 class TestFloat32Certificates:
     """The subspace tier keeps an answer only when float32 Cholesky checks
-    prove it.  Without that it takes the double reduction, which gives
-    bitwise what the spectral stage gave before any certified tier."""
+    prove it.  Without that the answer falls back to scipy's eigh on L
+    formed in double."""
 
     @staticmethod
-    def _assert_double_answers(spectrum, w, k, labels):
-        values, want = double_reduction_spectrum(w, k)
+    def _assert_fallback_answers(spectrum, w, k, labels):
+        # The labels are bitwise those from scipy's index-subset eigh of the
+        # Fortran-ordered double L.  The embedding lies in the span of
+        # numpy's eigenvectors of l_1..l_k, and of those tied with l_k: with
+        # a tie any basis of the tied eigenspace is an equally valid answer.
         assert spectrum.precision == "float64"
-        assert np.array_equal(spectrum.embedding(k), want)
-        assert np.array_equal(spectrum.eigenvalues(), values)
+        want = scipy.linalg.eigh(normalized_laplacian(w), subset_by_index=[0, k - 1])[1]
+        embedding = spectrum.embedding(k)
+        values, vectors = np.linalg.eigh(normalized_laplacian(w))
+        tied = np.searchsorted(values, values[k - 1] + 1e-10, side="right")
+        assert np.max(scipy.linalg.subspace_angles(embedding, vectors[:, :tied])) <= 1e-10
         rows = np.linalg.norm(want, axis=1)
         points = want / np.where(rows > _ZERO_ROW_NORM, rows, np.inf)[:, None]
         assert np.array_equal(labels, kmeans(points, k, seed=3))
@@ -408,15 +409,17 @@ class TestFloat32Certificates:
     def test_near_tied_eigengaps_take_the_double_reduction(self):
         # The two widest gaps differ by 2.25e-9, the second the wider: far
         # inside the margin the eigengap certificate needs.  At N = 24 the
-        # gap block of 16 is narrower than L, so the subspace tier runs.
+        # gap block of 16 is narrower than L, so the subspace tier runs, and
+        # eigh gives k.  l_2 and l_3 stand well apart, so the tier then
+        # proves the embedding for k = 2; precision still reads float64.
         w = _tied_cliques(1 / 3 - 1e-9, size=12)
-        values, _ = double_reduction_spectrum(w, 1)
+        values = np.linalg.eigvalsh(normalized_laplacian(w))
         gaps = np.sort(np.diff(values))
         assert 0.0 < gaps[-1] - gaps[-2] < 1e-8
         spectrum = LaplacianSpectrum(w)
         k = estimate_k(spectrum)
         assert k == int(np.argmax(np.diff(values))) + 1 == 2
-        self._assert_double_answers(spectrum, w, k, ncut_cluster(spectrum, k, seed=3))
+        self._assert_fallback_answers(spectrum, w, k, ncut_cluster(spectrum, k, seed=3))
 
     @pytest.mark.parametrize(
         "w, k",
@@ -428,7 +431,7 @@ class TestFloat32Certificates:
         # sit in the bulk of its spectrum.
         spectrum = LaplacianSpectrum(w)
         labels = ncut_cluster(spectrum, k, seed=3)
-        self._assert_double_answers(spectrum, w, k, labels)
+        self._assert_fallback_answers(spectrum, w, k, labels)
 
     def test_lrr_sim_affinity_is_certified(self):
         # The eigengap and the embedding are both certified by the subspace
@@ -446,7 +449,7 @@ class TestFloat32Certificates:
         w = _noisy_blocks(2, seed=5)
         spectrum = LaplacianSpectrum(w)
         n = w.shape[0]
-        self._assert_double_answers(spectrum, w, n, ncut_cluster(spectrum, n, seed=3))
+        self._assert_fallback_answers(spectrum, w, n, ncut_cluster(spectrum, n, seed=3))
 
     def test_laplacian_is_the_double_one_rounded(self):
         # Each matrix a Cholesky check factors is formed from the double L
@@ -515,7 +518,7 @@ class TestFloat32Certificates:
         # check sees L's four zero eigenvalues below the point and refuses.
         w = self._lrr_sim_affinity()
         spectrum = LaplacianSpectrum(w)
-        values = spectrum.eigenvalues()
+        values = np.linalg.eigvalsh(normalized_laplacian(w))
         vectors = _subset_eigh_embedding(w, 4)
         rump = self._rump(w)
         low, top = values[4], values[-1]
@@ -557,7 +560,7 @@ class TestFloat32Certificates:
     def test_sigma_above_l_k_plus_1_is_refused(self, monkeypatch):
         # A margin of -1/2 the Ritz gap puts sigma above l_5: the count check
         # factors a matrix with a negative eigenvalue, spftrf stops, and the
-        # double reduction serves.
+        # fallback serves.
         monkeypatch.setattr(spectral, "_CHOLESKY_MARGIN", -0.5)
         infos = []
         pftrf = spectral._LAPACK["pftrf"]
@@ -572,27 +575,29 @@ class TestFloat32Certificates:
         spectrum = LaplacianSpectrum(w)
         labels = ncut_cluster(spectrum, 4, seed=3)
         assert len(infos) == 1 and infos[0] > 0
-        self._assert_double_answers(spectrum, w, 4, labels)
+        self._assert_fallback_answers(spectrum, w, 4, labels)
 
     def test_fallback_laplacian_is_the_double_one(self):
         # The given k sits in the bulk of the spectrum: the subspace tier
-        # gives up, and L is formed in double.
+        # gives up, and L is formed in double, Fortran-ordered, for eigh to
+        # decompose in place.
         w = _random_affinity(150, 0)
         spectrum = LaplacianSpectrum(w)
         formed = []
-        original = spectral._LAPACK["sytrd"]
+        original = scipy.linalg.eigh
 
-        def dsytrd(lap, **kwargs):
-            formed.append((lap.flags.f_contiguous, lap.copy()))
+        def eigh(lap, **kwargs):
+            formed.append((lap.flags.f_contiguous, lap.copy(), kwargs))
             return original(lap, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setitem(spectral._LAPACK, "sytrd", dsytrd)
+            patch.setattr(scipy.linalg, "eigh", eigh)
             spectrum.embedding(8)
-        ((fortran, lap),) = formed
+        ((fortran, lap, kwargs),) = formed
         assert spectrum.precision == "float64"
         assert fortran and lap.dtype == np.float64
         assert np.array_equal(lap, normalized_laplacian(w))
+        assert kwargs == dict(subset_by_index=[0, 7], overwrite_a=True, check_finite=False)
 
     @staticmethod
     def _products_of(spectrum, k):
@@ -638,7 +643,7 @@ class TestFloat32Certificates:
         spectrum = LaplacianSpectrum(w)
         products, checks, labels = self._products_of(spectrum, k)
         assert (products, checks) == (want, 0)
-        self._assert_double_answers(spectrum, w, k, labels)
+        self._assert_fallback_answers(spectrum, w, k, labels)
 
     def test_filter_runs_every_pass_a_certificate_needs(self):
         # spatsc on protocol seed 7 at 20 dB: L's bulk reaches 1.7, so the
@@ -657,7 +662,7 @@ class TestFloat32Certificates:
     @given(w=noisy_block_affinities())
     @example(w=2.0 * np.eye(6))  # six one-node blocks: k = N
     def test_certified_eigengap_is_the_double_eigengap(self, w):
-        double = LaplacianSpectrum(w).eigenvalues()
+        double = np.linalg.eigvalsh(normalized_laplacian(w))
         assert estimate_k(w) == int(np.argmax(np.diff(double))) + 1
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -665,25 +670,28 @@ class TestFloat32Certificates:
     def test_certified_eigengap_past_the_gap_block_is_the_double_eigengap(self, w):
         # Past N = 16 the gap block is narrower than L, so the subspace tier
         # runs and proves most of these counts.
-        double = LaplacianSpectrum(w).eigenvalues()
+        double = np.linalg.eigvalsh(normalized_laplacian(w))
         assert estimate_k(w) == int(np.argmax(np.diff(double))) + 1
 
-    @pytest.mark.parametrize("k, want", [(15, 22), (20, 22)])
+    @pytest.mark.parametrize("k, want", [(15, 22 + 10), (20, 22 + 19), (31, 22 + 10 + 10)])
     def test_estimated_k_past_the_gap_block_takes_the_double_reduction(self, k, want):
         # k disconnected blocks: L's k zero eigenvalues, then a bulk near
-        # 0.9.  After the first pass the widest gap of the 16 Ritz values is
+        # 0.9.  After the first pass (12 Lanczos products, 1 for the start
+        # block, 9 for the pass) the widest gap of the 16 Ritz values is
         # their last (for k = 20 the filter damps l_17..l_20 no more than
-        # l_16): the tier gives up there, with no check.
+        # l_16).  The block doubles to 32, keeping its 16 filtered vectors:
+        # a Rayleigh-Ritz step and one pass prove k = 15, two prove k = 20.
+        # For k = 31 the widest of the 32 Ritz gaps is again the last after
+        # one pass, and one pass of a block of 64 proves it.
         w = _noisy_blocks(k, seed=k)
         spectrum = LaplacianSpectrum(w)
         products, checks, answer = self._products_of(spectrum, None)
-        assert (products, checks, answer, spectrum.precision) == (want, 0, k, "float64")
+        assert (products, checks, answer, spectrum.precision) == (want, 2, k, "subspace")
 
     def test_shifts_that_fill_the_ritz_gap_give_up_after_one_pass(self, monkeypatch):
         # A top check's shift of 1 leaves the eigengap certificate no room
         # (the Ritz gap is about 0.69): the tier stops after its first pass
-        # (12 + 1 + 9 products), before any check, and the double reduction
-        # gives k.
+        # (12 + 1 + 9 products), before any check, and the fallback gives k.
         shift = LaplacianSpectrum._cholesky_shift
 
         def wider(self, sign, point, rank):
@@ -730,8 +738,9 @@ class TestMemory:
     @pytest.mark.parametrize("k", [2, 8])
     def test_ncut_cluster_allocates_one_laplacian(self, normalized, k):
         w = build_affinity(self._z())
-        # dsytrd's blocked workspace (32 N doubles), the tridiagonal T and
-        # its reflector scalars, the N x k embedding and k-means' distances.
+        # scipy's eigh workspace (driver evr: 33 N doubles and 10 N ints,
+        # by LAPACK's query at N = 400), the eigenvalues, the N x k
+        # embedding and k-means' distances.
         small = 8 * self.N * (64 + 4 * k)
         assert _traced_peak(ncut_cluster, w, k) <= self.NN + small
 

@@ -11,6 +11,9 @@ rounding, and its stopping test reads the same norms.
 A boundary column of R or R^T handled asymmetrically breaks the reversal;
 a fit step that depends on the basis breaks the rotation; a start that
 either map moves (a constant nonzero multiplier, say) breaks both.
+
+The order-blind baselines, ssc and lrr-sim, keep every column permutation
+(X -> X P maps Z to P^T Z P), not only the reversal, and the rotation.
 """
 
 import numpy as np
@@ -22,11 +25,15 @@ from oscluster import (
     SolverConfig,
     SyntheticSpec,
     add_noise_psnr,
+    cluster_sequential,
     generate_synthetic,
     normalize_columns,
+    sce,
+    sim_closed_form,
     solve_exact,
     solve_relaxed,
     spatsc_solve,
+    ssc_solve,
 )
 
 TOL = 1e-10
@@ -34,6 +41,10 @@ SOLVERS = {
     "osc-relaxed": (solve_relaxed, SolverConfig()),
     "osc-exact": (solve_exact, SolverConfig()),
     "spatsc": (spatsc_solve, SolverConfig(lambda1=0.1, lambda2=0.01, diag_zero=True)),
+}
+BASELINES = {
+    "ssc": (ssc_solve, SolverConfig()),
+    "lrr-sim": (lambda x, config: (sim_closed_form(x), None), None),
 }
 
 
@@ -48,14 +59,23 @@ def rotated(x, seed):
     return u @ x, lambda z: z
 
 
+def permuted(x, seed):
+    """X P for a random column permutation P, the map that takes its Z =
+    P^T Z P back to the original order, and the permutation."""
+    perm = np.random.default_rng(seed).permutation(x.shape[1])
+    back = np.argsort(perm)
+    return x[:, perm], lambda z: z[np.ix_(back, back)], perm
+
+
 def assert_symmetric(method, x, transformed):
-    solve, config = SOLVERS[method]
+    solve, config = {**SOLVERS, **BASELINES}[method]
     z, diag = solve(x, config)
     x_moved, undo = transformed
     z_moved, diag_moved = solve(x_moved, config)
     gap = float(np.max(np.abs(undo(z_moved) - z)))
     assert gap <= TOL, f"{method}: max |dZ| {gap:.3g}"
-    assert diag_moved.iterations == diag.iterations
+    if diag is not None:
+        assert diag_moved.iterations == diag.iterations
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +91,30 @@ def test_protocol_solve_keeps_symmetry(protocol_noisy, method, symmetry):
     x = protocol_noisy
     moved = reversed_order(x) if symmetry == "reversal" else rotated(x, 7)
     assert_symmetric(method, x, moved)
+
+
+@pytest.mark.parametrize("method", list(BASELINES))
+@pytest.mark.parametrize("symmetry", ["permutation", "rotation"])
+def test_baseline_keeps_symmetry(protocol_noisy, method, symmetry):
+    # ssc on the 20 dB protocol, where it converges.  That X has full rank,
+    # so lrr-sim's projector would be the identity: it runs on the clean
+    # protocol instead, of rank 20.
+    if method == "lrr-sim":
+        x, _ = generate_synthetic(SyntheticSpec(seed=3))
+        x = normalize_columns(x)
+    else:
+        x = protocol_noisy
+    if symmetry == "rotation":
+        assert_symmetric(method, x, rotated(x, 7))
+        return
+    x_moved, undo, perm = permuted(x, 11)
+    assert_symmetric(method, x, (x_moved, undo))
+    # The same partition, not the same label bytes: k-means seeding
+    # depends on the node order.
+    config = BASELINES[method][1]
+    labels = cluster_sequential(x, method=method, config=config, k=5).labels
+    moved = cluster_sequential(x_moved, method=method, config=config, k=5).labels
+    assert sce(moved, labels[perm]) == 0.0
 
 
 @settings(max_examples=12, deadline=None)
