@@ -49,16 +49,6 @@ def start_state(initial_state, default):
     return initial_state
 
 
-def resolve_eta(config, default, floor, floor_name):
-    """``config.eta_z`` if set, else ``default``; a set value must exceed ``floor``."""
-    if config.eta_z is None:
-        return default
-    eta_z = float(config.eta_z)
-    if eta_z <= floor:
-        raise ValueError(f"eta_z must exceed {floor_name} ({floor:.6g}), got {eta_z}")
-    return eta_z
-
-
 def check_finite(quick, state, sweep):
     """Raise DivergenceError unless every value in ``state`` is finite.
     ``quick`` cannot be finite while any entry is not; only a non-finite one

@@ -8,10 +8,10 @@ Solves
 keeping the fitting error as an explicit block instead of folding it into
 the objective.  All three primal blocks are updated in parallel from the
 previous iterate; the multipliers then move with the fresh blocks.  The
-proximal weight eta_z must exceed ||X||^2 + ||R||^2, and the default adds
-a factor for the number of parallel blocks on top of that floor, which is
-what keeps the joint update contractive in practice.  The sweep loop, the
-stop and the penalty schedule are shared with the other solvers in
+proximal weight eta_z must exceed ||X||^2 + ||R||^2; the solver takes
+3.06 times that floor, a factor for the number of parallel blocks, which
+is what keeps the joint update contractive in practice.  The sweep loop,
+the stop and the penalty schedule are shared with the other solvers in
 ``admm.py``.
 """
 
@@ -166,8 +166,7 @@ def solve_exact(x, config=None, initial_state=None):
     # Three primal blocks move in parallel off the same multiplier, so the
     # proximal weight needs the block count as headroom; the bare spectral
     # bound is stable only for sequential sweeps.
-    floor = l_z + difference_norm_squared(n)
-    eta_z = admm.resolve_eta(config, 3.06 * floor, floor, "||X||^2 + ||R||^2")
+    eta_z = 3.06 * (l_z + difference_norm_squared(n))
     x_fro = float(np.linalg.norm(x))
     state = admm.start_state(initial_state, initial_exact_state(d, n, config.mu0))
     diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z)

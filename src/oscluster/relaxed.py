@@ -215,25 +215,23 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     (alpha = ``OVER_RELAXATION``), the additive one the plain sweep (alpha
     = 1), which is what ``lyapunov_s`` describes.  ``admm.run`` stops it
     when the constraint residual ||J - Z R||_F falls under eps1 and the
-    scaled change mu * max(||dZ||_F, ||dJ||_F) falls under eps2.  When
-    ``lyapunov_reference`` is given, the descent monitor is evaluated
-    against it after every sweep.
+    scaled change mu * max(||dZ||_F, ||dJ||_F) falls under eps2.  The
+    proximal weight eta_z is worked out from X and the schedule (see
+    ``SolverConfig``).  When ``lyapunov_reference`` is given, the descent
+    monitor is evaluated against it after every sweep.
     """
     x = as_data_matrix(x)
     d, n = x.shape
     lam1, lam2, diag_zero = config.lambda1, config.lambda2, config.diag_zero
     fit = FitOperator(x)
     l_z = fit.l_z
-    r_norm2 = difference_norm_squared(n)
     # With the fit linearized, LADMAP needs only eta_z > ||R||^2: the Z step
     # mu * eta_z + l_z already pays the fit's Lipschitz constant l_z once, so
-    # the multiplicative default sits 1e-3 above that floor.  The additive
+    # the multiplicative step sits 1e-3 above that floor.  The additive
     # schedule keeps l_z / mu0 of headroom on top, which makes its increment
     # l_z / (eta_z - ||R||^2) about mu0, the growth the descent monitor needs.
     headroom = l_z / config.mu0 if config.mu_schedule == "additive" else 0.0
-    eta_z = admm.resolve_eta(
-        config, r_norm2 + headroom + 1e-3, r_norm2, "the squared spectral norm of R"
-    )
+    eta_z = difference_norm_squared(n) + headroom + 1e-3
     state = admm.start_state(initial_state, initial_relaxed_state(d, n, config.mu0))
     diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z)
     workspace = RelaxedWorkspace(fit)
@@ -262,14 +260,14 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
 def solve_relaxed(x, config=None, initial_state=None):
     """Solve the relaxed ordered-clustering objective.
 
-    Returns ``(z, diagnostics)``.  With ``config.monitor_lyapunov`` the
-    solve runs twice: once to locate the final iterate, once to record the
-    descent monitor against it (memory stays flat, time doubles).
-    ``initial_state`` allows warm starts.
+    Returns ``(z, diagnostics)``.  Under the additive schedule, the
+    descent monitor's mode, the solve runs twice: once to locate the final
+    iterate, once to record ``lyapunov_history`` against it (memory stays
+    flat, time doubles).  ``initial_state`` allows warm starts.
     """
     config = config if config is not None else SolverConfig()
     state, diag = _solve_core(x, config, initial_state=initial_state)
-    if config.monitor_lyapunov:
+    if config.mu_schedule == "additive":
         reference = (state.z, state.j, state.y)
         state, diag = _solve_core(
             x, config, initial_state=initial_state, lyapunov_reference=reference

@@ -119,11 +119,8 @@ def normalized_laplacian(w):
 
 
 def _widest_gap(values):
-    """The smallest (1-based) i maximizing values[i] - values[i-1], and by
-    how much that gap beats every other (inf when it is the only one)."""
-    gaps = np.diff(values)
-    i = int(np.argmax(gaps))
-    return i + 1, gaps[i] - np.max(np.delete(gaps, i), initial=-np.inf)
+    """The smallest (1-based) i maximizing values[i] - values[i-1]."""
+    return int(np.argmax(np.diff(values))) + 1
 
 
 def _laplacian_product(w, inv_sqrt, v):
@@ -326,7 +323,7 @@ class LaplacianSpectrum:
         values = scipy.linalg.eigh(
             self._fallback(), eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"
         )
-        return _widest_gap(values)[0]
+        return _widest_gap(values)
 
     def embedding(self, k):
         """Orthonormal eigenvectors of L's k smallest eigenvalues, N x k."""
@@ -398,7 +395,7 @@ class LaplacianSpectrum:
                     return None
                 vectors = _chebyshev(w, inv_sqrt, vectors, ritz[-1], high)
                 ritz, vectors, radii = _rayleigh_ritz(w, inv_sqrt, vectors)
-                count = k if k is not None else _widest_gap(ritz)[0]
+                count = k if k is not None else _widest_gap(ritz)
                 if count == m - 1:
                     break
                 residual = np.linalg.norm(radii[:count])
@@ -575,11 +572,14 @@ def kmeans(points, k, seed=0):
     """Best-of-``KMEANS_RESTARTS`` k-means with D^2 seeding.
 
     Deterministic given ``seed``: restarts draw from spawned child streams
-    and ties in the final objective keep the earliest restart.
+    and ties in the final objective keep the earliest restart.  A point with
+    a NaN or infinite coordinate raises ``ValueError``, whatever k is.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"need a nonempty 2-D point array, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("k-means points contain non-finite entries")
     # Row sums over k entries run 1.4x faster in Fortran order (N = 1600,
     # k = 8), and the labels do not depend on the caller's layout.
     points = np.asfortranarray(points)
@@ -664,8 +664,11 @@ def detect_boundaries_peaks(z, prominence=1.0):
     Averages |Z R| over rows to one score per adjacent column pair, then
     reports index i+1 for every strict local peak at position i whose
     score reaches ``mean + prominence * std``.  Returned indices are the
-    positions where a new segment starts.
+    positions where a new segment starts.  ``prominence`` must be a finite
+    real number; anything else (NaN, inf, a bool) raises ``ValueError``.
     """
+    if not is_finite_real(prominence):
+        raise ValueError(f"prominence must be a finite number, got {prominence!r}")
     z = as_coefficient_matrix(z)
     n = z.shape[0]
     if n < 3:

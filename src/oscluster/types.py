@@ -173,26 +173,26 @@ class FitOperator:
 class SolverConfig:
     """Knobs shared by the alternating-direction solvers.
 
-    ``eta_z`` is the proximal weight on the coefficient block; ``None``
-    selects a per-solver default that satisfies the solver's convergence
-    condition.  For the sequential solver and spatsc that condition is
-    eta_z > ||R||^2: the multiplicative default is ||R||^2 + 1e-3, and the
-    additive default adds l_z / mu0 (l_z = ||X||^2) so that the additive
-    increment l_z / (eta_z - ||R||^2) is about mu0, the growth the descent
-    monitor needs.  The exact solver's default is 3.06 (||X||^2 + ||R||^2)
-    under either schedule; the J step's weight is the constant
-    ``admm.ETA_J``.  ``mu_schedule`` picks how ``admm.run``, which also
-    applies the stop on ``eps1`` and ``eps2``, grows the penalty: the default
+    Each solver works out its own proximal weight eta_z on the coefficient
+    block from X, and reports it in ``SolveDiagnostics.eta_z``.  The
+    sequential solver and spatsc need eta_z > ||R||^2: under the
+    multiplicative schedule they take ||R||^2 + 1e-3, and under the additive
+    one they add l_z / mu0 (l_z = ||X||^2) so that the additive increment
+    l_z / (eta_z - ||R||^2) is about mu0, the growth the descent monitor
+    needs.  The exact solver takes 3.06 (||X||^2 + ||R||^2) under either
+    schedule; the J step's weight is the constant ``admm.ETA_J``.
+    ``mu_schedule`` picks how ``admm.run``, which also applies the stop on
+    ``eps1`` and ``eps2``, grows the penalty: the default
     ``"multiplicative"`` rule scales mu by ``gamma0`` whenever the scaled
     iterate change falls under ``eps2``, while ``"additive"`` adds a fixed
-    increment every sweep (the mode used for descent-monitor analysis).
-    Under the multiplicative rule the sequential solver and spatsc also
-    over-relax their coupling J = Z R (``relaxed.OVER_RELAXATION``); the
-    additive rule keeps the plain sweep the descent monitor assumes.
-    ``diag_zero`` fixes diag(Z) at zero in the two sequential solvers; ssc
-    and spatsc always fix it there.  Every number must be a finite real
-    (``eta_z`` may be ``None``), ``max_iter`` an int and the two flags
-    bools; anything else raises ``ValueError``.
+    increment every sweep; it is the descent monitor's mode, under which
+    ``solve_relaxed`` also records ``lyapunov_history``.  Under the
+    multiplicative rule the sequential solver and spatsc also over-relax
+    their coupling J = Z R (``relaxed.OVER_RELAXATION``); the additive rule
+    keeps the plain sweep the descent monitor assumes.  ``diag_zero`` fixes
+    diag(Z) at zero in the two sequential solvers; ssc and spatsc always fix
+    it there.  Every number must be a finite real, ``max_iter`` an int and
+    ``diag_zero`` a bool; anything else raises ``ValueError``.
     """
 
     lambda1: float = 0.1
@@ -200,25 +200,21 @@ class SolverConfig:
     mu0: float = 1.0
     mu_max: float = 1e10
     gamma0: float = 1.1
-    eta_z: float | None = None
     eps1: float = 1e-4
     eps2: float = 1e-4
     max_iter: int = 2000
     diag_zero: bool = False
-    monitor_lyapunov: bool = False
     mu_schedule: str = "multiplicative"
 
     def __post_init__(self):
-        float_fields = ("lambda1", "lambda2", "mu0", "mu_max", "gamma0", "eta_z", "eps1", "eps2")
-        for name in float_fields:
+        for name in ("lambda1", "lambda2", "mu0", "mu_max", "gamma0", "eps1", "eps2"):
             value = getattr(self, name)
-            if not (name == "eta_z" and value is None) and not is_finite_real(value):
+            if not is_finite_real(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not is_int(self.max_iter):
             raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
-        for name in ("diag_zero", "monitor_lyapunov"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a bool, got {getattr(self, name)!r}")
+        if not isinstance(self.diag_zero, bool):
+            raise ValueError(f"diag_zero must be a bool, got {self.diag_zero!r}")
         if self.lambda1 < 0:
             raise ValueError(f"lambda1 must be nonnegative, got {self.lambda1}")
         if self.lambda2 < 0:
@@ -229,8 +225,6 @@ class SolverConfig:
             raise ValueError(f"mu_max {self.mu_max} must be >= mu0 {self.mu0}")
         if self.gamma0 < 1:
             raise ValueError(f"gamma0 must be >= 1, got {self.gamma0}")
-        if self.eta_z is not None and self.eta_z <= 0:
-            raise ValueError(f"eta_z must be positive, got {self.eta_z}")
         if self.eps1 <= 0 or self.eps2 <= 0:
             raise ValueError("eps1 and eps2 must be positive")
         if self.max_iter < 1:
@@ -250,9 +244,11 @@ class SolveDiagnostics:
     history.  ``change_history`` holds the scaled iterate change that gates
     both the stopping test and the penalty growth; ``admm.run`` decides
     that stop for every solver but ssc.  ``iterations`` counts this solve's
-    sweeps, warm start or not.  ``lyapunov_history`` is filled only when
-    descent monitoring is on.  ``l_z`` is ||X||^2; ``eta_z`` stays NaN for
-    ``ssc_solve``, which has no proximal weight.
+    sweeps, warm start or not.  ``lyapunov_history`` is filled only by
+    ``solve_relaxed`` under the additive schedule, the descent monitor's
+    mode; it stays ``None`` otherwise.  ``l_z`` is ||X||^2; ``eta_z`` is the
+    proximal weight the solver worked out and used, and stays NaN for
+    ``ssc_solve``, which has none.
     """
 
     iterations: int = 0

@@ -12,12 +12,7 @@ import math
 
 import numpy as np
 
-from oscluster import (
-    build_affinity,
-    kmeans,
-    ncut_cluster,
-    normalized_laplacian,
-)
+from oscluster import kmeans, normalized_laplacian
 from oscluster import admm
 from oscluster.prox import group_shrink_columns, soft_threshold, soft_threshold_zero_diag
 from oscluster.relaxed import OVER_RELAXATION, RelaxedState
@@ -456,23 +451,9 @@ def reference_fista_lasso(x, lam, l_z, sweeps):
 
 
 def eta_z_with_fit_headroom(x, mu0):
-    """||R||^2 + ||X||^2 / mu0 + 1e-3, the additive schedule's default eta_z
-    for the sequential solver and spatsc, written as that default is.  It
+    """||R||^2 + ||X||^2 / mu0 + 1e-3, the additive schedule's eta_z for the
+    sequential solver and spatsc, written as the solvers work it out.  It
     charges the fit's Lipschitz constant ||X||^2 a second time, on top of
     the one the Z step mu * eta_z + ||X||^2 already pays."""
     return difference_norm_squared(x.shape[1]) + operator_norm_squared(x) / mu0 + 1e-3
 
-
-def assert_default_step_saves_sweeps(solve, x, mu0, k):
-    """``solve(x, eta_z)`` returns ``(z, diagnostics)``.  Its default step
-    (``eta_z=None``) must take strictly fewer sweeps than the same solve at
-    eta_z_with_fit_headroom, give the same labels and an objective no higher
-    than that solve's plus 1e-6 relative."""
-    z, diag = solve(x, None)
-    z_headroom, diag_headroom = solve(x, eta_z_with_fit_headroom(x, mu0))
-    assert diag.converged and diag_headroom.converged
-    assert diag.iterations < diag_headroom.iterations
-    labels = ncut_cluster(build_affinity(z), k)
-    assert np.array_equal(labels, ncut_cluster(build_affinity(z_headroom), k))
-    objective = diag_headroom.objective_value
-    assert diag.objective_value <= objective + 1e-6 * abs(objective)

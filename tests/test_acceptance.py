@@ -106,7 +106,6 @@ def test_criterion_03_descent_monitor_nonincreasing(capsys):
         lambda2=1.0,
         mu0=1.0,
         mu_schedule="additive",
-        monitor_lyapunov=True,
         max_iter=3000,
         eps1=1e-6,
         eps2=1e-6,

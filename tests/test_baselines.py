@@ -7,7 +7,6 @@ import pytest
 from oscluster import (
     SolverConfig,
     SyntheticSpec,
-    add_noise_psnr,
     generate_synthetic,
     normalize_columns,
     sim_closed_form,
@@ -15,8 +14,8 @@ from oscluster import (
     ssc_solve,
 )
 
-from conftest import SPATSC_PARAMS, SSC_PARAMS
-from helpers import assert_default_step_saves_sweeps, lasso_cd_matrix
+from conftest import SSC_PARAMS
+from helpers import lasso_cd_matrix
 
 TIGHT = SolverConfig(eps1=1e-6, eps2=1e-6, max_iter=20000)
 
@@ -146,16 +145,6 @@ class TestEntrywiseSmoothedVariant:
         _, diag = spatsc_solve(xn, cfg)
         assert diag.converged
         assert diag.feasibility_history[-1] < 1e-4
-
-    def test_default_step_saves_sweeps_at_20db(self):
-        x, _ = generate_synthetic(SyntheticSpec(seed=0))
-        noisy = normalize_columns(add_noise_psnr(x, 20.0, seed=1000))
-
-        def solve(x, eta_z):
-            config = replace(SPATSC_PARAMS, eta_z=eta_z)
-            return spatsc_solve(x, config)
-
-        assert_default_step_saves_sweeps(solve, noisy, SPATSC_PARAMS.mu0, 5)
 
 
 class TestShapeInteraction:

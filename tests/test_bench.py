@@ -10,13 +10,10 @@ def config_with(method):
 
 
 def test_method_entry_accepts_every_solver_field():
-    cfg = config_with(
-        {"name": "osc-relaxed", "mu_schedule": "additive", "monitor_lyapunov": True, "lambda1": 0.2}
-    )
+    cfg = config_with({"name": "osc-relaxed", "mu_schedule": "additive", "lambda1": 0.2})
     name, config = cfg["methods"][0]
     assert name == "osc-relaxed"
     assert config.mu_schedule == "additive"
-    assert config.monitor_lyapunov is True
     assert config.lambda1 == 0.2
 
 

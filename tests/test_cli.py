@@ -501,12 +501,20 @@ class TestBench:
             ({"psnr_db": 20}, "psnr_db must be a list, got 20"),
             ({"methods": 5}, "nonempty 'methods' list"),
             ({"psnr_db": []}, "psnr_db must name at least one noise level"),
+            # The solvers work out their own step; the monitor is the additive
+            # schedule's mode.
+            ({"methods": [{"name": "osc-relaxed", "eta_z": 5.0}]}, "unknown keys ['eta_z']"),
+            (
+                {"methods": [{"name": "osc-relaxed", "monitor_lyapunov": True}]},
+                "unknown keys ['monitor_lyapunov']",
+            ),
         ],
         ids=[
             "unknown-key", "timing", "method", "k-method", "k-method-svd-gap", "generator-list",
             "generator-key",
             "seed-float", "repeats-float", "normalize-str", "psnr-bool", "seed-negative",
-            "k-above-n", "psnr-not-list", "methods-not-list", "psnr-empty",
+            "k-above-n", "psnr-not-list", "methods-not-list", "psnr-empty", "eta-z",
+            "monitor-lyapunov",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, change, message):

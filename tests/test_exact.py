@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from oscluster import (
-    DivergenceError,
     SolverConfig,
     initial_exact_state,
     initial_relaxed_state,
     solve_exact,
 )
 from oscluster.exact import ExactWorkspace, exact_iteration
-from oscluster.types import operator_norm_squared
-
-from helpers import build_difference_operator
 
 
 def unit_columns(rng, d, n):
@@ -88,27 +84,6 @@ class TestParallelSweep:
         other = dataclasses.replace(state, j=rng.standard_normal((7, 6)))
         out2 = exact_iteration(x, other, *args, workspace=ExactWorkspace(5, 7))
         assert np.array_equal(out1.e, out2.e)
-
-
-class TestDivergence:
-    def test_small_eta_diverges_with_iteration_message(self):
-        from oscluster import SyntheticSpec, generate_synthetic, normalize_columns
-
-        x, _ = generate_synthetic(SyntheticSpec(seed=0))
-        xn = normalize_columns(x)
-        l_z = operator_norm_squared(xn)
-        r2 = operator_norm_squared(build_difference_operator(xn.shape[1]))
-        cfg = SolverConfig(lambda1=0.1, lambda2=1.0, mu0=1.0, eta_z=1.03 * (l_z + r2))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="iteration"):
-                solve_exact(xn, cfg)
-
-    def test_eta_below_floor_rejected(self):
-        x = unit_columns(np.random.default_rng(8), 6, 8)
-        l_z = operator_norm_squared(x)
-        r2 = operator_norm_squared(build_difference_operator(8))
-        with pytest.raises(ValueError):
-            solve_exact(x, SolverConfig(eta_z=0.9 * (l_z + r2)))
 
 
 class TestDiagnostics:

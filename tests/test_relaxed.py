@@ -5,20 +5,17 @@ import pytest
 
 from oscluster import (
     SolverConfig,
-    SyntheticSpec,
-    generate_synthetic,
     initial_exact_state,
     initial_relaxed_state,
     normalize_columns,
+    solve_exact,
     solve_relaxed,
     spatsc_solve,
 )
 from oscluster.relaxed import lyapunov_s, relaxed_iteration
 from oscluster.types import difference_norm_squared, operator_norm_squared
 
-from conftest import OSC_PARAMS
 from helpers import (
-    assert_default_step_saves_sweeps,
     bisect_nonneg_lasso,
     build_difference_operator,
     eta_z_with_fit_headroom,
@@ -125,7 +122,6 @@ class TestLyapunov:
             lambda2=1.0,
             mu0=1.0,
             mu_schedule="additive",
-            monitor_lyapunov=True,
         )
         _, diag = solve_relaxed(xn, cfg)
         vals = np.asarray(diag.lyapunov_history)
@@ -133,6 +129,20 @@ class TestLyapunov:
         assert vals[-1] == 0.0  # reference is the final iterate
         steps = np.diff(vals)
         assert steps.max() <= 1e-8
+
+    @pytest.mark.parametrize("schedule", ["multiplicative", "additive"])
+    def test_only_the_additive_relaxed_solve_records_the_monitor(self, schedule):
+        x = unit_columns(np.random.default_rng(11), 6, 10)
+        config = SolverConfig(mu_schedule=schedule, max_iter=30)
+        _, diag = solve_relaxed(x, config)
+        if schedule == "additive":
+            assert len(diag.lyapunov_history) == diag.iterations
+            assert diag.lyapunov_history[-1] == 0.0  # reference is the final iterate
+        else:
+            assert diag.lyapunov_history is None
+        assert solve_exact(x, config)[1].lyapunov_history is None
+        spatsc = dataclasses.replace(config, lambda2=0.01)
+        assert spatsc_solve(x, spatsc)[1].lyapunov_history is None
 
 
 class TestWarmStart:
@@ -201,22 +211,8 @@ class TestDefaultStep:
                 _, diag = spatsc_solve(x, dataclasses.replace(config, lambda2=0.01))
             assert diag.eta_z == want
 
-    def test_default_step_saves_sweeps_on_clean_sequence(self):
-        x, _ = generate_synthetic(SyntheticSpec(points_per_subspace=40, seed=0))
-
-        def solve(x, eta_z):
-            return solve_relaxed(x, dataclasses.replace(OSC_PARAMS, eta_z=eta_z))
-
-        assert_default_step_saves_sweeps(solve, normalize_columns(x), OSC_PARAMS.mu0, 5)
-
 
 class TestValidation:
-    def test_eta_z_must_exceed_difference_norm(self):
-        x = unit_columns(np.random.default_rng(2), 4, 6)
-        r2 = operator_norm_squared(build_difference_operator(6))
-        with pytest.raises(ValueError):
-            solve_relaxed(x, SolverConfig(eta_z=0.5 * r2))
-
     def test_rejects_vector_input(self):
         with pytest.raises(ValueError):
             solve_relaxed(np.arange(5.0), SolverConfig())

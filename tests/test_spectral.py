@@ -784,6 +784,15 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.ones((3, 2)), 4)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_refused(self, k, bad):
+        # Checked before the k = 1 shortcut and before D^2 seeding.
+        pts = np.ones((4, 2))
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kmeans(pts, k)
+
     def test_point_layout_does_not_change_labels(self, rng, monkeypatch):
         # k-means runs on a Fortran-ordered copy whatever the caller's
         # layout, so C- and F-ordered points give the same labels.
@@ -898,6 +907,12 @@ class TestBoundaryDetection:
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
             detect_boundaries_peaks(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("prominence", [np.nan, np.inf, -np.inf, True, "1", None])
+    def test_malformed_prominence_refused(self, prominence):
+        z = block_diag(np.ones((3, 3)), np.ones((3, 3)))
+        with pytest.raises(ValueError, match="prominence"):
+            detect_boundaries_peaks(z, prominence=prominence)
 
     def test_segment_starts_localized_in_bulk(self, clean_sweep):
         # The group penalty blurs the transition across adjacent column
