@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .types import DivergenceError, difference_norm_squared, is_finite_real
+from .types import DivergenceError, is_finite_real
 
 def buffer_sets(**shapes):
     """Two sets of sweep output buffers, each with one array per named shape.
@@ -62,7 +62,8 @@ def check_finite(quick, state, sweep):
 ETA_J = 1.02
 
 
-def run(config, state, sweep, residuals, multipliers, diag, monitor=None, scale=(1.0, 1.0)):
+def run(config, state, sweep, residuals, multipliers, diag, monitor=None, increment=None,
+        scale=(1.0, 1.0)):
     """Sweep from ``state`` until it converges or ``config.max_iter`` sweeps
     have run; returns the last state and records the solve in ``diag``.
 
@@ -74,14 +75,14 @@ def run(config, state, sweep, residuals, multipliers, diag, monitor=None, scale=
         feasibility = max ||residual||_F / normalizer < eps1  and
         change = mu * weight / normalizer * max step norm < eps2.
 
-    Mu then grows, up to ``mu_max``, by l_z / (eta_z - ||R||^2) from
-    ``diag`` (additive schedule) or by the factor ``gamma0`` once change <
-    eps2 (multiplicative).  A non-finite iterate, flagged by the step norms
-    and multiplier sums, raises DivergenceError.  ``monitor(state)`` goes to
-    ``diag.lyapunov_history``; ``diag.iterations`` counts this call's sweeps.
+    Mu then grows, up to ``mu_max``, by the factor ``gamma0`` once change <
+    eps2, or, given an ``increment``, by that fixed amount every sweep (the
+    descent monitor's rule, see ``relaxed.solve_monitored``).  A non-finite
+    iterate, flagged by the step norms and multiplier sums, raises
+    DivergenceError.  ``monitor(state)`` goes to ``diag.lyapunov_history``;
+    ``diag.iterations`` counts this call's sweeps.
     """
     normalizer, weight = scale
-    increment = diag.l_z / (diag.eta_z - difference_norm_squared(state.z.shape[0]))
     if monitor is not None:
         diag.lyapunov_history = []
     converged = False
@@ -95,7 +96,7 @@ def run(config, state, sweep, residuals, multipliers, diag, monitor=None, scale=
         feasibility = max(float(np.linalg.norm(r)) for r in residuals) / normalizer
         change = mu * weight / normalizer * max(steps)
         converged = feasibility < config.eps1 and change < config.eps2
-        if config.mu_schedule == "additive":
+        if increment is not None:
             mu_next = min(config.mu_max, mu + increment)
         else:
             gamma = config.gamma0 if change < config.eps2 else 1.0

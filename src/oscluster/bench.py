@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
@@ -60,7 +61,7 @@ def derive_seed(master_seed, *coords):
 def _parse_psnr(value):
     if value is None or (isinstance(value, str) and value.lower() in ("inf", "infinity")):
         return math.inf
-    if isinstance(value, (str, bool)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"bad psnr entry {value!r}")
     value = float(value)
     if not value > 0:

@@ -51,6 +51,8 @@ class SyntheticSpec:
             raise ValueError(
                 f"subspace_dim must be in [1, {self.ambient_dim}], got {self.subspace_dim}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.cov_diag <= 0:
             raise ValueError(f"cov_diag must be positive, got {self.cov_diag}")
         # The tridiagonal covariance must be positive definite.

@@ -21,6 +21,7 @@ from .spectral import (
     LaplacianSpectrum,
     build_affinity,
     check_k_settings,
+    check_seed,
     estimate_k,
     ncut_cluster,
 )
@@ -110,12 +111,17 @@ def cluster_sequential(
 
     With ``k=None`` the cluster count is estimated by ``k_method``
     (``estimate_k``): by default from the eigengap of the normalized
-    Laplacian that the embedding then reuses.  The reported wall time
-    covers the solve and the clustering, not any file handling around it.
+    Laplacian that the embedding then reuses.  ``seed``, a non-negative
+    int, seeds k-means; ``normalize`` must be a bool.  The reported wall
+    time covers the solve and the clustering, not any file handling around
+    it.
     """
     x = as_data_matrix(x)
-    # Before the solve, which bad k settings would only waste.
+    # Before the solve, which bad settings would only waste.
     check_k_settings(k, k_method, sv_tau, x.shape[1])
+    check_seed(seed)
+    if not isinstance(normalize, bool):
+        raise ValueError(f"normalize must be true or false, got {normalize!r}")
     config = config if config is not None else SolverConfig()
     start = time.perf_counter()
     # The normalized copy is dropped once Z exists.

@@ -9,14 +9,14 @@ where R is the forward-difference operator, so the group penalty pushes
 neighbouring columns of Z toward each other and the coefficient matrix
 becomes nearly block-constant along the sample order.  The two blocks are
 updated in sequence with linearized proximal steps and an adaptive
-penalty mu, from zero blocks and a zero multiplier.  Under the
-multiplicative penalty schedule the J step and the multiplier see the
-over-relaxed coupling h = alpha Z R + (1 - alpha) J, with alpha =
-``OVER_RELAXATION`` (Eckstein & Bertsekas, Math. Prog. 1992; Fang, He, Liu
-& Yuan, Math. Prog. Comp. 2015, for the linearized case, alpha in (0, 2));
-the additive schedule, which the descent monitor assumes, keeps the plain
-sweep (alpha = 1).  The sweep loop, the stop and the penalty schedule are
-shared with the other solvers in ``admm.py``.
+penalty mu, from zero blocks and a zero multiplier.  The J step and the
+multiplier see the over-relaxed coupling h = alpha Z R + (1 - alpha) J,
+with alpha = ``OVER_RELAXATION`` (Eckstein & Bertsekas, Math. Prog. 1992;
+Fang, He, Liu & Yuan, Math. Prog. Comp. 2015, for the linearized case,
+alpha in (0, 2)).  ``solve_monitored``, the descent monitor's solve, keeps
+the plain sweep (alpha = 1) and grows mu additively, as ``lyapunov_s``
+assumes.  The sweep loop, the stop and the penalty schedule are shared
+with the other solvers in ``admm.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .types import (
     operator_norm_squared,  # noqa: F401 - a binding the perfbench tracer wraps
 )
 
-# The relaxation weight alpha of the multiplicative-schedule sweep.  From
+# The relaxation weight alpha of the default sweep.  From
 # the zero start, 32 clean 5 x 40 inputs took 12058, 10527, 9897, 9719 and
 # 9651 sweeps in all at alpha = 1, 1.5, 1.8, 1.9 and 1.95, every one with
 # the right labels; 1.8 keeps a margin below 2, where the theory ends.
@@ -176,8 +176,8 @@ def lyapunov_s(state, reference, eta_z, eta_j, l_z):
 
     With eta_z above the squared spectral norm of R the quantity is
     nonnegative, and it is nonincreasing along the iterates of the plain
-    sweep (alpha = 1, the additive schedule's) when mu grows by at least
-    ``l_z / (eta_z - ||R||^2)`` each sweep.  The over-relaxed sweep is not
+    sweep (alpha = 1) when mu grows by at least ``l_z / (eta_z - ||R||^2)``
+    each sweep, as in ``solve_monitored``.  The over-relaxed sweep is not
     covered.
     """
     z_ref, j_ref, y_ref = reference
@@ -207,18 +207,17 @@ def _objective(x, z, lam1, lam2, j_prox):
     return fit + l1 + lam2 * smooth
 
 
-def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=None):
-    """Shared driver behind the sequential solver and its SpatSC variant.
+def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=None, *,
+                monitored=False):
+    """Shared driver behind the sequential solver, its SpatSC variant and
+    ``solve_monitored``.
 
     Starts from ``initial_state`` or from ``initial_relaxed_state`` (all
-    blocks zero).  The multiplicative schedule runs the over-relaxed sweep
-    (alpha = ``OVER_RELAXATION``), the additive one the plain sweep (alpha
-    = 1), which is what ``lyapunov_s`` describes.  ``admm.run`` stops it
-    when the constraint residual ||J - Z R||_F falls under eps1 and the
-    scaled change mu * max(||dZ||_F, ||dJ||_F) falls under eps2.  The
-    proximal weight eta_z is worked out from X and the schedule (see
-    ``SolverConfig``).  When ``lyapunov_reference`` is given, the descent
-    monitor is evaluated against it after every sweep.
+    blocks zero) and runs the over-relaxed sweep under the multiplicative
+    rule or, ``monitored``, the plain sweep under the additive one that
+    ``lyapunov_s`` describes.  ``admm.run`` stops it when ||J - Z R||_F <
+    eps1 and mu * max(||dZ||_F, ||dJ||_F) < eps2.  Given a
+    ``lyapunov_reference``, the monitor is evaluated against it every sweep.
     """
     x = as_data_matrix(x)
     d, n = x.shape
@@ -227,15 +226,15 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     l_z = fit.l_z
     # With the fit linearized, LADMAP needs only eta_z > ||R||^2: the Z step
     # mu * eta_z + l_z already pays the fit's Lipschitz constant l_z once, so
-    # the multiplicative step sits 1e-3 above that floor.  The additive
-    # schedule keeps l_z / mu0 of headroom on top, which makes its increment
-    # l_z / (eta_z - ||R||^2) about mu0, the growth the descent monitor needs.
-    headroom = l_z / config.mu0 if config.mu_schedule == "additive" else 0.0
-    eta_z = difference_norm_squared(n) + headroom + 1e-3
+    # the step sits 1e-3 above that floor.  The monitored solve adds l_z /
+    # mu0, so that its increment l_z / (eta_z - ||R||^2) is about mu0.
+    floor = difference_norm_squared(n)
+    eta_z = floor + (l_z / config.mu0 if monitored else 0.0) + 1e-3
+    increment = l_z / (eta_z - floor) if monitored else None
     state = admm.start_state(initial_state, initial_relaxed_state(d, n, config.mu0))
     diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z)
     workspace = RelaxedWorkspace(fit)
-    alpha = OVER_RELAXATION if config.mu_schedule == "multiplicative" else 1.0
+    alpha = 1.0 if monitored else OVER_RELAXATION
 
     def sweep(state):
         new = relaxed_iteration(
@@ -252,7 +251,7 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
         def monitor(state):
             return lyapunov_s(state, lyapunov_reference, eta_z, admm.ETA_J, l_z)
 
-    state = admm.run(config, state, sweep, (workspace.residual,), ("y",), diag, monitor)
+    state = admm.run(config, state, sweep, (workspace.residual,), ("y",), diag, monitor, increment)
     diag.objective_value = _objective(x, state.z, lam1, lam2, j_prox)
     return state, diag
 
@@ -260,16 +259,24 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
 def solve_relaxed(x, config=None, initial_state=None):
     """Solve the relaxed ordered-clustering objective.
 
-    Returns ``(z, diagnostics)``.  Under the additive schedule, the
-    descent monitor's mode, the solve runs twice: once to locate the final
-    iterate, once to record ``lyapunov_history`` against it (memory stays
-    flat, time doubles).  ``initial_state`` allows warm starts.
+    Returns ``(z, diagnostics)``; ``initial_state`` allows warm starts.
     """
     config = config if config is not None else SolverConfig()
     state, diag = _solve_core(x, config, initial_state=initial_state)
-    if config.mu_schedule == "additive":
-        reference = (state.z, state.j, state.y)
-        state, diag = _solve_core(
-            x, config, initial_state=initial_state, lyapunov_reference=reference
-        )
+    return state.z, diag
+
+
+def solve_monitored(x, config=None, initial_state=None):
+    """The descent monitor's solve of the relaxed objective: the plain sweep
+    (alpha = 1), eta_z = ||R||^2 + ||X||^2 / mu0 + 1e-3, and mu growing by
+    ||X||^2 / (eta_z - ||R||^2) every sweep.  It runs twice, to locate the
+    final iterate and then to record ``lyapunov_history`` against it
+    (memory stays flat, time doubles).  Returns ``(z, diagnostics)``.
+    """
+    config = config if config is not None else SolverConfig()
+    state, _ = _solve_core(x, config, initial_state=initial_state, monitored=True)
+    reference = (state.z, state.j, state.y)
+    state, diag = _solve_core(
+        x, config, initial_state=initial_state, lyapunov_reference=reference, monitored=True
+    )
     return state.z, diag

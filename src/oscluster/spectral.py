@@ -568,13 +568,21 @@ def check_k_settings(k, k_method, sv_tau, n):
         raise ValueError(f"threshold tau must be positive and finite, got {sv_tau!r}")
 
 
+def check_seed(seed):
+    """Raise ValueError unless ``seed`` is a non-negative int (not a bool)."""
+    if not is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
+
+
 def kmeans(points, k, seed=0):
     """Best-of-``KMEANS_RESTARTS`` k-means with D^2 seeding.
 
-    Deterministic given ``seed``: restarts draw from spawned child streams
-    and ties in the final objective keep the earliest restart.  A point with
-    a NaN or infinite coordinate raises ``ValueError``, whatever k is.
+    Deterministic given ``seed``, a non-negative int: restarts draw from
+    spawned child streams and ties in the final objective keep the earliest
+    restart.  A point with a NaN or infinite coordinate, or any other seed,
+    raises ``ValueError``, whatever k is.
     """
+    check_seed(seed)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 1:
         raise ValueError(f"need a nonempty 2-D point array, got shape {points.shape}")

@@ -174,25 +174,19 @@ class SolverConfig:
     """Knobs shared by the alternating-direction solvers.
 
     Each solver works out its own proximal weight eta_z on the coefficient
-    block from X, and reports it in ``SolveDiagnostics.eta_z``.  The
-    sequential solver and spatsc need eta_z > ||R||^2: under the
-    multiplicative schedule they take ||R||^2 + 1e-3, and under the additive
-    one they add l_z / mu0 (l_z = ||X||^2) so that the additive increment
-    l_z / (eta_z - ||R||^2) is about mu0, the growth the descent monitor
-    needs.  The exact solver takes 3.06 (||X||^2 + ||R||^2) under either
-    schedule; the J step's weight is the constant ``admm.ETA_J``.
-    ``mu_schedule`` picks how ``admm.run``, which also applies the stop on
-    ``eps1`` and ``eps2``, grows the penalty: the default
-    ``"multiplicative"`` rule scales mu by ``gamma0`` whenever the scaled
-    iterate change falls under ``eps2``, while ``"additive"`` adds a fixed
-    increment every sweep; it is the descent monitor's mode, under which
-    ``solve_relaxed`` also records ``lyapunov_history``.  Under the
-    multiplicative rule the sequential solver and spatsc also over-relax
-    their coupling J = Z R (``relaxed.OVER_RELAXATION``); the additive rule
-    keeps the plain sweep the descent monitor assumes.  ``diag_zero`` fixes
-    diag(Z) at zero in the two sequential solvers; ssc and spatsc always fix
-    it there.  Every number must be a finite real, ``max_iter`` an int and
-    ``diag_zero`` a bool; anything else raises ``ValueError``.
+    block from X, and reports it in ``SolveDiagnostics.eta_z``: the
+    sequential solver and spatsc take ||R||^2 + 1e-3, just above the
+    floor ||R||^2 they need, and the exact solver takes 3.06 (||X||^2 +
+    ||R||^2); the J step's weight is the constant ``admm.ETA_J``.
+    ``admm.run``, which also applies the stop on ``eps1`` and ``eps2``,
+    scales mu by ``gamma0`` whenever the scaled iterate change falls under
+    ``eps2``, up to ``mu_max``.  The sequential solver and spatsc
+    over-relax their coupling J = Z R (``relaxed.OVER_RELAXATION``).
+    ``relaxed.solve_monitored``, the descent monitor's solve, takes the
+    same knobs but its own step, sweep and penalty rule.  ``diag_zero``
+    fixes diag(Z) at zero in the two sequential solvers; ssc and spatsc
+    always fix it there.  Every number must be a finite real, ``max_iter``
+    an int and ``diag_zero`` a bool; anything else raises ``ValueError``.
     """
 
     lambda1: float = 0.1
@@ -204,7 +198,6 @@ class SolverConfig:
     eps2: float = 1e-4
     max_iter: int = 2000
     diag_zero: bool = False
-    mu_schedule: str = "multiplicative"
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "mu0", "mu_max", "gamma0", "eps1", "eps2"):
@@ -229,8 +222,6 @@ class SolverConfig:
             raise ValueError("eps1 and eps2 must be positive")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.mu_schedule not in ("multiplicative", "additive"):
-            raise ValueError(f"unknown mu_schedule {self.mu_schedule!r}")
 
 
 @dataclass
@@ -245,8 +236,8 @@ class SolveDiagnostics:
     both the stopping test and the penalty growth; ``admm.run`` decides
     that stop for every solver but ssc.  ``iterations`` counts this solve's
     sweeps, warm start or not.  ``lyapunov_history`` is filled only by
-    ``solve_relaxed`` under the additive schedule, the descent monitor's
-    mode; it stays ``None`` otherwise.  ``l_z`` is ||X||^2; ``eta_z`` is the
+    ``relaxed.solve_monitored``, the descent monitor's solve; it stays
+    ``None`` otherwise.  ``l_z`` is ||X||^2; ``eta_z`` is the
     proximal weight the solver worked out and used, and stays NaN for
     ``ssc_solve``, which has none.
     """

@@ -376,7 +376,6 @@ def reference_relaxed_solve(x, config, l_z, eta_z, blocks):
     ``l_z`` and ``eta_z`` are taken as given, so the comparison isolates
     the sweeps.  Returns ``(z, sweeps, feasibility, change, mu)`` histories.
     """
-    assert config.mu_schedule == "multiplicative"
     r = build_difference_operator(x.shape[1])
     z, j, y = blocks
     mu = config.mu0

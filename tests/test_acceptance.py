@@ -22,6 +22,7 @@ from oscluster import (
     solve_relaxed,
 )
 from oscluster.prox import group_shrink_columns, ridge_error_update, soft_threshold
+from oscluster.relaxed import solve_monitored
 
 from conftest import OSC_PARAMS, SWEEP_ELAPSED
 from helpers import (
@@ -105,7 +106,6 @@ def test_criterion_03_descent_monitor_nonincreasing(capsys):
         lambda1=0.1,
         lambda2=1.0,
         mu0=1.0,
-        mu_schedule="additive",
         max_iter=3000,
         eps1=1e-6,
         eps2=1e-6,
@@ -116,7 +116,7 @@ def test_criterion_03_descent_monitor_nonincreasing(capsys):
         rng = np.random.default_rng(200 + s)
         x = rng.standard_normal((15, 20))
         x /= np.linalg.norm(x, axis=0, keepdims=True)
-        _, diag = solve_relaxed(x, cfg)
+        _, diag = solve_monitored(x, cfg)
         vals = np.asarray(diag.lyapunov_history)
         min_value = min(min_value, float(vals.min()))
         if len(vals) > 1:

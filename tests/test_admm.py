@@ -8,7 +8,6 @@ import pytest
 
 from oscluster import DivergenceError, SolveDiagnostics, SolverConfig
 from oscluster.admm import run
-from oscluster.types import difference_norm_squared
 
 N = 4
 BIG, SMALL = 1.0, 1e-6  # above and below the default eps1 = eps2 = 1e-4
@@ -44,12 +43,12 @@ def scripted(residuals, script):
     return sweep
 
 
-def solve(config, script, residual_count=1, scale=(1.0, 1.0), l_z=1.0, eta_z=5.0, state=None):
+def solve(config, script, residual_count=1, scale=(1.0, 1.0), increment=None, state=None):
     residuals = tuple(np.empty(1) for _ in range(residual_count))
-    diag = SolveDiagnostics(l_z=l_z, eta_z=eta_z)
+    diag = SolveDiagnostics()
     state = run(
         config, state or start(config.mu0), scripted(residuals, script), residuals, ("y",), diag,
-        scale=scale,
+        increment=increment, scale=scale,
     )
     return state, diag
 
@@ -111,12 +110,10 @@ class TestPenalty:
         assert state.mu == 3.0
 
     def test_additive_increment(self):
-        l_z, headroom = 2.0, 0.5
-        eta_z = difference_norm_squared(N) + headroom
-        config = SolverConfig(mu_schedule="additive", mu_max=10.0, max_iter=4)
-        state, diag = solve(config, [((BIG,), (BIG,))] * 4, l_z=l_z, eta_z=eta_z)
-        increment = l_z / (eta_z - difference_norm_squared(N))
-        assert increment == pytest.approx(l_z / headroom)
+        # A given increment is added every sweep, still or not, up to mu_max.
+        increment = 4.0
+        config = SolverConfig(mu_max=10.0, max_iter=4)
+        state, diag = solve(config, [((BIG,), (BIG,))] * 4, increment=increment)
         want = [1.0]
         for _ in range(3):
             want.append(min(10.0, want[-1] + increment))

@@ -10,10 +10,10 @@ def config_with(method):
 
 
 def test_method_entry_accepts_every_solver_field():
-    cfg = config_with({"name": "osc-relaxed", "mu_schedule": "additive", "lambda1": 0.2})
+    cfg = config_with({"name": "osc-relaxed", "diag_zero": True, "lambda1": 0.2})
     name, config = cfg["methods"][0]
     assert name == "osc-relaxed"
-    assert config.mu_schedule == "additive"
+    assert config.diag_zero is True
     assert config.lambda1 == 0.2
 
 
@@ -32,6 +32,12 @@ def test_method_entry_rejects_eta_j():
     # The J step's weight is a constant of the solvers, not a setting.
     with pytest.raises(ValueError, match="unknown keys.*eta_j"):
         config_with({"name": "osc-relaxed", "eta_j": 1.02})
+
+
+def test_method_entry_rejects_mu_schedule():
+    # The additive schedule is the descent monitor's own solve, not a setting.
+    with pytest.raises(ValueError, match="unknown keys.*mu_schedule"):
+        config_with({"name": "osc-relaxed", "mu_schedule": "additive"})
 
 
 @pytest.mark.parametrize("k", [None, 1, 5])
@@ -75,6 +81,8 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         ({"normalize": "false"}, "normalize must be true or false"),
         ({"psnr_db": [None, True]}, "bad psnr entry True"),
         ({"psnr_db": [None, float("nan")]}, "psnr must be positive, got nan"),
+        ({"psnr_db": [[20]]}, r"bad psnr entry \[20\]"),
+        ({"psnr_db": [{"db": 20}]}, "bad psnr entry {'db': 20}"),
         ({"k_method": "sv-threshold"}, "tau"),
         ({"k_method": "sv-threshold", "sv_tau": -0.5}, "tau"),
         ({"k_method": "sv-threshold", "sv_tau": "0.5"}, "tau"),
@@ -92,7 +100,7 @@ def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
         "unknown-key", "timing", "method", "k-method", "k-method-svd-gap", "generator-str",
         "generator-key",
         "seed-float", "seed-str", "seed-negative", "repeats-float", "repeats-bool",
-        "normalize-str", "psnr-bool", "psnr-nan",
+        "normalize-str", "psnr-bool", "psnr-nan", "psnr-list", "psnr-object",
         "tau-missing", "tau-negative", "tau-str", "tau-bool", "k-above-n", "k-above-small-n",
         "psnr-not-list", "methods-int", "psnr-empty",
     ],

@@ -501,20 +501,25 @@ class TestBench:
             ({"psnr_db": 20}, "psnr_db must be a list, got 20"),
             ({"methods": 5}, "nonempty 'methods' list"),
             ({"psnr_db": []}, "psnr_db must name at least one noise level"),
-            # The solvers work out their own step; the monitor is the additive
-            # schedule's mode.
+            # The solvers work out their own step; the monitor and its
+            # additive schedule are relaxed.solve_monitored.
             ({"methods": [{"name": "osc-relaxed", "eta_z": 5.0}]}, "unknown keys ['eta_z']"),
             (
                 {"methods": [{"name": "osc-relaxed", "monitor_lyapunov": True}]},
                 "unknown keys ['monitor_lyapunov']",
             ),
+            (
+                {"methods": [{"name": "osc-relaxed", "mu_schedule": "additive"}]},
+                "unknown keys ['mu_schedule']",
+            ),
+            ({"psnr_db": [[20]]}, "bad psnr entry [20]"),
         ],
         ids=[
             "unknown-key", "timing", "method", "k-method", "k-method-svd-gap", "generator-list",
             "generator-key",
             "seed-float", "repeats-float", "normalize-str", "psnr-bool", "seed-negative",
             "k-above-n", "psnr-not-list", "methods-not-list", "psnr-empty", "eta-z",
-            "monitor-lyapunov",
+            "monitor-lyapunov", "mu-schedule", "psnr-list",
         ],
     )
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, change, message):

@@ -28,6 +28,10 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(**kwargs)
 
+    def test_negative_seed_refused_at_construction(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SyntheticSpec(seed=-1)
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [

@@ -113,6 +113,17 @@ class TestClusterSequential:
         with pytest.raises(ValueError, match="k must be an int"):
             cluster_sequential(rng.standard_normal((4, 12)), method="ssc", k=k)
 
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "1", -1], ids=repr)
+    def test_bad_seed_refused_before_solving(self, rng, refuse_solve, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            cluster_sequential(rng.standard_normal((4, 12)), method="ssc", k=2, seed=seed)
+
+    @pytest.mark.parametrize("normalize", ["false", 0, 1, None, np.True_], ids=repr)
+    def test_non_bool_normalize_refused_before_solving(self, rng, refuse_solve, normalize):
+        # "false" once normalized and 0 once skipped it.
+        with pytest.raises(ValueError, match="normalize must be true or false"):
+            cluster_sequential(rng.standard_normal((4, 12)), k=2, normalize=normalize)
+
     @pytest.mark.parametrize(
         "k, k_method, sv_tau, match",
         [

@@ -12,7 +12,7 @@ from oscluster import (
     solve_relaxed,
     spatsc_solve,
 )
-from oscluster.relaxed import lyapunov_s, relaxed_iteration
+from oscluster.relaxed import lyapunov_s, relaxed_iteration, solve_monitored
 from oscluster.types import difference_norm_squared, operator_norm_squared
 
 from helpers import (
@@ -121,9 +121,8 @@ class TestLyapunov:
             lambda1=0.1,
             lambda2=1.0,
             mu0=1.0,
-            mu_schedule="additive",
         )
-        _, diag = solve_relaxed(xn, cfg)
+        _, diag = solve_monitored(xn, cfg)
         vals = np.asarray(diag.lyapunov_history)
         assert vals.min() >= 0.0
         assert vals[-1] == 0.0  # reference is the final iterate
@@ -132,17 +131,19 @@ class TestLyapunov:
 
     @pytest.mark.parametrize("schedule", ["multiplicative", "additive"])
     def test_only_the_additive_relaxed_solve_records_the_monitor(self, schedule):
+        # The additive schedule is solve_monitored's alone; every other
+        # solver runs the multiplicative one and leaves the monitor unset.
         x = unit_columns(np.random.default_rng(11), 6, 10)
-        config = SolverConfig(mu_schedule=schedule, max_iter=30)
-        _, diag = solve_relaxed(x, config)
+        config = SolverConfig(max_iter=30)
         if schedule == "additive":
+            _, diag = solve_monitored(x, config)
             assert len(diag.lyapunov_history) == diag.iterations
             assert diag.lyapunov_history[-1] == 0.0  # reference is the final iterate
         else:
-            assert diag.lyapunov_history is None
-        assert solve_exact(x, config)[1].lyapunov_history is None
-        spatsc = dataclasses.replace(config, lambda2=0.01)
-        assert spatsc_solve(x, spatsc)[1].lyapunov_history is None
+            assert solve_relaxed(x, config)[1].lyapunov_history is None
+            assert solve_exact(x, config)[1].lyapunov_history is None
+            spatsc = dataclasses.replace(config, lambda2=0.01)
+            assert spatsc_solve(x, spatsc)[1].lyapunov_history is None
 
 
 class TestWarmStart:
@@ -196,20 +197,21 @@ class TestWarmStart:
 class TestDefaultStep:
     @pytest.mark.parametrize("solver", ["relaxed", "spatsc"])
     def test_default_eta_z_per_schedule(self, solver):
-        # Multiplicative: 1e-3 above the floor ||R||^2.  Additive: also
-        # ||X||^2 / mu0, so that its increment ||X||^2 / (eta_z - ||R||^2)
-        # is about mu0; that value stays bitwise what it was.
+        # Multiplicative: 1e-3 above the floor ||R||^2.  Additive (the
+        # monitored relaxed solve): also ||X||^2 / mu0, so that its increment
+        # ||X||^2 / (eta_z - ||R||^2) is about mu0; that value stays bitwise
+        # what it was.
         x = unit_columns(np.random.default_rng(5), 4, 7)
-        for schedule, want in [
-            ("multiplicative", difference_norm_squared(7) + 1e-3),
-            ("additive", eta_z_with_fit_headroom(x, 2.0)),
-        ]:
-            config = SolverConfig(mu0=2.0, mu_schedule=schedule, max_iter=3)
-            if solver == "relaxed":
-                _, diag = solve_relaxed(x, config)
-            else:
-                _, diag = spatsc_solve(x, dataclasses.replace(config, lambda2=0.01))
-            assert diag.eta_z == want
+        config = SolverConfig(mu0=2.0, max_iter=3)
+        if solver == "relaxed":
+            assert solve_relaxed(x, config)[1].eta_z == difference_norm_squared(7) + 1e-3
+            _, diag = solve_monitored(x, config)
+            assert diag.eta_z == eta_z_with_fit_headroom(x, 2.0)
+            increment = diag.l_z / (diag.eta_z - difference_norm_squared(7))
+            assert diag.mu_history == [2.0, 2.0 + increment, 2.0 + increment + increment]
+        else:
+            _, diag = spatsc_solve(x, dataclasses.replace(config, lambda2=0.01))
+            assert diag.eta_z == difference_norm_squared(7) + 1e-3
 
 
 class TestValidation:

@@ -785,6 +785,18 @@ class TestKmeans:
             kmeans(np.ones((3, 2)), 4)
 
     @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "1", -1], ids=repr)
+    def test_seed_must_be_a_non_negative_int(self, k, seed):
+        # None would draw OS entropy, True would read as 1, and a float or
+        # a string fails inside numpy; all are refused, whatever k is.
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            kmeans(np.eye(4), k, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self, rng):
+        pts = rng.standard_normal((30, 3))
+        assert np.array_equal(kmeans(pts, 4, seed=np.uint32(7)), kmeans(pts, 4, seed=7))
+
+    @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points_refused(self, k, bad):
         # Checked before the k = 1 shortcut and before D^2 seeding.

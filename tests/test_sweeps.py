@@ -379,15 +379,15 @@ def test_exact_solve_matches_reference(protocol_x):
 
 
 def test_additive_schedule_runs_the_plain_sweep_bitwise(protocol_x, monkeypatch):
-    # From the all-ones multiplier the default start once had, an
-    # additive-schedule solve is bitwise the solve of the unrelaxed sweep:
-    # the same Z, sweep count and histories.
+    # From the all-ones multiplier the default start once had, the
+    # additive-schedule solve_monitored is bitwise the solve of the
+    # unrelaxed sweep: the same Z, sweep count and histories.
     start = initial_relaxed_state(*protocol_x.shape, 1.0)
     start.y[:] = 1.0
-    config = SolverConfig(mu_schedule="additive", max_iter=200)
-    z, diag = solve_relaxed(protocol_x, config, initial_state=start)
+    config = SolverConfig(max_iter=200)
+    z, diag = relaxed.solve_monitored(protocol_x, config, initial_state=start)
     monkeypatch.setattr(relaxed, "relaxed_iteration", plain_relaxed_sweep)
-    want_z, want = solve_relaxed(protocol_x, config, initial_state=start)
+    want_z, want = relaxed.solve_monitored(protocol_x, config, initial_state=start)
     assert np.array_equal(z, want_z)
     assert diag.iterations == want.iterations == 200
     for name in ("feasibility_history", "change_history", "mu_history"):

@@ -138,7 +138,6 @@ class TestSolverConfig:
         assert cfg.mu_max == 1e10
         assert cfg.gamma0 == 1.1
         assert cfg.max_iter == 2000
-        assert cfg.mu_schedule == "multiplicative"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -151,7 +150,7 @@ class TestSolverConfig:
             {"eps1": 0.0},
             {"eps2": -1e-4},
             {"max_iter": 0},
-            {"mu_schedule": "bogus"},
+            {"mu0": -1.0},
             # Non-finite numbers, which the range checks above let through.
             {"eps1": float("nan")},
             {"eps2": float("nan")},
@@ -195,12 +194,15 @@ class TestSolverConfig:
         cfg = SolverConfig(lambda1=np.float64(0.2), max_iter=np.int64(10))
         assert (cfg.lambda1, cfg.max_iter) == (0.2, 10)
 
-    def test_ten_settings(self):
+    def test_nine_settings(self):
         # The J step's weight is the constant admm.ETA_J, each solver works
-        # out its own eta_z, and the descent monitor runs whenever the
-        # schedule is additive: none of the three is a field.
-        assert len(fields(SolverConfig)) == 10
-        for name, value in (("eta_j", 1.02), ("eta_z", 5.0), ("monitor_lyapunov", True)):
+        # out its own eta_z, and the descent monitor and its additive
+        # schedule are relaxed.solve_monitored: none of the four is a field.
+        assert len(fields(SolverConfig)) == 9
+        removed = (
+            ("eta_j", 1.02), ("eta_z", 5.0), ("monitor_lyapunov", True), ("mu_schedule", "additive")
+        )
+        for name, value in removed:
             with pytest.raises(TypeError, match=name):
                 SolverConfig(**{name: value})
 
