@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import as_data_matrix, is_finite_real, is_int
+from .types import as_data_matrix, check_seed, is_finite_real, is_int
 
 BASES_PER_SUBSPACE = 5
 
@@ -173,7 +173,10 @@ def check_library(library, spec, bases_per_subspace=BASES_PER_SUBSPACE):
 def generate_dataset(spec, library=None, bases_per_subspace=None, psnr_db=None, noise_seed=0):
     """(x, labels) from ``library``'s columns when it is given (with
     ``bases_per_subspace``, default ``BASES_PER_SUBSPACE``), else synthetic;
-    then with noise at ``psnr_db`` dB drawn from ``noise_seed`` unless None."""
+    then, unless ``psnr_db`` is None, with noise at ``psnr_db`` dB drawn
+    from ``noise_seed``.  ``noise_seed`` must be a non-negative int, else
+    ValueError."""
+    check_seed(noise_seed, "noise_seed")
     if library is not None:
         bases = BASES_PER_SUBSPACE if bases_per_subspace is None else bases_per_subspace
         x, labels = generate_semisynthetic(library, spec, bases)
@@ -192,8 +195,10 @@ def add_noise_psnr(a, target_psnr_db, seed=0):
     The noise draw is rescaled in closed form against its realized energy,
     so the measured PSNR of the output equals ``target_psnr_db`` up to
     float rounding.  Requires a positive target (infinity returns ``a``
-    unchanged; NaN is refused) and a nonconstant ``a`` with positive maximum.
+    unchanged; NaN is refused), a nonconstant ``a`` with positive maximum
+    and a ``seed`` that is a non-negative int; else ValueError.
     """
+    check_seed(seed)
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         raise ValueError("matrix must be nonempty")

@@ -1,4 +1,4 @@
-"""Parallel-splitting linearized ADMM with exact self-expression constraints.
+"""Two-block linearized ADMM with exact self-expression constraints.
 
 Solves
 
@@ -6,13 +6,12 @@ Solves
     s.t.         X = X Z + E,   J = Z R
 
 keeping the fitting error as an explicit block instead of folding it into
-the objective.  All three primal blocks are updated in parallel from the
-previous iterate; the multipliers then move with the fresh blocks.  The
-proximal weight eta_z must exceed ||X||^2 + ||R||^2; the solver takes
-3.06 times that floor, a factor for the number of parallel blocks, which
-is what keeps the joint update contractive in practice.  The sweep loop,
-the stop and the penalty schedule are shared with the other solvers in
-``admm.py``.
+the objective.  E and J are separable given Z, so a sweep updates Z first
+and then (E, J) from the fresh Z, a two-block LADMAP (Lin, Liu & Su, NIPS
+2011); the multipliers then move with the fresh blocks.  The proximal
+weight eta_z must exceed ||X||^2 + ||R||^2, and the solver takes 1.02
+times that floor.  The sweep loop, the stop and the penalty schedule are
+shared with the other solvers in ``admm.py``.
 """
 
 from __future__ import annotations
@@ -98,12 +97,11 @@ class ExactWorkspace:
 
 
 def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace):
-    """One parallel sweep: Z, E and J all read only the k-th iterate.
+    """One sweep: Z from the k-th iterate, then E and J from the fresh Z.
 
-    Re-running this on the same state reproduces the output bitwise; no
-    block observes another block's fresh value.  The ``workspace`` (see
-    ExactWorkspace) lets successive sweeps share buffers and the products
-    one sweep leaves for the next.
+    Re-running this on the same state reproduces the output bitwise.  The
+    ``workspace`` (see ExactWorkspace) lets successive sweeps share buffers
+    and the products one sweep leaves for the next.
     """
     ws = workspace
     ws.sync(x, state)
@@ -128,16 +126,16 @@ def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace)
     else:
         soft_threshold(v, lam1 / sigma_z, out=z_new)
 
-    ridge_error_update(ws.xz_x, y1, mu, out=e_new)
+    # Products of the fresh Z, each computed once.
+    column_differences(z_new, out=ws.zr)
+    column_differences(np.subtract(z_new, z, out=ws.nn), out=ws.dzr)
+    np.subtract(np.matmul(x, z_new, out=ws.xz_x), x, out=ws.xz_x)
 
+    ridge_error_update(ws.xz_x, y1, mu, out=e_new)
     u = np.divide(y2, sigma_j, out=y2_new)
     np.subtract(ws.zr, u, out=u)
     group_shrink_columns(u, lam2 / sigma_j, out=j_new)
 
-    # Products of the new iterate, each computed once.
-    column_differences(z_new, out=ws.zr)
-    column_differences(np.subtract(z_new, z, out=ws.nn), out=ws.dzr)
-    np.subtract(np.matmul(x, z_new, out=ws.xz_x), x, out=ws.xz_x)
     np.add(ws.xz_x, e_new, out=ws.fit)
     np.subtract(j_new, ws.zr, out=ws.coupling)
     ws._of = (x, z_new, e_new, j_new)
@@ -163,10 +161,9 @@ def solve_exact(x, config=None, initial_state=None):
     x = as_data_matrix(x)
     d, n = x.shape
     l_z = operator_norm_squared(x)
-    # Three primal blocks move in parallel off the same multiplier, so the
-    # proximal weight needs the block count as headroom; the bare spectral
-    # bound is stable only for sequential sweeps.
-    eta_z = 3.06 * (l_z + difference_norm_squared(n))
+    # E and J read the fresh Z, so only the Z step linearizes the
+    # constraints, and its weight needs only to clear ||X||^2 + ||R||^2.
+    eta_z = 1.02 * (l_z + difference_norm_squared(n))
     x_fro = float(np.linalg.norm(x))
     state = admm.start_state(initial_state, initial_exact_state(d, n, config.mu0))
     diag = SolveDiagnostics(eta_z=eta_z, l_z=l_z)

@@ -21,11 +21,10 @@ from .spectral import (
     LaplacianSpectrum,
     build_affinity,
     check_k_settings,
-    check_seed,
     estimate_k,
     ncut_cluster,
 )
-from .types import SolverConfig, as_data_matrix
+from .types import SolverConfig, as_data_matrix, check_seed
 
 METHODS = ("osc-relaxed", "osc-exact", "ssc", "spatsc", "lrr-sim")
 

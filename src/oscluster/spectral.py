@@ -9,7 +9,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from .types import as_coefficient_matrix, column_differences, is_finite_real, is_int
+from .types import as_coefficient_matrix, check_seed, column_differences, is_finite_real, is_int
 
 _ZERO_DEGREE_EPS = 1e-12
 # Embedding rows shorter than this are roundoff around an exact zero (an
@@ -566,12 +566,6 @@ def check_k_settings(k, k_method, sv_tau, n):
         check_cluster_count(k, n)
     elif k_method == "sv-threshold" and (not is_finite_real(sv_tau) or sv_tau <= 0):
         raise ValueError(f"threshold tau must be positive and finite, got {sv_tau!r}")
-
-
-def check_seed(seed):
-    """Raise ValueError unless ``seed`` is a non-negative int (not a bool)."""
-    if not is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed!r}")
 
 
 def kmeans(points, k, seed=0):

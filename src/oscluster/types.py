@@ -21,6 +21,13 @@ def is_int(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_seed(seed, name="seed"):
+    """Raise ValueError, naming the argument, unless ``seed`` is a
+    non-negative int (not a bool)."""
+    if not is_int(seed) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {seed!r}")
+
+
 def is_finite_real(value):
     """True for a finite Python or numpy real number; a bool does not count."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
@@ -176,8 +183,9 @@ class SolverConfig:
     Each solver works out its own proximal weight eta_z on the coefficient
     block from X, and reports it in ``SolveDiagnostics.eta_z``: the
     sequential solver and spatsc take ||R||^2 + 1e-3, just above the
-    floor ||R||^2 they need, and the exact solver takes 3.06 (||X||^2 +
-    ||R||^2); the J step's weight is the constant ``admm.ETA_J``.
+    floor ||R||^2 they need, and the exact solver takes 1.02 (||X||^2 +
+    ||R||^2), just above the floor of its Z step; the J step's weight is the
+    constant ``admm.ETA_J``.
     ``admm.run``, which also applies the stop on ``eps1`` and ``eps2``,
     scales mu by ``gamma0`` whenever the scaled iterate change falls under
     ``eps2``, up to ``mu_max``.  The sequential solver and spatsc

@@ -331,9 +331,9 @@ def plain_relaxed_sweep(
 
 
 def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag_zero):
-    """One parallel sweep of the exact-constraint solver from its update
-    formulas, with dense products and nothing carried between sweeps.
-    Returns ``(z, e, j, y1, y2)``."""
+    """One sweep of the exact-constraint solver from its update formulas,
+    with a dense R and nothing carried between sweeps: Z from the given
+    blocks, then E and J from the fresh Z.  Returns ``(z, e, j, y1, y2)``."""
     r = build_difference_operator(z.shape[0])
     sigma_z = mu * eta_z
     sigma_j = mu * eta_j
@@ -341,8 +341,8 @@ def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag
     z_new = _shrink_entries(z - grad / sigma_z, lam1 / sigma_z)
     if diag_zero:
         np.fill_diagonal(z_new, 0.0)
-    e_new = -(mu * (x @ z - x) + y1) / (1.0 + mu)
-    j_new = _shrink_columns(z @ r - y2 / sigma_j, lam2 / sigma_j)
+    e_new = -(mu * (x @ z_new - x) + y1) / (1.0 + mu)
+    j_new = _shrink_columns(z_new @ r - y2 / sigma_j, lam2 / sigma_j)
     y1_new = y1 + mu * (x @ z_new - x + e_new)
     y2_new = y2 + mu * (j_new - z_new @ r)
     return z_new, e_new, j_new, y1_new, y2_new

@@ -8,7 +8,12 @@ from oscluster import (
     generate_synthetic,
     psnr,
 )
-from oscluster.datagen import random_orthonormal, random_rotation, tridiagonal_covariance
+from oscluster.datagen import (
+    generate_dataset,
+    random_orthonormal,
+    random_rotation,
+    tridiagonal_covariance,
+)
 
 
 class TestSyntheticSpec:
@@ -214,3 +219,22 @@ class TestNoise:
     def test_rejects_nonpositive_peak(self):
         with pytest.raises(ValueError):
             add_noise_psnr(-np.ones((2, 3)) - np.eye(2, 3), 20.0)
+
+    @pytest.mark.parametrize(
+        "seed", [None, True, 1.5, -1], ids=["none", "bool", "float", "negative"]
+    )
+    def test_rejects_a_seed_that_is_not_a_non_negative_int(self, seed):
+        # Unchecked, None would draw OS entropy and True would read as 1;
+        # 1.5 and -1 would fail inside numpy without naming the argument.
+        x, _ = generate_synthetic(SyntheticSpec(seed=0))
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative int"):
+            add_noise_psnr(x, 20.0, seed=seed)
+        with pytest.raises(ValueError, match=r"^noise_seed must be a non-negative int"):
+            generate_dataset(SyntheticSpec(seed=0), psnr_db=20.0, noise_seed=seed)
+
+    def test_accepts_a_numpy_int_seed(self):
+        x, _ = generate_synthetic(SyntheticSpec(seed=0))
+        want = add_noise_psnr(x, 20.0, seed=5)
+        assert np.array_equal(add_noise_psnr(x, 20.0, seed=np.uint32(5)), want)
+        noisy, _ = generate_dataset(SyntheticSpec(seed=0), psnr_db=20.0, noise_seed=np.int64(5))
+        assert np.array_equal(noisy, want)

@@ -5,11 +5,18 @@ import pytest
 
 from oscluster import (
     SolverConfig,
+    SyntheticSpec,
+    add_noise_psnr,
+    generate_synthetic,
     initial_exact_state,
     initial_relaxed_state,
+    normalize_columns,
     solve_exact,
+    solve_relaxed,
 )
 from oscluster.exact import ExactWorkspace, exact_iteration
+from oscluster.prox import group_shrink_columns, ridge_error_update
+from oscluster.types import column_differences, difference_norm_squared
 
 
 def unit_columns(rng, d, n):
@@ -48,7 +55,7 @@ class TestSolutionStructure:
         assert diag.feasibility_history == [] and diag.l_z == 0.0
 
 
-class TestParallelSweep:
+class TestSweepOrder:
     def test_sweep_is_reproducible_bitwise(self):
         rng = np.random.default_rng(5)
         x = unit_columns(rng, 6, 9)
@@ -72,18 +79,58 @@ class TestParallelSweep:
         assert np.array_equal(a.y1, b.y1)
         assert np.array_equal(a.y2, b.y2)
 
-    def test_blocks_read_only_previous_iterate(self):
-        # The E update depends on the old Z, not the fresh one: feeding a
-        # state with a different J/Y2 leaves E unchanged.
+    def test_error_and_coupling_read_the_fresh_z(self):
+        # Z moves first; E and J are then the closed-form updates at the
+        # returned Z, not at the Z the sweep started from.
         rng = np.random.default_rng(6)
         x = unit_columns(rng, 5, 7)
-        state = initial_exact_state(5, 7, 1.0)
-        state = dataclasses.replace(state, z=rng.standard_normal((7, 7)))
-        args = (0.1, 1.0, 30.0, 1.0, False)
-        out1 = exact_iteration(x, state, *args, workspace=ExactWorkspace(5, 7))
-        other = dataclasses.replace(state, j=rng.standard_normal((7, 6)))
-        out2 = exact_iteration(x, other, *args, workspace=ExactWorkspace(5, 7))
-        assert np.array_equal(out1.e, out2.e)
+        state = dataclasses.replace(
+            initial_exact_state(5, 7, 2.0),
+            z=rng.standard_normal((7, 7)),
+            j=rng.standard_normal((7, 6)),
+            y1=rng.standard_normal((5, 7)),
+            y2=rng.standard_normal((7, 6)),
+        )
+        lam2, eta_j, mu = 1.0, 1.02, 2.0
+        out = exact_iteration(
+            x, state, 0.1, lam2, 30.0, eta_j, False, workspace=ExactWorkspace(5, 7)
+        )
+        sigma_j = mu * eta_j
+
+        def e_at(z):
+            return ridge_error_update(x @ z - x, state.y1, mu)
+
+        def j_at(z):
+            return group_shrink_columns(column_differences(z) - state.y2 / sigma_j, lam2 / sigma_j)
+
+        np.testing.assert_allclose(out.e, e_at(out.z), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out.j, j_at(out.z), rtol=0, atol=1e-14)
+        assert not np.allclose(out.e, e_at(state.z))
+        assert not np.allclose(out.j, j_at(state.z))
+
+
+class TestStep:
+    def test_step_is_just_above_the_floor(self):
+        n = 12
+        x = unit_columns(np.random.default_rng(9), 6, n)
+        _, diag = solve_exact(x, SolverConfig(max_iter=1))
+        assert diag.eta_z == 1.02 * (diag.l_z + difference_norm_squared(n))
+
+    @pytest.mark.parametrize("psnr", [None, 20.0], ids=["clean", "20dB"])
+    def test_default_stop_is_near_the_optimum(self, psnr):
+        # Eliminating E = X - X Z gives the sequential solver's objective,
+        # so a tight solve_relaxed locates the optimum both solvers share.
+        tight = SolverConfig(eps1=1e-9, eps2=1e-9, max_iter=40000)
+        for seed in range(4):
+            x, _ = generate_synthetic(SyntheticSpec(seed=seed))
+            if psnr is not None:
+                x = add_noise_psnr(x, psnr, seed=seed + 1000)
+            x = normalize_columns(x)
+            _, diag = solve_exact(x, SolverConfig())
+            _, reference = solve_relaxed(x, tight)
+            assert diag.converged and reference.converged
+            optimum = reference.objective_value
+            assert abs(diag.objective_value - optimum) <= 1e-4 * abs(optimum)
 
 
 class TestDiagnostics:
