@@ -33,7 +33,8 @@ def free_set(sets, z):
 
 def start_state(initial_state, default):
     """``initial_state`` if given, else ``default``; a given state must be of
-    ``default``'s type, with a positive finite mu and its block shapes."""
+    ``default``'s type, with a positive finite mu and finite real blocks of
+    ``default``'s shapes, which the solve reads as float64."""
     if initial_state is None:
         return default
     kind, got = type(default).__name__, type(initial_state).__name__
@@ -42,11 +43,16 @@ def start_state(initial_state, default):
     mu = initial_state.mu
     if not is_finite_real(mu) or mu <= 0:
         raise ValueError(f"initial state mu must be a positive finite number, got {mu!r}")
-    for f in fields(default):
-        block = getattr(default, f.name)
-        if isinstance(block, np.ndarray) and getattr(initial_state, f.name).shape != block.shape:
-            raise ValueError("initial state shapes do not match the data matrix")
-    return initial_state
+    blocks = {}
+    for name in [f.name for f in fields(default) if f.name != "mu"]:
+        want, block = getattr(default, name), getattr(initial_state, name)
+        if not (isinstance(block, np.ndarray) and block.dtype.kind in "iuf"):
+            what = getattr(block, "dtype", type(block).__name__)
+            raise ValueError(f"initial state block {name} must be a real array, got {what}")
+        if block.shape != want.shape or not np.isfinite(block).all():
+            raise ValueError(f"initial state block {name} must be finite, of shape {want.shape}")
+        blocks[name] = block.astype(float, copy=False)
+    return replace(initial_state, **blocks)
 
 
 def check_finite(quick, state, sweep):
@@ -62,17 +68,15 @@ def check_finite(quick, state, sweep):
 ETA_J = 1.02
 
 
-def run(config, state, sweep, residuals, multipliers, diag, monitor=None, increment=None,
-        scale=(1.0, 1.0)):
+def run(config, state, sweep, multipliers, diag, monitor=None, increment=None, scale=(1.0, 1.0)):
     """Sweep from ``state`` until it converges or ``config.max_iter`` sweeps
     have run; returns the last state and records the solve in ``diag``.
 
-    ``sweep(state)`` gives the next iterate at the same mu and its step
-    norms; ``residuals`` are the arrays each sweep leaves its residuals in,
-    ``multipliers`` the names of the multiplier blocks.  With ``scale =
-    (normalizer, weight)`` the solve converges once
+    ``sweep(state)`` gives the next iterate at the same mu, its step norms
+    and its residual norms; ``multipliers`` are the names of the multiplier
+    blocks.  With ``scale = (normalizer, weight)`` the solve converges once
 
-        feasibility = max ||residual||_F / normalizer < eps1  and
+        feasibility = max residual norm / normalizer < eps1  and
         change = mu * weight / normalizer * max step norm < eps2.
 
     Mu then grows, up to ``mu_max``, by the factor ``gamma0`` once change <
@@ -88,12 +92,12 @@ def run(config, state, sweep, residuals, multipliers, diag, monitor=None, increm
     converged = False
     for sweeps in range(1, config.max_iter + 1):
         mu = state.mu
-        new, steps = sweep(state)
+        new, steps, residual_norms = sweep(state)
         quick = sum(steps)
         for name in multipliers:
             quick += float(np.sum(getattr(new, name)))
         check_finite(quick, new, sweeps)
-        feasibility = max(float(np.linalg.norm(r)) for r in residuals) / normalizer
+        feasibility = max(residual_norms) / normalizer
         change = mu * weight / normalizer * max(steps)
         converged = feasibility < config.eps1 and change < config.eps2
         if increment is not None:

@@ -8,10 +8,11 @@ Solves
 keeping the fitting error as an explicit block instead of folding it into
 the objective.  E and J are separable given Z, so a sweep updates Z first
 and then (E, J) from the fresh Z, a two-block LADMAP (Lin, Liu & Su, NIPS
-2011); the multipliers then move with the fresh blocks.  The proximal
-weight eta_z must exceed ||X||^2 + ||R||^2, and the solver takes 1.02
-times that floor.  The sweep loop, the stop and the penalty schedule are
-shared with the other solvers in ``admm.py``.
+2011); the multipliers then move with the fresh blocks.  That order
+leaves Y1 = -E after every sweep, so a state keeps Y1 alone: E is -Y1.
+The proximal weight eta_z must exceed ||X||^2 + ||R||^2, and the solver
+takes 1.02 times that floor.  The sweep loop, the stop and the penalty
+schedule are shared with the other solvers in ``admm.py``.
 """
 
 from __future__ import annotations
@@ -36,15 +37,13 @@ from .types import (
 
 @dataclass
 class ExactState:
-    """One iterate: three primal blocks, two multipliers, penalty."""
+    """One iterate: Z, J, two multipliers and the penalty; E is -Y1."""
 
     z: np.ndarray
-    e: np.ndarray
     j: np.ndarray
     y1: np.ndarray
     y2: np.ndarray
     mu: float
-    iteration: int = 0
 
 
 def initial_exact_state(d, n, mu0):
@@ -56,12 +55,10 @@ def initial_exact_state(d, n, mu0):
     """
     return ExactState(
         z=np.zeros((n, n)),
-        e=np.zeros((d, n)),
         j=np.zeros((n, n - 1)),
         y1=np.zeros((d, n)),
         y2=np.zeros((n, n - 1)),
         mu=float(mu0),
-        iteration=0,
     )
 
 
@@ -69,18 +66,16 @@ class ExactWorkspace:
     """Buffers shared by the sweeps of one solve on a D x N data matrix.
 
     Besides two output sets (see ``admm.buffer_sets``) the workspace keeps
-    products of the iterate it last produced: X Z - X, the fit residual
-    X Z - X + E, Z R and the coupling residual J - Z R, plus that sweep's
-    step dZ (in ``nn``) and dZ R.  A sweep that starts from any other
-    iterate recomputes them from its state.
+    products of the iterate it last produced: X Z - X, Z R and the coupling
+    residual J - Z R, plus that sweep's step dZ (in ``nn``) and dZ R.  A
+    sweep that starts from any other iterate recomputes them from its state.
     """
 
     def __init__(self, d, n):
-        self.sets = admm.buffer_sets(z=(n, n), e=(d, n), j=(n, n - 1), y1=(d, n), y2=(n, n - 1))
+        self.sets = admm.buffer_sets(z=(n, n), j=(n, n - 1), y1=(d, n), y2=(n, n - 1))
         self.zr = np.empty((n, n - 1))  # Z R of the iterate in ``_of``
         self.dzr = np.empty((n, n - 1))  # dZ R of the last sweep
         self.xz_x = np.empty((d, n))  # X Z - X
-        self.fit = np.empty((d, n))  # X Z - X + E
         self.coupling = np.empty((n, n - 1))  # J - Z R
         self.nn = np.empty((n, n))  # the gradient step, then dZ of the last sweep
         self.scratch = np.empty(max(d, n) * n)  # for the step distances of a solve
@@ -88,32 +83,35 @@ class ExactWorkspace:
 
     def sync(self, x, state):
         """Make the kept products belong to ``state``, recomputing them if needed."""
-        of = (x, state.z, state.e, state.j)
+        of = (x, state.z, state.j)
         if self._of is None or any(a is not b for a, b in zip(self._of, of)):
             np.subtract(np.matmul(x, state.z, out=self.xz_x), x, out=self.xz_x)
-            np.add(self.xz_x, state.e, out=self.fit)
             np.subtract(state.j, column_differences(state.z, out=self.zr), out=self.coupling)
             self._of = of
 
 
-def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace):
+def exact_iteration(x, state, lam1, lam2, eta_z, diag_zero, *, workspace):
     """One sweep: Z from the k-th iterate, then E and J from the fresh Z.
 
-    Re-running this on the same state reproduces the output bitwise.  The
-    ``workspace`` (see ExactWorkspace) lets successive sweeps share buffers
-    and the products one sweep leaves for the next.
+    E+ = ridge_error_update(X Z+ - X, Y1, mu) makes Y1 + mu (X Z+ - X + E+)
+    equal to -E+, so the sweep keeps Y1+ = -E+ alone.  J's proximal weight
+    is mu * ``admm.ETA_J``.  Re-running this on the same state reproduces
+    the output bitwise.  The ``workspace`` (see ExactWorkspace) lets
+    successive sweeps share buffers and the products one sweep leaves for
+    the next.
     """
     ws = workspace
     ws.sync(x, state)
     z, y1, y2, mu = state.z, state.y1, state.y2, state.mu
     sigma_z = mu * eta_z
-    sigma_j = mu * eta_j
+    sigma_j = mu * admm.ETA_J
     out = admm.free_set(ws.sets, z)
-    z_new, e_new, j_new, y1_new, y2_new = out.z, out.e, out.j, out.y1, out.y2
+    z_new, j_new, y1_new, y2_new = out.z, out.j, out.y1, out.y2
 
-    # grad = X^T (Y1 + mu (X Z - X + E)) - (Y2 + mu (J - Z R)) R^T.  Each
+    # grad = X^T (Y1 + mu (X Z - X - Y1)) - (Y2 + mu (J - Z R)) R^T.  Each
     # temporary lives in an output slot until that slot takes its block.
-    a = np.multiply(ws.fit, mu, out=y1_new)
+    a = np.subtract(ws.xz_x, y1, out=y1_new)
+    a *= mu
     a += y1
     grad = np.matmul(x.T, a, out=ws.nn)
     b = np.multiply(ws.coupling, mu, out=y2_new)
@@ -131,20 +129,17 @@ def exact_iteration(x, state, lam1, lam2, eta_z, eta_j, diag_zero, *, workspace)
     column_differences(np.subtract(z_new, z, out=ws.nn), out=ws.dzr)
     np.subtract(np.matmul(x, z_new, out=ws.xz_x), x, out=ws.xz_x)
 
-    ridge_error_update(ws.xz_x, y1, mu, out=e_new)
+    ridge_error_update(ws.xz_x, y1, mu, out=y1_new)
+    y1_new *= -1.0
     u = np.divide(y2, sigma_j, out=y2_new)
     np.subtract(ws.zr, u, out=u)
     group_shrink_columns(u, lam2 / sigma_j, out=j_new)
 
-    np.add(ws.xz_x, e_new, out=ws.fit)
     np.subtract(j_new, ws.zr, out=ws.coupling)
-    ws._of = (x, z_new, e_new, j_new)
-
-    np.multiply(ws.fit, mu, out=y1_new)
-    y1_new += y1
+    ws._of = (x, z_new, j_new)
     np.multiply(ws.coupling, mu, out=y2_new)
     y2_new += y2
-    return ExactState(z_new, e_new, j_new, y1_new, y2_new, mu, state.iteration + 1)
+    return ExactState(z_new, j_new, y1_new, y2_new, mu)
 
 
 def solve_exact(x, config=None, initial_state=None):
@@ -153,9 +148,10 @@ def solve_exact(x, config=None, initial_state=None):
     ``admm.run`` stops it once three residual tests hold at once, each
     normalized by ||X||_F: the fit residual ||X Z - X + E|| and the coupling
     residual ||J - Z R|| under eps1, and the scaled iterate change
-    ``mu * sqrt(eta_z) * max(||dZ||, ||dE||, ||dJ||, ||dZ R||) / ||X||_F``
-    under eps2.  An all-zero X gives Z = 0 without a sweep, reported as
-    converged.
+    ``mu * sqrt(eta_z) * max(||dZ||, ||dY1||, ||dJ||, ||dZ R||) / ||X||_F``
+    under eps2.  With E = -Y1, ||dY1|| is ||dE||, and the fit residual is
+    read from it as ||dY1|| / mu (see ``exact_iteration``).  An all-zero X
+    gives Z = 0 without a sweep, reported as converged.
     """
     config = config if config is not None else SolverConfig()
     x = as_data_matrix(x)
@@ -177,22 +173,22 @@ def solve_exact(x, config=None, initial_state=None):
 
     def sweep(state):
         new = exact_iteration(
-            x, state, config.lambda1, config.lambda2, eta_z, admm.ETA_J, config.diag_zero,
-            workspace=workspace,
+            x, state, config.lambda1, config.lambda2, eta_z, config.diag_zero, workspace=workspace
         )
-        return new, (
+        dy1 = frobenius_distance(new.y1, state.y1, workspace.scratch)
+        steps = (
             float(np.linalg.norm(workspace.nn)),  # dZ
-            frobenius_distance(new.e, state.e, workspace.scratch),
+            dy1,
             frobenius_distance(new.j, state.j, workspace.scratch),
             float(np.linalg.norm(workspace.dzr)),  # dZ R
         )
+        return new, steps, (dy1 / new.mu, float(np.linalg.norm(workspace.coupling)))
 
-    residuals = (workspace.fit, workspace.coupling)
     scale = (x_fro, float(np.sqrt(eta_z)))
-    state = admm.run(config, state, sweep, residuals, ("y1", "y2"), diag, scale=scale)
+    state = admm.run(config, state, sweep, ("y1", "y2"), diag, scale=scale)
     zr = workspace.zr  # Z R of the final iterate
     diag.objective_value = (
-        0.5 * float(np.sum(state.e**2))
+        0.5 * float(np.sum(state.y1**2))  # E = -Y1
         + config.lambda1 * float(np.sum(np.abs(state.z)))
         + config.lambda2 * float(np.sum(np.linalg.norm(zr, axis=0)))
     )

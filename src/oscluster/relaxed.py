@@ -54,7 +54,6 @@ class RelaxedState:
     j: np.ndarray
     y: np.ndarray
     mu: float
-    iteration: int = 0
 
 
 def initial_relaxed_state(d, n, mu0):
@@ -69,7 +68,6 @@ def initial_relaxed_state(d, n, mu0):
         j=np.zeros((n, n - 1)),
         y=np.zeros((n, n - 1)),
         mu=float(mu0),
-        iteration=0,
     )
 
 
@@ -163,16 +161,16 @@ def relaxed_iteration(
     np.subtract(j_new, h, out=y_new)
     y_new *= mu
     y_new += y
-    return RelaxedState(z_new, j_new, y_new, mu, state.iteration + 1)
+    return RelaxedState(z_new, j_new, y_new, mu)
 
 
-def lyapunov_s(state, reference, eta_z, eta_j, l_z):
+def lyapunov_s(state, reference, eta_z, l_z):
     """Descent monitor for the sequential solver.
 
     For a reference triple (Z*, J*, Y*) this evaluates
 
         (eta_z + l_z / mu) * ||Z - Z*||_F^2 - ||(Z - Z*) R||_F^2
-        + eta_j * ||J - J*||_F^2 + mu^-2 * ||Y - Y*||_F^2.
+        + admm.ETA_J * ||J - J*||_F^2 + mu^-2 * ||Y - Y*||_F^2.
 
     With eta_z above the squared spectral norm of R the quantity is
     nonnegative, and it is nonincreasing along the iterates of the plain
@@ -190,7 +188,7 @@ def lyapunov_s(state, reference, eta_z, eta_j, l_z):
     value = (
         (eta_z + l_z / mu) * float(np.sum(dz * dz))
         - float(np.sum(column_differences(dz) ** 2))
-        + eta_j * float(np.sum(dj * dj))
+        + admm.ETA_J * float(np.sum(dj * dj))
         + float(np.sum(dy * dy)) / mu**2
     )
     return value
@@ -241,17 +239,16 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
             x, state, lam1, lam2, l_z, eta_z, admm.ETA_J, diag_zero, j_prox,
             workspace=workspace, alpha=alpha,
         )
-        return new, (
-            frobenius_distance(new.z, state.z, workspace.fit),
-            frobenius_distance(new.j, state.j, workspace.fit),
-        )
+        dz = frobenius_distance(new.z, state.z, workspace.fit)
+        dj = frobenius_distance(new.j, state.j, workspace.fit)
+        return new, (dz, dj), (float(np.linalg.norm(workspace.residual)),)
 
     monitor = None
     if lyapunov_reference is not None:
         def monitor(state):
-            return lyapunov_s(state, lyapunov_reference, eta_z, admm.ETA_J, l_z)
+            return lyapunov_s(state, lyapunov_reference, eta_z, l_z)
 
-    state = admm.run(config, state, sweep, (workspace.residual,), ("y",), diag, monitor, increment)
+    state = admm.run(config, state, sweep, ("y",), diag, monitor, increment)
     diag.objective_value = _objective(x, state.z, lam1, lam2, j_prox)
     return state, diag
 

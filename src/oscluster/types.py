@@ -184,8 +184,9 @@ class SolverConfig:
     block from X, and reports it in ``SolveDiagnostics.eta_z``: the
     sequential solver and spatsc take ||R||^2 + 1e-3, just above the
     floor ||R||^2 they need, and the exact solver takes 1.02 (||X||^2 +
-    ||R||^2), just above the floor of its Z step; the J step's weight is the
-    constant ``admm.ETA_J``.
+    ||R||^2), just above the floor of its Z step.  The J step's weight is
+    the constant ``admm.ETA_J``; ``exact_iteration`` and ``lyapunov_s``
+    read it themselves.
     ``admm.run``, which also applies the stop on ``eps1`` and ``eps2``,
     scales mu by ``gamma0`` whenever the scaled iterate change falls under
     ``eps2``, up to ``mu_max``.  The sequential solver and spatsc

@@ -327,13 +327,15 @@ def plain_relaxed_sweep(
     ws._of = (z_new, j_new)
     np.multiply(residual, mu, out=y_new)
     y_new += y
-    return RelaxedState(z_new, j_new, y_new, mu, state.iteration + 1)
+    return RelaxedState(z_new, j_new, y_new, mu)
 
 
 def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag_zero):
     """One sweep of the exact-constraint solver from its update formulas,
     with a dense R and nothing carried between sweeps: Z from the given
-    blocks, then E and J from the fresh Z.  Returns ``(z, e, j, y1, y2)``."""
+    blocks, then E and J from the fresh Z.  E and Y1 are separate blocks
+    here, each from its own formula, so the relation the library relies on
+    (Y1+ = -E+) is checked, not assumed.  Returns ``(z, e, j, y1, y2)``."""
     r = build_difference_operator(z.shape[0])
     sigma_z = mu * eta_z
     sigma_j = mu * eta_j

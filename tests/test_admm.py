@@ -1,12 +1,21 @@
 """The one stop of the linearized-ADMM solvers, driven through ``admm.run``
-with a fake state and a scripted sweep."""
+with a fake state and a scripted sweep, and the warm-start check both
+solvers share."""
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from oscluster import DivergenceError, SolveDiagnostics, SolverConfig
+from oscluster import (
+    DivergenceError,
+    SolveDiagnostics,
+    SolverConfig,
+    initial_exact_state,
+    initial_relaxed_state,
+    solve_exact,
+    solve_relaxed,
+)
 from oscluster.admm import run
 
 N = 4
@@ -18,36 +27,31 @@ class FakeState:
     z: np.ndarray
     y: np.ndarray
     mu: float
-    iteration: int = 0
 
 
-def start(mu=1.0, iteration=0):
-    return FakeState(np.zeros((N, N)), np.zeros((N, N - 1)), mu, iteration)
+def start(mu=1.0):
+    return FakeState(np.zeros((N, N)), np.zeros((N, N - 1)), mu)
 
 
-def scripted(residuals, script):
-    """A sweep that replays ``script``, one ``(residual values, step norms)``
-    or ``(residual values, step norms, multiplier entry)`` per sweep: each
-    residual array is filled with its value, so its norm is known."""
+def scripted(script):
+    """A sweep that replays ``script``, one ``(residual norms, step norms)``
+    or ``(residual norms, step norms, multiplier entry)`` per sweep."""
     entries = iter(script)
 
     def sweep(state):
-        values, steps, *multiplier = next(entries)
-        for array, value in zip(residuals, values):
-            array.fill(value)
+        residual_norms, steps, *multiplier = next(entries)
         y = state.y.copy()
         if multiplier:
             y[0, 0] = multiplier[0]
-        return replace(state, y=y, iteration=state.iteration + 1), steps
+        return replace(state, y=y), steps, residual_norms
 
     return sweep
 
 
-def solve(config, script, residual_count=1, scale=(1.0, 1.0), increment=None, state=None):
-    residuals = tuple(np.empty(1) for _ in range(residual_count))
+def solve(config, script, scale=(1.0, 1.0), increment=None, state=None):
     diag = SolveDiagnostics()
     state = run(
-        config, state or start(config.mu0), scripted(residuals, script), residuals, ("y",), diag,
+        config, state or start(config.mu0), scripted(script), ("y",), diag,
         increment=increment, scale=scale,
     )
     return state, diag
@@ -61,8 +65,8 @@ class TestStop:
             ((SMALL,), (SMALL, SMALL)),  # both: stop here
             ((SMALL,), (SMALL, SMALL)),
         ]
-        state, diag = solve(SolverConfig(), script)
-        assert diag.converged and diag.iterations == 3 and state.iteration == 3
+        _, diag = solve(SolverConfig(), script)
+        assert diag.converged and diag.iterations == 3
         assert diag.feasibility_history == [SMALL, BIG, SMALL]
         assert diag.change_history == [BIG, SMALL, 1.1 * SMALL]
 
@@ -75,7 +79,7 @@ class TestStop:
             ((BIG, SMALL), (SMALL,) * 4),
             ((SMALL, SMALL), (SMALL,) * 4),
         ]
-        _, diag = solve(SolverConfig(), script, residual_count=2, scale=(normalizer, weight))
+        _, diag = solve(SolverConfig(), script, scale=(normalizer, weight))
         assert diag.converged and diag.iterations == 3
         assert diag.feasibility_history == [BIG / normalizer, BIG / normalizer, SMALL / normalizer]
         mus = diag.mu_history
@@ -86,7 +90,7 @@ class TestStop:
         # normalizer lifts the change above it.
         script = [((SMALL, SMALL), (1e-5, 3e-5, 2e-5))] * 2
         config = SolverConfig(mu0=10.0, max_iter=2)
-        _, diag = solve(config, script, residual_count=2, scale=(0.5, 1.0))
+        _, diag = solve(config, script, scale=(0.5, 1.0))
         assert not diag.converged and diag.iterations == 2
         assert diag.change_history == [10.0 / 0.5 * 3e-5] * 2
 
@@ -95,10 +99,12 @@ class TestStop:
         assert not diag.converged and diag.iterations == 3
 
     def test_iterations_count_this_call_only(self):
-        state, diag = solve(
-            SolverConfig(max_iter=2), [((BIG,), (BIG,))] * 2, state=start(iteration=100)
-        )
-        assert diag.iterations == 2 and state.iteration == 102
+        # A solve warm-started from another's last state counts its own
+        # sweeps only.
+        config = SolverConfig(max_iter=2)
+        state, first = solve(config, [((BIG,), (BIG,))] * 2)
+        _, second = solve(config, [((BIG,), (BIG,))] * 2, state=state)
+        assert first.iterations == second.iterations == len(second.feasibility_history) == 2
 
 
 class TestPenalty:
@@ -134,3 +140,52 @@ class TestDivergence:
         with np.errstate(over="ignore"):
             _, diag = solve(SolverConfig(max_iter=1), [((BIG,), (BIG,), 1e308)], state=state)
         assert diag.iterations == 1 and not diag.converged
+
+
+SOLVERS = {
+    "relaxed": (solve_relaxed, initial_relaxed_state, ("z", "j", "y")),
+    "exact": (solve_exact, initial_exact_state, ("z", "j", "y1", "y2")),
+}
+MALFORMED = {
+    "list": lambda block: block.tolist(),
+    "nan": lambda block: np.full_like(block, np.nan),
+    "inf": lambda block: np.full_like(block, -np.inf),
+    "complex": lambda block: block.astype(complex),
+    "bool": lambda block: block.astype(bool),
+}
+BLOCK_CASES = [(s, b) for s, (_, _, blocks) in SOLVERS.items() for b in blocks]
+
+
+def unit_columns(d, n):
+    x = np.random.default_rng(3).standard_normal((d, n))
+    return x / np.linalg.norm(x, axis=0, keepdims=True)
+
+
+class TestWarmStartBlocks:
+    @pytest.mark.parametrize("malformed", list(MALFORMED))
+    @pytest.mark.parametrize("solver, block", BLOCK_CASES)
+    def test_malformed_block_is_refused_by_name(self, solver, block, malformed):
+        # A list, a non-finite entry or a non-real dtype is bad input: a
+        # ValueError naming the block, not AttributeError, DivergenceError
+        # or UFuncTypeError from inside the first sweep.
+        solve, initial, _ = SOLVERS[solver]
+        state = initial(4, 6, 1.0)
+        setattr(state, block, MALFORMED[malformed](getattr(state, block)))
+        with pytest.raises(ValueError, match=f"initial state block {block} "):
+            solve(unit_columns(4, 6), SolverConfig(max_iter=3), initial_state=state)
+
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+    def test_integer_and_float_blocks_still_run(self, solver, dtype):
+        # The solve reads a warm start's blocks as float64, so an integer or
+        # float32 start gives the float64 start's solve.
+        solve, initial, blocks = SOLVERS[solver]
+        x, config = unit_columns(4, 6), SolverConfig(max_iter=20)
+        state, cast = initial(4, 6, 1.0), initial(4, 6, 1.0)
+        for name in blocks:
+            values = np.arange(getattr(state, name).size).reshape(getattr(state, name).shape) % 3
+            setattr(state, name, values.astype(float))
+            setattr(cast, name, values.astype(dtype))
+        z, diag = solve(x, config, initial_state=state)
+        z_cast, diag_cast = solve(x, config, initial_state=cast)
+        assert np.array_equal(z, z_cast) and diag.iterations == diag_cast.iterations == 20

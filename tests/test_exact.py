@@ -14,6 +14,7 @@ from oscluster import (
     solve_exact,
     solve_relaxed,
 )
+from oscluster.admm import ETA_J
 from oscluster.exact import ExactWorkspace, exact_iteration
 from oscluster.prox import group_shrink_columns, ridge_error_update
 from oscluster.types import column_differences, difference_norm_squared
@@ -63,25 +64,24 @@ class TestSweepOrder:
         state = dataclasses.replace(
             state,
             z=rng.standard_normal((9, 9)),
-            e=rng.standard_normal((6, 9)),
             j=rng.standard_normal((9, 8)),
             y1=rng.standard_normal((6, 9)),
             y2=rng.standard_normal((9, 8)),
         )
         # One workspace each: a shared one would hand both calls the same
         # output arrays, and a and b would be one iterate.
-        args = (0.1, 1.0, 30.0, 1.0, False)
+        args = (0.1, 1.0, 30.0, False)
         a = exact_iteration(x, state, *args, workspace=ExactWorkspace(6, 9))
         b = exact_iteration(x, state, *args, workspace=ExactWorkspace(6, 9))
         assert np.array_equal(a.z, b.z)
-        assert np.array_equal(a.e, b.e)
         assert np.array_equal(a.j, b.j)
         assert np.array_equal(a.y1, b.y1)
         assert np.array_equal(a.y2, b.y2)
 
     def test_error_and_coupling_read_the_fresh_z(self):
-        # Z moves first; E and J are then the closed-form updates at the
-        # returned Z, not at the Z the sweep started from.
+        # Z moves first; E = -Y1 and J are then the closed-form updates at
+        # the returned Z, not at the Z the sweep started from.  The start is
+        # consistent by construction: its E is -Y1.
         rng = np.random.default_rng(6)
         x = unit_columns(rng, 5, 7)
         state = dataclasses.replace(
@@ -91,11 +91,9 @@ class TestSweepOrder:
             y1=rng.standard_normal((5, 7)),
             y2=rng.standard_normal((7, 6)),
         )
-        lam2, eta_j, mu = 1.0, 1.02, 2.0
-        out = exact_iteration(
-            x, state, 0.1, lam2, 30.0, eta_j, False, workspace=ExactWorkspace(5, 7)
-        )
-        sigma_j = mu * eta_j
+        lam2, mu = 1.0, 2.0
+        out = exact_iteration(x, state, 0.1, lam2, 30.0, False, workspace=ExactWorkspace(5, 7))
+        sigma_j = mu * ETA_J
 
         def e_at(z):
             return ridge_error_update(x @ z - x, state.y1, mu)
@@ -103,9 +101,9 @@ class TestSweepOrder:
         def j_at(z):
             return group_shrink_columns(column_differences(z) - state.y2 / sigma_j, lam2 / sigma_j)
 
-        np.testing.assert_allclose(out.e, e_at(out.z), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(-out.y1, e_at(out.z), rtol=0, atol=1e-14)
         np.testing.assert_allclose(out.j, j_at(out.z), rtol=0, atol=1e-14)
-        assert not np.allclose(out.e, e_at(state.z))
+        assert not np.allclose(-out.y1, e_at(state.z))
         assert not np.allclose(out.j, j_at(state.z))
 
 
@@ -172,13 +170,6 @@ class TestDiagnostics:
         bad = dataclasses.replace(initial_exact_state(4, 5, 1.0), mu=mu)
         with pytest.raises(ValueError, match="initial state mu"):
             solve_exact(x, SolverConfig(), initial_state=bad)
-
-    def test_iterations_count_this_solve_only(self):
-        # A warm start's own counter does not carry into the report.
-        x = unit_columns(np.random.default_rng(9), 4, 5)
-        start = dataclasses.replace(initial_exact_state(4, 5, 1.0), iteration=100)
-        _, diag = solve_exact(x, SolverConfig(max_iter=5), initial_state=start)
-        assert diag.iterations == len(diag.feasibility_history) == 5
 
     def test_initial_multiplier_shape_checked(self):
         x = unit_columns(np.random.default_rng(9), 4, 5)

@@ -30,6 +30,7 @@ from oscluster import (
 from oscluster import relaxed
 from oscluster.baselines import _stationarity_gap
 from oscluster.exact import ExactWorkspace, exact_iteration
+from oscluster.admm import ETA_J
 from oscluster.relaxed import OVER_RELAXATION, RelaxedWorkspace, relaxed_iteration
 from oscluster.types import FitOperator, operator_norm_squared
 
@@ -68,7 +69,6 @@ def warm_start(d, n, seed=11, rank=None):
     blocks = {
         "z": 0.05 * rng.standard_normal((n, n)),
         "j": 0.05 * rng.standard_normal((n, n - 1)),
-        "e": 0.05 * rng.standard_normal((d, n)),
         "y": rng.standard_normal((n, n - 1)),
         "y1": rng.standard_normal((d, n)),
     }
@@ -110,7 +110,6 @@ def check_chained_relaxed_sweeps(x, b, shared, j_prox, diag_zero, alpha=1.0):
         )
         for got, expected in zip((state.z, state.j, state.y), want):
             assert_close(got, expected)
-    assert state.iteration == SWEEPS
     assert np.count_nonzero(state.z) > 0
 
 
@@ -176,20 +175,45 @@ def test_ssc_sweeps_match_reference(d, n, rank):
 
 
 def test_exact_sweeps_match_reference(warm):
+    # The library keeps Y1 alone; the reference keeps E and Y1 apart, from
+    # a consistent start E = -Y1, and the library's -Y1 must be its E.
     x, b = warm
-    lam1, lam2, eta_z, eta_j = 0.1, 0.5, 40.0, 1.02
+    lam1, lam2, eta_z = 0.1, 0.5, 40.0
     state = dataclasses.replace(
-        initial_exact_state(D, N, 1.0), z=b["z"], e=b["e"], j=b["j"], y1=b["y1"], y2=b["y"]
+        initial_exact_state(D, N, 1.0), z=b["z"], j=b["j"], y1=b["y1"], y2=b["y"]
     )
-    want = (b["z"], b["e"], b["j"], b["y1"], b["y"])
+    want = (b["z"], -b["y1"], b["j"], b["y1"], b["y"])
     workspace = ExactWorkspace(D, N)
     for sweep in range(SWEEPS):
         state = dataclasses.replace(state, mu=mu_at(sweep))
-        state = exact_iteration(x, state, lam1, lam2, eta_z, eta_j, False, workspace=workspace)
-        want = reference_exact_sweep(x, *want, mu_at(sweep), lam1, lam2, eta_z, eta_j, False)
-        for got, expected in zip((state.z, state.e, state.j, state.y1, state.y2), want):
-            assert_close(got, expected)
-    assert state.iteration == SWEEPS
+        state = exact_iteration(x, state, lam1, lam2, eta_z, False, workspace=workspace)
+        want = reference_exact_sweep(x, *want, mu_at(sweep), lam1, lam2, eta_z, ETA_J, False)
+        got = (state.z, -state.y1, state.j, state.y1, state.y2)
+        for got_block, expected in zip(got, want):
+            assert_close(got_block, expected)
+
+
+@pytest.mark.parametrize("start", ["zero", "random"])
+def test_reference_exact_sweep_keeps_y1_at_minus_e(warm, start):
+    # The relations the library's exact sweep rests on, pinned on the dense
+    # reference, which forms E and Y1 each from its own formula: Y1+ = -E+,
+    # and the fit residual X Z+ - X + E+ is (Y1+ - Y1) / mu.
+    x, b = warm
+    lam1, lam2, eta_z = 0.1, 0.5, 40.0
+    if start == "zero":
+        state = initial_exact_state(D, N, 1.0)
+        blocks = (state.z, -state.y1, state.j, state.y1, state.y2)
+    else:
+        blocks = (b["z"], -b["y1"], b["j"], b["y1"], b["y"])
+    for sweep in range(SWEEPS):
+        mu = mu_at(sweep)
+        new = reference_exact_sweep(x, *blocks, mu, lam1, lam2, eta_z, ETA_J, False)
+        z, e, y1 = new[0], new[1], new[3]
+        assert_close(y1, -e, tol=1e-13)
+        fit = np.linalg.norm(x @ z - x + e)
+        assert fit == pytest.approx(np.linalg.norm(y1 - blocks[3]) / mu, rel=1e-12)
+        blocks = new
+    assert np.count_nonzero(blocks[0]) > 0
 
 
 def test_workspace_recomputes_for_a_state_it_did_not_produce(warm):
@@ -216,15 +240,15 @@ def owned_arrays(workspace):
 def test_workspace_sizes(d, n):
     # Relaxed: Z, J, Y twice, then Z R, J - Z R and the fit step.  Exact: 11
     # N x N-sized arrays (Z, J, Y2 twice, Z R, dZ R, J - Z R, the gradient
-    # step and a max(D, N) x N distance buffer) and 6 D x N (E, Y1 twice,
-    # X Z - X and X Z - X + E).
+    # step and a max(D, N) x N distance buffer) and 3 D x N (Y1 twice and
+    # X Z - X).
     square, band = n * n, n * (n - 1)
     relaxed = owned_arrays(RelaxedWorkspace(FitOperator(np.ones((d, n)))))
     assert len(relaxed) == 9
     assert sum(a.nbytes for a in relaxed) == 8 * (3 * square + 6 * band)
     exact = owned_arrays(ExactWorkspace(d, n))
-    assert len(exact) == 11 + 6
-    assert sum(a.nbytes for a in exact) == 8 * (3 * square + 7 * band + max(d, n) * n + 6 * d * n)
+    assert len(exact) == 11 + 3
+    assert sum(a.nbytes for a in exact) == 8 * (3 * square + 7 * band + max(d, n) * n + 3 * d * n)
 
 
 def test_workspace_refuses_other_data(warm):
@@ -354,8 +378,9 @@ def relaxed_start(x, mu0):
 
 
 def exact_start(x, mu0):
+    """The default start's blocks with E = -Y1, as the reference takes them."""
     state = initial_exact_state(*x.shape, mu0)
-    return state.z, state.e, state.j, state.y1, state.y2
+    return state.z, -state.y1, state.j, state.y1, state.y2
 
 
 def test_relaxed_solve_matches_reference(protocol_x):
@@ -440,17 +465,21 @@ class TestDivergence:
         x = rng.standard_normal((6, 8))
         return x / np.linalg.norm(x, axis=0, keepdims=True)
 
+    # A warm start with a non-finite block is refused before the solve (see
+    # test_admm.py); a finite multiplier near the largest double overflows
+    # in the first sweep instead.  The exact Z step reads Y1 + mu (XZ - X -
+    # Y1), which cancels Y1 at mu = 1, so its start takes mu = 2.
     def test_relaxed_infinite_multiplier(self, x):
         state = initial_relaxed_state(6, 8, 1.0)
-        state.y[2, 3] = np.inf
+        state.y[2, 3] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="iteration"):
                 solve_relaxed(x, SolverConfig(), initial_state=state)
 
     @pytest.mark.parametrize("block", ["y1", "y2"])
     def test_exact_infinite_multiplier(self, x, block):
-        state = initial_exact_state(6, 8, 1.0)
-        getattr(state, block)[2, 3] = np.inf
+        state = initial_exact_state(6, 8, 2.0)
+        getattr(state, block)[2, 3] = 1e308
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="iteration"):
                 solve_exact(x, SolverConfig(), initial_state=state)
