@@ -95,7 +95,10 @@ def run(config, state, sweep, multipliers, diag, monitor=None, increment=None, s
         new, steps, residual_norms = sweep(state)
         quick = sum(steps)
         for name in multipliers:
-            quick += float(np.sum(getattr(new, name)))
+            block = getattr(new, name)
+            # A coupling multiplier is a view of its zero-padded buffer: sum
+            # the whole contiguous buffer, not the strided view.
+            quick += float(np.sum(block if block.base is None else block.base))
         check_finite(quick, new, sweeps)
         feasibility = max(residual_norms) / normalizer
         change = mu * weight / normalizer * max(steps)

@@ -32,6 +32,7 @@ from .types import (
     difference_norm_squared,
     frobenius_distance,
     operator_norm_squared,
+    zero_padded,
 )
 
 
@@ -49,15 +50,17 @@ class ExactState:
 def initial_exact_state(d, n, mu0):
     """Default start: zero blocks, zero multipliers, penalty mu0.
 
-    As in ``initial_relaxed_state``, the zero multipliers keep the
-    objective's symmetries: a rotation X -> Q X maps Y1 to Q Y1, and an
-    order reversal maps Y2 to -P Y2 Q; a nonzero constant start moves.
+    J and Y2 are N x (N-1) views of zero-padded N x N buffers, the layout
+    of every state a sweep returns (see ``ExactWorkspace``).  As in
+    ``initial_relaxed_state``, the zero multipliers keep the objective's
+    symmetries: a rotation X -> Q X maps Y1 to Q Y1, and an order reversal
+    maps Y2 to -P Y2 Q; a nonzero constant start moves.
     """
     return ExactState(
         z=np.zeros((n, n)),
-        j=np.zeros((n, n - 1)),
+        j=np.zeros((n, n))[:, :-1],
         y1=np.zeros((d, n)),
-        y2=np.zeros((n, n - 1)),
+        y2=np.zeros((n, n))[:, :-1],
         mu=float(mu0),
     )
 
@@ -67,26 +70,37 @@ class ExactWorkspace:
 
     Besides two output sets (see ``admm.buffer_sets``) the workspace keeps
     products of the iterate it last produced: X Z - X, Z R and the coupling
-    residual J - Z R, plus that sweep's step dZ (in ``nn``) and dZ R.  A
-    sweep that starts from any other iterate recomputes them from its state.
+    residual J - Z R, plus that sweep's step dZ (in ``nn``) and dZ R.
+
+    Every coupling-space block (J, Y2, Z R, dZ R and J - Z R) is held as an
+    N x N C-contiguous buffer whose last column is a zero pad, +0.0 (see
+    ``types.column_differences``), so Z R, M R^T and every pass over them
+    run on whole contiguous buffers.  Shrinkage and the multiplier update
+    keep the pad at +0.0 by themselves.  ``j`` and ``y2`` are the padded J
+    and Y2 of that iterate, whose state exposes their N x (N-1) views.  A
+    sweep that starts from any other iterate pads its J and Y2 once into
+    fresh buffers and recomputes the products from its state.
     """
 
     def __init__(self, d, n):
-        self.sets = admm.buffer_sets(z=(n, n), j=(n, n - 1), y1=(d, n), y2=(n, n - 1))
-        self.zr = np.empty((n, n - 1))  # Z R of the iterate in ``_of``
-        self.dzr = np.empty((n, n - 1))  # dZ R of the last sweep
+        self.sets = admm.buffer_sets(z=(n, n), j=(n, n), y1=(d, n), y2=(n, n))
+        self.zr = np.empty((n, n))  # Z R of the iterate in ``_of``
+        self.dzr = np.empty((n, n))  # dZ R of the last sweep
         self.xz_x = np.empty((d, n))  # X Z - X
-        self.coupling = np.empty((n, n - 1))  # J - Z R
+        self.coupling = np.empty((n, n))  # J - Z R
         self.nn = np.empty((n, n))  # the gradient step, then dZ of the last sweep
         self.scratch = np.empty(max(d, n) * n)  # for the step distances of a solve
+        self.j = self.y2 = None
         self._of = None
 
     def sync(self, x, state):
-        """Make the kept products belong to ``state``, recomputing them if needed."""
-        of = (x, state.z, state.j)
+        """Make the padded blocks and the kept products belong to ``state``,
+        padding and recomputing them if needed."""
+        of = (x, state.z, state.j, state.y2)
         if self._of is None or any(a is not b for a, b in zip(self._of, of)):
+            self.j, self.y2 = zero_padded(state.j), zero_padded(state.y2)
             np.subtract(np.matmul(x, state.z, out=self.xz_x), x, out=self.xz_x)
-            np.subtract(state.j, column_differences(state.z, out=self.zr), out=self.coupling)
+            np.subtract(self.j, column_differences(state.z, out=self.zr), out=self.coupling)
             self._of = of
 
 
@@ -102,7 +116,7 @@ def exact_iteration(x, state, lam1, lam2, eta_z, diag_zero, *, workspace):
     """
     ws = workspace
     ws.sync(x, state)
-    z, y1, y2, mu = state.z, state.y1, state.y2, state.mu
+    z, y1, y2, mu = state.z, state.y1, ws.y2, state.mu
     sigma_z = mu * eta_z
     sigma_j = mu * admm.ETA_J
     out = admm.free_set(ws.sets, z)
@@ -136,10 +150,11 @@ def exact_iteration(x, state, lam1, lam2, eta_z, diag_zero, *, workspace):
     group_shrink_columns(u, lam2 / sigma_j, out=j_new)
 
     np.subtract(j_new, ws.zr, out=ws.coupling)
-    ws._of = (x, z_new, j_new)
     np.multiply(ws.coupling, mu, out=y2_new)
     y2_new += y2
-    return ExactState(z_new, j_new, y1_new, y2_new, mu)
+    new = ExactState(z_new, j_new[:, :-1], y1_new, y2_new[:, :-1], mu)
+    ws.j, ws.y2, ws._of = j_new, y2_new, (x, z_new, new.j, new.y2)
+    return new
 
 
 def solve_exact(x, config=None, initial_state=None):
@@ -172,6 +187,8 @@ def solve_exact(x, config=None, initial_state=None):
     workspace = ExactWorkspace(d, n)
 
     def sweep(state):
+        workspace.sync(x, state)
+        j = workspace.j  # the padded J of ``state``; the norms run on whole buffers
         new = exact_iteration(
             x, state, config.lambda1, config.lambda2, eta_z, config.diag_zero, workspace=workspace
         )
@@ -179,14 +196,14 @@ def solve_exact(x, config=None, initial_state=None):
         steps = (
             float(np.linalg.norm(workspace.nn)),  # dZ
             dy1,
-            frobenius_distance(new.j, state.j, workspace.scratch),
+            frobenius_distance(workspace.j, j, workspace.scratch),
             float(np.linalg.norm(workspace.dzr)),  # dZ R
         )
         return new, steps, (dy1 / new.mu, float(np.linalg.norm(workspace.coupling)))
 
     scale = (x_fro, float(np.sqrt(eta_z)))
     state = admm.run(config, state, sweep, ("y1", "y2"), diag, scale=scale)
-    zr = workspace.zr  # Z R of the final iterate
+    zr = workspace.zr[:, :-1]  # Z R of the final iterate
     diag.objective_value = (
         0.5 * float(np.sum(state.y1**2))  # E = -Y1
         + config.lambda1 * float(np.sum(np.abs(state.z)))

@@ -37,6 +37,7 @@ from .types import (
     difference_norm_squared,
     frobenius_distance,
     operator_norm_squared,  # noqa: F401 - a binding the perfbench tracer wraps
+    zero_padded,
 )
 
 # The relaxation weight alpha of the default sweep.  From
@@ -59,14 +60,16 @@ class RelaxedState:
 def initial_relaxed_state(d, n, mu0):
     """Default start: Z = 0, J = 0, Y = 0, penalty mu0.
 
-    The zero multiplier is the customary start (Lin, Chen & Ma's inexact
-    ALM, 2010).  Unlike a nonzero constant, it keeps the objective's
-    symmetries: an order reversal maps Y to -P Y Q, which fixes 0 only.
+    J and Y are N x (N-1) views of zero-padded N x N buffers, the layout of
+    every state a sweep returns (see ``RelaxedWorkspace``).  The zero
+    multiplier is the customary start (Lin, Chen & Ma's inexact ALM, 2010).
+    Unlike a nonzero constant, it keeps the objective's symmetries: an
+    order reversal maps Y to -P Y Q, which fixes 0 only.
     """
     return RelaxedState(
         z=np.zeros((n, n)),
-        j=np.zeros((n, n - 1)),
-        y=np.zeros((n, n - 1)),
+        j=np.zeros((n, n))[:, :-1],
+        y=np.zeros((n, n))[:, :-1],
         mu=float(mu0),
     )
 
@@ -76,24 +79,36 @@ class RelaxedWorkspace:
     FitOperator ``operator``: two output sets (see ``admm.buffer_sets``),
     Z R, the fit step (then the relaxed coupling h, see
     ``relaxed_iteration``) and the constraint residual J - Z R of the
-    iterate it last produced.  A sweep that starts from any other iterate
-    recomputes that residual from its state.
+    iterate it last produced.
+
+    Every coupling-space block (J, Y, Z R, h and J - Z R) is held as an
+    N x N C-contiguous buffer whose last column is a zero pad, +0.0 (see
+    ``types.column_differences``), so Z R, M R^T and every pass over them
+    run on whole contiguous buffers.  Shrinkage and the multiplier update
+    keep the pad at +0.0 by themselves.  ``j`` and ``y`` are the padded J
+    and Y of that iterate, whose state exposes their N x (N-1) views.  A
+    sweep that starts from any other iterate pads its J and Y once into
+    fresh buffers and recomputes the residual from its state.
     """
 
     def __init__(self, operator):
         n = operator.x.shape[1]
         self.operator = operator
-        self.sets = admm.buffer_sets(z=(n, n), j=(n, n - 1), y=(n, n - 1))
-        self.zr = np.empty((n, n - 1))
-        self.residual = np.empty((n, n - 1))  # J - Z R of the iterate in ``_of``
+        self.sets = admm.buffer_sets(z=(n, n), j=(n, n), y=(n, n))
+        self.zr = np.empty((n, n))
+        self.residual = np.empty((n, n))  # J - Z R of the iterate in ``_of``
         self.fit = np.empty((n, n))  # the fit step, then h; after a sweep, scratch
+        self.j = self.y = None
         self._of = None
 
     def sync(self, state):
-        """Make ``residual`` belong to ``state``, recomputing it if needed."""
-        if self._of is None or self._of[0] is not state.z or self._of[1] is not state.j:
-            np.subtract(state.j, column_differences(state.z, out=self.zr), out=self.residual)
-            self._of = (state.z, state.j)
+        """Make ``j``, ``y`` and ``residual`` belong to ``state``, padding and
+        recomputing them if needed."""
+        of = (state.z, state.j, state.y)
+        if self._of is None or any(a is not b for a, b in zip(self._of, of)):
+            self.j, self.y = zero_padded(state.j), zero_padded(state.y)
+            np.subtract(self.j, column_differences(state.z, out=self.zr), out=self.residual)
+            self._of = of
 
 
 def relaxed_iteration(
@@ -123,7 +138,7 @@ def relaxed_iteration(
     if ws.operator.x is not x:
         raise ValueError("the workspace's fit operator belongs to another data matrix")
     ws.sync(state)
-    z, j, y, mu = state.z, state.j, state.y, state.mu
+    z, j, y, mu = state.z, ws.j, ws.y, state.mu
     step = mu * eta_z + l_z
     sigma_j = mu * eta_j
     out = admm.free_set(ws.sets, z)
@@ -147,7 +162,7 @@ def relaxed_iteration(
     # h lives over the spent fit step; (1 - alpha) J passes through J+'s
     # slot, which the J step then takes.
     zr = column_differences(z_new, out=ws.zr)
-    h = np.multiply(zr, alpha, out=ws.fit.reshape(-1)[: zr.size].reshape(zr.shape))
+    h = np.multiply(zr, alpha, out=ws.fit)
     h += np.multiply(j, 1.0 - alpha, out=j_new)
     u = np.divide(y, sigma_j, out=y_new)
     np.subtract(h, u, out=u)
@@ -157,11 +172,12 @@ def relaxed_iteration(
         soft_threshold(u, lam2 / sigma_j, out=j_new)
 
     np.subtract(j_new, zr, out=ws.residual)
-    ws._of = (z_new, j_new)
     np.subtract(j_new, h, out=y_new)
     y_new *= mu
     y_new += y
-    return RelaxedState(z_new, j_new, y_new, mu)
+    new = RelaxedState(z_new, j_new[:, :-1], y_new[:, :-1], mu)
+    ws.j, ws.y, ws._of = j_new, y_new, (z_new, new.j, new.y)
+    return new
 
 
 def lyapunov_s(state, reference, eta_z, l_z):
@@ -187,7 +203,7 @@ def lyapunov_s(state, reference, eta_z, l_z):
     mu = state.mu
     value = (
         (eta_z + l_z / mu) * float(np.sum(dz * dz))
-        - float(np.sum(column_differences(dz) ** 2))
+        - float(np.sum(column_differences(dz)[:, :-1] ** 2))
         + admm.ETA_J * float(np.sum(dj * dj))
         + float(np.sum(dy * dy)) / mu**2
     )
@@ -197,7 +213,7 @@ def lyapunov_s(state, reference, eta_z, l_z):
 def _objective(x, z, lam1, lam2, j_prox):
     fit = 0.5 * float(np.sum((x - x @ z) ** 2))
     l1 = lam1 * float(np.sum(np.abs(z)))
-    zr = column_differences(z)
+    zr = column_differences(z)[:, :-1]
     if j_prox == "l12":
         smooth = float(np.sum(np.linalg.norm(zr, axis=0)))
     else:
@@ -235,12 +251,14 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     alpha = 1.0 if monitored else OVER_RELAXATION
 
     def sweep(state):
+        workspace.sync(state)
+        j = workspace.j  # the padded J of ``state``; the norms run on whole buffers
         new = relaxed_iteration(
             x, state, lam1, lam2, l_z, eta_z, admm.ETA_J, diag_zero, j_prox,
             workspace=workspace, alpha=alpha,
         )
         dz = frobenius_distance(new.z, state.z, workspace.fit)
-        dj = frobenius_distance(new.j, state.j, workspace.fit)
+        dj = frobenius_distance(workspace.j, j, workspace.fit)
         return new, (dz, dj), (float(np.linalg.norm(workspace.residual)),)
 
     monitor = None

@@ -675,7 +675,7 @@ def detect_boundaries_peaks(z, prominence=1.0):
     n = z.shape[0]
     if n < 3:
         raise ValueError(f"boundary detection needs N >= 3, got {n}")
-    scores = np.abs(column_differences(z)).mean(axis=0)
+    scores = np.abs(column_differences(z)[:, :-1]).mean(axis=0)  # N - 1 pair scores
     cutoff = scores.mean() + prominence * scores.std()
     boundaries = []
     for i, value in enumerate(scores):

@@ -64,31 +64,62 @@ def as_coefficient_matrix(values):
 
 
 def column_differences(z, out=None):
-    """Z @ R computed structurally: consecutive column differences.
+    """Z @ R computed structurally, in one flat pass over z's rows.
 
-    ``out``, if given, receives the N x (N-1) result.
+    The result has z's shape: column i < N-1 holds z[:, i+1] - z[:, i], and
+    the last column is a zero pad, always +0.0.  The sweeps keep every block
+    of the coupling J = Z R in this zero-padded N x N layout, so a whole
+    product is one contiguous subtraction and no strided (N, N-1) pass;
+    ``[:, :-1]`` is the N x (N-1) product itself.  ``out``, if given,
+    receives the result and must be a C-contiguous float array of z's shape
+    that does not overlap ``z``.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.ascontiguousarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"need a 2-D array with >= 2 columns, got shape {z.shape}")
-    return np.subtract(z[:, 1:], z[:, :-1], out=out)
+    if out is None:
+        out = np.empty(z.shape)
+    elif out.shape != z.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous of shape {z.shape}")
+    flat = z.reshape(-1)
+    # Entry k of the flat pass is z.flat[k+1] - z.flat[k]: each row's last
+    # one straddles two rows, and the pad then overwrites it.
+    np.subtract(flat[1:], flat[:-1], out=out.reshape(-1)[:-1])
+    out[:, -1] = 0.0
+    return out
 
 
 def apply_difference_adjoint(m, out=None):
-    """M @ R.T computed structurally for M with N-1 columns, in one pass.
+    """M @ R.T computed structurally, in one flat pass, for M in the
+    zero-padded layout of ``column_differences``.
 
-    ``out``, if given, receives the result and must not overlap ``m``.
+    ``m`` is N_rows x N: its first N-1 columns are M and its last column is
+    the zero pad, which must be +0.0.  The pad supplies both boundary terms:
+    the flat pass makes out[i, 0] = pad[i-1] - m[i, 0] = 0.0 - m[i, 0] and
+    out[i, N-1] = m[i, N-2] - pad[i] = m[i, N-2], bitwise the boundary
+    columns of M @ R.T (0.0 - m keeps a +0.0 entry +0.0).  ``out``, if
+    given, receives the N_rows x N result, must be C-contiguous and must
+    not overlap ``m``.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[1] < 1:
-        raise ValueError(f"need a 2-D array with >= 1 column, got shape {m.shape}")
+    m = np.ascontiguousarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[1] < 2:
+        raise ValueError(f"need a 2-D array with >= 2 columns, got shape {m.shape}")
     if out is None:
-        out = np.empty((m.shape[0], m.shape[1] + 1))
-    # 0 - m rather than np.negative, which gave wrong values on strided
-    # columns with numpy 2.4.6 on an AVX-512 machine.
-    np.subtract(0.0, m[:, 0], out=out[:, 0])
-    np.subtract(m[:, :-1], m[:, 1:], out=out[:, 1:-1])
-    out[:, -1] = m[:, -1]
+        out = np.empty(m.shape)
+    elif out.shape != m.shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be C-contiguous of shape {m.shape}")
+    flat, result = m.reshape(-1), out.reshape(-1)
+    result[0] = 0.0 - flat[0]
+    np.subtract(flat[:-1], flat[1:], out=result[1:])
+    return out
+
+
+def zero_padded(block):
+    """A fresh zero-padded copy of an N x (N-1) block: the N x N layout of
+    ``column_differences``, whose last column is +0.0.  ``block`` is only
+    read."""
+    out = np.zeros((block.shape[0], block.shape[1] + 1))
+    out[:, :-1] = block
     return out
 
 
@@ -107,7 +138,11 @@ def frobenius_distance(a, b, scratch):
     """||a - b||_F, with the difference written into the contiguous buffer
     ``scratch`` of any shape.
 
-    ``scratch`` must hold at least ``a.size`` entries.
+    ``scratch`` must hold at least ``a.size`` entries.  The solvers pass
+    whole contiguous buffers: coupling blocks in their zero-padded N x N
+    layout (see ``column_differences``), whose pads subtract to +0.0 and
+    leave the norm alone, and D x N multipliers in an N x N or larger
+    scratch.
     """
     if scratch.size < a.size:
         raise ValueError(f"scratch holds {scratch.size} entries, need {a.size}")

@@ -299,13 +299,14 @@ def plain_relaxed_sweep(
     x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12", *, workspace, alpha
 ):
     """The sequential sweep without relaxation, as the library ran it before
-    the relaxed coupling: the same fused passes in the same order, so its
-    values are bitwise those of that sweep.  Takes ``relaxed_iteration``'s
-    arguments and refuses any ``alpha`` but 1."""
+    the relaxed coupling: the same fused passes in the same order, on the
+    same zero-padded N x N coupling buffers, so its values are bitwise
+    those of that sweep.  Takes ``relaxed_iteration``'s arguments and
+    refuses any ``alpha`` but 1."""
     assert alpha == 1.0
     ws = workspace
     ws.sync(state)
-    z, y, mu = state.z, state.y, state.mu
+    z, y, mu = state.z, ws.y, state.mu
     step = mu * eta_z + l_z
     sigma_j = mu * eta_j
     out = admm.free_set(ws.sets, z)
@@ -324,10 +325,11 @@ def plain_relaxed_sweep(
     shrink = group_shrink_columns if j_prox == "l12" else soft_threshold
     shrink(u, lam2 / sigma_j, out=j_new)
     residual = np.subtract(j_new, zr, out=ws.residual)
-    ws._of = (z_new, j_new)
     np.multiply(residual, mu, out=y_new)
     y_new += y
-    return RelaxedState(z_new, j_new, y_new, mu)
+    new = RelaxedState(z_new, j_new[:, :-1], y_new[:, :-1], mu)
+    ws.j, ws.y, ws._of = j_new, y_new, (z_new, new.j, new.y)
+    return new
 
 
 def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag_zero):

@@ -16,7 +16,11 @@ from oscluster import (
     solve_exact,
     solve_relaxed,
 )
+from oscluster import relaxed
 from oscluster.admm import run
+from oscluster.exact import ExactWorkspace, exact_iteration
+from oscluster.relaxed import RelaxedWorkspace, relaxed_iteration
+from oscluster.types import FitOperator
 
 N = 4
 BIG, SMALL = 1.0, 1e-6  # above and below the default eps1 = eps2 = 1e-4
@@ -189,3 +193,95 @@ class TestWarmStartBlocks:
         z, diag = solve(x, config, initial_state=state)
         z_cast, diag_cast = solve(x, config, initial_state=cast)
         assert np.array_equal(z, z_cast) and diag.iterations == diag_cast.iterations == 20
+
+
+# The coupling-space blocks of each state: N x (N-1) at the public edge,
+# zero-padded N x N buffers inside the sweeps.
+COUPLING = {"relaxed": ("j", "y"), "exact": ("j", "y2")}
+LAYOUTS = {
+    "C": lambda values: values.astype(float),
+    "F": lambda values: np.asfortranarray(values, dtype=float),
+    "int": lambda values: values,
+}
+
+
+def one_sweep(solver, x, state, workspace=None):
+    if solver == "relaxed":
+        return relaxed_iteration(x, state, 0.1, 0.5, 3.0, 6.0, 1.02, False, workspace=workspace)
+    return exact_iteration(x, state, 0.1, 0.5, 40.0, False, workspace=workspace or ExactWorkspace(*x.shape))
+
+
+def workspace_of(solver, x):
+    return RelaxedWorkspace(FitOperator(x)) if solver == "relaxed" else ExactWorkspace(*x.shape)
+
+
+def assert_public_layout(state, n):
+    # Every coupling block is an N x (N-1) view of a zero-padded N x N buffer.
+    for name in ("j", "y", "y2"):
+        block = getattr(state, name, None)
+        if block is not None:
+            assert block.shape == (n, n - 1)
+            assert block.base.shape == (n, n) and not block.base[:, -1].view(np.int64).any()
+
+
+class TestCouplingLayout:
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_plain_blocks_solve_like_library_blocks(self, solver, layout):
+        # A caller's plain N x (N-1) blocks, C- or F-ordered or integer, are
+        # padded once on entry and solve bitwise like the same values written
+        # into a library-made state; neither start is written to.
+        solve = SOLVERS[solver][0]
+        initial = SOLVERS[solver][1]
+        x, config = unit_columns(5, 8), SolverConfig(max_iter=30)
+        rng = np.random.default_rng(4)
+        library, plain = initial(5, 8, 1.0), initial(5, 8, 1.0)
+        for name in COUPLING[solver]:
+            values = rng.integers(-2, 3, size=(8, 7))
+            getattr(library, name)[:] = values
+            setattr(plain, name, LAYOUTS[layout](values))
+        kept = {
+            name: (getattr(library, name).base.copy(), getattr(plain, name).copy())
+            for name in COUPLING[solver]
+        }
+        z, diag = solve(x, config, initial_state=library)
+        z_plain, diag_plain = solve(x, config, initial_state=plain)
+        assert np.array_equal(z, z_plain) and diag.iterations == diag_plain.iterations == 30
+        for history in ("feasibility_history", "change_history", "mu_history"):
+            assert getattr(diag, history) == getattr(diag_plain, history)
+        for name, (library_buffer, plain_block) in kept.items():
+            assert np.array_equal(getattr(library, name).base, library_buffer)
+            assert np.array_equal(getattr(plain, name), plain_block)
+            assert getattr(plain, name).dtype == plain_block.dtype
+
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_returned_blocks_are_n_by_n_minus_one(self, solver):
+        x = unit_columns(5, 8)
+        state = SOLVERS[solver][1](5, 8, 1.0)
+        assert_public_layout(state, 8)
+        workspace = workspace_of(solver, x)
+        for _ in range(3):
+            state = one_sweep(solver, x, state, workspace)
+            assert_public_layout(state, 8)
+        assert_public_layout(one_sweep(solver, x, state), 8)  # a fresh workspace
+        if solver == "relaxed":
+            final, _ = relaxed._solve_core(x, SolverConfig(max_iter=5))
+            assert_public_layout(final, 8)
+
+    @pytest.mark.parametrize("solver", list(SOLVERS))
+    def test_in_place_edit_of_a_returned_block_reaches_the_next_sweep(self, solver):
+        # A returned multiplier is a view of the buffer the next sweep reads:
+        # an edit through it gives the sweep of a plain start holding the edit.
+        x = unit_columns(5, 8)
+        workspace = workspace_of(solver, x)
+        state = one_sweep(solver, x, SOLVERS[solver][1](5, 8, 2.0), workspace)
+        state = one_sweep(solver, x, state, workspace)
+        blocks = SOLVERS[solver][2]
+        unedited = replace(state, **{name: getattr(state, name).copy() for name in blocks})
+        getattr(state, COUPLING[solver][1])[2, 3] += 0.5
+        plain = replace(state, **{name: getattr(state, name).copy() for name in blocks})
+        got = one_sweep(solver, x, state, workspace)
+        want = one_sweep(solver, x, plain, workspace_of(solver, x))
+        for name in blocks:
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert not np.array_equal(got.z, one_sweep(solver, x, unedited, workspace_of(solver, x)).z)

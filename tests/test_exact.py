@@ -99,7 +99,7 @@ class TestSweepOrder:
             return ridge_error_update(x @ z - x, state.y1, mu)
 
         def j_at(z):
-            return group_shrink_columns(column_differences(z) - state.y2 / sigma_j, lam2 / sigma_j)
+            return group_shrink_columns(column_differences(z)[:, :-1] - state.y2 / sigma_j, lam2 / sigma_j)
 
         np.testing.assert_allclose(-out.y1, e_at(out.z), rtol=0, atol=1e-14)
         np.testing.assert_allclose(out.j, j_at(out.z), rtol=0, atol=1e-14)

@@ -32,7 +32,7 @@ from oscluster.spectral import (
     _check_affinity,
 )
 
-from helpers import ncut_full_eigh
+from helpers import build_difference_operator, ncut_full_eigh
 
 
 def _noisy_blocks(k, seed, isolated=0, noise=0.3):
@@ -915,6 +915,30 @@ class TestBoundaryDetection:
     def test_constant_columns_have_no_boundaries(self):
         z = np.tile(np.arange(5.0)[:, None], (1, 5))
         assert detect_boundaries_peaks(z) == []
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scores_n_minus_one_pairs(self, seed):
+        # The scores are the N - 1 columns of the dense |Z R| averaged over
+        # rows; a zero-padded product's pad column would add an N-th score
+        # and shift the mean and spread of the cutoff.
+        rng = np.random.default_rng(seed)
+        n = 12
+        z = rng.standard_normal((n, n))
+        scores = np.abs(z @ build_difference_operator(n)).mean(axis=0)
+        cutoff = scores.mean() + 0.5 * scores.std()
+        want = [
+            i + 1
+            for i, value in enumerate(scores)
+            if (i == 0 or value > scores[i - 1])
+            and (i == n - 2 or value > scores[i + 1])
+            and value >= cutoff
+        ]
+        assert detect_boundaries_peaks(z, prominence=0.5) == want
+        # Pair scores 1, 3, 2 put the cutoff at 2 + 1.3 * 0.816 = 3.06, above
+        # the peak; an N-th score of 0 would lower it to 1.5 + 1.3 * 1.118.
+        z = np.tile([0.0, 1.0, 4.0, 6.0], (4, 1))
+        assert detect_boundaries_peaks(z, prominence=1.3) == []
+        assert detect_boundaries_peaks(z, prominence=1.2) == [2]
 
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):

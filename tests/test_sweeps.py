@@ -27,7 +27,7 @@ from oscluster import (
     spatsc_solve,
     ssc_solve,
 )
-from oscluster import relaxed
+from oscluster import exact, relaxed
 from oscluster.baselines import _stationarity_gap
 from oscluster.exact import ExactWorkspace, exact_iteration
 from oscluster.admm import ETA_J
@@ -35,6 +35,7 @@ from oscluster.relaxed import OVER_RELAXATION, RelaxedWorkspace, relaxed_iterati
 from oscluster.types import FitOperator, operator_norm_squared
 
 from helpers import (
+    build_difference_operator,
     lasso_cd_matrix,
     plain_relaxed_sweep,
     reference_exact_solve,
@@ -238,17 +239,18 @@ def owned_arrays(workspace):
 
 @pytest.mark.parametrize("d, n", [(D, N), (20, 12)], ids=["d<n", "d>n"])
 def test_workspace_sizes(d, n):
-    # Relaxed: Z, J, Y twice, then Z R, J - Z R and the fit step.  Exact: 11
+    # Every coupling-space block is held zero-padded, N x N.  Relaxed: Z, J,
+    # Y twice, then Z R, J - Z R and the fit step, all N x N.  Exact: 11
     # N x N-sized arrays (Z, J, Y2 twice, Z R, dZ R, J - Z R, the gradient
     # step and a max(D, N) x N distance buffer) and 3 D x N (Y1 twice and
     # X Z - X).
-    square, band = n * n, n * (n - 1)
+    square = n * n
     relaxed = owned_arrays(RelaxedWorkspace(FitOperator(np.ones((d, n)))))
     assert len(relaxed) == 9
-    assert sum(a.nbytes for a in relaxed) == 8 * (3 * square + 6 * band)
+    assert all(a.shape == (n, n) and a.flags.c_contiguous for a in relaxed)
     exact = owned_arrays(ExactWorkspace(d, n))
     assert len(exact) == 11 + 3
-    assert sum(a.nbytes for a in exact) == 8 * (3 * square + 7 * band + max(d, n) * n + 3 * d * n)
+    assert sum(a.nbytes for a in exact) == 8 * (10 * square + max(d, n) * n + 3 * d * n)
 
 
 def test_workspace_refuses_other_data(warm):
@@ -369,6 +371,38 @@ def assert_same_solve(z, diag, reference):
     np.testing.assert_allclose(diag.change_history, change, rtol=1e-9, atol=1e-15)
     np.testing.assert_allclose(diag.mu_history, mu, rtol=1e-12)
     assert_close(z, want_z, tol=1e-9)
+
+
+@pytest.mark.parametrize("solver", ["relaxed", "spatsc", "exact"])
+def test_objective_matches_dense_difference_product(protocol_x, monkeypatch, solver):
+    # The reported objective reads the N - 1 columns of Z R, not the zero
+    # pad of the sweeps' layout: it matches a dense Z @ R recomputation.
+    x = protocol_x
+    n = x.shape[1]
+    r = build_difference_operator(n)
+    config = SolverConfig(max_iter=60)
+    if solver == "exact":
+        states = []
+        sweep = exact.exact_iteration
+
+        def kept(*args, **kwargs):
+            states.append(sweep(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(exact, "exact_iteration", kept)
+        z, diag = solve_exact(x, config)
+        fit = 0.5 * np.sum(states[-1].y1**2)  # E = -Y1
+        smooth = np.sum(np.linalg.norm(z @ r, axis=0))
+    else:
+        solve = solve_relaxed if solver == "relaxed" else spatsc_solve
+        if solver == "spatsc":
+            config = dataclasses.replace(config, lambda1=0.1, lambda2=0.01)
+        z, diag = solve(x, config)
+        fit = 0.5 * np.sum((x - x @ z) ** 2)
+        zr = z @ r
+        smooth = np.sum(np.abs(zr)) if solver == "spatsc" else np.sum(np.linalg.norm(zr, axis=0))
+    want = fit + config.lambda1 * np.sum(np.abs(z)) + config.lambda2 * smooth
+    assert diag.objective_value == pytest.approx(want, rel=1e-12)
 
 
 def relaxed_start(x, mu0):

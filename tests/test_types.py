@@ -12,6 +12,7 @@ from oscluster.types import (
     difference_norm_squared,
     frobenius_distance,
     operator_norm_squared,
+    zero_padded,
 )
 
 from helpers import build_difference_operator
@@ -44,12 +45,62 @@ class TestDifferenceOperator:
                 assert np.array_equal(prod[:, i], z[:, i + 1] - z[:, i])
 
     def test_structural_product_matches_dense(self):
-        rng = np.random.default_rng(4)
-        z = rng.standard_normal((5, 9))
-        r = build_difference_operator(9)
-        assert np.allclose(column_differences(z), z @ r, atol=1e-14)
-        m = rng.standard_normal((5, 8))
-        assert np.allclose(apply_difference_adjoint(m), m @ r.T, atol=1e-14)
+        # The flat passes over the zero-padded N x N layout give bitwise the
+        # dense products with R: Z R in the first N - 1 columns, and M R^T
+        # from M in the first N - 1 columns of a buffer whose pad is +0.0.
+        for n in (2, 3, 7, 100):
+            rng = np.random.default_rng(n)
+            r = build_difference_operator(n)
+            z = rng.standard_normal((n, n))
+            zr = column_differences(z)
+            assert zr.shape == (n, n)
+            assert np.array_equal(zr[:, :-1], z @ r)
+            m = rng.standard_normal((n, n - 1))
+            padded = zero_padded(m)
+            assert np.array_equal(apply_difference_adjoint(padded), m @ r.T)
+            out = np.empty((n, n))
+            assert apply_difference_adjoint(padded, out=out) is out
+            assert np.array_equal(out, m @ r.T)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 100])
+    def test_pad_is_positive_zero_over_garbage(self, n):
+        z = np.random.default_rng(n).standard_normal((n, n))
+        out = np.full((n, n), np.nan)
+        out[:, -1] = -0.0
+        assert column_differences(z, out=out) is out
+        assert np.all(out[:, -1] == 0.0) and not np.signbit(out[:, -1]).any()
+        assert np.isfinite(out).all()
+
+    def test_adjoint_of_positive_zero_is_positive_zero(self):
+        # 0.0 - m, not -m: a +0.0 in M's first column stays +0.0 in the
+        # product's first column, as in the strided two-pass form it replaces.
+        m = zero_padded(np.random.default_rng(1).standard_normal((6, 5)))
+        m[:, 0] = 0.0
+        out = apply_difference_adjoint(m, out=np.full((6, 6), np.nan))
+        assert np.all(out[:, 0] == 0.0) and not np.signbit(out[:, 0]).any()
+
+    def test_non_contiguous_or_misshapen_out_is_refused(self):
+        z = np.ones((4, 4))
+        for out in (np.empty((4, 8))[:, ::2], np.empty((4, 3)), np.empty((4, 4), order="F")):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                column_differences(z, out=out)
+            with pytest.raises(ValueError, match="C-contiguous"):
+                apply_difference_adjoint(z, out=out)
+
+    def test_strided_input_reads_its_values(self):
+        # A Fortran-ordered or strided Z is read by value.
+        rng = np.random.default_rng(2)
+        z = rng.standard_normal((7, 14))
+        r = build_difference_operator(7)
+        for view in (np.asfortranarray(z[:, :7]), z[:, ::2]):
+            assert np.array_equal(column_differences(view)[:, :-1], view @ r)
+
+    def test_zero_padded_copies_and_leaves_the_block(self):
+        block = np.arange(12).reshape(3, 4)
+        padded = zero_padded(block)
+        assert padded.shape == (3, 5) and padded.dtype == float and padded.flags.c_contiguous
+        assert np.array_equal(padded[:, :-1], block) and not padded[:, -1].view(np.int64).any()
+        assert np.array_equal(block, np.arange(12).reshape(3, 4))
 
 
 class TestDifferenceNormSquared:
@@ -71,7 +122,8 @@ class TestFrobeniusDistance:
         assert frobenius_distance(a, b, scratch) == np.linalg.norm(a - b)
 
     def test_scratch_of_another_shape(self):
-        # The relaxed solver measures an N x (N-1) step in its N x N fit buffer.
+        # osc-exact measures its N x N coupling steps and its D x N multiplier
+        # step in one flat scratch of max(D, N) * N entries.
         rng = np.random.default_rng(1)
         a, b = rng.standard_normal((2, 5, 4))
         assert frobenius_distance(a, b, np.empty((5, 5))) == np.linalg.norm(a - b)
