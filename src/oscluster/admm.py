@@ -1,9 +1,10 @@
-"""The linearized-ADMM loop the solvers share.
+"""The linearized-ADMM loop and coupling step the solvers share.
 
 The sequential solver, its SpatSC variant and the exact-constraint solver
 are one linearized ADMM with an adaptive penalty mu (LADMAP, Lin, Liu & Su,
-NIPS 2011).  They differ only in their sweep and in what it leaves for the
-stop; ``run`` alone decides convergence, mu growth and divergence.
+NIPS 2011).  They differ only in their Z step and in what it leaves for the
+stop; every sweep ends with ``Workspace.couple``, and ``run`` alone decides
+convergence, mu growth and divergence.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .types import DivergenceError, is_finite_real
+from .types import DivergenceError, column_differences, is_finite_real, zero_padded
 
 def buffer_sets(**shapes):
     """Two sets of sweep output buffers, each with one array per named shape.
@@ -66,6 +67,86 @@ def check_finite(quick, state, sweep):
 # The J step's proximal weight, sigma_j = mu * ETA_J: J enters J = Z R through
 # the identity, of squared norm 1, so LADMAP needs a weight above 1.
 ETA_J = 1.02
+
+
+class Workspace:
+    """Buffers shared by the sweeps of one solve on the data matrix ``x``
+    (held, not copied): two output sets (see ``buffer_sets``) with slots z,
+    j and y for Z, J and its multiplier Y, plus a subclass's ``slots``, and
+    the padded ``j`` and ``y``, Z R and J - Z R of the iterate it last wrote.
+
+    Every coupling-space block (J, Y, Z R, h, J - Z R and any a subclass
+    adds) is an N x N C-contiguous buffer whose last column is a zero pad,
+    +0.0 (see ``types.column_differences``), so Z R, M R^T and every pass
+    over them run on whole buffers; shrinkage and the multiplier update
+    keep the pad at +0.0, and states expose N x (N-1) views.  A sweep from
+    any other iterate pads its J and Y once into fresh buffers and
+    recomputes the products (``sync``).
+    """
+
+    def __init__(self, x, **slots):
+        n = x.shape[1]
+        self.x = x
+        self.sets = buffer_sets(z=(n, n), j=(n, n), y=(n, n), **slots)
+        self.zr = np.empty((n, n))
+        self.residual = np.empty((n, n))  # J - Z R of the iterate in ``_of``
+        self.j = self.y = None
+        self._of = (None, None, None)
+
+    def sync(self, x, z, j, y):
+        """Make ``j``, ``y`` and the kept products those of the iterate (``z``,
+        ``j``, ``y``) of ``x`` unless this workspace wrote it.  Another ``x``,
+        an equal copy too, is refused."""
+        if x is not self.x:
+            raise ValueError("the workspace belongs to another data matrix")
+        if any(a is not b for a, b in zip(self._of, (z, j, y))):
+            self.j, self.y = zero_padded(j), zero_padded(y)
+            np.subtract(self.j, column_differences(z, out=self.zr), out=self.residual)
+            self.recompute(z)
+            self._of = (z, j, y)
+
+    def recompute(self, z):
+        """Recompute the products a subclass keeps of a foreign iterate's Z."""
+
+    def hold(self, z, j, y):
+        """Hold the iterate a sweep just wrote, with padded ``j`` and ``y``;
+        returns the N x (N-1) views of those two that its state exposes."""
+        self.j, self.y = j, y
+        self._of = (z, j[:, :-1], y[:, :-1])
+        return self._of[1:]
+
+    def couple(self, out, mu, sigma_j, lam2, prox, alpha, scratch=None):
+        """The end of every sweep, after its Z step wrote Z+ to ``out.z`` and
+        Z+ R to ``zr``: J+ = prox(h - Y / sigma_j, lam2 / sigma_j), the
+        residual J+ - Z+ R (unrelaxed: the next Z step's and the stop's) and
+        Y+ = Y + mu (J+ - h), on h = alpha Z+ R + (1 - alpha) J (Eckstein &
+        Bertsekas, Math. Prog. 1992; alpha in (0, 2)).  At ``alpha`` = 1, h
+        is Z+ R, read with no pass of its own; else it is built in the N x N
+        ``scratch``.  J+ and Y+ go to ``out``; returns their views."""
+        zr, j_new, y_new = self.zr, out.j, out.y
+        h = zr
+        if alpha != 1.0:
+            # (1 - alpha) J passes through J+'s slot, which the J step then takes.
+            h = np.multiply(zr, alpha, out=scratch)
+            h += np.multiply(self.j, 1.0 - alpha, out=j_new)
+        u = np.divide(self.y, sigma_j, out=y_new)
+        np.subtract(h, u, out=u)
+        prox(u, lam2 / sigma_j, out=j_new)
+        np.subtract(j_new, zr, out=self.residual)
+        if h is zr:
+            np.multiply(self.residual, mu, out=y_new)
+        else:
+            np.subtract(j_new, h, out=y_new)
+            y_new *= mu
+        y_new += self.y
+        return self.hold(out.z, j_new, y_new)
+
+    def objective(self, fit, lam1, lam2, grouped):
+        """``fit`` + lam1 ||Z||_1 + lam2 h(Z R) at the iterate held, with h
+        the sum of column norms if ``grouped``, else of absolute values."""
+        z, zr = self._of[0], self.zr[:, :-1]
+        smooth = np.linalg.norm(zr, axis=0) if grouped else np.abs(zr)
+        return fit + lam1 * float(np.sum(np.abs(z))) + lam2 * float(np.sum(smooth))
 
 
 def run(config, state, sweep, multipliers, diag, monitor=None, increment=None, scale=(1.0, 1.0)):

@@ -10,7 +10,7 @@ import numpy as np
 
 from .prox import soft_threshold_zero_diag
 from .relaxed import _solve_core
-from .types import FitOperator, SolveDiagnostics, SolverConfig, as_data_matrix
+from .types import FitOperator, SolveDiagnostics, as_data_matrix, as_solver_config
 
 SSC_TOL = 1e-6  # the lasso KKT gap at which ssc stops
 SIM_RANK_TOL = 1e-10  # relative singular value below which sim drops a direction
@@ -40,7 +40,7 @@ def ssc_solve(x, config=None):
     """
     x = as_data_matrix(x)
     n = x.shape[1]
-    config = config if config is not None else SolverConfig()
+    config = as_solver_config(config)
     lam = config.lambda1
     if lam <= 0:
         raise ValueError(f"ssc needs lambda1 > 0, got {lam}")
@@ -89,7 +89,7 @@ def spatsc_solve(x, config=None):
     and the diagonal of Z fixed to zero whatever ``config.diag_zero`` says.
     Returns ``(z, diagnostics)``.
     """
-    config = config if config is not None else SolverConfig()
+    config = as_solver_config(config)
     state, diag = _solve_core(x, replace(config, diag_zero=True), j_prox="l1")
     return state.z, diag
 

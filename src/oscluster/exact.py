@@ -11,8 +11,9 @@ and then (E, J) from the fresh Z, a two-block LADMAP (Lin, Liu & Su, NIPS
 2011); the multipliers then move with the fresh blocks.  That order
 leaves Y1 = -E after every sweep, so a state keeps Y1 alone: E is -Y1.
 The proximal weight eta_z must exceed ||X||^2 + ||R||^2, and the solver
-takes 1.02 times that floor.  The sweep loop, the stop and the penalty
-schedule are shared with the other solvers in ``admm.py``.
+takes 1.02 times that floor.  The J step and Y2 (``admm.Workspace.couple``,
+unrelaxed), the sweep loop, the stop and the penalty schedule are shared
+with the other solvers in ``admm.py``.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ from . import admm
 from .prox import group_shrink_columns, ridge_error_update, soft_threshold, soft_threshold_zero_diag
 from .types import (
     SolveDiagnostics,
-    SolverConfig,
     apply_difference_adjoint,
     as_data_matrix,
+    as_solver_config,
     column_differences,
     difference_norm_squared,
     frobenius_distance,
     operator_norm_squared,
-    zero_padded,
 )
 
 
@@ -51,7 +51,7 @@ def initial_exact_state(d, n, mu0):
     """Default start: zero blocks, zero multipliers, penalty mu0.
 
     J and Y2 are N x (N-1) views of zero-padded N x N buffers, the layout
-    of every state a sweep returns (see ``ExactWorkspace``).  As in
+    of every state a sweep returns (see ``admm.Workspace``).  As in
     ``initial_relaxed_state``, the zero multipliers keep the objective's
     symmetries: a rotation X -> Q X maps Y1 to Q Y1, and an order reversal
     maps Y2 to -P Y2 Q; a nonzero constant start moves.
@@ -65,62 +65,39 @@ def initial_exact_state(d, n, mu0):
     )
 
 
-class ExactWorkspace:
-    """Buffers shared by the sweeps of one solve on a D x N data matrix.
+class ExactWorkspace(admm.Workspace):
+    """The ``admm.Workspace`` of the exact sweep on a D x N ``x``: its y slots
+    hold Y2, its output sets add Y1, and it keeps X Z - X of the iterate held,
+    that sweep's dZ (in ``nn``) and dZ R, and a solve's distance scratch."""
 
-    Besides two output sets (see ``admm.buffer_sets``) the workspace keeps
-    products of the iterate it last produced: X Z - X, Z R and the coupling
-    residual J - Z R, plus that sweep's step dZ (in ``nn``) and dZ R.
-
-    Every coupling-space block (J, Y2, Z R, dZ R and J - Z R) is held as an
-    N x N C-contiguous buffer whose last column is a zero pad, +0.0 (see
-    ``types.column_differences``), so Z R, M R^T and every pass over them
-    run on whole contiguous buffers.  Shrinkage and the multiplier update
-    keep the pad at +0.0 by themselves.  ``j`` and ``y2`` are the padded J
-    and Y2 of that iterate, whose state exposes their N x (N-1) views.  A
-    sweep that starts from any other iterate pads its J and Y2 once into
-    fresh buffers and recomputes the products from its state.
-    """
-
-    def __init__(self, d, n):
-        self.sets = admm.buffer_sets(z=(n, n), j=(n, n), y1=(d, n), y2=(n, n))
-        self.zr = np.empty((n, n))  # Z R of the iterate in ``_of``
+    def __init__(self, x):
+        d, n = x.shape
+        super().__init__(x, y1=(d, n))
         self.dzr = np.empty((n, n))  # dZ R of the last sweep
         self.xz_x = np.empty((d, n))  # X Z - X
-        self.coupling = np.empty((n, n))  # J - Z R
         self.nn = np.empty((n, n))  # the gradient step, then dZ of the last sweep
         self.scratch = np.empty(max(d, n) * n)  # for the step distances of a solve
-        self.j = self.y2 = None
-        self._of = None
 
-    def sync(self, x, state):
-        """Make the padded blocks and the kept products belong to ``state``,
-        padding and recomputing them if needed."""
-        of = (x, state.z, state.j, state.y2)
-        if self._of is None or any(a is not b for a, b in zip(self._of, of)):
-            self.j, self.y2 = zero_padded(state.j), zero_padded(state.y2)
-            np.subtract(np.matmul(x, state.z, out=self.xz_x), x, out=self.xz_x)
-            np.subtract(self.j, column_differences(state.z, out=self.zr), out=self.coupling)
-            self._of = of
+    def recompute(self, z):
+        np.subtract(np.matmul(self.x, z, out=self.xz_x), self.x, out=self.xz_x)
 
 
 def exact_iteration(x, state, lam1, lam2, eta_z, diag_zero, *, workspace):
     """One sweep: Z from the k-th iterate, then E and J from the fresh Z.
 
     E+ = ridge_error_update(X Z+ - X, Y1, mu) makes Y1 + mu (X Z+ - X + E+)
-    equal to -E+, so the sweep keeps Y1+ = -E+ alone.  J's proximal weight
-    is mu * ``admm.ETA_J``.  Re-running this on the same state reproduces
-    the output bitwise.  The ``workspace`` (see ExactWorkspace) lets
-    successive sweeps share buffers and the products one sweep leaves for
-    the next.
+    equal to -E+, so the sweep keeps Y1+ = -E+ alone.  J and Y2 are
+    ``admm.Workspace.couple``'s at alpha = 1, J's weight mu * ``admm.ETA_J``.
+    Re-running this on the same state reproduces the output bitwise.  The
+    ``workspace`` (see ExactWorkspace), of this very ``x``, lets successive
+    sweeps share buffers and the products one sweep leaves for the next.
     """
     ws = workspace
-    ws.sync(x, state)
-    z, y1, y2, mu = state.z, state.y1, ws.y2, state.mu
+    ws.sync(x, state.z, state.j, state.y2)
+    z, y1, y2, mu = state.z, state.y1, ws.y, state.mu
     sigma_z = mu * eta_z
-    sigma_j = mu * admm.ETA_J
     out = admm.free_set(ws.sets, z)
-    z_new, j_new, y1_new, y2_new = out.z, out.j, out.y1, out.y2
+    z_new, y1_new = out.z, out.y1
 
     # grad = X^T (Y1 + mu (X Z - X - Y1)) - (Y2 + mu (J - Z R)) R^T.  Each
     # temporary lives in an output slot until that slot takes its block.
@@ -128,7 +105,7 @@ def exact_iteration(x, state, lam1, lam2, eta_z, diag_zero, *, workspace):
     a *= mu
     a += y1
     grad = np.matmul(x.T, a, out=ws.nn)
-    b = np.multiply(ws.coupling, mu, out=y2_new)
+    b = np.multiply(ws.residual, mu, out=out.y)
     b += y2
     grad -= apply_difference_adjoint(b, out=z_new)
     grad /= sigma_z
@@ -145,16 +122,8 @@ def exact_iteration(x, state, lam1, lam2, eta_z, diag_zero, *, workspace):
 
     ridge_error_update(ws.xz_x, y1, mu, out=y1_new)
     y1_new *= -1.0
-    u = np.divide(y2, sigma_j, out=y2_new)
-    np.subtract(ws.zr, u, out=u)
-    group_shrink_columns(u, lam2 / sigma_j, out=j_new)
-
-    np.subtract(j_new, ws.zr, out=ws.coupling)
-    np.multiply(ws.coupling, mu, out=y2_new)
-    y2_new += y2
-    new = ExactState(z_new, j_new[:, :-1], y1_new, y2_new[:, :-1], mu)
-    ws.j, ws.y2, ws._of = j_new, y2_new, (x, z_new, new.j, new.y2)
-    return new
+    j_new, y2_new = ws.couple(out, mu, mu * admm.ETA_J, lam2, group_shrink_columns, 1.0)
+    return ExactState(z_new, j_new, y1_new, y2_new, mu)
 
 
 def solve_exact(x, config=None, initial_state=None):
@@ -168,7 +137,7 @@ def solve_exact(x, config=None, initial_state=None):
     read from it as ||dY1|| / mu (see ``exact_iteration``).  An all-zero X
     gives Z = 0 without a sweep, reported as converged.
     """
-    config = config if config is not None else SolverConfig()
+    config = as_solver_config(config)
     x = as_data_matrix(x)
     d, n = x.shape
     l_z = operator_norm_squared(x)
@@ -184,10 +153,10 @@ def solve_exact(x, config=None, initial_state=None):
         diag.converged = True
         diag.objective_value = 0.0
         return np.zeros((n, n)), diag
-    workspace = ExactWorkspace(d, n)
+    workspace = ExactWorkspace(x)
 
     def sweep(state):
-        workspace.sync(x, state)
+        workspace.sync(x, state.z, state.j, state.y2)
         j = workspace.j  # the padded J of ``state``; the norms run on whole buffers
         new = exact_iteration(
             x, state, config.lambda1, config.lambda2, eta_z, config.diag_zero, workspace=workspace
@@ -199,14 +168,10 @@ def solve_exact(x, config=None, initial_state=None):
             frobenius_distance(workspace.j, j, workspace.scratch),
             float(np.linalg.norm(workspace.dzr)),  # dZ R
         )
-        return new, steps, (dy1 / new.mu, float(np.linalg.norm(workspace.coupling)))
+        return new, steps, (dy1 / new.mu, float(np.linalg.norm(workspace.residual)))
 
     scale = (x_fro, float(np.sqrt(eta_z)))
     state = admm.run(config, state, sweep, ("y1", "y2"), diag, scale=scale)
-    zr = workspace.zr[:, :-1]  # Z R of the final iterate
-    diag.objective_value = (
-        0.5 * float(np.sum(state.y1**2))  # E = -Y1
-        + config.lambda1 * float(np.sum(np.abs(state.z)))
-        + config.lambda2 * float(np.sum(np.linalg.norm(zr, axis=0)))
-    )
+    fit_term = 0.5 * float(np.sum(state.y1**2))  # E = -Y1
+    diag.objective_value = workspace.objective(fit_term, config.lambda1, config.lambda2, True)
     return state.z, diag

@@ -24,7 +24,7 @@ from .spectral import (
     estimate_k,
     ncut_cluster,
 )
-from .types import SolverConfig, as_data_matrix, check_seed
+from .types import as_data_matrix, as_solver_config, check_seed
 
 METHODS = ("osc-relaxed", "osc-exact", "ssc", "spatsc", "lrr-sim")
 
@@ -121,7 +121,7 @@ def cluster_sequential(
     check_seed(seed)
     if not isinstance(normalize, bool):
         raise ValueError(f"normalize must be true or false, got {normalize!r}")
-    config = config if config is not None else SolverConfig()
+    config = as_solver_config(config)
     start = time.perf_counter()
     # The normalized copy is dropped once Z exists.
     z, diagnostics = solve_coefficients(normalize_columns(x) if normalize else x, method, config)

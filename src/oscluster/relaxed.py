@@ -15,8 +15,9 @@ with alpha = ``OVER_RELAXATION`` (Eckstein & Bertsekas, Math. Prog. 1992;
 Fang, He, Liu & Yuan, Math. Prog. Comp. 2015, for the linearized case,
 alpha in (0, 2)).  ``solve_monitored``, the descent monitor's solve, keeps
 the plain sweep (alpha = 1) and grows mu additively, as ``lyapunov_s``
-assumes.  The sweep loop, the stop and the penalty schedule are shared
-with the other solvers in ``admm.py``.
+assumes.  The J step and the multiplier (``admm.Workspace.couple``), the
+sweep loop, the stop and the penalty schedule are shared with the other
+solvers in ``admm.py``.
 """
 
 from __future__ import annotations
@@ -30,14 +31,13 @@ from .prox import group_shrink_columns, soft_threshold, soft_threshold_zero_diag
 from .types import (
     FitOperator,
     SolveDiagnostics,
-    SolverConfig,
     apply_difference_adjoint,
     as_data_matrix,
+    as_solver_config,
     column_differences,
     difference_norm_squared,
     frobenius_distance,
     operator_norm_squared,  # noqa: F401 - a binding the perfbench tracer wraps
-    zero_padded,
 )
 
 # The relaxation weight alpha of the default sweep.  From
@@ -61,7 +61,7 @@ def initial_relaxed_state(d, n, mu0):
     """Default start: Z = 0, J = 0, Y = 0, penalty mu0.
 
     J and Y are N x (N-1) views of zero-padded N x N buffers, the layout of
-    every state a sweep returns (see ``RelaxedWorkspace``).  The zero
+    every state a sweep returns (see ``admm.Workspace``).  The zero
     multiplier is the customary start (Lin, Chen & Ma's inexact ALM, 2010).
     Unlike a nonzero constant, it keeps the objective's symmetries: an
     order reversal maps Y to -P Y Q, which fixes 0 only.
@@ -74,41 +74,14 @@ def initial_relaxed_state(d, n, mu0):
     )
 
 
-class RelaxedWorkspace:
-    """Buffers shared by the sweeps of one solve, on the data matrix of the
-    FitOperator ``operator``: two output sets (see ``admm.buffer_sets``),
-    Z R, the fit step (then the relaxed coupling h, see
-    ``relaxed_iteration``) and the constraint residual J - Z R of the
-    iterate it last produced.
-
-    Every coupling-space block (J, Y, Z R, h and J - Z R) is held as an
-    N x N C-contiguous buffer whose last column is a zero pad, +0.0 (see
-    ``types.column_differences``), so Z R, M R^T and every pass over them
-    run on whole contiguous buffers.  Shrinkage and the multiplier update
-    keep the pad at +0.0 by themselves.  ``j`` and ``y`` are the padded J
-    and Y of that iterate, whose state exposes their N x (N-1) views.  A
-    sweep that starts from any other iterate pads its J and Y once into
-    fresh buffers and recomputes the residual from its state.
-    """
+class RelaxedWorkspace(admm.Workspace):
+    """The ``admm.Workspace`` of the sequential sweep on the data matrix of
+    the FitOperator ``operator``, plus the fit step's buffer, then h's."""
 
     def __init__(self, operator):
-        n = operator.x.shape[1]
+        super().__init__(operator.x)
         self.operator = operator
-        self.sets = admm.buffer_sets(z=(n, n), j=(n, n), y=(n, n))
-        self.zr = np.empty((n, n))
-        self.residual = np.empty((n, n))  # J - Z R of the iterate in ``_of``
-        self.fit = np.empty((n, n))  # the fit step, then h; after a sweep, scratch
-        self.j = self.y = None
-        self._of = None
-
-    def sync(self, state):
-        """Make ``j``, ``y`` and ``residual`` belong to ``state``, padding and
-        recomputing them if needed."""
-        of = (state.z, state.j, state.y)
-        if self._of is None or any(a is not b for a, b in zip(self._of, of)):
-            self.j, self.y = zero_padded(state.j), zero_padded(state.y)
-            np.subtract(self.j, column_differences(state.z, out=self.zr), out=self.residual)
-            self._of = of
+        self.fit = np.empty(self.zr.shape)  # the fit step, then h; after a sweep, scratch
 
 
 def relaxed_iteration(
@@ -120,14 +93,14 @@ def relaxed_iteration(
     ``j_prox`` selects the penalty on J: ``"l12"`` shrinks whole columns,
     ``"l1"`` shrinks entries.  The J step and the multiplier read the
     relaxed coupling h = alpha Z+ R + (1 - alpha) J, from the fresh Z+ and
-    the old J: J+ = prox(h - Y / (mu eta_j)) and Y+ = Y + mu (J+ - h).  At
-    the default ``alpha=1``, h is Z+ R: the plain sweep, value for value.  The
-    residual J+ - Z+ R (the stopping test's feasibility, and the next
-    Z step's) is the unrelaxed one at any alpha.
+    the old J: J+ = prox(h - Y / (mu eta_j)) and Y+ = Y + mu (J+ - h), in
+    ``admm.Workspace.couple``.  At the default ``alpha=1``, h is Z+ R: the
+    plain sweep.  The residual J+ - Z+ R (the stopping test's feasibility,
+    and the next Z step's) is the unrelaxed one at any alpha.
 
     A ``workspace`` (see RelaxedWorkspace) lets successive sweeps share
     buffers, the products one sweep leaves for the next and the FitOperator
-    of ``x`` (see ``types.FitOperator``), which must belong to this very
+    of ``x`` (see ``types.FitOperator``); it must belong to this very
     ``x``.  Without one the sweep allocates its own buffers and forms that
     operator every call: an eigenvalue solve of the smaller Gram matrix
     (min(D, N) square), plus its eigenvectors or G.
@@ -135,14 +108,11 @@ def relaxed_iteration(
     if j_prox not in ("l12", "l1"):
         raise ValueError(f"unknown j_prox {j_prox!r}")
     ws = workspace if workspace is not None else RelaxedWorkspace(FitOperator(x))
-    if ws.operator.x is not x:
-        raise ValueError("the workspace's fit operator belongs to another data matrix")
-    ws.sync(state)
-    z, j, y, mu = state.z, ws.j, ws.y, state.mu
+    ws.sync(x, state.z, state.j, state.y)
+    z, y, mu = state.z, ws.y, state.mu
     step = mu * eta_z + l_z
-    sigma_j = mu * eta_j
     out = admm.free_set(ws.sets, z)
-    z_new, j_new, y_new = out.z, out.j, out.y
+    z_new, y_new = out.z, out.y
 
     # V = Z + (X^T (X - X Z) + (Y + mu (J - Z R)) R^T) / (sigma_z + l_z),
     # built in place over the fit step.  Each temporary lives in an output
@@ -159,25 +129,11 @@ def relaxed_iteration(
     else:
         soft_threshold(v, threshold, out=z_new)
 
-    # h lives over the spent fit step; (1 - alpha) J passes through J+'s
-    # slot, which the J step then takes.
-    zr = column_differences(z_new, out=ws.zr)
-    h = np.multiply(zr, alpha, out=ws.fit)
-    h += np.multiply(j, 1.0 - alpha, out=j_new)
-    u = np.divide(y, sigma_j, out=y_new)
-    np.subtract(h, u, out=u)
-    if j_prox == "l12":
-        group_shrink_columns(u, lam2 / sigma_j, out=j_new)
-    else:
-        soft_threshold(u, lam2 / sigma_j, out=j_new)
-
-    np.subtract(j_new, zr, out=ws.residual)
-    np.subtract(j_new, h, out=y_new)
-    y_new *= mu
-    y_new += y
-    new = RelaxedState(z_new, j_new[:, :-1], y_new[:, :-1], mu)
-    ws.j, ws.y, ws._of = j_new, y_new, (z_new, new.j, new.y)
-    return new
+    # h, unless alpha is 1, lives over the spent fit step.
+    column_differences(z_new, out=ws.zr)
+    prox = group_shrink_columns if j_prox == "l12" else soft_threshold
+    j_new, y_new = ws.couple(out, mu, mu * eta_j, lam2, prox, alpha, ws.fit)
+    return RelaxedState(z_new, j_new, y_new, mu)
 
 
 def lyapunov_s(state, reference, eta_z, l_z):
@@ -210,17 +166,6 @@ def lyapunov_s(state, reference, eta_z, l_z):
     return value
 
 
-def _objective(x, z, lam1, lam2, j_prox):
-    fit = 0.5 * float(np.sum((x - x @ z) ** 2))
-    l1 = lam1 * float(np.sum(np.abs(z)))
-    zr = column_differences(z)[:, :-1]
-    if j_prox == "l12":
-        smooth = float(np.sum(np.linalg.norm(zr, axis=0)))
-    else:
-        smooth = float(np.sum(np.abs(zr)))
-    return fit + l1 + lam2 * smooth
-
-
 def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=None, *,
                 monitored=False):
     """Shared driver behind the sequential solver, its SpatSC variant and
@@ -251,7 +196,7 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     alpha = 1.0 if monitored else OVER_RELAXATION
 
     def sweep(state):
-        workspace.sync(state)
+        workspace.sync(x, state.z, state.j, state.y)
         j = workspace.j  # the padded J of ``state``; the norms run on whole buffers
         new = relaxed_iteration(
             x, state, lam1, lam2, l_z, eta_z, admm.ETA_J, diag_zero, j_prox,
@@ -267,7 +212,8 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
             return lyapunov_s(state, lyapunov_reference, eta_z, l_z)
 
     state = admm.run(config, state, sweep, ("y",), diag, monitor, increment)
-    diag.objective_value = _objective(x, state.z, lam1, lam2, j_prox)
+    fit_term = 0.5 * float(np.sum((x - x @ state.z) ** 2))
+    diag.objective_value = workspace.objective(fit_term, lam1, lam2, j_prox == "l12")
     return state, diag
 
 
@@ -276,7 +222,7 @@ def solve_relaxed(x, config=None, initial_state=None):
 
     Returns ``(z, diagnostics)``; ``initial_state`` allows warm starts.
     """
-    config = config if config is not None else SolverConfig()
+    config = as_solver_config(config)
     state, diag = _solve_core(x, config, initial_state=initial_state)
     return state.z, diag
 
@@ -288,7 +234,7 @@ def solve_monitored(x, config=None, initial_state=None):
     final iterate and then to record ``lyapunov_history`` against it
     (memory stays flat, time doubles).  Returns ``(z, diagnostics)``.
     """
-    config = config if config is not None else SolverConfig()
+    config = as_solver_config(config)
     state, _ = _solve_core(x, config, initial_state=initial_state, monitored=True)
     reference = (state.z, state.j, state.y)
     state, diag = _solve_core(

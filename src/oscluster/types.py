@@ -220,8 +220,8 @@ class SolverConfig:
     sequential solver and spatsc take ||R||^2 + 1e-3, just above the
     floor ||R||^2 they need, and the exact solver takes 1.02 (||X||^2 +
     ||R||^2), just above the floor of its Z step.  The J step's weight is
-    the constant ``admm.ETA_J``; ``exact_iteration`` and ``lyapunov_s``
-    read it themselves.
+    mu * ``admm.ETA_J``, passed to ``admm.Workspace.couple`` by
+    ``exact_iteration`` and the sequential driver; ``lyapunov_s`` reads it.
     ``admm.run``, which also applies the stop on ``eps1`` and ``eps2``,
     scales mu by ``gamma0`` whenever the scaled iterate change falls under
     ``eps2``, up to ``mu_max``.  The sequential solver and spatsc
@@ -266,6 +266,13 @@ class SolverConfig:
             raise ValueError("eps1 and eps2 must be positive")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+
+
+def as_solver_config(config):
+    """``config``, or the default SolverConfig for None; else ValueError."""
+    if config is not None and not isinstance(config, SolverConfig):
+        raise ValueError(f"config must be a SolverConfig or None, got {type(config).__name__}")
+    return config if config is not None else SolverConfig()
 
 
 @dataclass

@@ -287,12 +287,19 @@ def reference_relaxed_sweep(
     z_new = _shrink_entries(v, lam1 / step)
     if diag_zero:
         np.fill_diagonal(z_new, 0.0)
-    h = alpha * (z_new @ r) + (1.0 - alpha) * j
+    return (z_new, *reference_coupling_step(z_new, j, y, mu, lam2, eta_j, j_prox, alpha))
+
+
+def reference_coupling_step(z_new, j, y, mu, lam2, eta_j, j_prox="l12", alpha=1.0):
+    """The J and Y lines of ``reference_relaxed_sweep``: the J step and the
+    multiplier on h = alpha Z+ R + (1 - alpha) J, with a dense R, from the
+    fresh ``z_new`` and the old J and Y.  Returns ``(j, y)``."""
+    h = alpha * (z_new @ build_difference_operator(z_new.shape[0])) + (1.0 - alpha) * j
     u = h - y / (mu * eta_j)
     kappa = lam2 / (mu * eta_j)
     j_new = _shrink_columns(u, kappa) if j_prox == "l12" else _shrink_entries(u, kappa)
     y_new = y + mu * (j_new - h)
-    return z_new, j_new, y_new
+    return j_new, y_new
 
 
 def plain_relaxed_sweep(
@@ -305,7 +312,7 @@ def plain_relaxed_sweep(
     refuses any ``alpha`` but 1."""
     assert alpha == 1.0
     ws = workspace
-    ws.sync(state)
+    ws.sync(x, state.z, state.j, state.y)
     z, y, mu = state.z, ws.y, state.mu
     step = mu * eta_z + l_z
     sigma_j = mu * eta_j
@@ -327,9 +334,7 @@ def plain_relaxed_sweep(
     residual = np.subtract(j_new, zr, out=ws.residual)
     np.multiply(residual, mu, out=y_new)
     y_new += y
-    new = RelaxedState(z_new, j_new[:, :-1], y_new[:, :-1], mu)
-    ws.j, ws.y, ws._of = j_new, y_new, (z_new, new.j, new.y)
-    return new
+    return RelaxedState(z_new, *ws.hold(z_new, j_new, y_new), mu)
 
 
 def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag_zero):

@@ -208,11 +208,11 @@ LAYOUTS = {
 def one_sweep(solver, x, state, workspace=None):
     if solver == "relaxed":
         return relaxed_iteration(x, state, 0.1, 0.5, 3.0, 6.0, 1.02, False, workspace=workspace)
-    return exact_iteration(x, state, 0.1, 0.5, 40.0, False, workspace=workspace or ExactWorkspace(*x.shape))
+    return exact_iteration(x, state, 0.1, 0.5, 40.0, False, workspace=workspace or ExactWorkspace(x))
 
 
 def workspace_of(solver, x):
-    return RelaxedWorkspace(FitOperator(x)) if solver == "relaxed" else ExactWorkspace(*x.shape)
+    return RelaxedWorkspace(FitOperator(x)) if solver == "relaxed" else ExactWorkspace(x)
 
 
 def assert_public_layout(state, n):

@@ -71,8 +71,8 @@ class TestSweepOrder:
         # One workspace each: a shared one would hand both calls the same
         # output arrays, and a and b would be one iterate.
         args = (0.1, 1.0, 30.0, False)
-        a = exact_iteration(x, state, *args, workspace=ExactWorkspace(6, 9))
-        b = exact_iteration(x, state, *args, workspace=ExactWorkspace(6, 9))
+        a = exact_iteration(x, state, *args, workspace=ExactWorkspace(x))
+        b = exact_iteration(x, state, *args, workspace=ExactWorkspace(x))
         assert np.array_equal(a.z, b.z)
         assert np.array_equal(a.j, b.j)
         assert np.array_equal(a.y1, b.y1)
@@ -92,7 +92,7 @@ class TestSweepOrder:
             y2=rng.standard_normal((7, 6)),
         )
         lam2, mu = 1.0, 2.0
-        out = exact_iteration(x, state, 0.1, lam2, 30.0, False, workspace=ExactWorkspace(5, 7))
+        out = exact_iteration(x, state, 0.1, lam2, 30.0, False, workspace=ExactWorkspace(x))
         sigma_j = mu * ETA_J
 
         def e_at(z):

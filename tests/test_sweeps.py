@@ -27,12 +27,13 @@ from oscluster import (
     spatsc_solve,
     ssc_solve,
 )
-from oscluster import exact, relaxed
+from oscluster import admm, exact, relaxed
 from oscluster.baselines import _stationarity_gap
 from oscluster.exact import ExactWorkspace, exact_iteration
 from oscluster.admm import ETA_J
 from oscluster.relaxed import OVER_RELAXATION, RelaxedWorkspace, relaxed_iteration
-from oscluster.types import FitOperator, operator_norm_squared
+from oscluster.prox import group_shrink_columns, soft_threshold
+from oscluster.types import FitOperator, column_differences, operator_norm_squared
 
 from helpers import (
     build_difference_operator,
@@ -42,6 +43,7 @@ from helpers import (
     reference_exact_sweep,
     reference_fista_lasso,
     reference_relaxed_solve,
+    reference_coupling_step,
     reference_relaxed_sweep,
 )
 
@@ -184,7 +186,7 @@ def test_exact_sweeps_match_reference(warm):
         initial_exact_state(D, N, 1.0), z=b["z"], j=b["j"], y1=b["y1"], y2=b["y"]
     )
     want = (b["z"], -b["y1"], b["j"], b["y1"], b["y"])
-    workspace = ExactWorkspace(D, N)
+    workspace = ExactWorkspace(x)
     for sweep in range(SWEEPS):
         state = dataclasses.replace(state, mu=mu_at(sweep))
         state = exact_iteration(x, state, lam1, lam2, eta_z, False, workspace=workspace)
@@ -232,37 +234,76 @@ def test_workspace_recomputes_for_a_state_it_did_not_produce(warm):
 
 
 def owned_arrays(workspace):
-    """The arrays a workspace allocated: its own and its two output sets'."""
+    """The arrays a workspace allocated: its own and its two output sets',
+    without the caller's data matrix it holds."""
     owned = [a for a in vars(workspace).values() if isinstance(a, np.ndarray)]
+    owned = [a for a in owned if a is not workspace.x]
     return owned + [a for out in workspace.sets for a in vars(out).values()]
 
 
 @pytest.mark.parametrize("d, n", [(D, N), (20, 12)], ids=["d<n", "d>n"])
 def test_workspace_sizes(d, n):
-    # Every coupling-space block is held zero-padded, N x N.  Relaxed: Z, J,
-    # Y twice, then Z R, J - Z R and the fit step, all N x N.  Exact: 11
-    # N x N-sized arrays (Z, J, Y2 twice, Z R, dZ R, J - Z R, the gradient
-    # step and a max(D, N) x N distance buffer) and 3 D x N (Y1 twice and
-    # X Z - X).
+    # Every coupling-space block is held zero-padded, N x N.  The shared
+    # admm.Workspace: Z, J, Y twice, then Z R and J - Z R, all N x N.
+    # Relaxed adds the fit step: 9 N x N arrays.  Exact's Y slots hold Y2,
+    # and it adds dZ R, the gradient step and a max(D, N) x N distance
+    # buffer, for 11 N x N-sized arrays, and 3 D x N (Y1 twice and X Z - X).
     square = n * n
-    relaxed = owned_arrays(RelaxedWorkspace(FitOperator(np.ones((d, n)))))
+    x = np.ones((d, n))
+    relaxed = owned_arrays(RelaxedWorkspace(FitOperator(x)))
     assert len(relaxed) == 9
     assert all(a.shape == (n, n) and a.flags.c_contiguous for a in relaxed)
-    exact = owned_arrays(ExactWorkspace(d, n))
+    exact = owned_arrays(ExactWorkspace(x))
     assert len(exact) == 11 + 3
     assert sum(a.nbytes for a in exact) == 8 * (10 * square + max(d, n) * n + 3 * d * n)
 
 
-def test_workspace_refuses_other_data(warm):
-    # A workspace's fit operator belongs to one data matrix; an equal copy
-    # of that matrix counts as another.
+@pytest.mark.parametrize("solver", ["relaxed", "exact"])
+def test_workspace_refuses_other_data(warm, solver):
+    # A workspace belongs to one data matrix; another one of its shape, or
+    # an equal copy of it, is refused before any buffer is written.
     x, b = warm
-    args = (0.1, 0.5, 3.0, 6.0, 1.02, False)
-    start = dataclasses.replace(initial_relaxed_state(D, N, 1.0), z=b["z"], j=b["j"], y=b["y"])
-    workspace = RelaxedWorkspace(FitOperator(x))
+    if solver == "relaxed":
+        start = dataclasses.replace(initial_relaxed_state(D, N, 1.0), z=b["z"], j=b["j"], y=b["y"])
+        sweep, args = relaxed_iteration, (0.1, 0.5, 3.0, 6.0, 1.02, False)
+        workspace = RelaxedWorkspace(FitOperator(x))
+    else:
+        start = dataclasses.replace(
+            initial_exact_state(D, N, 1.0), z=b["z"], j=b["j"], y1=b["y1"], y2=b["y"]
+        )
+        sweep, args = exact_iteration, (0.1, 0.5, 40.0, False)
+        workspace = ExactWorkspace(x)
     for other in (warm_start(D, N, seed=12)[0], x.copy()):
         with pytest.raises(ValueError, match="another data matrix"):
-            relaxed_iteration(other, start, *args, workspace=workspace)
+            sweep(other, start, *args, workspace=workspace)
+    assert workspace.j is None
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, OVER_RELAXATION])
+@pytest.mark.parametrize("j_prox", ["l12", "l1"])
+def test_coupling_step_matches_reference(warm, j_prox, alpha):
+    # The shared J step, residual and multiplier update alone, from a fresh
+    # Z+ and a warm J and Y, against the J and Y lines of the dense
+    # reference sweep.  Every pad it writes stays bit-pattern +0.0.
+    x, b = warm
+    mu, lam2 = 2.5, (4.0 if j_prox == "l12" else 1.0)  # a part of J shrinks out
+    z_new = 0.05 * np.random.default_rng(3).standard_normal((N, N))
+    workspace = admm.Workspace(x)
+    workspace.sync(x, b["z"], b["j"], b["y"])
+    out = admm.free_set(workspace.sets, b["z"])
+    out.z[:] = z_new
+    column_differences(out.z, out=workspace.zr)
+    prox = group_shrink_columns if j_prox == "l12" else soft_threshold
+    j, y = workspace.couple(out, mu, mu * ETA_J, lam2, prox, alpha, np.empty((N, N)))
+    want_j, want_y = reference_coupling_step(z_new, b["j"], b["y"], mu, lam2, ETA_J, j_prox, alpha)
+    assert_close(j, want_j)
+    assert_close(y, want_y)
+    assert_close(workspace.residual[:, :-1], want_j - z_new @ build_difference_operator(N))
+    assert 0 < np.count_nonzero(want_j) < want_j.size
+    for block in (out.j, out.y, workspace.residual):
+        assert not block[:, -1].view(np.int64).any()
+    assert j.base is out.j and y.base is out.y
+    assert workspace.j is out.j and workspace.y is out.y
 
 
 def check_fit_step(x, z, factored):

@@ -3,7 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import oscluster
 from oscluster import SolveDiagnostics, SolverConfig
+from oscluster.relaxed import solve_monitored
 from oscluster.types import (
     apply_difference_adjoint,
     as_coefficient_matrix,
@@ -262,6 +264,26 @@ class TestSolverConfig:
         cfg = SolverConfig()
         with pytest.raises(Exception):
             cfg.lambda1 = 0.5
+
+    @pytest.mark.parametrize("config", [{}, {"lambda1": 0.1}, "x"], ids=["empty", "dict", "str"])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            oscluster.solve_relaxed,
+            solve_monitored,
+            oscluster.solve_exact,
+            oscluster.ssc_solve,
+            oscluster.spatsc_solve,
+            oscluster.cluster_sequential,
+        ],
+        ids=lambda solve: solve.__name__,
+    )
+    def test_every_entry_point_refuses_a_config_of_another_type(self, solve, config):
+        # One boundary, one error: a ValueError naming the type, raised
+        # before any solve.
+        x = np.eye(3, 6)
+        with pytest.raises(ValueError, match=f"SolverConfig or None, got {type(config).__name__}"):
+            solve(x, config=config)
 
 
 class TestDiagnosticsShape:
