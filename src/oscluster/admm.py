@@ -15,7 +15,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .types import DivergenceError, column_differences, is_finite_real, zero_padded
+from .types import (
+    MU_GROWTH, MU_MAX, DivergenceError, column_differences, is_finite_real, zero_padded,
+)
 
 def buffer_sets(**shapes):
     """Two sets of sweep output buffers, each with one array per named shape.
@@ -34,16 +36,17 @@ def free_set(sets, z):
 
 def start_state(initial_state, default):
     """``initial_state`` if given, else ``default``; a given state must be of
-    ``default``'s type, with a positive finite mu and finite real blocks of
-    ``default``'s shapes, which the solve reads as float64."""
+    ``default``'s type, with a positive mu of at most ``MU_MAX`` (the
+    schedule never lowers mu) and finite real blocks of ``default``'s
+    shapes, which the solve reads as float64."""
     if initial_state is None:
         return default
     kind, got = type(default).__name__, type(initial_state).__name__
     if not isinstance(initial_state, type(default)):
         raise ValueError(f"initial state must be of type {kind}, got {got}")
     mu = initial_state.mu
-    if not is_finite_real(mu) or mu <= 0:
-        raise ValueError(f"initial state mu must be a positive finite number, got {mu!r}")
+    if not is_finite_real(mu) or not 0 < mu <= MU_MAX:
+        raise ValueError(f"initial state mu must be a positive number <= {MU_MAX:g}, got {mu!r}")
     blocks = {}
     for name in [f.name for f in fields(default) if f.name != "mu"]:
         want, block = getattr(default, name), getattr(initial_state, name)
@@ -157,15 +160,16 @@ def run(config, state, sweep, multipliers, diag, monitor=None, increment=None, s
     and its residual norms; ``multipliers`` are the names of the multiplier
     blocks.  With ``scale = (normalizer, weight)`` the solve converges once
 
-        feasibility = max residual norm / normalizer < eps1  and
-        change = mu * weight / normalizer * max step norm < eps2.
+        feasibility = max residual norm / normalizer < eps  and
+        change = mu * weight / normalizer * max step norm < eps,
 
-    Mu then grows, up to ``mu_max``, by the factor ``gamma0`` once change <
-    eps2, or, given an ``increment``, by that fixed amount every sweep (the
-    descent monitor's rule, see ``relaxed.solve_monitored``).  A non-finite
-    iterate, flagged by the step norms and multiplier sums, raises
-    DivergenceError.  ``monitor(state)`` goes to ``diag.lyapunov_history``;
-    ``diag.iterations`` counts this call's sweeps.
+    with ``eps = config.eps``.  Mu then grows, up to ``MU_MAX``, by the
+    factor ``MU_GROWTH`` once change < eps, or, given an ``increment``, by
+    that fixed amount every sweep (the descent monitor's rule, see
+    ``relaxed.solve_monitored``).  A non-finite iterate, flagged by the step
+    norms and multiplier sums, raises DivergenceError.  ``monitor(state)``
+    goes to ``diag.lyapunov_history``; ``diag.iterations`` counts this
+    call's sweeps.
     """
     normalizer, weight = scale
     if monitor is not None:
@@ -183,12 +187,12 @@ def run(config, state, sweep, multipliers, diag, monitor=None, increment=None, s
         check_finite(quick, new, sweeps)
         feasibility = max(residual_norms) / normalizer
         change = mu * weight / normalizer * max(steps)
-        converged = feasibility < config.eps1 and change < config.eps2
+        still = change < config.eps
+        converged = feasibility < config.eps and still
         if increment is not None:
-            mu_next = min(config.mu_max, mu + increment)
+            mu_next = min(MU_MAX, mu + increment)
         else:
-            gamma = config.gamma0 if change < config.eps2 else 1.0
-            mu_next = min(config.mu_max, gamma * mu)
+            mu_next = min(MU_MAX, (MU_GROWTH if still else 1.0) * mu)
         state = replace(new, mu=mu_next)
         diag.feasibility_history.append(feasibility)
         diag.change_history.append(change)

@@ -180,11 +180,11 @@ def run_bench(raw_config, out_dir, workers=1):
     """Execute the sweep; writes raw.csv and summary.csv under ``out_dir``.
     Returns the written paths.
 
-    ``workers`` cells run at once in worker processes; 1 runs them in this
-    process.
+    ``workers``, an int (not a bool), cells run at once in worker processes;
+    1 runs them in this process.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
     cfg = parse_bench_config(raw_config)
     library_matrix = None
     if cfg["library"]:

@@ -66,10 +66,7 @@ _SOLVER_FLAGS = (
     ("--lambda1", "lambda1", None),
     ("--lambda2", "lambda2", None),
     ("--mu", "mu0", None),
-    ("--mu-max", "mu_max", None),
-    ("--gamma0", "gamma0", None),
-    ("--eps1", "eps1", None),
-    ("--eps2", "eps2", None),
+    ("--eps", "eps", None),
     ("--max-iter", "max_iter", None),
     ("--diag-zero", "diag_zero", "constrain diag(Z) = 0 (ssc and spatsc always do)"),
 )

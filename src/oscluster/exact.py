@@ -129,13 +129,13 @@ def exact_iteration(x, state, lam1, lam2, eta_z, diag_zero, *, workspace):
 def solve_exact(x, config=None, initial_state=None):
     """Solve the exact-constraint objective; returns ``(z, diagnostics)``.
 
-    ``admm.run`` stops it once three residual tests hold at once, each
-    normalized by ||X||_F: the fit residual ||X Z - X + E|| and the coupling
-    residual ||J - Z R|| under eps1, and the scaled iterate change
-    ``mu * sqrt(eta_z) * max(||dZ||, ||dY1||, ||dJ||, ||dZ R||) / ||X||_F``
-    under eps2.  With E = -Y1, ||dY1|| is ||dE||, and the fit residual is
-    read from it as ||dY1|| / mu (see ``exact_iteration``).  An all-zero X
-    gives Z = 0 without a sweep, reported as converged.
+    ``admm.run`` stops it once three residuals are under eps at once, each
+    normalized by ||X||_F: the fit residual ||X Z - X + E||, the coupling
+    residual ||J - Z R|| and the scaled iterate change
+    ``mu * sqrt(eta_z) * max(||dZ||, ||dY1||, ||dJ||, ||dZ R||) / ||X||_F``.
+    With E = -Y1, ||dY1|| is ||dE||, and the fit residual is read from it
+    as ||dY1|| / mu (see ``exact_iteration``).  An all-zero X gives Z = 0
+    without a sweep, reported as converged.
     """
     config = as_solver_config(config)
     x = as_data_matrix(x)

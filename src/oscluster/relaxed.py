@@ -174,8 +174,8 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
     Starts from ``initial_state`` or from ``initial_relaxed_state`` (all
     blocks zero) and runs the over-relaxed sweep under the multiplicative
     rule or, ``monitored``, the plain sweep under the additive one that
-    ``lyapunov_s`` describes.  ``admm.run`` stops it when ||J - Z R||_F <
-    eps1 and mu * max(||dZ||_F, ||dJ||_F) < eps2.  Given a
+    ``lyapunov_s`` describes.  ``admm.run`` stops it when ||J - Z R||_F
+    and mu * max(||dZ||_F, ||dJ||_F) are both under eps.  Given a
     ``lyapunov_reference``, the monitor is evaluated against it every sweep.
     """
     x = as_data_matrix(x)

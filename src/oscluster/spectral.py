@@ -59,7 +59,7 @@ _DEFLATION = 2.0
 # temporaries numpy makes for one in-place tile update (a copy of the
 # transposed tile and an iteration buffer) stay near 100 KB.
 _AFFINITY_TILE = 64
-# Columns of L, or of a Cholesky check's matrix, formed in double per step:
+# Columns of a Cholesky check's matrix formed in double per step (``_packed``):
 # an N x 32 tile, and the rank-k product added to it, stay near 400 KB each
 # at N = 1600.  Tiles of 32 and 64 formed both equally fast there (8-13 ms,
 # best of 5, 1 BLAS thread).
@@ -256,15 +256,10 @@ class LaplacianSpectrum:
         return out
 
     def _laplacian(self):
-        """L in double, Fortran-ordered, formed ``_LAPLACIAN_TILE`` columns
-        at a time, each entry from the same operations as ever."""
-        n, b = self.affinity.shape[0], _LAPLACIAN_TILE
-        out = np.empty((n, n), order="F")
-        for j in range(0, n, b):
-            # Columns j.. of L are its rows (L is symmetric), so they are
-            # formed row-wise straight into L's contiguous columns.
-            self._block(out[:, j : j + b].T, (j, min(j + b, n)), (0, n))
-        return out
+        """L in double, Fortran-ordered: L's rows formed in one pass from W's
+        and transposed, which as L is symmetric gives its columns."""
+        n = self.affinity.shape[0]
+        return self._block(np.empty((n, n)), (0, n), (0, n)).T
 
     def _packed(self, sign, diagonal, vectors):
         """The lower triangle of A = sign L + diagonal I + ``vectors``

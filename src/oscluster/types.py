@@ -211,40 +211,35 @@ class FitOperator:
         return np.matmul(b, projected, out=out)
 
 
+# LADMAP's penalty schedule (Lin, Liu & Su, NIPS 2011), read by ``admm.run``:
+# mu grows by MU_GROWTH once the scaled iterate change is under eps, and
+# never past MU_MAX.
+MU_GROWTH = 1.1
+MU_MAX = 1e10
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by the alternating-direction solvers.
 
-    Each solver works out its own proximal weight eta_z on the coefficient
-    block from X, and reports it in ``SolveDiagnostics.eta_z``: the
-    sequential solver and spatsc take ||R||^2 + 1e-3, just above the
-    floor ||R||^2 they need, and the exact solver takes 1.02 (||X||^2 +
-    ||R||^2), just above the floor of its Z step.  The J step's weight is
-    mu * ``admm.ETA_J``, passed to ``admm.Workspace.couple`` by
-    ``exact_iteration`` and the sequential driver; ``lyapunov_s`` reads it.
-    ``admm.run``, which also applies the stop on ``eps1`` and ``eps2``,
-    scales mu by ``gamma0`` whenever the scaled iterate change falls under
-    ``eps2``, up to ``mu_max``.  The sequential solver and spatsc
-    over-relax their coupling J = Z R (``relaxed.OVER_RELAXATION``).
-    ``relaxed.solve_monitored``, the descent monitor's solve, takes the
-    same knobs but its own step, sweep and penalty rule.  ``diag_zero``
-    fixes diag(Z) at zero in the two sequential solvers; ssc and spatsc
-    always fix it there.  Every number must be a finite real, ``max_iter``
-    an int and ``diag_zero`` a bool; anything else raises ``ValueError``.
+    ``admm.run`` stops a solve once both its feasibility and its scaled
+    iterate change are under ``eps``, and grows mu from ``mu0`` by the
+    schedule above.  Each solver works out its own proximal weights from X
+    (see ``SolveDiagnostics.eta_z``).  ``diag_zero`` fixes diag(Z) at zero
+    in the two sequential solvers; ssc and spatsc always fix it there.
+    Every number must be a finite real, ``max_iter`` an int and
+    ``diag_zero`` a bool; anything else raises ``ValueError``.
     """
 
     lambda1: float = 0.1
     lambda2: float = 1.0
     mu0: float = 1.0
-    mu_max: float = 1e10
-    gamma0: float = 1.1
-    eps1: float = 1e-4
-    eps2: float = 1e-4
+    eps: float = 1e-4
     max_iter: int = 2000
     diag_zero: bool = False
 
     def __post_init__(self):
-        for name in ("lambda1", "lambda2", "mu0", "mu_max", "gamma0", "eps1", "eps2"):
+        for name in ("lambda1", "lambda2", "mu0", "eps"):
             value = getattr(self, name)
             if not is_finite_real(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -256,14 +251,10 @@ class SolverConfig:
             raise ValueError(f"lambda1 must be nonnegative, got {self.lambda1}")
         if self.lambda2 < 0:
             raise ValueError(f"lambda2 must be nonnegative, got {self.lambda2}")
-        if self.mu0 <= 0:
-            raise ValueError(f"mu0 must be positive, got {self.mu0}")
-        if self.mu_max < self.mu0:
-            raise ValueError(f"mu_max {self.mu_max} must be >= mu0 {self.mu0}")
-        if self.gamma0 < 1:
-            raise ValueError(f"gamma0 must be >= 1, got {self.gamma0}")
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ValueError("eps1 and eps2 must be positive")
+        if not 0 < self.mu0 <= MU_MAX:
+            raise ValueError(f"mu0 must be positive and at most {MU_MAX:g}, got {self.mu0}")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

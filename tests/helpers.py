@@ -373,8 +373,10 @@ def build_difference_operator(n):
 
 
 def _next_mu(config, mu, change):
-    gamma = config.gamma0 if change < config.eps2 else 1.0
-    return min(config.mu_max, gamma * mu)
+    # Literals, not types.MU_GROWTH and MU_MAX: the reference schedule stays
+    # independent of the values it checks.
+    gamma = 1.1 if change < config.eps else 1.0
+    return min(1e10, gamma * mu)
 
 
 def reference_relaxed_solve(x, config, l_z, eta_z, blocks):
@@ -400,7 +402,7 @@ def reference_relaxed_solve(x, config, l_z, eta_z, blocks):
         changes.append(change)
         mus.append(mu)
         z, j, y = z_new, j_new, y_new
-        if feas < config.eps1 and change < config.eps2:
+        if feas < config.eps and change < config.eps:
             break
         mu = _next_mu(config, mu, change)
     return z, sweep, feasibility, changes, mus
@@ -433,7 +435,7 @@ def reference_exact_solve(x, config, eta_z, blocks):
         changes.append(change)
         mus.append(mu)
         z, e, j, y1, y2 = z_new, e_new, j_new, y1_new, y2_new
-        if fit < config.eps1 and coupling < config.eps1 and change < config.eps2:
+        if fit < config.eps and coupling < config.eps and change < config.eps:
             break
         mu = _next_mu(config, mu, change)
     return z, sweep, feasibility, changes, mus

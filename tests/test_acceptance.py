@@ -107,8 +107,7 @@ def test_criterion_03_descent_monitor_nonincreasing(capsys):
         lambda2=1.0,
         mu0=1.0,
         max_iter=3000,
-        eps1=1e-6,
-        eps2=1e-6,
+        eps=1e-6,
     )
     worst_step = -math.inf
     min_value = math.inf

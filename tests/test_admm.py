@@ -20,10 +20,10 @@ from oscluster import relaxed
 from oscluster.admm import run
 from oscluster.exact import ExactWorkspace, exact_iteration
 from oscluster.relaxed import RelaxedWorkspace, relaxed_iteration
-from oscluster.types import FitOperator
+from oscluster.types import MU_GROWTH, MU_MAX, FitOperator
 
 N = 4
-BIG, SMALL = 1.0, 1e-6  # above and below the default eps1 = eps2 = 1e-4
+BIG, SMALL = 1.0, 1e-6  # above and below the default eps = 1e-4
 
 
 @dataclass
@@ -90,7 +90,7 @@ class TestStop:
         assert diag.change_history == [mu * weight / normalizer * SMALL for mu in mus]
 
     def test_the_change_is_scaled_by_mu_weight_and_normalizer(self):
-        # Feasible, and the raw step is under eps2, but mu * weight /
+        # Feasible, and the raw step is under eps, but mu * weight /
         # normalizer lifts the change above it.
         script = [((SMALL, SMALL), (1e-5, 3e-5, 2e-5))] * 2
         config = SolverConfig(mu0=10.0, max_iter=2)
@@ -112,23 +112,27 @@ class TestStop:
 
 
 class TestPenalty:
+    # Warm starts just below the cap reach it in a few sweeps.  A still
+    # sweep takes zero steps, so its change is 0 < eps at any mu; every
+    # sweep is infeasible, so none stops the solve.
+
     def test_multiplicative_growth_only_when_still_and_capped(self):
-        config = SolverConfig(gamma0=1.5, mu_max=3.0, max_iter=6)
-        changes = [BIG, SMALL, BIG, SMALL, SMALL, SMALL]
-        state, diag = solve(config, [((BIG,), (c,)) for c in changes])
-        assert diag.mu_history == [1.0, 1.0, 1.5, 1.5, 2.25, 3.0]
-        assert state.mu == 3.0
+        mu = 0.85 * MU_MAX
+        assert mu * MU_GROWTH < MU_MAX < mu * MU_GROWTH**2
+        config = SolverConfig(max_iter=6)
+        steps = [BIG, 0.0, BIG, 0.0, 0.0, 0.0]
+        state, diag = solve(config, [((BIG,), (s,)) for s in steps], state=start(mu))
+        assert diag.mu_history == [mu, mu, mu * MU_GROWTH, mu * MU_GROWTH, MU_MAX, MU_MAX]
+        assert state.mu == MU_MAX
 
     def test_additive_increment(self):
-        # A given increment is added every sweep, still or not, up to mu_max.
-        increment = 4.0
-        config = SolverConfig(mu_max=10.0, max_iter=4)
-        state, diag = solve(config, [((BIG,), (BIG,))] * 4, increment=increment)
-        want = [1.0]
-        for _ in range(3):
-            want.append(min(10.0, want[-1] + increment))
-        assert diag.mu_history == want and want[-1] == 10.0 > want[-2]
-        assert state.mu == 10.0
+        # A given increment is added every sweep, still or not, up to MU_MAX.
+        increment = 1e9
+        config = SolverConfig(max_iter=4)
+        script = [((BIG,), (s,)) for s in (BIG, 0.0, BIG, 0.0)]
+        state, diag = solve(config, script, increment=increment, state=start(MU_MAX - 2.5e9))
+        assert diag.mu_history == [7.5e9, 8.5e9, 9.5e9, MU_MAX]
+        assert state.mu == MU_MAX
 
 
 class TestDivergence:

@@ -17,7 +17,7 @@ from oscluster import (
 from conftest import SSC_PARAMS
 from helpers import lasso_cd_matrix
 
-TIGHT = SolverConfig(eps1=1e-6, eps2=1e-6, max_iter=20000)
+TIGHT = SolverConfig(eps=1e-6, max_iter=20000)
 
 
 def unit_columns(rng, d, n):

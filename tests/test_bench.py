@@ -40,6 +40,13 @@ def test_method_entry_rejects_mu_schedule():
         config_with({"name": "osc-relaxed", "mu_schedule": "additive"})
 
 
+@pytest.mark.parametrize("key, value", [("gamma0", 1.5), ("mu_max", 1e9), ("eps1", 1e-6)])
+def test_method_entry_rejects_removed_schedule_and_stop_keys(key, value):
+    # The penalty schedule is fixed, and one eps stops every solve.
+    with pytest.raises(ValueError, match=f"unknown keys.*{key}"):
+        config_with({"name": "osc-relaxed", key: value})
+
+
 @pytest.mark.parametrize("k", [None, 1, 5])
 def test_k_accepts_null_or_positive_int(k):
     assert parse_bench_config({"methods": [{"name": "ssc"}], "k": k})["k"] == k
@@ -55,7 +62,7 @@ def test_k_rejects_anything_else(tmp_path, k):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("workers", [0, -1, 2.5, "2", True])
 def test_run_bench_rejects_fewer_than_one_worker(tmp_path, workers):
     out_dir = tmp_path / "results"
     with pytest.raises(ValueError, match="workers"):

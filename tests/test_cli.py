@@ -324,8 +324,8 @@ class TestCluster:
             raise AssertionError("solved with a NaN tolerance")
 
         monkeypatch.setattr("oscluster.cli.cluster_sequential", solve)
-        assert main(["cluster", str(data), "--k", "2", "--eps1", "nan"]) == 2
-        assert "eps1" in capsys.readouterr().err
+        assert main(["cluster", str(data), "--k", "2", "--eps", "nan"]) == 2
+        assert "eps" in capsys.readouterr().err
         assert not (tmp_path / "s.predicted.json").exists()
         assert not (tmp_path / "s.diagnostics.json").exists()
 
@@ -368,6 +368,27 @@ class TestCluster:
             main(["cluster", str(tmp_path / "x.csv"), "--estimate-k", "svd-gap"])
         assert exc.value.code == 2
         assert "invalid choice: 'svd-gap'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--gamma0", "1.5"), ("--eps1", "1e-6"), ("--mu-max", "1e9")]
+    )
+    def test_removed_schedule_and_stop_flags_rejected_by_parser(
+        self, tmp_path, capsys, flag, value
+    ):
+        # The penalty schedule is fixed, and one --eps stops every solve.
+        with pytest.raises(SystemExit) as exc:
+            main(["cluster", str(tmp_path / "x.csv"), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert "Traceback" not in err
+
+    def test_help_lists_eps_and_no_removed_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["cluster", "--help"])
+        out = capsys.readouterr().out
+        assert "--eps EPS" in out
+        assert not any(flag in out for flag in ("--gamma0", "--mu-max", "--eps1", "--eps2"))
 
     def test_divergence_exit_code(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(7)

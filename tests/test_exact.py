@@ -30,7 +30,7 @@ class TestSolutionStructure:
         # With a huge sparsity weight the optimum is Z = 0, E = X.
         rng = np.random.default_rng(7)
         x = unit_columns(rng, 8, 10)
-        cfg = SolverConfig(lambda1=50.0, lambda2=1.0, eps1=1e-5, eps2=1e-5, max_iter=5000)
+        cfg = SolverConfig(lambda1=50.0, lambda2=1.0, eps=1e-5, max_iter=5000)
         z, diag = solve_exact(x, cfg)
         assert diag.converged
         assert np.max(np.abs(z)) == 0.0
@@ -118,7 +118,7 @@ class TestStep:
     def test_default_stop_is_near_the_optimum(self, psnr):
         # Eliminating E = X - X Z gives the sequential solver's objective,
         # so a tight solve_relaxed locates the optimum both solvers share.
-        tight = SolverConfig(eps1=1e-9, eps2=1e-9, max_iter=40000)
+        tight = SolverConfig(eps=1e-9, max_iter=40000)
         for seed in range(4):
             x, _ = generate_synthetic(SyntheticSpec(seed=seed))
             if psnr is not None:
@@ -164,7 +164,7 @@ class TestDiagnostics:
         with pytest.raises(ValueError, match="initial state must be of type ExactState"):
             solve_exact(x, SolverConfig(), initial_state=initial_relaxed_state(4, 5, 1.0))
 
-    @pytest.mark.parametrize("mu", [-1.0, 0.0, float("nan"), float("inf"), True, "1"])
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 1e12, float("nan"), float("inf"), True, "1"])
     def test_initial_mu_must_be_positive_finite(self, mu):
         x = unit_columns(np.random.default_rng(9), 4, 5)
         bad = dataclasses.replace(initial_exact_state(4, 5, 1.0), mu=mu)

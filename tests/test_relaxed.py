@@ -33,7 +33,7 @@ class TestSolutionStructure:
         rng = np.random.default_rng(42)
         x = unit_columns(rng, 5, 6)
         lam = 1.2 * float(np.abs(x.T @ x).max())
-        cfg = SolverConfig(lambda1=lam, lambda2=1.0, eps1=1e-6, eps2=1e-6, max_iter=5000)
+        cfg = SolverConfig(lambda1=lam, lambda2=1.0, eps=1e-6, max_iter=5000)
         z, diag = solve_relaxed(x, cfg)
         assert np.max(np.abs(z)) == 0.0
         assert diag.converged
@@ -57,7 +57,7 @@ class TestSolutionStructure:
         rng.standard_normal((6, 1))  # keep the stream aligned with the recipe above
         x = unit_columns(rng, 8, 6)
         cfg = SolverConfig(
-            lambda1=0.1, lambda2=0.0, diag_zero=True, eps1=1e-6, eps2=1e-6, max_iter=20000
+            lambda1=0.1, lambda2=0.0, diag_zero=True, eps=1e-6, max_iter=20000
         )
         z, diag = solve_relaxed(x, cfg)
         assert diag.converged
@@ -150,7 +150,7 @@ class TestWarmStart:
     def test_perturbed_start_reaches_same_objective(self):
         rng = np.random.default_rng(3)
         x = unit_columns(np.random.default_rng(7), 10, 12)
-        cfg = SolverConfig(lambda1=0.1, lambda2=1.0, eps1=1e-6, eps2=1e-6, max_iter=5000)
+        cfg = SolverConfig(lambda1=0.1, lambda2=1.0, eps=1e-6, max_iter=5000)
         _, cold = solve_relaxed(x, cfg)
         start = initial_relaxed_state(10, 12, cfg.mu0)
         start = dataclasses.replace(
@@ -173,7 +173,7 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="initial state must be of type RelaxedState"):
             solve_relaxed(x, SolverConfig(), initial_state=initial_exact_state(4, 5, 1.0))
 
-    @pytest.mark.parametrize("mu", [-1.0, 0.0, float("nan"), float("inf"), True, "1"])
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 1e12, float("nan"), float("inf"), True, "1"])
     def test_initial_mu_must_be_positive_finite(self, mu):
         x = unit_columns(np.random.default_rng(1), 4, 5)
         bad = dataclasses.replace(initial_relaxed_state(4, 5, 1.0), mu=mu)

@@ -7,6 +7,8 @@ import oscluster
 from oscluster import SolveDiagnostics, SolverConfig
 from oscluster.relaxed import solve_monitored
 from oscluster.types import (
+    MU_GROWTH,
+    MU_MAX,
     apply_difference_adjoint,
     as_coefficient_matrix,
     as_data_matrix,
@@ -187,11 +189,9 @@ class TestValidators:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.eps1 == 1e-4
-        assert cfg.eps2 == 1e-4
-        assert cfg.mu_max == 1e10
-        assert cfg.gamma0 == 1.1
+        assert cfg.eps == 1e-4
         assert cfg.max_iter == 2000
+        assert (MU_GROWTH, MU_MAX) == (1.1, 1e10)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -199,26 +199,20 @@ class TestSolverConfig:
             {"lambda1": -0.1},
             {"lambda2": -1.0},
             {"mu0": 0.0},
-            {"mu_max": 0.5},  # below mu0
-            {"gamma0": 0.9},
-            {"eps1": 0.0},
-            {"eps2": -1e-4},
+            {"mu0": 2e10},  # above the cap MU_MAX
+            {"eps": 0.0},
+            {"eps": -1e-4},
             {"max_iter": 0},
             {"mu0": -1.0},
             # Non-finite numbers, which the range checks above let through.
-            {"eps1": float("nan")},
-            {"eps2": float("nan")},
-            {"gamma0": float("nan")},
+            {"eps": float("nan")},
             {"lambda1": float("nan")},
             {"mu0": float("nan")},
-            {"mu_max": float("nan")},
             {"lambda2": float("inf")},
-            {"mu_max": float("inf")},
             {"max_iter": 2.5},
             {"max_iter": 100.0},
             {"max_iter": True},
-            {"eps1": float("inf")},
-            {"gamma0": float("inf")},
+            {"eps": float("inf")},
             {"lambda1": float("inf")},
         ],
     )
@@ -233,7 +227,7 @@ class TestSolverConfig:
             ("lambda1", None),
             ("lambda1", True),
             ("mu0", [1.0]),
-            ("gamma0", False),
+            ("eps", False),
             ("diag_zero", "false"),
             ("diag_zero", 1),
             ("diag_zero", None),
@@ -248,13 +242,18 @@ class TestSolverConfig:
         cfg = SolverConfig(lambda1=np.float64(0.2), max_iter=np.int64(10))
         assert (cfg.lambda1, cfg.max_iter) == (0.2, 10)
 
-    def test_nine_settings(self):
+    def test_six_settings(self):
         # The J step's weight is the constant admm.ETA_J, each solver works
-        # out its own eta_z, and the descent monitor and its additive
-        # schedule are relaxed.solve_monitored: none of the four is a field.
-        assert len(fields(SolverConfig)) == 9
+        # out its own eta_z, the descent monitor and its additive schedule
+        # are relaxed.solve_monitored, the penalty schedule is the constants
+        # MU_GROWTH and MU_MAX, and one eps stops every solve: none of the
+        # removed names is a field.
+        names = [f.name for f in fields(SolverConfig)]
+        assert names == ["lambda1", "lambda2", "mu0", "eps", "max_iter", "diag_zero"]
         removed = (
-            ("eta_j", 1.02), ("eta_z", 5.0), ("monitor_lyapunov", True), ("mu_schedule", "additive")
+            ("eta_j", 1.02), ("eta_z", 5.0), ("monitor_lyapunov", True),
+            ("mu_schedule", "additive"), ("gamma0", 1.5), ("mu_max", 1e9), ("eps1", 1e-6),
+            ("eps2", 1e-6),
         )
         for name, value in removed:
             with pytest.raises(TypeError, match=name):
