@@ -1,9 +1,11 @@
-"""The linearized-ADMM loop and coupling step the solvers share.
+"""The ADMM loop the solvers share, and the linearized solvers' coupling step.
 
-The sequential solver, its SpatSC variant and the exact-constraint solver
-are one linearized ADMM with an adaptive penalty mu (LADMAP, Lin, Liu & Su,
-NIPS 2011).  They differ only in their Z step and in what it leaves for the
-stop; every sweep ends with ``Workspace.couple``, and ``run`` alone decides
+The sequential solver and the exact-constraint solver are one linearized
+ADMM with an adaptive penalty mu (LADMAP, Lin, Liu & Su, NIPS 2011).  They
+differ only in their Z step and in what it leaves for the stop; each of
+their sweeps ends with ``Workspace.couple``.  The SpatSC baseline is a
+plain two-block ADMM whose Z step is exact (``baselines.SpatscWorkspace``)
+and which keeps its own buffers.  For all three, ``run`` alone decides
 convergence, mu growth and divergence.
 """
 
@@ -144,11 +146,10 @@ class Workspace:
         y_new += self.y
         return self.hold(out.z, j_new, y_new)
 
-    def objective(self, fit, lam1, lam2, grouped):
-        """``fit`` + lam1 ||Z||_1 + lam2 h(Z R) at the iterate held, with h
-        the sum of column norms if ``grouped``, else of absolute values."""
+    def objective(self, fit, lam1, lam2):
+        """``fit`` + lam1 ||Z||_1 + lam2 sum_i ||(Z R)_i|| at the iterate held."""
         z, zr = self._of[0], self.zr[:, :-1]
-        smooth = np.linalg.norm(zr, axis=0) if grouped else np.abs(zr)
+        smooth = np.linalg.norm(zr, axis=0)
         return fit + lam1 * float(np.sum(np.abs(z))) + lam2 * float(np.sum(smooth))
 
 

@@ -173,5 +173,5 @@ def solve_exact(x, config=None, initial_state=None):
     scale = (x_fro, float(np.sqrt(eta_z)))
     state = admm.run(config, state, sweep, ("y1", "y2"), diag, scale=scale)
     fit_term = 0.5 * float(np.sum(state.y1**2))  # E = -Y1
-    diag.objective_value = workspace.objective(fit_term, config.lambda1, config.lambda2, True)
+    diag.objective_value = workspace.objective(fit_term, config.lambda1, config.lambda2)
     return state.z, diag

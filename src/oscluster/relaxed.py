@@ -15,9 +15,10 @@ with alpha = ``OVER_RELAXATION`` (Eckstein & Bertsekas, Math. Prog. 1992;
 Fang, He, Liu & Yuan, Math. Prog. Comp. 2015, for the linearized case,
 alpha in (0, 2)).  ``solve_monitored``, the descent monitor's solve, keeps
 the plain sweep (alpha = 1) and grows mu additively, as ``lyapunov_s``
-assumes.  The J step and the multiplier (``admm.Workspace.couple``), the
-sweep loop, the stop and the penalty schedule are shared with the other
-solvers in ``admm.py``.
+assumes.  The J step and the multiplier (``admm.Workspace.couple``) are
+shared with osc-exact, and the sweep loop, the stop and the penalty
+schedule (``admm.run``) with osc-exact and spatsc, in ``admm.py``.
+spatsc's own sweep solves its Z step exactly (``baselines.py``).
 """
 
 from __future__ import annotations
@@ -85,13 +86,11 @@ class RelaxedWorkspace(admm.Workspace):
 
 
 def relaxed_iteration(
-    x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12", *, workspace=None,
-    alpha=1.0,
+    x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, *, workspace=None, alpha=1.0
 ):
     """One sweep: Z from the k-th blocks, then J from the fresh Z, then Y.
 
-    ``j_prox`` selects the penalty on J: ``"l12"`` shrinks whole columns,
-    ``"l1"`` shrinks entries.  The J step and the multiplier read the
+    The J step shrinks whole columns.  It and the multiplier read the
     relaxed coupling h = alpha Z+ R + (1 - alpha) J, from the fresh Z+ and
     the old J: J+ = prox(h - Y / (mu eta_j)) and Y+ = Y + mu (J+ - h), in
     ``admm.Workspace.couple``.  At the default ``alpha=1``, h is Z+ R: the
@@ -105,8 +104,6 @@ def relaxed_iteration(
     operator every call: an eigenvalue solve of the smaller Gram matrix
     (min(D, N) square), plus its eigenvectors or G.
     """
-    if j_prox not in ("l12", "l1"):
-        raise ValueError(f"unknown j_prox {j_prox!r}")
     ws = workspace if workspace is not None else RelaxedWorkspace(FitOperator(x))
     ws.sync(x, state.z, state.j, state.y)
     z, y, mu = state.z, ws.y, state.mu
@@ -131,8 +128,7 @@ def relaxed_iteration(
 
     # h, unless alpha is 1, lives over the spent fit step.
     column_differences(z_new, out=ws.zr)
-    prox = group_shrink_columns if j_prox == "l12" else soft_threshold
-    j_new, y_new = ws.couple(out, mu, mu * eta_j, lam2, prox, alpha, ws.fit)
+    j_new, y_new = ws.couple(out, mu, mu * eta_j, lam2, group_shrink_columns, alpha, ws.fit)
     return RelaxedState(z_new, j_new, y_new, mu)
 
 
@@ -166,10 +162,8 @@ def lyapunov_s(state, reference, eta_z, l_z):
     return value
 
 
-def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=None, *,
-                monitored=False):
-    """Shared driver behind the sequential solver, its SpatSC variant and
-    ``solve_monitored``.
+def _solve_core(x, config, initial_state=None, lyapunov_reference=None, *, monitored=False):
+    """Shared driver behind the sequential solver and ``solve_monitored``.
 
     Starts from ``initial_state`` or from ``initial_relaxed_state`` (all
     blocks zero) and runs the over-relaxed sweep under the multiplicative
@@ -199,7 +193,7 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
         workspace.sync(x, state.z, state.j, state.y)
         j = workspace.j  # the padded J of ``state``; the norms run on whole buffers
         new = relaxed_iteration(
-            x, state, lam1, lam2, l_z, eta_z, admm.ETA_J, diag_zero, j_prox,
+            x, state, lam1, lam2, l_z, eta_z, admm.ETA_J, diag_zero,
             workspace=workspace, alpha=alpha,
         )
         dz = frobenius_distance(new.z, state.z, workspace.fit)
@@ -213,7 +207,7 @@ def _solve_core(x, config, j_prox="l12", initial_state=None, lyapunov_reference=
 
     state = admm.run(config, state, sweep, ("y",), diag, monitor, increment)
     fit_term = 0.5 * float(np.sum((x - x @ state.z) ** 2))
-    diag.objective_value = workspace.objective(fit_term, lam1, lam2, j_prox == "l12")
+    diag.objective_value = workspace.objective(fit_term, lam1, lam2)
     return state, diag
 
 

@@ -134,6 +134,19 @@ def difference_norm_squared(n):
     return 4.0 * math.sin(math.pi * (n - 1) / (2 * n)) ** 2
 
 
+def difference_eigenbasis(n):
+    """Eigenvalues and orthonormal eigenvectors of R R^T, the N x N Laplacian
+    of the path on N nodes, in closed form: ``(beta, q)`` with beta_j =
+    2 - 2 cos(pi j / N) ascending and column j of q the DCT-II vector
+    q[k, j] = c_j cos(pi j (k + 1/2) / N), c_0 = sqrt(1/N), else sqrt(2/N)."""
+    if n < 2:
+        raise ValueError(f"difference operator needs n >= 2, got {n}")
+    j = np.arange(n)
+    q = np.sqrt(2.0 / n) * np.cos(np.pi / n * np.outer(j + 0.5, j))
+    q[:, 0] = math.sqrt(1.0 / n)
+    return 2.0 - 2.0 * np.cos(np.pi / n * j), q
+
+
 def frobenius_distance(a, b, scratch):
     """||a - b||_F, with the difference written into the contiguous buffer
     ``scratch`` of any shape.
@@ -272,16 +285,17 @@ class SolveDiagnostics:
 
     All histories have one entry per completed iteration.  For the
     sequential solver ``feasibility_history`` holds the raw constraint
-    residual; for the exact-constraint solver it holds the larger of the
-    two normalized residuals; for ``ssc_solve`` the lasso KKT gap, its only
-    history.  ``change_history`` holds the scaled iterate change that gates
+    residual; for spatsc the larger of its two raw residuals; for the
+    exact-constraint solver the larger of its two normalized residuals; for
+    ``ssc_solve`` the lasso KKT gap, its only history.  ``change_history`` holds the scaled iterate change that gates
     both the stopping test and the penalty growth; ``admm.run`` decides
     that stop for every solver but ssc.  ``iterations`` counts this solve's
     sweeps, warm start or not.  ``lyapunov_history`` is filled only by
     ``relaxed.solve_monitored``, the descent monitor's solve; it stays
-    ``None`` otherwise.  ``l_z`` is ||X||^2; ``eta_z`` is the
+    ``None`` otherwise.  ``l_z`` is ||X||^2 (for spatsc, the top
+    eigenvalue of its Z step's ``eigh`` of X^T X); ``eta_z`` is the
     proximal weight the solver worked out and used, and stays NaN for
-    ``ssc_solve``, which has none.
+    ``ssc_solve`` and spatsc, which linearize nothing.
     """
 
     iterations: int = 0

@@ -5,12 +5,15 @@ grid search, parabola fitting, quasi-Newton descent on a smoothed
 objective, coordinate descent, exhaustive permutation search, bisection.
 One helper is a frozen copy instead, so a test can require bitwise
 equality with it: ``plain_relaxed_sweep`` keeps the unrelaxed fused sweep.
+spatsc's reference sweep takes its exact Z step from scipy's Bartels-Stewart
+``solve_sylvester``, not from the eigenbases the library uses.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_sylvester
 
 from oscluster import kmeans, normalized_laplacian
 from oscluster import admm
@@ -270,9 +273,7 @@ def _shrink_columns(u, kappa):
     return u * np.where(norms > kappa, 1.0 - kappa / np.where(norms > 0, norms, 1.0), 0.0)
 
 
-def reference_relaxed_sweep(
-    x, z, j, y, mu, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12", alpha=1.0
-):
+def reference_relaxed_sweep(x, z, j, y, mu, lam1, lam2, l_z, eta_z, eta_j, diag_zero, alpha=1.0):
     """One sequential sweep written straight from its update formulas, with
     the J step and the multiplier on the relaxed coupling
     h = alpha Z+ R + (1 - alpha) J.
@@ -287,24 +288,22 @@ def reference_relaxed_sweep(
     z_new = _shrink_entries(v, lam1 / step)
     if diag_zero:
         np.fill_diagonal(z_new, 0.0)
-    return (z_new, *reference_coupling_step(z_new, j, y, mu, lam2, eta_j, j_prox, alpha))
+    return (z_new, *reference_coupling_step(z_new, j, y, mu, lam2, eta_j, alpha))
 
 
-def reference_coupling_step(z_new, j, y, mu, lam2, eta_j, j_prox="l12", alpha=1.0):
+def reference_coupling_step(z_new, j, y, mu, lam2, eta_j, alpha=1.0):
     """The J and Y lines of ``reference_relaxed_sweep``: the J step and the
     multiplier on h = alpha Z+ R + (1 - alpha) J, with a dense R, from the
     fresh ``z_new`` and the old J and Y.  Returns ``(j, y)``."""
     h = alpha * (z_new @ build_difference_operator(z_new.shape[0])) + (1.0 - alpha) * j
     u = h - y / (mu * eta_j)
     kappa = lam2 / (mu * eta_j)
-    j_new = _shrink_columns(u, kappa) if j_prox == "l12" else _shrink_entries(u, kappa)
+    j_new = _shrink_columns(u, kappa)
     y_new = y + mu * (j_new - h)
     return j_new, y_new
 
 
-def plain_relaxed_sweep(
-    x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox="l12", *, workspace, alpha
-):
+def plain_relaxed_sweep(x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, *, workspace, alpha):
     """The sequential sweep without relaxation, as the library ran it before
     the relaxed coupling: the same fused passes in the same order, on the
     same zero-padded N x N coupling buffers, so its values are bitwise
@@ -329,8 +328,7 @@ def plain_relaxed_sweep(
     zr = column_differences(z_new, out=ws.zr)
     u = np.divide(y, sigma_j, out=y_new)
     np.subtract(zr, u, out=u)
-    shrink = group_shrink_columns if j_prox == "l12" else soft_threshold
-    shrink(u, lam2 / sigma_j, out=j_new)
+    group_shrink_columns(u, lam2 / sigma_j, out=j_new)
     residual = np.subtract(j_new, zr, out=ws.residual)
     np.multiply(residual, mu, out=y_new)
     y_new += y
@@ -355,6 +353,37 @@ def reference_exact_sweep(x, z, e, j, y1, y2, mu, lam1, lam2, eta_z, eta_j, diag
     y1_new = y1 + mu * (x @ z_new - x + e_new)
     y2_new = y2 + mu * (j_new - z_new @ r)
     return z_new, e_new, j_new, y1_new, y2_new
+
+
+def reference_spatsc_sweep(x, w, j, y1, y2, mu, lam1, lam2, alpha):
+    """One sweep of spatsc's ADMM from its update formulas, with unscaled
+    multipliers, a dense R and nothing carried between sweeps: Z solves
+    (X^T X + mu I) Z + mu Z R R^T = X^T X + mu W + Y1 + (mu J + Y2) R^T by
+    ``solve_sylvester``, then W and J from the fresh Z on the relaxed
+    couplings, then Y1 and Y2.  Returns ``(z, w, j, y1, y2)``."""
+    n = x.shape[1]
+    r = build_difference_operator(n)
+    gram = x.T @ x
+    c = gram + mu * w + y1 + (mu * j + y2) @ r.T
+    z = solve_sylvester(gram + mu * np.eye(n), mu * (r @ r.T), c)
+    h1 = alpha * z + (1.0 - alpha) * w
+    w_new = _shrink_entries(h1 - y1 / mu, lam1 / mu)
+    np.fill_diagonal(w_new, 0.0)
+    h2 = alpha * (z @ r) + (1.0 - alpha) * j
+    j_new = _shrink_entries(h2 - y2 / mu, lam2 / mu)
+    return z, w_new, j_new, y1 + mu * (w_new - h1), y2 + mu * (j_new - h2)
+
+
+def kronecker_z_step(x, m, mu):
+    """The Z solving (X^T X + mu I) Z + mu Z R R^T = X^T X + mu M as one
+    dense N^2 x N^2 system, (I (x) (X^T X + mu I) + mu (R R^T) (x) I) vec Z
+    = vec C, with vec stacking columns."""
+    n = x.shape[1]
+    r = build_difference_operator(n)
+    gram = x.T @ x
+    system = np.kron(np.eye(n), gram + mu * np.eye(n)) + mu * np.kron(r @ r.T, np.eye(n))
+    c = gram + mu * m
+    return np.linalg.solve(system, c.reshape(-1, order="F")).reshape((n, n), order="F")
 
 
 def build_difference_operator(n):
@@ -406,6 +435,31 @@ def reference_relaxed_solve(x, config, l_z, eta_z, blocks):
             break
         mu = _next_mu(config, mu, change)
     return z, sweep, feasibility, changes, mus
+
+
+def reference_spatsc_solve(x, config, blocks):
+    """spatsc's multiplicative-penalty loop around reference_spatsc_sweep,
+    from ``blocks = (w, j, y1, y2)``, with relaxation weight
+    ``OVER_RELAXATION``; returns the same tuple as reference_relaxed_solve,
+    with W for Z."""
+    r = build_difference_operator(x.shape[1])
+    w, j, y1, y2 = blocks
+    mu = config.mu0
+    feasibility, changes, mus = [], [], []
+    for sweep in range(1, config.max_iter + 1):
+        z, w_new, j_new, y1, y2 = reference_spatsc_sweep(
+            x, w, j, y1, y2, mu, config.lambda1, config.lambda2, OVER_RELAXATION
+        )
+        feas = max(float(np.linalg.norm(z - w_new)), float(np.linalg.norm(z @ r - j_new)))
+        change = mu * max(float(np.linalg.norm(w_new - w)), float(np.linalg.norm(j_new - j)))
+        feasibility.append(feas)
+        changes.append(change)
+        mus.append(mu)
+        w, j = w_new, j_new
+        if feas < config.eps and change < config.eps:
+            break
+        mu = _next_mu(config, mu, change)
+    return w, sweep, feasibility, changes, mus
 
 
 def reference_exact_solve(x, config, eta_z, blocks):
@@ -462,7 +516,7 @@ def reference_fista_lasso(x, lam, l_z, sweeps):
 
 def eta_z_with_fit_headroom(x, mu0):
     """||R||^2 + ||X||^2 / mu0 + 1e-3, the additive schedule's eta_z for the
-    sequential solver and spatsc, written as the solvers work it out.  It
+    sequential solver, written as the solver works it out.  It
     charges the fit's Lipschitz constant ||X||^2 a second time, on top of
     the one the Z step mu * eta_z + ||X||^2 already pays."""
     return difference_norm_squared(x.shape[1]) + operator_norm_squared(x) / mu0 + 1e-3

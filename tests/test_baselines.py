@@ -4,18 +4,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from oscluster import (
     SolverConfig,
     SyntheticSpec,
+    add_noise_psnr,
     generate_synthetic,
     normalize_columns,
     sim_closed_form,
     spatsc_solve,
     ssc_solve,
 )
+from oscluster.baselines import SpatscWorkspace
+from oscluster.types import difference_eigenbasis
 
-from conftest import SSC_PARAMS
-from helpers import lasso_cd_matrix
+from conftest import SPATSC_PARAMS, SSC_PARAMS
+from helpers import build_difference_operator, kronecker_z_step, lasso_cd_matrix
 
 TIGHT = SolverConfig(eps=1e-6, max_iter=20000)
 
@@ -145,6 +151,65 @@ class TestEntrywiseSmoothedVariant:
         _, diag = spatsc_solve(xn, cfg)
         assert diag.converged
         assert diag.feasibility_history[-1] < 1e-4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 100])
+def test_difference_eigenbasis_diagonalizes_r_rt(n):
+    # The closed-form DCT-II basis is orthonormal and R R^T Q = Q diag(beta).
+    beta, q = difference_eigenbasis(n)
+    r = build_difference_operator(n)
+    assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-13
+    assert np.max(np.abs(r @ r.T @ q - q * beta)) <= 1e-13
+    assert np.all(np.diff(beta) > 0) and beta[0] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 9),
+    n=st.integers(2, 9),
+    rank=st.integers(0, 9),
+    log_mu=st.integers(-2, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=1, n=2, rank=1, log_mu=0, seed=0)
+@example(d=4, n=3, rank=4, log_mu=0, seed=1)
+@example(d=3, n=8, rank=3, log_mu=0, seed=2)  # D < N
+@example(d=9, n=5, rank=9, log_mu=1, seed=3)  # D > N, full rank
+@example(d=8, n=9, rank=2, log_mu=-1, seed=4)  # rank-deficient
+@example(d=5, n=6, rank=0, log_mu=0, seed=5)  # X = 0
+def test_exact_z_step_matches_kronecker_solve(d, n, rank, log_mu, seed):
+    # spatsc's Z step through the two eigenbases against the dense
+    # Kronecker system, at any D, N and rank of X.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, d, n)
+    x = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+    norms = np.linalg.norm(x, axis=0)
+    x /= np.where(norms > 0, norms, 1.0)
+    mu = 10.0**log_mu
+    m = rng.standard_normal((n, n))
+    want = kronecker_z_step(x, m, mu)
+    got = SpatscWorkspace(x).z_step(m.copy(), mu, np.empty((n, n)), np.empty((n, n)))
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestSpatscQuality:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_objective_close_to_a_tight_solve(self, seed):
+        # The default stop lands within 1e-6 relative of the objective a
+        # tight solve (eps 1e-9) reaches, on the 20 dB protocol.
+        x, _ = generate_synthetic(SyntheticSpec(seed=seed))
+        xn = normalize_columns(add_noise_psnr(x, 20.0, seed=seed))
+        _, diag = spatsc_solve(xn, SPATSC_PARAMS)
+        _, tight = spatsc_solve(xn, replace(SPATSC_PARAMS, eps=1e-9, max_iter=40000))
+        assert diag.converged and tight.converged
+        gap = (diag.objective_value - tight.objective_value) / tight.objective_value
+        assert abs(gap) <= 1e-6
+
+    def test_all_zero_data_converges_to_zero(self):
+        z, diag = spatsc_solve(np.zeros((3, 5)), SPATSC_PARAMS)
+        assert np.array_equal(z, np.zeros((5, 5)))
+        assert diag.converged and diag.iterations == 1
+        assert diag.l_z == 0.0 and diag.objective_value == 0.0
 
 
 class TestShapeInteraction:

@@ -12,7 +12,7 @@ from oscluster import (
     solve_relaxed,
     spatsc_solve,
 )
-from oscluster.relaxed import lyapunov_s, relaxed_iteration, solve_monitored
+from oscluster.relaxed import lyapunov_s, solve_monitored
 from oscluster.types import difference_norm_squared, operator_norm_squared
 
 from helpers import (
@@ -203,17 +203,14 @@ class TestDefaultStep:
             increment = diag.l_z / (diag.eta_z - difference_norm_squared(7))
             assert diag.mu_history == [2.0, 2.0 + increment, 2.0 + increment + increment]
         else:
+            # spatsc's Z step is exact: no proximal weight, and l_z is the top
+            # eigenvalue of its eigh of X^T X.
             _, diag = spatsc_solve(x, dataclasses.replace(config, lambda2=0.01))
-            assert diag.eta_z == difference_norm_squared(7) + 1e-3
+            assert np.isnan(diag.eta_z)
+            assert diag.l_z == pytest.approx(operator_norm_squared(x), rel=1e-12)
 
 
 class TestValidation:
     def test_rejects_vector_input(self):
         with pytest.raises(ValueError):
             solve_relaxed(np.arange(5.0), SolverConfig())
-
-    def test_unknown_j_prox(self):
-        x = unit_columns(np.random.default_rng(4), 3, 4)
-        state = initial_relaxed_state(3, 4, 1.0)
-        with pytest.raises(ValueError):
-            relaxed_iteration(x, state, 0.1, 1.0, 2.0, 5.0, 1.0, False, j_prox="huber")

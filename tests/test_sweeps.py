@@ -28,12 +28,12 @@ from oscluster import (
     ssc_solve,
 )
 from oscluster import admm, exact, relaxed
-from oscluster.baselines import _stationarity_gap
+from oscluster.baselines import SpatscState, SpatscWorkspace, _stationarity_gap
 from oscluster.exact import ExactWorkspace, exact_iteration
 from oscluster.admm import ETA_J
 from oscluster.relaxed import OVER_RELAXATION, RelaxedWorkspace, relaxed_iteration
-from oscluster.prox import group_shrink_columns, soft_threshold
-from oscluster.types import FitOperator, column_differences, operator_norm_squared
+from oscluster.prox import group_shrink_columns
+from oscluster.types import FitOperator, column_differences, operator_norm_squared, zero_padded
 
 from helpers import (
     build_difference_operator,
@@ -45,6 +45,8 @@ from helpers import (
     reference_relaxed_solve,
     reference_coupling_step,
     reference_relaxed_sweep,
+    reference_spatsc_solve,
+    reference_spatsc_sweep,
 )
 
 SWEEPS = 30
@@ -96,7 +98,7 @@ def mu_at(sweep):
     return 1.1**sweep
 
 
-def check_chained_relaxed_sweeps(x, b, shared, j_prox, diag_zero, alpha=1.0):
+def check_chained_relaxed_sweeps(x, b, shared, diag_zero, alpha=1.0):
     d, n = x.shape
     lam1, lam2, l_z, eta_z, eta_j = 0.1, 0.5, 3.0, 6.0, 1.02
     state = dataclasses.replace(initial_relaxed_state(d, n, 1.0), z=b["z"], j=b["j"], y=b["y"])
@@ -105,11 +107,10 @@ def check_chained_relaxed_sweeps(x, b, shared, j_prox, diag_zero, alpha=1.0):
     for sweep in range(SWEEPS):
         state = dataclasses.replace(state, mu=mu_at(sweep))
         state = relaxed_iteration(
-            x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox, workspace=workspace,
-            alpha=alpha,
+            x, state, lam1, lam2, l_z, eta_z, eta_j, diag_zero, workspace=workspace, alpha=alpha
         )
         want = reference_relaxed_sweep(
-            x, *want, mu_at(sweep), lam1, lam2, l_z, eta_z, eta_j, diag_zero, j_prox, alpha
+            x, *want, mu_at(sweep), lam1, lam2, l_z, eta_z, eta_j, diag_zero, alpha
         )
         for got, expected in zip((state.z, state.j, state.y), want):
             assert_close(got, expected)
@@ -117,25 +118,73 @@ def check_chained_relaxed_sweeps(x, b, shared, j_prox, diag_zero, alpha=1.0):
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["workspace", "fresh"])
-@pytest.mark.parametrize("j_prox, diag_zero", [("l12", False), ("l1", True)])
-def test_relaxed_sweeps_match_reference(warm, shared, j_prox, diag_zero):
-    check_chained_relaxed_sweeps(*warm, shared, j_prox, diag_zero)
+@pytest.mark.parametrize("diag_zero", [False, True], ids=["free-diag", "zero-diag"])
+def test_relaxed_sweeps_match_reference(warm, shared, diag_zero):
+    check_chained_relaxed_sweeps(*warm, shared, diag_zero)
 
 
 @pytest.mark.parametrize("d, n, rank", SHAPES, ids=SHAPE_IDS)
 @pytest.mark.parametrize("shared", [True, False], ids=["workspace", "fresh"])
-@pytest.mark.parametrize("j_prox, diag_zero", [("l12", False), ("l1", True)])
-def test_relaxed_sweeps_match_reference_across_shapes(d, n, rank, shared, j_prox, diag_zero):
-    check_chained_relaxed_sweeps(*warm_start(d, n, rank=rank), shared, j_prox, diag_zero)
+@pytest.mark.parametrize("diag_zero", [False, True], ids=["free-diag", "zero-diag"])
+def test_relaxed_sweeps_match_reference_across_shapes(d, n, rank, shared, diag_zero):
+    check_chained_relaxed_sweeps(*warm_start(d, n, rank=rank), shared, diag_zero)
 
 
 @pytest.mark.parametrize("d, n, rank", SHAPES, ids=SHAPE_IDS)
 @pytest.mark.parametrize("alpha", [0.5, OVER_RELAXATION])
-@pytest.mark.parametrize("j_prox, diag_zero", [("l12", False), ("l1", True)])
-def test_relaxed_sweeps_with_relaxation_match_reference(d, n, rank, alpha, j_prox, diag_zero):
+@pytest.mark.parametrize("diag_zero", [False, True], ids=["free-diag", "zero-diag"])
+def test_relaxed_sweeps_with_relaxation_match_reference(d, n, rank, alpha, diag_zero):
     # The J step and the multiplier read h = alpha Z+ R + (1 - alpha) J,
     # which the sweep builds over buffers it has already spent.
-    check_chained_relaxed_sweeps(*warm_start(d, n, rank=rank), True, j_prox, diag_zero, alpha)
+    check_chained_relaxed_sweeps(*warm_start(d, n, rank=rank), True, diag_zero, alpha)
+
+
+SPATSC_SHAPES = [(12, 16, None), (20, 12, None), (20, 30, 4)]
+SPATSC_SHAPE_IDS = ["d<n", "d>n", "rank4"]
+
+
+@pytest.mark.parametrize("d, n, rank", SPATSC_SHAPES, ids=SPATSC_SHAPE_IDS)
+def test_spatsc_sweeps_match_reference(d, n, rank):
+    # mu moves every sweep, so every sweep rescales the scaled multipliers
+    # and recomputes the Z step's weights; the reference keeps Y1 and Y2
+    # unscaled and solves each Z step by Bartels-Stewart.
+    x, b = warm_start(d, n, rank=rank)
+    y1 = np.random.default_rng(4).standard_normal((n, n))
+    want = (b["z"], b["j"], y1, b["y"])
+    mu = mu_at(0)
+    state = SpatscState(b["z"].copy(), zero_padded(b["j"]), y1 / mu, zero_padded(b["y"]) / mu, mu)
+    workspace = SpatscWorkspace(x)
+    r = build_difference_operator(n)
+    for sweep in range(SWEEPS):
+        mu = mu_at(sweep)
+        state, steps, residuals = workspace.sweep(dataclasses.replace(state, mu=mu), 0.1, 0.05)
+        z, *new = reference_spatsc_sweep(x, *want, mu, 0.1, 0.05, OVER_RELAXATION)
+        got = (state.w, state.j[:, :-1], mu * state.u1, mu * state.u2[:, :-1])
+        for got_block, expected in zip(got, new):
+            assert_close(got_block, expected, tol=1e-9)
+        want_steps = (np.linalg.norm(new[0] - want[0]), np.linalg.norm(new[1] - want[1]))
+        want_residuals = (np.linalg.norm(z - new[0]), np.linalg.norm(z @ r - new[1]))
+        assert steps == pytest.approx(want_steps, rel=1e-9, abs=1e-12)
+        assert residuals == pytest.approx(want_residuals, rel=1e-9, abs=1e-12)
+        for block in (state.j, state.u2):
+            assert not block[:, -1].view(np.int64).any()
+        want = new
+    assert 0 < np.count_nonzero(state.w) < state.w.size
+
+
+@pytest.mark.parametrize("d, n, rank", SHAPES + SPATSC_SHAPES[1:2], ids=SHAPE_IDS + ["d>n"])
+def test_spatsc_holds_no_more_than_the_linearized_sweep(d, n, rank):
+    # Seven rotating N x N buffers, P, V_r and the r x N weights, against
+    # the linearized sweep's workspace and fit operator.
+    x, _ = warm_start(d, n, rank=rank)
+    workspace = SpatscWorkspace(x)
+    held = workspace.scratch + list(vars(workspace.start(1.0)).values())[:4]
+    held += [workspace.p, workspace.v, workspace.weights]
+    assert len(held) == 10 and sum(a.size for a in held[:8]) == 8 * n * n
+    fit = FitOperator(x)
+    linearized = owned_arrays(RelaxedWorkspace(fit)) + [fit.gram, *(fit.factor or ())]
+    linearized = [a for a in linearized if a is not None]
+    assert sum(a.nbytes for a in held) <= sum(a.nbytes for a in linearized)
 
 
 def lasso_objectives(x, z, lam):
@@ -280,22 +329,20 @@ def test_workspace_refuses_other_data(warm, solver):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, OVER_RELAXATION])
-@pytest.mark.parametrize("j_prox", ["l12", "l1"])
-def test_coupling_step_matches_reference(warm, j_prox, alpha):
+def test_coupling_step_matches_reference(warm, alpha):
     # The shared J step, residual and multiplier update alone, from a fresh
     # Z+ and a warm J and Y, against the J and Y lines of the dense
     # reference sweep.  Every pad it writes stays bit-pattern +0.0.
     x, b = warm
-    mu, lam2 = 2.5, (4.0 if j_prox == "l12" else 1.0)  # a part of J shrinks out
+    mu, lam2 = 2.5, 4.0  # a part of J shrinks out
     z_new = 0.05 * np.random.default_rng(3).standard_normal((N, N))
     workspace = admm.Workspace(x)
     workspace.sync(x, b["z"], b["j"], b["y"])
     out = admm.free_set(workspace.sets, b["z"])
     out.z[:] = z_new
     column_differences(out.z, out=workspace.zr)
-    prox = group_shrink_columns if j_prox == "l12" else soft_threshold
-    j, y = workspace.couple(out, mu, mu * ETA_J, lam2, prox, alpha, np.empty((N, N)))
-    want_j, want_y = reference_coupling_step(z_new, b["j"], b["y"], mu, lam2, ETA_J, j_prox, alpha)
+    j, y = workspace.couple(out, mu, mu * ETA_J, lam2, group_shrink_columns, alpha, np.empty((N, N)))
+    want_j, want_y = reference_coupling_step(z_new, b["j"], b["y"], mu, lam2, ETA_J, alpha)
     assert_close(j, want_j)
     assert_close(y, want_y)
     assert_close(workspace.residual[:, :-1], want_j - z_new @ build_difference_operator(N))
@@ -389,7 +436,8 @@ SOLVES = {
 def test_one_eigenvalue_solve_per_solve(protocol_x, monkeypatch, solve, rank):
     # l_z and the rank of X come from one eigvalsh of the smaller Gram
     # matrix; the factored fit step (2 r < N) adds one eigh for its factor.
-    # osc-exact takes only l_z.
+    # osc-exact takes only l_z.  spatsc's exact Z step takes l_z, r and its
+    # eigenbasis from one eigh of X^T X, at any rank.
     x = protocol_x
     if rank == 100:
         x = normalize_columns(add_noise_psnr(protocol_x, 20.0, seed=1))
@@ -402,7 +450,10 @@ def test_one_eigenvalue_solve_per_solve(protocol_x, monkeypatch, solve, rank):
 
         monkeypatch.setattr(np.linalg, name, counted)
     SOLVES[solve](x, SolverConfig(max_iter=5))
-    assert calls == {"eigvalsh": 1, "eigh": int(rank == 20 and solve != "exact")}
+    if solve == "spatsc":
+        assert calls == {"eigvalsh": 0, "eigh": 1}
+    else:
+        assert calls == {"eigvalsh": 1, "eigh": int(rank == 20 and solve != "exact")}
 
 
 def assert_same_solve(z, diag, reference):
@@ -468,6 +519,24 @@ def test_relaxed_solve_matches_reference(protocol_x):
     assert_same_solve(
         z, diag, reference_relaxed_solve(protocol_x, config, diag.l_z, diag.eta_z, start)
     )
+
+
+@pytest.fixture(scope="module")
+def protocol_x_20db():
+    x, _ = generate_synthetic(SyntheticSpec(seed=0))
+    return normalize_columns(add_noise_psnr(x, 20.0, seed=1))
+
+
+def test_spatsc_solve_matches_reference(protocol_x_20db):
+    # The zero start, the scaled multipliers and the exact Z step through
+    # the eigenbases, against unscaled multipliers and Bartels-Stewart.
+    x = protocol_x_20db
+    n = x.shape[1]
+    config = SolverConfig(lambda1=0.1, lambda2=0.01)
+    w, diag = spatsc_solve(x, config)
+    assert diag.converged
+    start = (np.zeros((n, n)), np.zeros((n, n - 1)), np.zeros((n, n)), np.zeros((n, n - 1)))
+    assert_same_solve(w, diag, reference_spatsc_solve(x, config, start))
 
 
 def test_exact_solve_matches_reference(protocol_x):
